@@ -263,7 +263,7 @@ let write_coverage_file = function
         (String.concat ""
            (List.map
               (fun s ->
-                Pm_corpus.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
+                Yashme_util.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
               stats));
       Printf.printf "coverage: %d program(s) written to %s\n" (List.length stats)
         file
@@ -288,7 +288,7 @@ let write_attribution_file rows = function
         (String.concat ""
            (List.map
               (fun r ->
-                Pm_corpus.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
+                Yashme_util.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
               rows));
       Printf.printf "attribution: %d cost center(s) written to %s\n"
         (List.length rows) file
@@ -694,7 +694,7 @@ let trace_lint_cmd =
     match check file with
     | Ok () -> Printf.printf "%s: well-formed\n" file
     | Error msg ->
-        Printf.eprintf "%s: malformed trace: %s\n" file msg;
+        Printf.eprintf "malformed trace: %s\n" msg;
         exit 1
     | exception Sys_error msg ->
         Printf.eprintf "%s\n" msg;
@@ -724,41 +724,20 @@ let profile_cmd =
     Arg.(value & flag & info [ "attribution" ] ~doc)
   in
   let run_attribution file =
-    match In_channel.with_open_bin file In_channel.input_all with
-    | exception Sys_error msg ->
+    match
+      Yashme_util.Json.load_lines ~what:"attribution file" file (fun l ->
+          Result.bind (Yashme_util.Json.decode_obj l) Observe.Attribution.of_fields)
+    with
+    | Error msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
-    | data ->
-        let lines =
-          List.filter
-            (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' data)
-        in
-        let rec parse i acc = function
-          | [] -> Ok (List.rev acc)
-          | l :: rest -> (
-              match Pm_corpus.Json.decode_obj l with
-              | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-              | Ok fs -> (
-                  match Observe.Attribution.of_fields fs with
-                  | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-                  | Ok row -> parse (i + 1) (row :: acc) rest))
-        in
-        (match parse 1 [] lines with
-        | Error msg ->
-            Printf.eprintf "%s: %s\n" file msg;
-            exit 1
-        | Ok rows ->
-            print_endline (Observe.Attribution.to_string ~timing:false rows))
+    | Ok rows -> print_endline (Observe.Attribution.to_string ~timing:false rows)
   in
   let run file top attribution =
     if attribution then run_attribution file
     else
     match Observe.Profile.parse_file file with
     | Error msg ->
-        Printf.eprintf "%s: %s\n" file msg;
-        exit 1
-    | exception Sys_error msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
     | Ok events ->
@@ -844,7 +823,7 @@ let bench_diff_cmd =
       match Pm_corpus.Bench_gate.load path with
       | Ok entries -> entries
       | Error msg ->
-          Printf.eprintf "%s: %s\n" path msg;
+          Printf.eprintf "%s\n" msg;
           exit 2
     in
     let b = load baseline in
@@ -1036,11 +1015,11 @@ let scaling_cmd =
             List.iter
               (fun pair ->
                 rows :=
-                  Pm_corpus.Json.encode_obj
+                  Yashme_util.Json.encode_obj
                     (Observe.Scaling.fields ~program:name pair)
                   :: !rows;
                 projection_rows :=
-                  Pm_corpus.Json.encode_obj
+                  Yashme_util.Json.encode_obj
                     (Observe.Scaling.fields ~timing:false ~program:name pair)
                   :: !projection_rows)
               a.Observe.Scaling.a_levels)
@@ -1090,7 +1069,7 @@ let runs_cmd =
   let run file =
     match Pm_corpus.Ledger_store.load file with
     | Error msg ->
-        Printf.eprintf "%s: %s\n" file msg;
+        Printf.eprintf "%s\n" msg;
         exit 1
     | Ok entries ->
         let rows =
@@ -1160,7 +1139,7 @@ let compare_cmd =
   let run file a b =
     match Pm_corpus.Ledger_store.load file with
     | Error msg ->
-        Printf.eprintf "%s: %s\n" file msg;
+        Printf.eprintf "%s\n" msg;
         exit 2
     | Ok entries -> (
         match
@@ -1193,9 +1172,6 @@ let load_corpus_or_exit file =
   match Pm_corpus.Corpus.load file with
   | Ok ws -> ws
   | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  | exception Sys_error msg ->
       Printf.eprintf "%s\n" msg;
       exit 1
 
@@ -1477,7 +1453,7 @@ let soak_cmd =
           (String.concat "\n"
              (List.map
                 (fun s ->
-                  Pm_corpus.Json.encode_obj (Observe.Coverage.fields s))
+                  Yashme_util.Json.encode_obj (Observe.Coverage.fields s))
                 stats))
   in
   let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops

@@ -36,34 +36,13 @@ let key_of fields =
       | None -> Some bench
       | Some jobs -> Some (Printf.sprintf "%s[jobs=%s]" bench jobs))
 
-let of_jsonl data =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' data)
-  in
-  let rec loop i acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match Json.decode_obj l with
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-        | Ok fields -> (
-            match key_of fields with
-            | None -> Error (Printf.sprintf "line %d: no \"bench\" field" i)
-            | Some key -> loop (i + 1) ({ e_key = key; e_fields = fields } :: acc) rest))
-  in
-  loop 1 [] lines
+let entry_of_line l =
+  Result.bind (Json.decode_obj l) (fun fields ->
+      match key_of fields with
+      | None -> Error "no \"bench\" field"
+      | Some key -> Ok { e_key = key; e_fields = fields })
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | data ->
-      if String.trim data = "" then
-        Error (Printf.sprintf "%s: empty bench file" path)
-      else of_jsonl data
+let load path = Json.load_lines ~what:"bench file" path entry_of_line
 
 type verdict = {
   v_key : string;

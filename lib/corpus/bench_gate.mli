@@ -18,10 +18,9 @@ val field : entry -> string -> Json.value option
 (** Numeric field ([`I] or [`F]); [None] when absent or non-numeric. *)
 val number : entry -> string -> float option
 
-(** Parse JSONL content; every line must carry a ["bench"] field. *)
-val of_jsonl : string -> (entry list, string) result
-
-(** Read and parse a bench file; empty/unreadable files are errors. *)
+(** Read a bench JSONL file ({!Yashme_util.Json.load_lines}); every
+    line must carry a ["bench"] field.  Empty or unreadable files are
+    errors naming the path once; never raises. *)
 val load : string -> (entry list, string) result
 
 type verdict = {

@@ -90,25 +90,4 @@ let save path ws = Yashme_util.Atomic_file.write path (to_jsonl ws)
    can replay must carry at least one witness, and a 0-byte file is
    the signature of an interrupted non-atomic writer. *)
 let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec loop lineno acc =
-            match input_line ic with
-            | exception End_of_file ->
-                if acc = [] then
-                  Error
-                    (Printf.sprintf "%s:1: empty corpus (no witness lines)"
-                       path)
-                else Ok (List.rev acc)
-            | line when String.trim line = "" -> loop (lineno + 1) acc
-            | line -> (
-                match Witness.decode line with
-                | Ok w -> loop (lineno + 1) (w :: acc)
-                | Error msg ->
-                    Error (Printf.sprintf "%s:%d: %s" path lineno msg))
-          in
-          loop 1 [])
+  Json.load_lines ~what:"corpus (no witness lines)" path Witness.decode

@@ -1,215 +1,3 @@
-type value = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
-(* ------------------------------------------------------------------ *)
-(* Encoding                                                             *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* %.17g round-trips every finite float through float_of_string; the
-   witness format never carries non-finite numbers. *)
-let encode_value = function
-  | `S s -> escape s
-  | `I n -> string_of_int n
-  | `B true -> "true"
-  | `B false -> "false"
-  | `F f -> Printf.sprintf "%.17g" f
-  | `Null -> "null"
-
-let encode_obj fields =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (escape k);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (encode_value v))
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                             *)
-
-exception Bad of string
-
-let decode_obj s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let fail msg = raise (Bad (Printf.sprintf "at offset %d: %s" !pos msg)) in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if peek () = Some c then incr pos
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  (* UTF-8 encode a \uXXXX codepoint (astral codepoints arrive as
-     decoded surrogate pairs, so the 4-byte plane is reachable even
-     though our encoder never emits \u escapes itself). *)
-  let add_codepoint buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else if cp < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xf0 lor (cp lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      incr pos;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape");
-        let e = s.[!pos] in
-        incr pos;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-            let read_hex4 () =
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              pos := !pos + 4;
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some cp -> cp
-              | None -> fail (Printf.sprintf "bad \\u escape %S" hex)
-            in
-            let cp = read_hex4 () in
-            if cp < 0xd800 || cp > 0xdfff then add_codepoint buf cp
-            else if cp >= 0xdc00 then
-              (* A low surrogate with no preceding high surrogate. *)
-              fail (Printf.sprintf "unpaired low surrogate \\u%04X" cp)
-            else begin
-              (* High surrogate: RFC 8259 requires the low half as an
-                 immediately following \uXXXX escape. *)
-              if
-                not
-                  (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u')
-              then fail (Printf.sprintf "unpaired high surrogate \\u%04X" cp)
-              else begin
-                pos := !pos + 2;
-                let lo = read_hex4 () in
-                if lo < 0xdc00 || lo > 0xdfff then
-                  fail
-                    (Printf.sprintf
-                       "high surrogate \\u%04X followed by non-low \\u%04X" cp
-                       lo)
-                else
-                  add_codepoint buf
-                    (0x10000 + ((cp - 0xd800) lsl 10) + (lo - 0xdc00))
-              end
-            end
-        | c -> fail (Printf.sprintf "bad escape \\%c" c));
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let parse_scalar () : value =
-    match peek () with
-    | Some '"' -> `S (parse_string ())
-    | Some ('{' | '[') -> fail "nested values unsupported in corpus objects"
-    | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match s.[!pos] with
-          | ',' | '}' | ' ' | '\t' | '\n' | '\r' -> false
-          | _ -> true
-        do
-          incr pos
-        done;
-        let tok = String.sub s start (!pos - start) in
-        (match tok with
-        | "true" -> `B true
-        | "false" -> `B false
-        | "null" -> `Null
-        | _ ->
-            if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok then
-              match float_of_string_opt tok with
-              | Some f -> `F f
-              | None -> fail (Printf.sprintf "bad number %S" tok)
-            else (
-              match int_of_string_opt tok with
-              | Some i -> `I i
-              | None -> fail (Printf.sprintf "bad literal %S" tok)))
-    | None -> fail "unexpected end of input"
-  in
-  try
-    skip_ws ();
-    expect '{';
-    skip_ws ();
-    let fields = ref [] in
-    if peek () = Some '}' then incr pos
-    else begin
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        let v = parse_scalar () in
-        fields := (key, v) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            members ()
-        | Some '}' -> incr pos
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ()
-    end;
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage after object";
-    Ok (List.rev !fields)
-  with Bad msg -> Error msg
+(* Kept so [Pm_corpus.Json] callers build unchanged; the codec lives in
+   {!Yashme_util.Json}. *)
+include Yashme_util.Json

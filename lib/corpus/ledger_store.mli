@@ -2,10 +2,9 @@
 
     The schema (entry record, field encoding, version gate, digests,
     field classification) lives in {!Observe.Ledger}; this module binds
-    it to the corpus JSONL codec: one {!Json.encode_obj} line per run,
-    appended by [--ledger FILE] and re-read by [yashme runs] /
-    [yashme compare].  Every line {!Observe.Trace.check_jsonl} accepts
-    everything {!append} writes. *)
+    it to {!Yashme_util.Json}: one {!Yashme_util.Json.encode_obj} line
+    per run, appended by [--ledger FILE] and re-read by [yashme runs] /
+    [yashme compare] (and linted by [yashme trace-lint]). *)
 
 (** Append one entry to [path] (created if absent), crash-safely: the
     existing entries and the new line are written to a temporary that
@@ -13,11 +12,12 @@
     a truncated ledger. *)
 val append : string -> Observe.Ledger.entry -> unit
 
-(** Read and decode a ledger file.  Errors carry the 1-based line
-    position (["line N: ..."]); an empty file is an error (a ledger you
-    can list must have at least one run), and a line with a version
-    newer than {!Observe.Ledger.version} is a positioned error, never a
-    silent misread. *)
+(** Read and decode a ledger file ({!Yashme_util.Json.load_lines}).
+    Never raises; errors are positioned (["PATH:N: ..."]).  An empty
+    file is an error (a ledger you can list must have at least one
+    run), and a line with a version newer than
+    {!Observe.Ledger.version} is a positioned error, never a silent
+    misread. *)
 val load : string -> (Observe.Ledger.entry list, string) result
 
 (** Select one run: a 1-based ordinal into the file ("2" = second

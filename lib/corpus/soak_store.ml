@@ -136,45 +136,6 @@ let fields m =
 
 let encode m = Json.encode_obj (fields m)
 
-(* Field accessors over the decoded assoc list. *)
-let str fields k =
-  match List.assoc_opt k fields with
-  | Some (`S s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %s: expected a string" k)
-  | None -> Error (Printf.sprintf "missing field %s" k)
-
-let int fields k =
-  match List.assoc_opt k fields with
-  | Some (`I i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %s: expected an int" k)
-  | None -> Error (Printf.sprintf "missing field %s" k)
-
-let boolean fields k =
-  match List.assoc_opt k fields with
-  | Some (`B b) -> Ok b
-  | Some _ -> Error (Printf.sprintf "field %s: expected a bool" k)
-  | None -> Error (Printf.sprintf "missing field %s" k)
-
-let flt fields k =
-  match List.assoc_opt k fields with
-  | Some (`F f) -> Ok f
-  | Some (`I i) -> Ok (float_of_int i)
-  | Some _ -> Error (Printf.sprintf "field %s: expected a number" k)
-  | None -> Error (Printf.sprintf "missing field %s" k)
-
-let opt_int fields k =
-  match List.assoc_opt k fields with
-  | Some (`I i) -> Ok (Some i)
-  | Some `Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "field %s: expected an int or null" k)
-
-let opt_flt fields k =
-  match List.assoc_opt k fields with
-  | Some (`F f) -> Ok (Some f)
-  | Some (`I i) -> Ok (Some (float_of_int i))
-  | Some `Null | None -> Ok None
-  | Some _ -> Error (Printf.sprintf "field %s: expected a number or null" k)
-
 let strip_affixes name =
   (* "bucket:LABEL:faults" -> (LABEL, `Faults); labels contain ':'. *)
   let plen = String.length bucket_prefix in
@@ -234,99 +195,82 @@ let buckets_of fields =
 let decode line =
   let ( let* ) = Result.bind in
   let* fields = Json.decode_obj line in
-  let* v = int fields "manifest_version" in
-  if v > version then
-    Error
-      (Printf.sprintf
-         "manifest version %d is newer than this build understands (%d)" v
-         version)
-  else
-    let* m_run = str fields "run" in
-    let* streams = str fields "streams" in
-    let* m_seed = int fields "seed" in
-    let* m_variant = str fields "variant" in
-    let* m_jobs = int fields "jobs" in
-    let* m_ops_per_exec = int fields "ops_per_exec" in
-    let* m_fault_budget = int fields "fault_budget" in
-    let* m_max_ops = opt_int fields "max_ops" in
-    let* m_wall_s = opt_flt fields "wall_s" in
-    let* m_checkpoint_every = int fields "checkpoint_every" in
-    let* m_corpus = str fields "corpus" in
-    let* snap_next_round = int fields "next_round" in
-    let* snap_scenarios = int fields "scenarios" in
-    let* snap_completed = int fields "completed" in
-    let* snap_faulted = int fields "faulted" in
-    let* snap_diverged = int fields "diverged" in
-    let* snap_crashed = int fields "crashed" in
-    let* snap_executions = int fields "executions" in
-    let* snap_ops = int fields "ops" in
-    let* snap_client_ops = int fields "client_ops" in
-    let* snap_races = int fields "races" in
-    let* snap_buckets = buckets_of fields in
-    let* m_witnesses = int fields "witnesses" in
-    let* m_raw = int fields "raw" in
-    let* m_duplicates = int fields "duplicates" in
-    let* m_coverage_digest = str fields "coverage_digest" in
-    let* m_soak_ok = boolean fields "soak_ok" in
-    let* m_stopped = str fields "stopped" in
-    let* m_ts = flt fields "ts" in
-    let* m_elapsed_s = flt fields "elapsed_s" in
-    Ok
-      {
-        m_run;
-        m_streams =
-          (if streams = "" then [] else String.split_on_char ',' streams);
-        m_seed;
-        m_variant;
-        m_jobs;
-        m_ops_per_exec;
-        m_fault_budget;
-        m_max_ops;
-        m_wall_s;
-        m_checkpoint_every;
-        m_corpus;
-        m_snapshot =
-          {
-            Soak.snap_next_round;
-            snap_scenarios;
-            snap_completed;
-            snap_faulted;
-            snap_diverged;
-            snap_crashed;
-            snap_executions;
-            snap_ops;
-            snap_client_ops;
-            snap_races;
-            snap_buckets;
-          };
-        m_witnesses;
-        m_raw;
-        m_duplicates;
-        m_coverage_digest;
-        m_soak_ok;
-        m_stopped;
-        m_ts;
-        m_elapsed_s;
-      }
+  let* _ =
+    Json.version ~key:"manifest_version" ~oldest:1 ~current:version fields
+  in
+  let str = Json.str fields
+  and int = Json.int fields
+  and flt = Json.float fields in
+  let* m_run = str "run" in
+  let* streams = str "streams" in
+  let* m_seed = int "seed" in
+  let* m_variant = str "variant" in
+  let* m_jobs = int "jobs" in
+  let* m_ops_per_exec = int "ops_per_exec" in
+  let* m_fault_budget = int "fault_budget" in
+  let* m_max_ops = Json.int_opt fields "max_ops" in
+  let* m_wall_s = Json.float_opt fields "wall_s" in
+  let* m_checkpoint_every = int "checkpoint_every" in
+  let* m_corpus = str "corpus" in
+  let* snap_next_round = int "next_round" in
+  let* snap_scenarios = int "scenarios" in
+  let* snap_completed = int "completed" in
+  let* snap_faulted = int "faulted" in
+  let* snap_diverged = int "diverged" in
+  let* snap_crashed = int "crashed" in
+  let* snap_executions = int "executions" in
+  let* snap_ops = int "ops" in
+  let* snap_client_ops = int "client_ops" in
+  let* snap_races = int "races" in
+  let* snap_buckets = buckets_of fields in
+  let* m_witnesses = int "witnesses" in
+  let* m_raw = int "raw" in
+  let* m_duplicates = int "duplicates" in
+  let* m_coverage_digest = str "coverage_digest" in
+  let* m_soak_ok = Json.bool fields "soak_ok" in
+  let* m_stopped = str "stopped" in
+  let* m_ts = flt "ts" in
+  let* m_elapsed_s = flt "elapsed_s" in
+  Ok
+    {
+      m_run;
+      m_streams =
+        (if streams = "" then [] else String.split_on_char ',' streams);
+      m_seed;
+      m_variant;
+      m_jobs;
+      m_ops_per_exec;
+      m_fault_budget;
+      m_max_ops;
+      m_wall_s;
+      m_checkpoint_every;
+      m_corpus;
+      m_snapshot =
+        {
+          Soak.snap_next_round;
+          snap_scenarios;
+          snap_completed;
+          snap_faulted;
+          snap_diverged;
+          snap_crashed;
+          snap_executions;
+          snap_ops;
+          snap_client_ops;
+          snap_races;
+          snap_buckets;
+        };
+      m_witnesses;
+      m_raw;
+      m_duplicates;
+      m_coverage_digest;
+      m_soak_ok;
+      m_stopped;
+      m_ts;
+      m_elapsed_s;
+    }
 
 let save path m = Yashme_util.Atomic_file.write path (encode m ^ "\n")
 
+(* The manifest is the file's first non-blank line. *)
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | data -> (
-      match
-        List.find_opt
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' data)
-      with
-      | None -> Error (Printf.sprintf "%s:1: empty soak manifest" path)
-      | Some line -> (
-          match decode line with
-          | Ok m -> Ok m
-          | Error e -> Error (Printf.sprintf "%s:1: %s" path e)))
+  Result.map List.hd (Json.load_lines ~what:"soak manifest" path decode)

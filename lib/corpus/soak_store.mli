@@ -72,12 +72,11 @@ type manifest = {
 }
 
 (** One deterministic JSON line (no trailing newline); equal manifests
-    encode to equal bytes.  {!Observe.Trace.check_jsonl} accepts it. *)
+    encode to equal bytes, which [yashme trace-lint] accepts. *)
 val encode : manifest -> string
 
-(** Decode one manifest line: positioned on nothing (a manifest is one
-    line) but loud on malformed JSON, missing fields, or a version
-    newer than {!version}. *)
+(** Decode one manifest line: loud on malformed JSON, missing fields,
+    or a [manifest_version] outside [1..{!version}]. *)
 val decode : string -> (manifest, string) result
 
 (** The fields two runs of the same seed must agree on: everything
@@ -88,7 +87,7 @@ val identity_fields : manifest -> (string * Json.value) list
 (** Write [path] crash-safely (tmp + atomic rename). *)
 val save : string -> manifest -> unit
 
-(** Load a manifest file: first non-blank line decoded; empty,
-    unreadable or malformed files are positioned [Error]s, never
-    exceptions. *)
+(** Load a manifest file ({!Yashme_util.Json.load_lines}; the first
+    line is the manifest): empty, unreadable or malformed files are
+    positioned [Error]s (["PATH:N: ..."]), never exceptions. *)
 val load : string -> (manifest, string) result

@@ -53,46 +53,26 @@ let encode w =
        ("plan", `S (Executor.plan_label w.plan));
        ("post_plan", `S (Executor.plan_label w.post_plan));
      ]
-    @ (Scenario.options_fields w.options :> (string * Json.value) list)
+    @ Scenario.options_fields w.options
     @ [ ("summary", `S w.summary) ])
 
 let decode line =
   let ( let* ) = Result.bind in
   let* fields = Json.decode_obj line in
-  let str key =
-    match List.assoc_opt key fields with
-    | Some (`S s) -> Ok s
-    | _ -> Error (Printf.sprintf "witness: missing or non-string %S" key)
+  let* _ = Json.version ~key:"v" ~oldest:oldest_readable ~current:version fields in
+  let labelled key of_label =
+    let* s = Json.str fields key in
+    match of_label s with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "witness: unknown %s %S" key s)
   in
-  let* () =
-    match List.assoc_opt "v" fields with
-    | Some (`I v) when v >= oldest_readable && v <= version -> Ok ()
-    | Some (`I v) ->
-        Error
-          (Printf.sprintf "witness: format version %d (this build reads %d-%d)"
-             v oldest_readable version)
-    | _ -> Error "witness: missing version field \"v\""
-  in
-  let* kind =
-    let* s = str "kind" in
-    match kind_of_label s with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "witness: unknown kind %S" s)
-  in
-  let* program = str "program" in
-  let* key = str "key" in
-  let plan_field name =
-    let* s = str name in
-    match Executor.plan_of_label s with
-    | Some p -> Ok p
-    | None -> Error (Printf.sprintf "witness: unknown %s %S" name s)
-  in
-  let* plan = plan_field "plan" in
-  let* post_plan = plan_field "post_plan" in
-  let* options =
-    Scenario.options_of_fields (fields :> (string * Scenario.field) list)
-  in
-  let* summary = str "summary" in
+  let* kind = labelled "kind" kind_of_label in
+  let* program = Json.str fields "program" in
+  let* key = Json.str fields "key" in
+  let* plan = labelled "plan" Executor.plan_of_label in
+  let* post_plan = labelled "post_plan" Executor.plan_of_label in
+  let* options = Scenario.options_of_fields fields in
+  let* summary = Json.str fields "summary" in
   Ok { kind; program; key; plan; post_plan; options; summary }
 
 (* ------------------------------------------------------------------ *)

@@ -34,8 +34,6 @@ let default_options =
    Everything round-trips exactly; [Cut_random]'s Rng is rebuilt from
    the serialized seed (see Px86.Machine.cut_of_label). *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 let mode_label = function
   | Yashme.Detector.Prefix -> "prefix"
   | Yashme.Detector.Baseline -> "baseline"
@@ -45,7 +43,7 @@ let mode_of_label = function
   | "baseline" -> Some Yashme.Detector.Baseline
   | _ -> None
 
-let options_fields o : (string * field) list =
+let options_fields o : (string * Yashme_util.Json.value) list =
   [
     ("mode", `S (mode_label o.mode));
     ("eadr", `B o.eadr);
@@ -60,64 +58,35 @@ let options_fields o : (string * field) list =
     ("max_wall_s", match o.max_wall_s with Some s -> `F s | None -> `Null);
   ]
 
-let options_of_fields (fields : (string * field) list) =
+let options_of_fields fields =
+  let open Yashme_util.Json in
   let ( let* ) = Result.bind in
-  let find key = List.assoc_opt key fields in
-  let str key =
-    match find key with
-    | Some (`S s) -> Ok s
-    | _ -> Error (Printf.sprintf "options: missing or non-string %S" key)
-  in
-  let boolean key =
-    match find key with
-    | Some (`B b) -> Ok b
-    | _ -> Error (Printf.sprintf "options: missing or non-bool %S" key)
-  in
   let parsed key of_label what =
-    let* s = str key in
+    let* s = str fields key in
     match of_label s with
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "options: unknown %s %S" what s)
   in
-  let* seed =
-    match find "seed" with
-    | Some (`I n) -> Ok n
-    | _ -> Error "options: missing or non-int \"seed\""
-  in
+  let* seed = int fields "seed" in
   let* mode = parsed "mode" mode_of_label "detector mode" in
-  let* eadr = boolean "eadr" in
-  let* coherence = boolean "coherence" in
-  let* check_candidates = boolean "check_candidates" in
+  let* eadr = bool fields "eadr" in
+  let* coherence = bool fields "coherence" in
+  let* check_candidates = bool fields "check_candidates" in
   let* sched = parsed "sched" Executor.sched_of_label "scheduling policy" in
   let* sb_policy =
     parsed "sb_policy" Px86.Machine.sb_policy_of_label "store-buffer policy"
   in
   let* variant =
     (* Absent in pre-variant (v1) witnesses: default to strict-tso. *)
-    match find "variant" with
+    match List.assoc_opt "variant" fields with
     | None | Some `Null -> Ok Px86.Variant.strict_tso
-    | Some (`S s) -> (
-        match Px86.Variant.of_label s with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "options: unknown variant %S" s))
-    | Some _ -> Error "options: non-string \"variant\""
+    | Some _ -> parsed "variant" Px86.Variant.of_label "variant"
   in
   let* cut =
     parsed "cut" (Px86.Machine.cut_of_label ~seed) "cut strategy"
   in
-  let* max_ops =
-    match find "max_ops" with
-    | Some (`I n) -> Ok (Some n)
-    | Some `Null | None -> Ok None
-    | Some _ -> Error "options: non-int \"max_ops\""
-  in
-  let* max_wall_s =
-    match find "max_wall_s" with
-    | Some (`F s) -> Ok (Some s)
-    | Some (`I n) -> Ok (Some (float_of_int n))
-    | Some `Null | None -> Ok None
-    | Some _ -> Error "options: non-number \"max_wall_s\""
-  in
+  let* max_ops = int_opt fields "max_ops" in
+  let* max_wall_s = float_opt fields "max_wall_s" in
   Ok
     {
       mode;

@@ -69,13 +69,11 @@ val pp : ?timing:bool -> Format.formatter -> row list -> unit
 
 val to_string : ?timing:bool -> row list -> string
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (** One flat, order-stable field list per row — the invariant
     projection only (volatile units encode as [`Null]), in the shape
-    [Pm_corpus.Json] encodes verbatim. *)
-val fields : row -> (string * field) list
+    {!Yashme_util.Json} encodes verbatim. *)
+val fields : row -> (string * Yashme_util.Json.value) list
 
 (** Inverse of {!fields} (wall clocks are not serialized and read back
     as 0).  Errors on a field list that is not an attribution row. *)
-val of_fields : (string * field) list -> (row, string) result
+val of_fields : (string * Yashme_util.Json.value) list -> (row, string) result

@@ -90,11 +90,9 @@ val find : ?variant:string -> string -> stats option
     [-1] renders as ["end"], the empty set as ["-"]). *)
 val indices_label : int list -> string
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
-(** Flat, order-stable field list — the shape [Pm_corpus.Json]
+(** Flat, order-stable field list — the shape {!Yashme_util.Json}
     encodes verbatim as one JSON object per program. *)
-val fields : stats -> (string * field) list
+val fields : stats -> (string * Yashme_util.Json.value) list
 
 (** The [\[coverage\]] block rendered under a report. *)
 val pp : Format.formatter -> stats -> unit

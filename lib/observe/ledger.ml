@@ -15,8 +15,6 @@
    - everything else, which is deterministic for a fixed configuration:
      two identical-config runs must show zero deltas there. *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 let version = 1
 
 type cost = { c_center : string; c_count : int; c_units : int; c_wall_us : int }
@@ -76,7 +74,7 @@ let render_field = function
   | `F f -> Printf.sprintf "%.17g" f
   | `Null -> "null"
 
-let digest_fields (fields : (string * field) list) =
+let digest_fields (fields : (string * Yashme_util.Json.value) list) =
   digest_string
     (String.concat ";"
        (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (render_field v)) fields))
@@ -117,7 +115,7 @@ let cost_field_names center =
     Printf.sprintf "cc:%s:units" center,
     Printf.sprintf "cc:%s:wall_us" center )
 
-let fields e : (string * field) list =
+let fields e : (string * Yashme_util.Json.value) list =
   [
     ("v", `I e.e_version);
     ("run", `S e.e_run);
@@ -167,119 +165,96 @@ let cost_key name =
           | _ -> None)
 
 let of_fields fields =
-  let str name =
-    match List.assoc_opt name fields with
-    | Some (`S s) -> Ok s
-    | Some _ -> Error (Printf.sprintf "field %S is not a string" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let int name =
-    match List.assoc_opt name fields with
-    | Some (`I i) -> Ok i
-    | Some _ -> Error (Printf.sprintf "field %S is not an integer" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let flt name =
-    match List.assoc_opt name fields with
-    | Some (`F f) -> Ok f
-    | Some (`I i) -> Ok (float_of_int i)
-    | Some _ -> Error (Printf.sprintf "field %S is not a number" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
+  let str = Yashme_util.Json.str fields
+  and int = Yashme_util.Json.int fields
+  and flt = Yashme_util.Json.float fields in
   let ( let* ) = Result.bind in
-  let* v = int "v" in
-  if v > version then
-    Error
-      (Printf.sprintf
-         "ledger version %d is newer than this build supports (max %d)" v
-         version)
-  else if v < 1 then Error (Printf.sprintf "bad ledger version %d" v)
-  else
-    let* run = str "run" in
-    let* ts = flt "ts" in
-    let* program = str "program" in
-    let* variant = str "variant" in
-    let* mode = str "mode" in
-    let* jobs = int "jobs" in
-    let* seed = int "seed" in
-    let* scenarios = int "scenarios" in
-    let* completed = int "completed" in
-    let* faulted = int "faulted" in
-    let* diverged = int "diverged" in
-    let* executions = int "executions" in
-    let* ops = int "ops" in
-    let* races = int "races" in
-    let* benign = int "benign" in
-    let* raw_races = int "raw_races" in
-    let* recovery_failures = int "recovery_failures" in
-    let* witnesses = int "witnesses" in
-    let* elapsed_s = flt "elapsed_s" in
-    let* cpu_s = flt "cpu_s" in
-    let* metrics_digest = str "metrics_digest" in
-    let* coverage_digest = str "coverage_digest" in
-    let costs : (string, cost) Hashtbl.t = Hashtbl.create 16 in
-    let* () =
-      List.fold_left
-        (fun acc (name, v) ->
-          let* () = acc in
-          match cost_key name with
-          | None -> Ok ()
-          | Some (center, kind) -> (
-              match v with
-              | `I n ->
-                  let c =
-                    match Hashtbl.find_opt costs center with
-                    | Some c -> c
-                    | None ->
-                        {
-                          c_center = center;
-                          c_count = 0;
-                          c_units = 0;
-                          c_wall_us = 0;
-                        }
-                  in
-                  let c =
-                    match kind with
-                    | "count" -> { c with c_count = n }
-                    | "units" -> { c with c_units = n }
-                    | _ -> { c with c_wall_us = n }
-                  in
-                  Hashtbl.replace costs center c;
-                  Ok ()
-              | _ -> Error (Printf.sprintf "field %S is not an integer" name)))
-        (Ok ()) fields
-    in
-    let cost =
-      Hashtbl.fold (fun _ c acc -> c :: acc) costs []
-      |> List.sort (fun a b -> compare a.c_center b.c_center)
-    in
-    Ok
-      {
-        e_version = v;
-        e_run = run;
-        e_ts = ts;
-        e_program = program;
-        e_variant = variant;
-        e_mode = mode;
-        e_jobs = jobs;
-        e_seed = seed;
-        e_scenarios = scenarios;
-        e_completed = completed;
-        e_faulted = faulted;
-        e_diverged = diverged;
-        e_executions = executions;
-        e_ops = ops;
-        e_races = races;
-        e_benign = benign;
-        e_raw_races = raw_races;
-        e_recovery_failures = recovery_failures;
-        e_witnesses = witnesses;
-        e_elapsed_s = elapsed_s;
-        e_cpu_s = cpu_s;
-        e_metrics_digest = metrics_digest;
-        e_coverage_digest = coverage_digest;
-        e_cost = cost;
-      }
+  let* v = Yashme_util.Json.version ~key:"v" ~oldest:1 ~current:version fields in
+  let* run = str "run" in
+  let* ts = flt "ts" in
+  let* program = str "program" in
+  let* variant = str "variant" in
+  let* mode = str "mode" in
+  let* jobs = int "jobs" in
+  let* seed = int "seed" in
+  let* scenarios = int "scenarios" in
+  let* completed = int "completed" in
+  let* faulted = int "faulted" in
+  let* diverged = int "diverged" in
+  let* executions = int "executions" in
+  let* ops = int "ops" in
+  let* races = int "races" in
+  let* benign = int "benign" in
+  let* raw_races = int "raw_races" in
+  let* recovery_failures = int "recovery_failures" in
+  let* witnesses = int "witnesses" in
+  let* elapsed_s = flt "elapsed_s" in
+  let* cpu_s = flt "cpu_s" in
+  let* metrics_digest = str "metrics_digest" in
+  let* coverage_digest = str "coverage_digest" in
+  let costs : (string, cost) Hashtbl.t = Hashtbl.create 16 in
+  let* () =
+    List.fold_left
+      (fun acc (name, v) ->
+        let* () = acc in
+        match cost_key name with
+        | None -> Ok ()
+        | Some (center, kind) -> (
+            match v with
+            | `I n ->
+                let c =
+                  match Hashtbl.find_opt costs center with
+                  | Some c -> c
+                  | None ->
+                      {
+                        c_center = center;
+                        c_count = 0;
+                        c_units = 0;
+                        c_wall_us = 0;
+                      }
+                in
+                let c =
+                  match kind with
+                  | "count" -> { c with c_count = n }
+                  | "units" -> { c with c_units = n }
+                  | _ -> { c with c_wall_us = n }
+                in
+                Hashtbl.replace costs center c;
+                Ok ()
+            | _ -> Error (Printf.sprintf "field %S: expected an integer" name)))
+      (Ok ()) fields
+  in
+  let cost =
+    Hashtbl.fold (fun _ c acc -> c :: acc) costs []
+    |> List.sort (fun a b -> compare a.c_center b.c_center)
+  in
+  Ok
+    {
+      e_version = v;
+      e_run = run;
+      e_ts = ts;
+      e_program = program;
+      e_variant = variant;
+      e_mode = mode;
+      e_jobs = jobs;
+      e_seed = seed;
+      e_scenarios = scenarios;
+      e_completed = completed;
+      e_faulted = faulted;
+      e_diverged = diverged;
+      e_executions = executions;
+      e_ops = ops;
+      e_races = races;
+      e_benign = benign;
+      e_raw_races = raw_races;
+      e_recovery_failures = recovery_failures;
+      e_witnesses = witnesses;
+      e_elapsed_s = elapsed_s;
+      e_cpu_s = cpu_s;
+      e_metrics_digest = metrics_digest;
+      e_coverage_digest = coverage_digest;
+      e_cost = cost;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Comparison projections                                               *)

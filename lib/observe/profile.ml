@@ -6,264 +6,60 @@
 
    Self time is a span's duration minus the durations of its direct
    children, where nesting is interval containment within one
-   (pid, tid) lane — exactly how the Chrome viewer draws them.  The
-   parser is a minimal recursive-descent JSON reader (the repo policy
-   is no JSON library dependency) that accepts both export formats of
-   {!Trace.write}. *)
+   (pid, tid) lane — exactly how the Chrome viewer draws them.  Both
+   export formats of {!Trace.write} are read with {!Yashme_util.Json}. *)
 
-(* ------------------------------------------------------------------ *)
-(* JSON values (the trace format needs nesting, unlike the flat corpus
-   codec)                                                              *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of int * string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal l v =
-    if !pos + String.length l <= n && String.sub s !pos (String.length l) = l then begin
-      pos := !pos + String.length l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" l)
-  in
-  let add_codepoint buf cp =
-    if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-    else if cp < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (cp lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (cp lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3f)))
-    end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 32 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape");
-        let e = s.[!pos] in
-        advance ();
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some cp -> add_codepoint buf cp
-            | None -> fail (Printf.sprintf "bad \\u escape %S" hex))
-        | c -> fail (Printf.sprintf "bad escape \\%c" c));
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | '0' .. '9' | '.' | 'e' | 'E' | '+' | '-' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let members = ref [] in
-          let rec loop () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            members := (key, v) :: !members;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                loop ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          loop ();
-          Obj (List.rev !members)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let elems = ref [] in
-          let rec loop () =
-            let v = value () in
-            elems := v :: !elems;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                loop ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          loop ();
-          Arr (List.rev !elems)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    | None -> fail "unexpected end of input"
-  in
-  match
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad (at, msg) -> Error (Printf.sprintf "offset %d: %s" at msg)
+module Json = Yashme_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Events                                                              *)
 
-let field obj key = match obj with Obj kvs -> List.assoc_opt key kvs | _ -> None
+let int_field kvs key =
+  match List.assoc_opt key kvs with
+  | Some (`I i) -> i
+  | Some (`F f) -> int_of_float f
+  | _ -> 0
 
-let int_field obj key ~default =
-  match field obj key with Some (Num f) -> int_of_float f | _ -> default
-
-let str_field obj key ~default =
-  match field obj key with Some (Str s) -> s | _ -> default
+let str_field kvs key =
+  match List.assoc_opt key kvs with Some (`S s) -> s | _ -> ""
 
 (* One trace event object; [None] for phases this profiler does not
    aggregate (forward compatibility, not an error). *)
-let event_of_json obj =
-  match field obj "ph" with
-  | Some (Str "X") ->
-      Some
-        {
-          Trace.name = str_field obj "name" ~default:"";
-          cat = str_field obj "cat" ~default:"";
-          ph = Trace.Complete;
-          ts_us = int_field obj "ts" ~default:0;
-          dur_us = int_field obj "dur" ~default:0;
-          pid = int_field obj "pid" ~default:0;
-          tid = int_field obj "tid" ~default:0;
-          args = [];
-        }
-  | Some (Str "i") ->
-      Some
-        {
-          Trace.name = str_field obj "name" ~default:"";
-          cat = str_field obj "cat" ~default:"";
-          ph = Trace.Instant;
-          ts_us = int_field obj "ts" ~default:0;
-          dur_us = 0;
-          pid = int_field obj "pid" ~default:0;
-          tid = int_field obj "tid" ~default:0;
-          args = [];
-        }
-  | _ -> None
-
-let events_of_chrome s =
-  match parse_json s with
-  | Error e -> Error e
-  | Ok doc -> (
-      match field doc "traceEvents" with
-      | Some (Arr evs) -> Ok (List.filter_map event_of_json evs)
-      | Some _ -> Error "\"traceEvents\" is not an array"
-      | None -> Error "not a Chrome trace (no \"traceEvents\" member)")
-
-let events_of_jsonl s =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
+let event_of_json (doc : Json.t) =
+  let kvs = match doc with `O kvs -> kvs | _ -> [] in
+  let ph =
+    match List.assoc_opt "ph" kvs with
+    | Some (`S "X") -> Some Trace.Complete
+    | Some (`S "i") -> Some Trace.Instant
+    | _ -> None
   in
-  let rec loop i acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match parse_json l with
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-        | Ok obj -> (
-            match event_of_json obj with
-            | Some ev -> loop (i + 1) (ev :: acc) rest
-            | None -> loop (i + 1) acc rest))
-  in
-  loop 1 [] lines
+  Option.map
+    (fun ph ->
+      {
+        Trace.name = str_field kvs "name";
+        cat = str_field kvs "cat";
+        ph;
+        ts_us = int_field kvs "ts";
+        dur_us = (if ph = Trace.Complete then int_field kvs "dur" else 0);
+        pid = int_field kvs "pid";
+        tid = int_field kvs "tid";
+        args = [];
+      })
+    ph
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if String.trim data = "" then
-    Error (Printf.sprintf "offset 0: empty trace file (%d byte(s))" (String.length data))
-  else if Filename.check_suffix path ".jsonl" then events_of_jsonl data
-  else events_of_chrome data
+  let what = "trace file" in
+  if Filename.check_suffix path ".jsonl" then
+    Json.load_lines ~what path (fun l -> Result.map event_of_json (Json.parse l))
+    |> Result.map (List.filter_map Fun.id)
+  else
+    match Json.load ~what path with
+    | Error e -> Error e
+    | Ok (`O kvs) when List.mem_assoc "traceEvents" kvs -> (
+        match List.assoc "traceEvents" kvs with
+        | `A evs -> Ok (List.filter_map event_of_json evs)
+        | _ -> Error (path ^ ": \"traceEvents\" is not an array"))
+    | Ok _ -> Error (path ^ ": not a Chrome trace (no \"traceEvents\" member)")
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)

@@ -8,7 +8,8 @@
 
 (** Parse a trace file into events.  Dispatches on the [.jsonl]
     suffix like {!Trace.write}; unknown phases are skipped.  Errors
-    carry a position ([offset N] / [line N]). *)
+    name the path and a position ([PATH:LINE: ...] /
+    [PATH: offset N: ...]); never raises. *)
 val parse_file : string -> (Trace.event list, string) result
 
 type row = {

@@ -5,7 +5,7 @@
     scenario ({!tick}); emissions go to stderr (human heartbeat) and/or
     a JSONL stream of flat objects
     ([{"done":..,"total":..,"races":..,"faults":..,"rate_per_s":..,
-    "eta_s":..,"elapsed_s":..}]) accepted by {!Trace.check_jsonl}.
+    "eta_s":..,"elapsed_s":..}]) accepted by {!Trace.check_file}.
 
     Inactive by default; when inactive, {!tick} is a no-op behind a
     single [Atomic.get] branch.  Progress is wall-clock dependent and

@@ -67,14 +67,15 @@ val analyze : program:string -> level list -> (analysis, string) result
     field. *)
 val check : program:string -> level list -> (unit, string) result
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (** Flat JSONL row for one level (corpus-codec shape).
     [timing:false] keeps only the jobs-invariant class; the full row
     appends the wall-clock class after it so the projection is a
     stable field prefix. *)
 val fields :
-  ?timing:bool -> program:string -> level * derived -> (string * field) list
+  ?timing:bool ->
+  program:string ->
+  level * derived ->
+  (string * Yashme_util.Json.value) list
 
 (** Aligned per-level table plus the serial-fraction fit and the
     loss-center decomposition. *)

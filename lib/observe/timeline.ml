@@ -384,7 +384,7 @@ let svg ?(width = 800) t =
 (* SVG well-formedness (trace-lint for the SVG artifact)                *)
 
 (* A small XML well-formedness scanner, in the spirit of
-   {!Trace.check_json}: tags must balance, attributes must be quoted,
+   {!Trace.check_file}: tags must balance, attributes must be quoted,
    text may only use the five predefined entities.  No DOM is built. *)
 let check_svg s =
   let n = String.length s in
@@ -556,13 +556,11 @@ let check_svg_file path =
 (* ------------------------------------------------------------------ *)
 (* Flat export + tables                                                 *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (* One flat object per lane, through the corpus codec.  All wall-clock
    class: timeline exports are timing artifacts and are NOT expected to
    be byte-stable across runs or --jobs counts (unlike the scaling
    report's non-timing projection). *)
-let lane_fields t l : (string * field) list =
+let lane_fields t l : (string * Yashme_util.Json.value) list =
   [
     ("pid", `I l.tl_pid);
     ("tid", `I l.tl_tid);

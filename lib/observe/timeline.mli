@@ -80,12 +80,10 @@ val check_svg : string -> (unit, string) result
 
 val check_svg_file : string -> (unit, string) result
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (** One flat JSONL object per lane (corpus-codec shape).  Timestamps
     are window-relative.  All wall-clock class: timeline exports are
     timing artifacts, not byte-stable across runs. *)
-val lane_fields : t -> lane -> (string * field) list
+val lane_fields : t -> lane -> (string * Yashme_util.Json.value) list
 
 (** The per-lane utilization / idle-gap table. *)
 val pp : Format.formatter -> t -> unit

@@ -118,41 +118,27 @@ let events () =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+module Json = Yashme_util.Json
 
 let event_json buf ev =
-  Buffer.add_string buf "{\"name\":\"";
-  json_escape buf ev.name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  json_escape buf ev.cat;
+  Buffer.add_string buf "{\"name\":";
+  Buffer.add_string buf (Json.escape ev.name);
+  Buffer.add_string buf ",\"cat\":";
+  Buffer.add_string buf (Json.escape ev.cat);
   (match ev.ph with
   | Complete ->
       Buffer.add_string buf
-        (Printf.sprintf "\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d" ev.ts_us ev.dur_us)
+        (Printf.sprintf ",\"ph\":\"X\",\"ts\":%d,\"dur\":%d" ev.ts_us ev.dur_us)
   | Instant ->
       Buffer.add_string buf
-        (Printf.sprintf "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d" ev.ts_us));
+        (Printf.sprintf ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d" ev.ts_us));
   Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"args\":{" ev.pid ev.tid);
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      json_escape buf k;
-      Buffer.add_string buf "\":\"";
-      json_escape buf v;
-      Buffer.add_char buf '"')
+      Buffer.add_string buf (Json.escape k);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Json.escape v))
     ev.args;
   Buffer.add_string buf "}}"
 
@@ -188,170 +174,10 @@ let write path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc data)
 
-(* ------------------------------------------------------------------ *)
-(* JSON well-formedness: a tiny recursive-descent checker, so traces
-   can be validated by tests and CI without a JSON dependency. *)
-
-exception Bad of int * string
-
-let check_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = pos := !pos + 1 in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal l =
-    if !pos + String.length l <= n && String.sub s !pos (String.length l) = l then
-      pos := !pos + String.length l
-    else fail (Printf.sprintf "expected %s" l)
-  in
-  let string_lit () =
-    expect '"';
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-              advance ();
-              loop ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done;
-              loop ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ ->
-          advance ();
-          loop ()
-    in
-    loop ()
-  in
-  let digits () =
-    let start = !pos in
-    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-      advance ()
-    done;
-    if !pos = start then fail "expected digit"
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    digits ();
-    if peek () = Some '.' then begin
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ())
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let rec members () =
-            skip_ws ();
-            string_lit ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ()
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ()
-        end
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    | None -> fail "unexpected end of input"
-  in
-  match
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad (at, msg) -> Error (Printf.sprintf "offset %d: %s" at msg)
-
-let check_jsonl s =
-  let lines =
-    List.filteri
-      (fun _ l -> String.trim l <> "")
-      (String.split_on_char '\n' s)
-  in
-  let rec loop i = function
-    | [] -> Ok ()
-    | l :: rest -> (
-        match check_json l with
-        | Ok () -> loop (i + 1) rest
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e))
-  in
-  loop 1 lines
-
-(* An empty (or whitespace-only) file is rejected for both formats:
-   check_json would already fail on it, but check_jsonl vacuously
-   accepts zero lines, which turned truncated-at-birth trace files
-   into lint passes. *)
+(* Validation goes through the one codec ({!Yashme_util.Json}); an
+   empty file is rejected in both formats, so a trace truncated at
+   birth never lints clean. *)
 let check_file path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  if String.trim data = "" then
-    Error
-      (Printf.sprintf "offset 0: empty trace file (%d byte(s))"
-         (String.length data))
-  else if is_jsonl path then check_jsonl data
-  else check_json data
+  if is_jsonl path then
+    Result.map ignore (Json.load_lines ~what:"trace file" path Json.parse)
+  else Result.map ignore (Json.load ~what:"trace file" path)

@@ -71,13 +71,9 @@ val to_jsonl : unit -> string
     the Chrome document otherwise. *)
 val write : string -> unit
 
-(** Tiny JSON well-formedness checkers (no values are built), so tests
-    and CI can validate emitted traces without a JSON dependency. *)
-
-val check_json : string -> (unit, string) result
-
-(** Validate every non-empty line as a standalone JSON value. *)
-val check_jsonl : string -> (unit, string) result
-
-(** Validate a file, dispatching on the [.jsonl] suffix like {!write}. *)
+(** Validate a file with {!Yashme_util.Json}, dispatching on the
+    [.jsonl] suffix like {!write}: every non-blank line of a JSONL file
+    must be one JSON value, any other file one JSON document.  Empty
+    files are rejected; errors are positioned ([PATH:LINE: ...] or
+    [PATH: offset N: ...]); never raises. *)
 val check_file : string -> (unit, string) result

@@ -9,7 +9,7 @@ module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Scenario = Pm_harness.Scenario
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Witness = Pm_corpus.Witness
 module Corpus = Pm_corpus.Corpus
 module Replay = Pm_corpus.Replay
@@ -79,7 +79,97 @@ let test_json_rejects_malformed () =
   check "trailing garbage" true (bad {|{"a":1} x|});
   check "unterminated string" true (bad {|{"a":"oops|});
   check "bare word" true (bad {|{"a":yes}|});
-  check "lone surrogate" true (bad {|{"a":"\ud800"}|})
+  check "lone surrogate" true (bad {|{"a":"\ud800"}|});
+  (* Not JSON, and once silently rewritten into another value. *)
+  List.iter
+    (fun (name, s) -> check name true (bad s))
+    [
+      ("hex int", {|{"a":0x10}|});
+      ("underscored int", {|{"a":1_000}|});
+      ("binary int", {|{"a":0b101}|});
+      ("negative octal", {|{"a":-0o17}|});
+      ("hex float", {|{"a":0x1.8p1}|});
+      ("no integer part", {|{"a":.5}|});
+      ("empty fraction", {|{"a":1.}|});
+      ("leading plus", {|{"a":+3}|});
+      ("leading zero", {|{"a":01}|});
+      ("underscored \\u escape", {|{"a":"\u0_41"}|});
+      ("raw tab in string", "{\"a\":\"x\ty\"}");
+      ("raw control character in string", "{\"a\":\"x\001y\"}");
+      ("int out of range", {|{"a":99999999999999999999}|});
+      ("float out of range", {|{"a":1e400}|});
+      ("not an object", {|[1]|});
+    ]
+
+(* Random flat records: strings mixing quotes, backslashes, control
+   characters and multi-byte UTF-8; ints at the extremes; finite
+   floats; bools; null. *)
+let gen_string =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_bound 8)
+         (oneof
+            [
+              map (String.make 1) printable;
+              map (fun i -> String.make 1 (Char.chr i)) (int_bound 0x1f);
+              oneofl
+                [ "\""; "\\"; "/"; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ];
+            ])))
+
+let gen_value : Json.value QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> `S s) gen_string;
+        map (fun i -> `I i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        (* Zero is left out: -0. prints as "-0", which reads back as the
+           integer 0 (a number is an int exactly when it has no fraction
+           and no exponent). *)
+        map (fun f -> `F (if Float.is_finite f && f <> 0. then f else 0.5)) float;
+        map (fun b -> `B b) bool;
+        return `Null;
+      ])
+
+let gen_record = QCheck.Gen.(list_size (int_bound 6) (pair gen_string gen_value))
+
+let prop_json_reencode =
+  QCheck.Test.make ~name:"encode (decode (encode r)) = encode r" ~count:500
+    (QCheck.make ~print:Json.encode_obj gen_record)
+    (fun fields ->
+      let line = Json.encode_obj fields in
+      match Json.decode_obj line with
+      | Ok fields' -> Json.encode_obj fields' = line
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* An encoded record after one random truncation, byte replacement,
+   insertion or deletion. *)
+let gen_mutated =
+  QCheck.Gen.(
+    gen_record >>= fun fields ->
+    let line = Json.encode_obj fields in
+    let n = String.length line in
+    oneof
+      [
+        map (fun k -> String.sub line 0 k) (int_bound n);
+        map2
+          (fun i c -> String.mapi (fun j x -> if j = i then c else x) line)
+          (int_bound (n - 1)) char;
+        map2
+          (fun i c -> String.sub line 0 i ^ String.make 1 c ^ String.sub line i (n - i))
+          (int_bound n) char;
+        map
+          (fun i -> String.sub line 0 i ^ String.sub line (i + 1) (n - i - 1))
+          (int_bound (n - 1));
+      ])
+
+let prop_json_never_raises =
+  QCheck.Test.make ~name:"decode_obj and parse never raise on mutated input"
+    ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated)
+    (fun s ->
+      ignore (Json.decode_obj s);
+      ignore (Json.parse s);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Witness encode/decode                                                *)
@@ -404,6 +494,9 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
         ] );
+      ( "json-properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_json_reencode; prop_json_never_raises ] );
       ( "witness",
         [
           Alcotest.test_case "encode/decode round-trip" `Quick

@@ -14,7 +14,7 @@ module Progress = Observe.Progress
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Ledger_store = Pm_corpus.Ledger_store
 module Bench_gate = Pm_corpus.Bench_gate
 
@@ -303,6 +303,11 @@ let test_store_positioned_errors () =
       (match Ledger_store.load tmp with
       | Ok _ -> Alcotest.fail "missing ledger accepted"
       | Error _ -> ());
+      (* an empty ledger names its path exactly once *)
+      Out_channel.with_open_bin tmp ignore;
+      (match Ledger_store.load tmp with
+      | Ok _ -> Alcotest.fail "empty ledger accepted"
+      | Error e -> check_str "path named once" (tmp ^ ":1: empty ledger") e);
       (* a future-version first line is a positioned decode error *)
       let oc = open_out tmp in
       output_string oc "{\"v\":99,\"run\":\"future\"}\n";
@@ -311,7 +316,7 @@ let test_store_positioned_errors () =
       | Ok _ -> Alcotest.fail "future-version ledger accepted"
       | Error e ->
           check "error is positioned" true
-            (Str.string_match (Str.regexp "line 1:.*newer.*") e 0));
+            (Str.string_match (Str.regexp (Str.quote tmp ^ ":1:.*newer.*")) e 0));
       (* a bad line after a good one is positioned at line 2 *)
       let oc = open_out tmp in
       output_string oc (Json.encode_obj (Ledger.fields entry));
@@ -321,7 +326,7 @@ let test_store_positioned_errors () =
       | Ok _ -> Alcotest.fail "garbage second line accepted"
       | Error e ->
           check "second line positioned" true
-            (Str.string_match (Str.regexp "line 2:") e 0))
+            (Str.string_match (Str.regexp (Str.quote tmp ^ ":2:")) e 0))
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                           *)
@@ -432,9 +437,11 @@ let test_bench_gate_ignores_extra_metrics () =
      \"snapshot_bytes\":465760}\n"
   in
   let parse s =
-    match Bench_gate.of_jsonl s with
-    | Ok es -> es
-    | Error e -> Alcotest.fail e
+    let tmp = Filename.temp_file "yashme_bench" ".jsonl" in
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
+    let r = Bench_gate.load tmp in
+    Sys.remove tmp;
+    match r with Ok es -> es | Error e -> Alcotest.fail e
   in
   let o =
     Bench_gate.diff ~tolerance:0. ~baseline:(parse old_row)

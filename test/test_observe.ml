@@ -9,6 +9,7 @@ module Span = Observe.Span
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
+module Json = Yashme_util.Json
 
 open Pm_runtime
 
@@ -166,30 +167,37 @@ let test_chrome_json_well_formed () =
     "escape me";
   Span.with_ ~cat:"test" "span" (fun () -> ());
   Trace.stop ();
-  (match Trace.check_json (Trace.to_chrome_json ()) with
-  | Ok () -> ()
+  (match Json.parse (Trace.to_chrome_json ()) with
+  | Ok _ -> ()
   | Error msg -> Alcotest.failf "chrome json rejected: %s" msg);
-  (match Trace.check_jsonl (Trace.to_jsonl ()) with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "jsonl rejected: %s" msg);
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Ok (`O _) -> ()
+      | Ok _ -> Alcotest.failf "jsonl line is not an object: %s" line
+      | Error msg -> Alcotest.failf "jsonl line rejected: %s" msg)
+    (List.filter (( <> ) "") (String.split_on_char '\n' (Trace.to_jsonl ())));
   quiesce ()
 
 let test_check_json_rejects_malformed () =
   List.iter
     (fun s ->
-      match Trace.check_json s with
-      | Ok () -> Alcotest.failf "accepted malformed JSON %S" s
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted malformed JSON %S" s
       | Error _ -> ())
     [
       ""; "{"; "[1,]"; "{\"a\":}"; "{\"a\" 1}"; "\"unterminated";
       "{\"a\":1} trailing"; "nulll"; "[1 2]"; "{\"bad\\x\":1}";
+      "{\"a\":\"\\ud800\"}"; "[01]"; "[1.]"; "[.5]"; "[+3]"; "[0x10]";
+      "[\"tab\there\"]";
     ];
   List.iter
     (fun s ->
-      match Trace.check_json s with
-      | Ok () -> ()
+      match Json.parse s with
+      | Ok _ -> ()
       | Error msg -> Alcotest.failf "rejected valid JSON %S: %s" s msg)
-    [ "{}"; "[]"; "null"; "-1.5e3"; "{\"a\":[1,true,\"x\\u0041\"]}" ]
+    [ "{}"; "[]"; "null"; "-1.5e3"; "{\"a\":[1,true,\"x\\u0041\"]}";
+      " [ -0 , 0.5E+2 , \"\\ud83d\\ude00\" ] " ]
 
 let test_write_and_lint_roundtrip () =
   quiesce ();
@@ -258,8 +266,8 @@ let test_histogram_zero_samples () =
   quiesce ()
 
 (* Regression: empty/truncated trace files must lint as malformed with
-   a positioned error, for both formats.  (check_jsonl of zero lines
-   used to be vacuously Ok.) *)
+   an error positioned in the file, for both formats.  (A JSONL file of
+   zero lines used to lint vacuously clean.) *)
 let test_trace_lint_rejects_empty_and_truncated () =
   let starts_with prefix s =
     String.length s >= String.length prefix
@@ -280,7 +288,7 @@ let test_trace_lint_rejects_empty_and_truncated () =
                 (String.length content)
           | Error msg ->
               check ("positioned error for " ^ suffix) true
-                (starts_with "offset" msg || starts_with "line" msg)))
+                (starts_with (tmp ^ ":") msg)))
     [
       (".json", "");
       (".jsonl", "");
@@ -289,6 +297,8 @@ let test_trace_lint_rejects_empty_and_truncated () =
       (* truncated mid-event: a crash while writing must not lint *)
       (".json", "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\"");
       (".jsonl", "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"y\",");
+      (* a lone surrogate is not a character *)
+      (".jsonl", "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"\\ud800\"}\n");
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -6,7 +6,7 @@
 
 module Soak = Pm_harness.Soak
 module Scenario = Pm_harness.Scenario
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Corpus = Pm_corpus.Corpus
 module Witness = Pm_corpus.Witness
 module Soak_store = Pm_corpus.Soak_store
@@ -267,6 +267,27 @@ let test_manifest_rejects_newer_version () =
       check "error names the version gate" true
         (Str.string_match (Str.regexp ".*newer.*") e 0)
 
+(* The version gate has a floor as well as a ceiling: a manifest can
+   never claim a version before the first one. *)
+let test_manifest_rejects_version_zero () =
+  let line =
+    Str.replace_first
+      (Str.regexp_string
+         (Printf.sprintf "\"manifest_version\":%d" Soak_store.version))
+      "\"manifest_version\":0"
+      (Soak_store.encode manifest_fixture)
+  in
+  let tmp = Filename.temp_file "yashme_soak_manifest" ".jsonl" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc (line ^ "\n"));
+  let r = Soak_store.load tmp in
+  Sys.remove tmp;
+  match r with
+  | Ok _ -> Alcotest.fail "manifest_version 0 must not decode"
+  | Error e ->
+      check "positioned version error" true
+        (Str.string_match
+           (Str.regexp (Str.quote tmp ^ ":1: manifest_version 0 is older")) e 0)
+
 let test_manifest_file_guards () =
   (* Missing file: a positioned error, not an exception. *)
   (match Soak_store.load "/nonexistent/soak.manifest.jsonl" with
@@ -367,7 +388,7 @@ let test_ledger_truncated_line_guard () =
   | Ok _ -> Alcotest.fail "truncated ledger must not load"
   | Error e ->
       check "truncation reported at line 2" true
-        (Str.string_match (Str.regexp "line 2:") e 0));
+        (Str.string_match (Str.regexp (Str.quote tmp ^ ":2:")) e 0));
   Sys.remove tmp
 
 (* ------------------------------------------------------------------ *)
@@ -488,6 +509,8 @@ let () =
             test_manifest_identity_excludes_timing;
           Alcotest.test_case "rejects newer version" `Quick
             test_manifest_rejects_newer_version;
+          Alcotest.test_case "rejects version 0" `Quick
+            test_manifest_rejects_version_zero;
           Alcotest.test_case "file guards (missing/empty/save-load)" `Quick
             test_manifest_file_guards;
         ] );

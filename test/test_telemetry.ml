@@ -14,7 +14,7 @@ module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Engine = Pm_harness.Engine
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Bench_gate = Pm_corpus.Bench_gate
 
 open Pm_runtime
@@ -356,8 +356,7 @@ let test_profile_parse_roundtrip () =
 let test_profile_rejects_empty_and_garbage () =
   let tmp = Filename.temp_file "yashme_profile" ".json" in
   (match Profile.parse_file tmp with
-  | Error e -> check "empty file positioned error" true
-        (String.length e > 0 && String.sub e 0 6 = "offset")
+  | Error e -> check_str "empty file positioned error" (tmp ^ ":1: empty trace file") e
   | Ok _ -> Alcotest.fail "empty file accepted");
   let oc = open_out tmp in
   output_string oc "{\"traceEvents\":[{\"name\":\"x\"";
@@ -367,6 +366,21 @@ let test_profile_rejects_empty_and_garbage () =
   | Ok _ -> Alcotest.fail "truncated file accepted");
   Sys.remove tmp
 
+(* A surrogate-pair escape decodes to the 4-byte UTF-8 character, not
+   to two 3-byte surrogate encodings. *)
+let test_profile_decodes_surrogate_pairs () =
+  let tmp = Filename.temp_file "yashme_profile" ".jsonl" in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc
+        "{\"name\":\"\\ud83d\\ude00\",\"cat\":\"\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\
+         \"pid\":0,\"tid\":0,\"args\":{}}\n");
+  let r = Profile.parse_file tmp in
+  Sys.remove tmp;
+  match r with
+  | Ok [ e ] -> check_str "name bytes" "\xf0\x9f\x98\x80" e.Trace.name
+  | Ok _ -> Alcotest.fail "expected one event"
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Bench gate                                                           *)
 
@@ -375,9 +389,11 @@ let baseline_jsonl =
    {\"bench\":\"FAST_FAIR\",\"jobs\":2,\"ops_per_s\":2000.0}\n"
 
 let entries s =
-  match Bench_gate.of_jsonl s with
-  | Ok es -> es
-  | Error e -> Alcotest.fail e
+  let tmp = Filename.temp_file "yashme_bench" ".jsonl" in
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
+  let r = Bench_gate.load tmp in
+  Sys.remove tmp;
+  match r with Ok es -> es | Error e -> Alcotest.fail e
 
 let test_bench_gate_passes_within_tolerance () =
   let baseline = entries baseline_jsonl in
@@ -441,7 +457,7 @@ let test_bench_gate_new_benches_ignored () =
 let test_bench_gate_load_rejects_empty () =
   let tmp = Filename.temp_file "yashme_bench" ".json" in
   (match Bench_gate.load tmp with
-  | Error _ -> ()
+  | Error e -> check_str "path named once" (tmp ^ ":1: empty bench file") e
   | Ok _ -> Alcotest.fail "empty bench file accepted");
   Sys.remove tmp;
   (match Bench_gate.load tmp with
@@ -489,6 +505,8 @@ let () =
             test_profile_parse_roundtrip;
           Alcotest.test_case "rejects empty and garbage" `Quick
             test_profile_rejects_empty_and_garbage;
+          Alcotest.test_case "decodes surrogate pairs" `Quick
+            test_profile_decodes_surrogate_pairs;
         ] );
       ( "bench-gate",
         [
