@@ -84,13 +84,13 @@ let note_flush r ~line ~flush_cv ~entry =
     (Exec_record.line_addrs r line)
 
 let observer t =
-  let with_current f = match t.current with Some r -> f r | None -> () in
   {
     Px86.Observer.on_store_commit =
-      (fun s -> with_current (fun r -> Exec_record.set_store r s));
+      (fun s -> match t.current with Some r -> Exec_record.set_store r s | None -> ());
     on_clflush_commit =
       (fun f ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             note_flush r
               ~line:(Px86.Addr.line f.Px86.Event.faddr)
               ~flush_cv:f.Px86.Event.fcv
@@ -98,11 +98,13 @@ let observer t =
                 {
                   Exec_record.fe_tid = f.Px86.Event.ftid;
                   fe_lclk = f.Px86.Event.flclk;
-                }));
+                }
+        | None -> ());
     on_clwb_commit = (fun _ -> ());
     on_flush_applied =
       (fun f ~fence ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             note_flush r
               ~line:(Px86.Addr.line f.Px86.Event.faddr)
               ~flush_cv:f.Px86.Event.fcv
@@ -110,10 +112,12 @@ let observer t =
                 {
                   Exec_record.fe_tid = fence.Px86.Event.ktid;
                   fe_lclk = fence.Px86.Event.klclk;
-                }));
+                }
+        | None -> ());
     on_nt_persisted =
       (fun st ~fence ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             (* A fenced movnt store is durable on its own: record the
                fence as its flush (no other store on the line is
                affected). *)
@@ -121,7 +125,8 @@ let observer t =
               {
                 Exec_record.fe_tid = fence.Px86.Event.ktid;
                 fe_lclk = fence.Px86.Event.klclk;
-              }));
+              }
+        | None -> ());
     on_fence = (fun _ -> ());
   }
 

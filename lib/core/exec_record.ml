@@ -14,10 +14,10 @@ type t = {
 let create ~id =
   {
     rid = id;
-    storemap = Hashtbl.create 256;
-    by_line = Hashtbl.create 64;
-    flushmap = Hashtbl.create 256;
-    lastflush = Hashtbl.create 64;
+    storemap = Hashtbl.create 16;
+    by_line = Hashtbl.create 16;
+    flushmap = Hashtbl.create 16;
+    lastflush = Hashtbl.create 16;
     cvpre = Clockvec.empty;
   }
 

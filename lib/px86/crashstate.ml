@@ -58,45 +58,38 @@ let copy t =
   end;
   c
 
-let find_origin t ~addr ~size =
-  let rec scan i best distinct =
-    if i >= size then (best, distinct)
-    else
-      match Hashtbl.find_opt t.origins (addr + i) with
-      | None -> scan (i + 1) best distinct
-      | Some o ->
-          let best' =
-            match best with
-            | None -> Some o
-            | Some b -> if o.store.Event.seq > b.store.Event.seq then Some o else Some b
-          in
-          let distinct' =
-            match best with
-            | Some b when b.store != o.store -> true
-            | _ -> distinct
-          in
-          scan (i + 1) best' distinct'
-  in
-  match scan 0 None false with
-  | None, _ -> None
-  | Some o, torn -> Some (o, torn)
+(* Newest writer among the bytes [addr + i .. addr + size - 1] and
+   whether they mix writers; [best] is reused while it stays newest. *)
+let rec scan_origins t ~addr ~size i best torn =
+  if i >= size then match best with None -> None | Some o -> Some (o, torn)
+  else
+    match Hashtbl.find t.origins (addr + i) with
+    | exception Not_found -> scan_origins t ~addr ~size (i + 1) best torn
+    | o -> (
+        match best with
+        | None -> scan_origins t ~addr ~size (i + 1) (Some o) torn
+        | Some b ->
+            let torn = torn || b.store != o.store in
+            let best = if o.store.Event.seq > b.store.Event.seq then Some o else best in
+            scan_origins t ~addr ~size (i + 1) best torn)
+
+let find_origin t ~addr ~size = scan_origins t ~addr ~size 0 None false
+
+let rec has_seq seq = function
+  | [] -> false
+  | o :: rest -> o.store.Event.seq = seq || has_seq seq rest
 
 let find_candidates t ~addr ~size =
-  match Hashtbl.find_opt t.cands (addr, size) with
-  | Some cs -> cs
-  | None ->
-      (* Distinct byte origins, oldest first. *)
-      let seen = Hashtbl.create 4 in
+  match Hashtbl.find t.cands (addr, size) with
+  | cs -> cs
+  | exception Not_found ->
+      (* Distinct byte origins, oldest first.  At most [size] (<= 8) of
+         them, so a list membership test beats a table. *)
       let acc = ref [] in
       for i = 0 to size - 1 do
-        match Hashtbl.find_opt t.origins (addr + i) with
-        | None -> ()
-        | Some o ->
-            if not (Hashtbl.mem seen o.store.Event.seq) then begin
-              Hashtbl.add seen o.store.Event.seq ();
-              acc := o :: !acc
-            end
+        match Hashtbl.find t.origins (addr + i) with
+        | exception Not_found -> ()
+        | o ->
+            if not (has_seq o.store.Event.seq !acc) then acc := o :: !acc
       done;
-      List.sort
-        (fun a b -> compare a.store.Event.seq b.store.Event.seq)
-        !acc
+      List.sort (fun a b -> compare a.store.Event.seq b.store.Event.seq) !acc

@@ -1,12 +1,12 @@
-type t = { mutable items : Event.flush list (* oldest first *) }
+type t = { mutable items : Event.flush list (* newest first *) }
 
 let create () = { items = [] }
 let is_empty t = t.items = []
-let add t f = t.items <- t.items @ [ f ]
+let add t f = t.items <- f :: t.items
 
 let drain t =
   let items = t.items in
   t.items <- [];
-  items
+  List.rev items
 
-let pending t = t.items
+let pending t = List.rev t.items

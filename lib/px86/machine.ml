@@ -40,7 +40,8 @@ type config = {
 
 type thread = {
   tid : int;
-  mutable cv : Clockvec.t;
+  mutable cv : Clockvec.t;  (* the clock vector as of local clock [cv_clk] *)
+  mutable cv_clk : int;
   mutable lclk : int;
   sb : Store_buffer.t;
   fb : Flush_buffer.t;
@@ -53,8 +54,10 @@ type t = {
   exec_id : int;
   inherited : Crashstate.t;
   threads : (int, thread) Hashtbl.t;
+  mutable order : thread array;
+      (* [threads] in its iteration order, which fixes the order buffers
+         drain in; rebuilt when a thread registers *)
   cache : Memimage.t;  (* committed state: inherited image + committed stores *)
-  base : Memimage.t;  (* pristine copy of the inherited image *)
   pers : Persistence.t;
   mutable seq : int;  (* global cache-commit order counter *)
 }
@@ -72,8 +75,8 @@ let create ?inherited ~exec_id cfg =
     exec_id;
     inherited;
     threads = Hashtbl.create 8;
+    order = [||];
     cache = Memimage.copy inherited.Crashstate.image;
-    base = Memimage.copy inherited.Crashstate.image;
     pers = Persistence.create ();
     seq = 0;
   }
@@ -82,23 +85,37 @@ let exec_id t = t.exec_id
 let inherited t = t.inherited
 let persistence t = t.pers
 
+let rec thread_index order tid i =
+  if i = Array.length order then -1
+  else if order.(i).tid = tid then i
+  else thread_index order tid (i + 1)
+
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> th
-  | None ->
+  match thread_index t.order tid 0 with
+  | -1 ->
       let th =
-        { tid; cv = Clockvec.empty; lclk = 0;
+        { tid; cv = Clockvec.empty; cv_clk = 0; lclk = 0;
           sb = Store_buffer.create (); fb = Flush_buffer.create ();
           pending_nt = [] }
       in
       Hashtbl.add t.threads tid th;
+      t.order <- Array.of_list (Hashtbl.fold (fun _ th acc -> th :: acc) t.threads [] |> List.rev);
       th
+  | i -> t.order.(i)
 
-let thread_cv t ~tid = (thread t tid).cv
+(* Ticking is lazy: a tick only advances [lclk], and the clock vector
+   catches up when an event records it.  Loads, the commonest operation,
+   record none, so they allocate no clock vector. *)
+let cv th =
+  if th.cv_clk <> th.lclk then begin
+    th.cv <- Clockvec.set th.cv th.tid th.lclk;
+    th.cv_clk <- th.lclk
+  end;
+  th.cv
 
-let tick th =
-  th.lclk <- th.lclk + 1;
-  th.cv <- Clockvec.set th.cv th.tid th.lclk
+let thread_cv t ~tid = cv (thread t tid)
+
+let tick th = th.lclk <- th.lclk + 1
 
 let next_seq t =
   t.seq <- t.seq + 1;
@@ -136,7 +153,7 @@ let drain_nt t th (fence : Event.fence) =
    barrier covers commits by every thread, not just the fencing one. *)
 let epoch_barrier t (fence : Event.fence) =
   let cv =
-    Hashtbl.fold (fun _ th acc -> Clockvec.join acc th.cv) t.threads Clockvec.empty
+    Array.fold_left (fun acc th -> Clockvec.join acc (cv th)) Clockvec.empty t.order
   in
   List.iter
     (fun line ->
@@ -198,33 +215,40 @@ let drain_sb t th =
     apply_entry t th (Store_buffer.take th.sb 0)
   done
 
-let drain_all_sb t = Hashtbl.iter (fun _ th -> drain_sb t th) t.threads
+let drain_all_sb t =
+  for i = 0 to Array.length t.order - 1 do
+    drain_sb t t.order.(i)
+  done
+
+let rec count_nonempty order i acc =
+  if i < 0 then acc
+  else count_nonempty order (i - 1) (if Store_buffer.is_empty order.(i).sb then acc else acc + 1)
+
+(* The [n]-th thread with a nonempty store buffer, counting from the end
+   of [order]. *)
+let rec nth_nonempty_from_end order i n =
+  if Store_buffer.is_empty order.(i).sb then nth_nonempty_from_end order (i - 1) n
+  else if n = 0 then order.(i)
+  else nth_nonempty_from_end order (i - 1) (n - 1)
+
+let rec random_drain t p =
+  let last = Array.length t.order - 1 in
+  let n = count_nonempty t.order last 0 in
+  if n > 0 && Rng.chance t.cfg.rng p then begin
+    let th = nth_nonempty_from_end t.order last (Rng.int t.cfg.rng n) in
+    let idx =
+      match t.cfg.variant.Variant.sb_drain with
+      | Variant.Drain_fifo -> 0
+      | Variant.Drain_tso -> Rng.pick t.cfg.rng (Store_buffer.evictable th.sb)
+    in
+    apply_entry t th (Store_buffer.take th.sb idx);
+    random_drain t p
+  end
 
 let background t =
   match t.cfg.sb_policy with
   | Eager -> drain_all_sb t
-  | Random_drain p ->
-      let nonempty () =
-        Hashtbl.fold (fun _ th acc -> if Store_buffer.is_empty th.sb then acc else th :: acc)
-          t.threads []
-      in
-      let rec loop () =
-        match nonempty () with
-        | [] -> ()
-        | ths ->
-            if Rng.chance t.cfg.rng p then begin
-              let th = Rng.pick t.cfg.rng ths in
-              let idx =
-                match t.cfg.variant.Variant.sb_drain with
-                | Variant.Drain_fifo -> 0
-                | Variant.Drain_tso ->
-                    Rng.pick t.cfg.rng (Store_buffer.evictable th.sb)
-              in
-              apply_entry t th (Store_buffer.take th.sb idx);
-              loop ()
-            end
-      in
-      loop ()
+  | Random_drain p -> random_drain t p
 
 (* ------------------------------------------------------------------ *)
 (* Instructions                                                        *)
@@ -233,24 +257,15 @@ let store ?(nt = false) t ~tid ~addr ~size ~value ~access ~label =
   let th = thread t tid in
   tick th;
   let s =
-    { Event.seq = -1; tid; lclk = th.lclk; cv = th.cv; addr; size; value; access; nt;
+    { Event.seq = -1; tid; lclk = th.lclk; cv = cv th; addr; size; value; access; nt;
       label }
   in
   Store_buffer.push th.sb (Store_buffer.Store s)
 
-let committed_read_from t ~addr ~size =
-  let rec newest_covering = function
-    | [] -> None
-    | (s : Event.store) :: rest ->
-        if Event.store_covers s addr size then Some s else newest_covering rest
-  in
-  (* line_stores is oldest-first; search newest-first. *)
-  newest_covering (List.rev (Persistence.line_stores t.pers (Addr.line addr)))
-
 let cache_read t th ~addr ~size ~access =
   let value = Memimage.read t.cache ~addr ~size in
   let source =
-    match committed_read_from t ~addr ~size with
+    match Persistence.newest_covering t.pers ~addr ~size with
     | Some s -> From_cache s
     | None -> (
         match Crashstate.find_origin t.inherited ~addr ~size with
@@ -263,7 +278,7 @@ let cache_read t th ~addr ~size ~access =
   (if Access.is_acquire access then
      match source with
      | From_cache s when Access.is_release s.Event.access ->
-         th.cv <- Clockvec.join th.cv s.Event.cv
+         th.cv <- Clockvec.join (cv th) s.Event.cv
      | From_cache _ | From_buffer _ | From_crash _ | From_init -> ());
   (value, source)
 
@@ -288,7 +303,7 @@ let clflush t ~tid ~addr =
   let th = thread t tid in
   tick th;
   let f =
-    { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = th.cv; faddr = addr;
+    { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = cv th; faddr = addr;
       kind = Event.Clflush }
   in
   Store_buffer.push th.sb (Store_buffer.Flush f)
@@ -297,7 +312,7 @@ let clwb t ~tid ~addr =
   let th = thread t tid in
   tick th;
   let f =
-    { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = th.cv; faddr = addr;
+    { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = cv th; faddr = addr;
       kind = Event.Clwb }
   in
   Store_buffer.push th.sb (Store_buffer.Flush f)
@@ -305,14 +320,14 @@ let clwb t ~tid ~addr =
 let sfence t ~tid =
   let th = thread t tid in
   tick th;
-  let k = { Event.ktid = tid; klclk = th.lclk; kcv = th.cv; kkind = Event.Sfence } in
+  let k = { Event.ktid = tid; klclk = th.lclk; kcv = cv th; kkind = Event.Sfence } in
   Store_buffer.push th.sb (Store_buffer.Sfence k)
 
 let mfence t ~tid =
   let th = thread t tid in
   tick th;
   drain_sb t th;
-  let k = { Event.ktid = tid; klclk = th.lclk; kcv = th.cv; kkind = Event.Mfence } in
+  let k = { Event.ktid = tid; klclk = th.lclk; kcv = cv th; kkind = Event.Mfence } in
   drain_flush_buffer t th k;
   t.cfg.observer.Observer.on_fence k
 
@@ -323,13 +338,13 @@ let cas t ~tid ~addr ~size ~expected ~desired ~label =
      buffer before taking effect.  Forced: a locked instruction drains
      even under [Fence_nop], which weakens only explicit fences. *)
   drain_sb t th;
-  let k = { Event.ktid = tid; klclk = th.lclk; kcv = th.cv; kkind = Event.Mfence } in
+  let k = { Event.ktid = tid; klclk = th.lclk; kcv = cv th; kkind = Event.Mfence } in
   drain_flush_buffer ~forced:true t th k;
   let observed, source = cache_read t th ~addr ~size ~access:(Access.Atomic Access.Acq_rel) in
   if observed = expected then begin
     tick th;
     let s =
-      { Event.seq = -1; tid; lclk = th.lclk; cv = th.cv; addr; size; value = desired;
+      { Event.seq = -1; tid; lclk = th.lclk; cv = cv th; addr; size; value = desired;
         access = Access.Atomic Access.Acq_rel; nt = false; label }
     in
     apply_store t s;
@@ -368,15 +383,20 @@ let buffered_stores t =
 
 let line_cut t ~strategy line =
   let lb = Persistence.cut_lb t.pers line in
-  let later =
-    List.filter (fun (s : Event.store) -> s.Event.seq > lb) (Persistence.line_stores t.pers line)
-  in
   match strategy with
-  | Cut_all -> List.fold_left (fun acc (s : Event.store) -> max acc s.Event.seq) lb later
   | Cut_lowerbound -> lb
+  | Cut_all -> (
+      (* The history is newest first, so its head has the highest seq. *)
+      match Persistence.history t.pers line with
+      | (s : Event.store) :: _ -> max lb s.Event.seq
+      | [] -> lb)
   | Cut_random rng ->
-      let choices = lb :: List.map (fun (s : Event.store) -> s.Event.seq) later in
-      Rng.pick rng choices
+      let later =
+        List.fold_left
+          (fun acc (s : Event.store) -> if s.Event.seq > lb then s.Event.seq :: acc else acc)
+          [] (Persistence.history t.pers line)
+      in
+      Rng.pick rng (lb :: later)
 
 let rec drain_everything t =
   drain_all_sb t;
@@ -391,7 +411,7 @@ let rec drain_everything t =
       List.iter
         (fun th ->
           let k =
-            { Event.ktid = th.tid; klclk = th.lclk; kcv = th.cv; kkind = Event.Mfence }
+            { Event.ktid = th.tid; klclk = th.lclk; kcv = cv th; kkind = Event.Mfence }
           in
           (* Forced: shutdown must terminate even under [Fence_nop]. *)
           drain_flush_buffer ~forced:true t th k)
@@ -399,14 +419,17 @@ let rec drain_everything t =
       drain_everything t
 
 let crash t ~strategy =
+  let lines = Persistence.lines t.pers in
   Metrics.incr m_crashes;
-  Metrics.observe h_crash_lines (List.length (Persistence.lines t.pers));
-  List.iter Observe.Coverage.line_materialized (Persistence.lines t.pers);
+  Metrics.observe h_crash_lines (List.length lines);
+  List.iter Observe.Coverage.line_materialized lines;
   let span_t0 =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
-  (* Store-buffer contents are volatile and vanish: do NOT drain. *)
-  let image = Memimage.copy t.base in
+  (* Store-buffer contents are volatile and vanish: do NOT drain.  The
+     machine never writes the inherited image (stores go to [cache]), so
+     it is still the pristine pre-run state. *)
+  let image = Memimage.copy t.inherited.Crashstate.image in
   let origins : (Addr.t, Crashstate.origin) Hashtbl.t =
     Hashtbl.copy t.inherited.Crashstate.origins
   in
@@ -414,44 +437,26 @@ let crash t ~strategy =
     Hashtbl.copy t.inherited.Crashstate.cands
   in
   let cuts = Hashtbl.create 16 in
-  List.iter
-    (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line))
-    (Persistence.lines t.pers);
-  (* Replay persisted stores in global commit order to materialize the image. *)
-  let all_stores =
-    Persistence.lines t.pers
-    |> List.concat_map (fun line ->
-           let cut = Hashtbl.find cuts line in
-           Persistence.line_stores t.pers line
-           |> List.filter (fun (s : Event.store) ->
-                  (s.Event.seq <= cut || Persistence.is_durable_nt t.pers s)
-                  (* a straddling store is listed on both lines; attribute it
-                     to the line of its first byte to replay it once *)
-                  && Addr.line s.Event.addr = line))
-    |> List.sort (fun (a : Event.store) b -> compare a.Event.seq b.Event.seq)
-  in
-  List.iter
-    (fun (s : Event.store) ->
-      Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
-      let origin = { Crashstate.store = s; exec_id = t.exec_id } in
-      for i = 0 to s.Event.size - 1 do
-        Hashtbl.replace origins (s.Event.addr + i) origin
-      done)
-    all_stores;
-  (* Candidate sets: group committed stores by (addr, size). *)
-  let groups : (Addr.t * int, Event.store list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      List.iter
-        (fun (s : Event.store) ->
-          if Addr.line s.Event.addr = line then
-            let key = (s.Event.addr, s.Event.size) in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-            Hashtbl.replace groups key (s :: prev))
-        (Persistence.line_stores t.pers line))
-    (Persistence.lines t.pers);
+  List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line)) lines;
+  (* Replay persisted stores in commit order to materialize the image.  A
+     store straddling two lines persists with the cut of its first byte's
+     line.  Also collect every (addr, size) stored to. *)
+  let keys : (Addr.t * int, unit) Hashtbl.t = Hashtbl.create 64 in
+  Persistence.iter_committed t.pers (fun (s : Event.store) ->
+      if
+        s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
+        || Persistence.is_durable_nt t.pers s
+      then begin
+        Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
+        let origin = { Crashstate.store = s; exec_id = t.exec_id } in
+        for i = 0 to s.Event.size - 1 do
+          Hashtbl.replace origins (s.Event.addr + i) origin
+        done
+      end;
+      Hashtbl.replace keys (s.Event.addr, s.Event.size) ());
+  (* Candidate sets, one per (addr, size) stored to. *)
   Hashtbl.iter
-    (fun (addr, size) _ ->
+    (fun (addr, size) () ->
       let this_exec =
         Persistence.candidates t.pers ~addr ~size
         |> List.map (fun s -> { Crashstate.store = s; exec_id = t.exec_id })
@@ -465,7 +470,7 @@ let crash t ~strategy =
         else Crashstate.find_candidates t.inherited ~addr ~size @ this_exec
       in
       Hashtbl.replace cands (addr, size) merged)
-    groups;
+    keys;
   let cs =
     {
       Crashstate.exec_id = t.exec_id;

@@ -23,6 +23,14 @@ val flush_line : t -> line:int -> seq:int -> unit
 (** Committed stores to [line], oldest (lowest seq) first. *)
 val line_stores : t -> int -> Event.store list
 
+(** [history t line] is {!line_stores} newest first, without copying:
+    the order the machine keeps it in. *)
+val history : t -> int -> Event.store list
+
+(** [iter_committed t f] applies [f] to every committed store once, in
+    commit (seq) order; a store straddling two lines is visited once. *)
+val iter_committed : t -> (Event.store -> unit) -> unit
+
 (** Durable lower bound for [line]: stores with [seq] below this are
     guaranteed persisted.  0 when the line was never flushed. *)
 val cut_lb : t -> int -> int
@@ -35,6 +43,11 @@ val lines : t -> int list
     covering store at or below the line's durable lower bound, plus every
     later covering store (any of them may or may not have persisted). *)
 val candidates : t -> addr:Addr.t -> size:int -> Event.store list
+
+(** [newest_covering t ~addr ~size] is the newest committed store that
+    covers the range, if any.  It scans the line's history in place:
+    a load pays no copy of the line's stores. *)
+val newest_covering : t -> addr:Addr.t -> size:int -> Event.store option
 
 (** [latest_at_or_below t ~addr ~size ~cut] is the newest store covering
     the range with [seq <= cut] (or individually durable), if any. *)

@@ -3,13 +3,28 @@ type entry =
   | Flush of Event.flush
   | Sfence of Event.fence
 
-type t = { mutable items : entry list (* oldest first *) }
+(* An array-backed FIFO: [items.(0)] is the oldest entry.  Pushing and
+   forwarding allocate nothing; slots past [len] hold [hole] so the
+   buffer keeps no evicted entry alive. *)
+type t = { mutable items : entry array; mutable len : int }
 
-let create () = { items = [] }
-let is_empty t = t.items = []
-let length t = List.length t.items
-let push t e = t.items <- t.items @ [ e ]
-let entries t = t.items
+let hole =
+  Sfence { Event.ktid = -1; klclk = 0; kcv = Yashme_util.Clockvec.empty; kkind = Event.Sfence }
+
+let create () = { items = Array.make 4 hole; len = 0 }
+let is_empty t = t.len = 0
+let length t = t.len
+
+let push t e =
+  if t.len = Array.length t.items then begin
+    let items = Array.make (2 * t.len) hole in
+    Array.blit t.items 0 items 0 t.len;
+    t.items <- items
+  end;
+  t.items.(t.len) <- e;
+  t.len <- t.len + 1
+
+let entries t = List.init t.len (Array.get t.items)
 
 let kind_of_entry = function
   | Store _ -> Reorder.Write
@@ -17,53 +32,48 @@ let kind_of_entry = function
   | Flush { kind = Event.Clwb; _ } -> Reorder.Clflushopt
   | Sfence _ -> Reorder.Sfence_k
 
+(* Cache line of an entry; -1 for a fence, which touches none. *)
 let line_of_entry = function
-  | Store s -> Some (Addr.line s.addr)
-  | Flush f -> Some (Addr.line f.faddr)
-  | Sfence _ -> None
+  | Store s -> Addr.line s.addr
+  | Flush f -> Addr.line f.faddr
+  | Sfence _ -> -1
 
 (* Entry [e] may leave the buffer before an older entry [d] only when
    Table 1 does not require d-before-e order. *)
 let may_overtake ~older:d ~newer:e =
-  let same_line =
-    match line_of_entry d, line_of_entry e with
-    | Some a, Some b -> a = b
-    | _ -> false
-  in
+  let line = line_of_entry d in
+  let same_line = line >= 0 && line = line_of_entry e in
   not (Reorder.required ~earlier:(kind_of_entry d) ~later:(kind_of_entry e) ~same_line)
 
+let rec overtakes_all t e d =
+  d < 0 || (may_overtake ~older:t.items.(d) ~newer:e && overtakes_all t e (d - 1))
+
 let evictable t =
-  let rec scan i olders = function
-    | [] -> []
-    | e :: rest ->
-        let ok = List.for_all (fun d -> may_overtake ~older:d ~newer:e) olders in
-        let tail = scan (i + 1) (olders @ [ e ]) rest in
-        if ok then i :: tail else tail
+  let rec scan i acc =
+    if i < 0 then acc
+    else scan (i - 1) (if overtakes_all t t.items.(i) (i - 1) then i :: acc else acc)
   in
-  scan 0 [] t.items
+  scan (t.len - 1) []
 
 let take t i =
-  let rec split j acc = function
-    | [] -> invalid_arg "Store_buffer.take: index out of range"
-    | e :: rest ->
-        if j = i then begin
-          t.items <- List.rev_append acc rest;
-          e
-        end
-        else split (j + 1) (e :: acc) rest
-  in
-  split 0 [] t.items
+  if i < 0 || i >= t.len then invalid_arg "Store_buffer.take: index out of range";
+  let e = t.items.(i) in
+  Array.blit t.items (i + 1) t.items i (t.len - i - 1);
+  t.len <- t.len - 1;
+  t.items.(t.len) <- hole;
+  e
 
 type forwarding = Covered of Event.store | Partial | Miss
 
-let forward t ~addr ~size =
-  (* Newest matching store wins; scan newest-first. *)
-  let rec scan = function
-    | [] -> Miss
-    | Store s :: rest ->
+(* Newest matching store wins; scan newest-first. *)
+let rec forward_from t ~addr ~size i =
+  if i < 0 then Miss
+  else
+    match t.items.(i) with
+    | Store s ->
         if Event.store_covers s addr size then Covered s
         else if Event.store_overlaps s addr size then Partial
-        else scan rest
-    | (Flush _ | Sfence _) :: rest -> scan rest
-  in
-  scan (List.rev t.items)
+        else forward_from t ~addr ~size (i - 1)
+    | Flush _ | Sfence _ -> forward_from t ~addr ~size (i - 1)
+
+let forward t ~addr ~size = forward_from t ~addr ~size (t.len - 1)

@@ -113,16 +113,24 @@ type opkind =
   | Op_meta  (** alloc / spawn / join / yield / ... *)
   | Op_crash_req  (** explicit [Pmem.crash_now] *)
 
-type pending = {
-  p_kind : opkind;
-  p_run : unit -> unit;  (** execute the op, resume the thread *)
-  p_abort : unit -> unit;  (** discontinue the thread with [Crash_signal] *)
+(* A thread's scheduling state.  A suspended thread keeps the operation
+   it performed next to its continuation, and the scheduler dispatches on
+   the operation when it picks the thread: one small block per operation,
+   no per-operation closures. *)
+type tstate =
+  | Ready : 'a Effect.t * ('a, unit) Effect.Deep.continuation -> tstate
+      (** suspended at an operation, runnable *)
+  | Fresh of (unit -> unit)  (** spawned, not started yet (a meta op) *)
+  | Waiting of int * (unit, unit) Effect.Deep.continuation
+      (** joining the thread with this id *)
+  | Done
+
+type slot = {
+  mutable tstate : tstate;
+  mutable validating : int;  (** [Pmem.validating] nesting depth *)
 }
 
-type tstate =
-  | Ready of pending
-  | Waiting of { target : int; w_resume : unit -> unit; w_abort : unit -> unit }
-  | Done
+let new_slot _ = { tstate = Done; validating = 0 }
 
 type state = {
   detector : Yashme.Detector.t option;
@@ -136,12 +144,12 @@ type state = {
   max_ops : int option;  (** fuel: scheduled operations before [Diverged] *)
   deadline : float option;  (** absolute wall-clock cutoff *)
   pc : phase_counters;  (** this execution's phase counters *)
-  threads : (int, tstate) Hashtbl.t;
-  mutable tid_order : int list;  (** spawn order, for deterministic picks *)
+  mutable slots : slot array;
+      (** indexed by tid; tids are handed out in spawn order, so
+          [0 .. next_tid - 1] is also the deterministic pick order *)
   mutable next_tid : int;
   mutable rr_cursor : int;
   mutable heap_break : int;
-  validating : (int, int) Hashtbl.t;  (** tid -> nesting depth *)
   mutable ops : int;
   mutable fuel_used : int;  (** every scheduled op, incl. meta ops *)
   mutable flush_points : int;
@@ -152,13 +160,17 @@ type state = {
   mutable error : (exn * Printexc.raw_backtrace) option;
 }
 
-let set_state st tid s = Hashtbl.replace st.threads tid s
+let set_state st tid s = st.slots.(tid).tstate <- s
 
-let get_state st tid =
-  match Hashtbl.find_opt st.threads tid with Some s -> s | None -> Done
+let get_state st tid = if tid >= 0 && tid < st.next_tid then st.slots.(tid).tstate else Done
 
-let validating_depth st tid =
-  match Hashtbl.find_opt st.validating tid with Some d -> d | None -> 0
+let add_thread st s =
+  let tid = st.next_tid in
+  if tid = Array.length st.slots then
+    st.slots <- Array.append st.slots (Array.init tid new_slot);
+  st.next_tid <- tid + 1;
+  set_state st tid s;
+  tid
 
 (* ------------------------------------------------------------------ *)
 (* Detector wiring for post-crash reads                                 *)
@@ -167,29 +179,35 @@ let same_origin (a : Px86.Crashstate.origin) (b : Px86.Crashstate.origin) =
   a.Px86.Crashstate.exec_id = b.Px86.Crashstate.exec_id
   && a.Px86.Crashstate.store.Px86.Event.seq = b.Px86.Crashstate.store.Px86.Event.seq
 
+let check_origin st d ~tid ~addr ~size ~benign ~commit (o : Px86.Crashstate.origin) =
+  let store = o.Px86.Crashstate.store in
+  if commit && Px86.Access.is_release store.Px86.Event.access then
+    Yashme.Detector.load_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
+  else
+    ignore
+      (Yashme.Detector.load_non_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
+         ~load_addr:addr ~load_size:size ~load_tid:tid ~load_exec:st.exec_id ~commit
+         ~benign)
+
 let check_crash_read st ~tid ~addr ~size source =
   match st.detector, source with
   | None, _ -> ()
   | Some d, Machine.From_crash (origin, cands) ->
-      let benign = validating_depth st tid > 0 in
-      let check ~commit (o : Px86.Crashstate.origin) =
-        let store = o.Px86.Crashstate.store in
-        if commit && Px86.Access.is_release store.Px86.Event.access then
-          Yashme.Detector.load_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
-        else
-          ignore
-            (Yashme.Detector.load_non_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
-               ~load_addr:addr ~load_size:size ~load_tid:tid ~load_exec:st.exec_id
-               ~commit ~benign)
-      in
+      let benign = st.slots.(tid).validating > 0 in
       (* Candidate stores the load could have read in some consistent
          execution are all checked (paper §6, random mode); only the
          committed read advances CVpre / lastflush. *)
-      if st.check_candidates then
-        List.iter
-          (fun c -> if not (same_origin c origin) then check ~commit:false c)
-          cands;
-      check ~commit:true origin
+      if st.check_candidates then begin
+        let rec candidates = function
+          | [] -> ()
+          | c :: rest ->
+              if not (same_origin c origin) then
+                check_origin st d ~tid ~addr ~size ~benign ~commit:false c;
+              candidates rest
+        in
+        candidates cands
+      end;
+      check_origin st d ~tid ~addr ~size ~benign ~commit:true origin
   | Some _, (Machine.From_buffer _ | Machine.From_cache _ | Machine.From_init) -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -244,17 +262,26 @@ let exec_alloc st (size, align) =
 
 let finish_thread st tid =
   set_state st tid Done;
-  (* Wake joiners. *)
-  Hashtbl.iter
-    (fun wtid s ->
-      match s with
-      | Waiting { target; w_resume; w_abort } when target = tid ->
-          set_state st wtid
-            (Ready { p_kind = Op_meta; p_run = w_resume; p_abort = w_abort })
-      | Waiting _ | Ready _ | Done -> ())
-    st.threads
+  (* Wake joiners: a woken joiner is runnable at its join. *)
+  for w = 0 to st.next_tid - 1 do
+    match get_state st w with
+    | Waiting (target, k) when target = tid -> set_state st w (Ready (Pmem.Join_e target, k))
+    | Waiting _ | Ready _ | Fresh _ | Done -> ()
+  done
 
-let rec start_thread st tid (fn : unit -> unit) =
+let kind_of : type a. a Effect.t -> opkind = function
+  | Pmem.Store_e _ | Pmem.Load_e _ -> Op_mem
+  (* Locked RMW has fence semantics: a crash point like any other fence
+     in model-checking mode. *)
+  | Pmem.Cas_e _ | Pmem.Flush_e _ | Pmem.Fence_e _ -> Op_flushpt
+  | Pmem.Crash_now_e -> Op_crash_req
+  | _ -> Op_meta
+
+let kind_of_state = function
+  | Ready (eff, _) -> kind_of eff
+  | Fresh _ | Waiting _ | Done -> Op_meta
+
+let start_thread st tid (fn : unit -> unit) =
   let open Effect.Deep in
   match_with fn ()
     {
@@ -272,120 +299,104 @@ let rec start_thread st tid (fn : unit -> unit) =
           finish_thread st tid);
       effc =
         (fun (type a) (eff : a Effect.t) ->
-          (* [compute] runs when the scheduler picks this thread; an
-             exception it raises is delivered into the performing thread
-             (like a failing syscall), not into the scheduler. *)
-          let ready kind (compute : unit -> a) =
-            Some
-              (fun (k : (a, unit) continuation) ->
-                set_state st tid
-                  (Ready
-                     {
-                       p_kind = kind;
-                       p_run =
-                         (fun () ->
-                           match compute () with
-                           | v -> continue k v
-                           | exception e -> discontinue k e);
-                       p_abort = (fun () -> discontinue k Crash_signal);
-                     }))
-          in
           match eff with
-          | Pmem.Store_e r -> ready Op_mem (fun () -> exec_store st tid r)
-          | Pmem.Load_e r -> ready Op_mem (fun () -> exec_load st tid r)
-          | Pmem.Cas_e r ->
-              (* Locked RMW has fence semantics: a crash point like any
-                 other fence in model-checking mode. *)
-              ready Op_flushpt (fun () -> exec_cas st tid r)
-          | Pmem.Flush_e r -> ready Op_flushpt (fun () -> exec_flush st tid r)
-          | Pmem.Fence_e fk -> ready Op_flushpt (fun () -> exec_fence st tid fk)
-          | Pmem.Alloc_e (size, align) ->
-              ready Op_meta (fun () -> exec_alloc st (size, align))
-          | Pmem.Spawn_e fn' ->
-              ready Op_meta (fun () ->
-                  let ntid = st.next_tid in
-                  st.next_tid <- ntid + 1;
-                  st.tid_order <- st.tid_order @ [ ntid ];
-                  set_state st ntid
-                    (Ready
-                       {
-                         p_kind = Op_meta;
-                         p_run = (fun () -> start_thread st ntid fn');
-                         p_abort = (fun () -> set_state st ntid Done);
-                       });
-                  ntid)
           | Pmem.Join_e target ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   match get_state st target with
-                  | Done ->
-                      set_state st tid
-                        (Ready
-                           {
-                             p_kind = Op_meta;
-                             p_run = (fun () -> continue k ());
-                             p_abort = (fun () -> discontinue k Crash_signal);
-                           })
-                  | Ready _ | Waiting _ ->
-                      set_state st tid
-                        (Waiting
-                           {
-                             target;
-                             w_resume = (fun () -> continue k ());
-                             w_abort = (fun () -> discontinue k Crash_signal);
-                           }))
-          | Pmem.Yield_e -> ready Op_meta (fun () -> ())
-          | Pmem.Crash_now_e -> ready Op_crash_req (fun () -> ())
-          | Pmem.Validating_e on ->
-              ready Op_meta (fun () ->
-                  let d = validating_depth st tid in
-                  Hashtbl.replace st.validating tid (if on then d + 1 else max 0 (d - 1)))
-          | Pmem.My_tid_e -> ready Op_meta (fun () -> tid)
+                  | Done -> set_state st tid (Ready (eff, k))
+                  | Ready _ | Fresh _ | Waiting _ -> set_state st tid (Waiting (target, k)))
+          | Pmem.Store_e _ | Pmem.Load_e _ | Pmem.Cas_e _ | Pmem.Flush_e _ | Pmem.Fence_e _
+          | Pmem.Alloc_e _ | Pmem.Spawn_e _ | Pmem.Yield_e | Pmem.Crash_now_e
+          | Pmem.Validating_e _ | Pmem.My_tid_e ->
+              Some (fun (k : (a, unit) continuation) -> set_state st tid (Ready (eff, k)))
           | _ -> None)
     }
+
+(* The operation a thread suspended at, executed when the scheduler picks
+   the thread.  An exception it raises is delivered into the performing
+   thread (like a failing syscall), not into the scheduler. *)
+let execute : type a. state -> int -> a Effect.t -> a =
+ fun st tid eff ->
+  match eff with
+  | Pmem.Store_e r -> exec_store st tid r
+  | Pmem.Load_e r -> exec_load st tid r
+  | Pmem.Cas_e r -> exec_cas st tid r
+  | Pmem.Flush_e r -> exec_flush st tid r
+  | Pmem.Fence_e fk -> exec_fence st tid fk
+  | Pmem.Alloc_e (size, align) -> exec_alloc st (size, align)
+  | Pmem.Spawn_e fn -> add_thread st (Fresh fn)
+  | Pmem.Validating_e on ->
+      let slot = st.slots.(tid) in
+      slot.validating <- (if on then slot.validating + 1 else max 0 (slot.validating - 1))
+  | Pmem.My_tid_e -> tid
+  | Pmem.Join_e _ -> ()
+  | Pmem.Yield_e -> ()
+  | Pmem.Crash_now_e -> ()
+  | _ -> invalid_arg "Executor: unhandled effect"
+
+let resume st tid = function
+  | Ready (eff, k) -> (
+      match execute st tid eff with
+      | v -> Effect.Deep.continue k v
+      | exception e -> Effect.Deep.discontinue k e)
+  | Fresh fn -> start_thread st tid fn
+  | Waiting _ | Done -> assert false
+
+let abort st tid =
+  match get_state st tid with
+  | Ready (_, k) ->
+      set_state st tid Done;
+      Effect.Deep.discontinue k Crash_signal
+  | Waiting (_, k) ->
+      set_state st tid Done;
+      Effect.Deep.discontinue k Crash_signal
+  | Fresh _ -> set_state st tid Done
+  | Done -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                           *)
 
-let ready_tids st =
-  List.filter (fun tid -> match get_state st tid with Ready _ -> true | _ -> false)
-    st.tid_order
+let is_ready st tid = match get_state st tid with Ready _ | Fresh _ -> true | Waiting _ | Done -> false
 
+(* The [n]-th ready tid at or after [from] (ascending), or -1. *)
+let rec nth_ready st ~from n =
+  if from >= st.next_tid then -1
+  else if is_ready st from then if n = 0 then from else nth_ready st ~from:(from + 1) (n - 1)
+  else nth_ready st ~from:(from + 1) n
+
+let rec count_ready st tid acc =
+  if tid >= st.next_tid then acc
+  else count_ready st (tid + 1) (if is_ready st tid then acc + 1 else acc)
+
+(* The next thread to run, or -1 when none is ready. *)
 let pick_next st =
-  match ready_tids st with
-  | [] -> None
-  | ready ->
-      let tid =
-        match st.sched with
-        | Random_sched -> Rng.pick st.rng ready
-        | Round_robin ->
-            (* First ready tid at or after the cursor, wrapping. *)
-            let ge = List.filter (fun t -> t >= st.rr_cursor) ready in
-            (match ge with t :: _ -> t | [] -> List.hd ready)
-      in
-      st.rr_cursor <- tid + 1;
-      (match get_state st tid with
-      | Ready p -> Some (tid, p)
-      | Waiting _ | Done -> assert false)
-
-(* Tear down every thread; buffered work is lost. *)
-let rec teardown_threads st =
-  let victim =
-    List.find_opt
-      (fun tid -> match get_state st tid with Ready _ | Waiting _ -> true | Done -> false)
-      st.tid_order
+  let tid =
+    match st.sched with
+    | Random_sched ->
+        let n = count_ready st 0 0 in
+        if n = 0 then -1 else nth_ready st ~from:0 (Rng.int st.rng n)
+    | Round_robin -> (
+        (* First ready tid at or after the cursor, wrapping. *)
+        match nth_ready st ~from:st.rr_cursor 0 with
+        | -1 -> nth_ready st ~from:0 0
+        | tid -> tid)
   in
-  match victim with
-  | None -> ()
-  | Some tid ->
-      (match get_state st tid with
-      | Ready p ->
-          set_state st tid Done;
-          p.p_abort ()
-      | Waiting w ->
-          set_state st tid Done;
-          w.w_abort ()
-      | Done -> ());
+  if tid >= 0 then st.rr_cursor <- tid + 1;
+  tid
+
+(* The first thread not yet done, or -1. *)
+let rec first_live st tid =
+  if tid >= st.next_tid then -1
+  else match get_state st tid with Done -> first_live st (tid + 1) | _ -> tid
+
+(* Tear down every thread; buffered work is lost.  An aborted thread
+   may run handlers that suspend it again, so rescan from the start. *)
+let rec teardown_threads st =
+  match first_live st 0 with
+  | -1 -> ()
+  | tid ->
+      abort st tid;
       teardown_threads st
 
 let do_crash st =
@@ -445,12 +456,14 @@ let sched_loop st =
     | Some budget when not (st.crashed || st.diverged) -> do_diverge st ~budget
     | Some _ | None -> ());
     match pick_next st with
-    | None -> continue_loop := false
-    | Some (tid, p) ->
-        if should_crash st p.p_kind then do_crash st
+    | -1 -> continue_loop := false
+    | tid ->
+        let ts = get_state st tid in
+        let kind = kind_of_state ts in
+        if should_crash st kind then do_crash st
         else begin
           st.fuel_used <- st.fuel_used + 1;
-          (match p.p_kind with
+          (match kind with
           | Op_mem -> st.ops <- st.ops + 1
           | Op_flushpt ->
               st.ops <- st.ops + 1;
@@ -458,7 +471,7 @@ let sched_loop st =
           | Op_meta | Op_crash_req -> ());
           (* Mark running before resuming so a re-suspend can overwrite. *)
           set_state st tid Done;
-          p.p_run ();
+          resume st tid ts;
           if not st.crashed then Machine.background st.machine
         end
   done
@@ -509,12 +522,10 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
       max_ops;
       deadline = Option.map (fun s -> Unix.gettimeofday () +. s) max_wall_s;
       pc = all_phase_counters.(phase_of_exec_id exec_id);
-      threads = Hashtbl.create 8;
-      tid_order = [ 0 ];
-      next_tid = 1;
+      slots = Array.init 4 new_slot;
+      next_tid = 0;
       rr_cursor = 0;
       heap_break;
-      validating = Hashtbl.create 4;
       ops = 0;
       fuel_used = 0;
       flush_points = 0;
@@ -525,13 +536,7 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
       error = None;
     }
   in
-  set_state st 0
-    (Ready
-       {
-         p_kind = Op_meta;
-         p_run = (fun () -> start_thread st 0 fn);
-         p_abort = (fun () -> set_state st 0 Done);
-       });
+  ignore (add_thread st (Fresh fn));
   sched_loop st;
   (match st.error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
