@@ -109,6 +109,30 @@ cmp "$cov1" "$cov4" || {
 }
 dune exec bin/yashme_cli.exe -- trace-lint "$cov1"
 
+echo "== model-checking determinism (report + corpus, --jobs 1 vs --jobs 4)"
+mc_report=$(mktemp /tmp/yashme-ci-mc-report.XXXXXX.txt)
+mc_corpus=$(mktemp /tmp/yashme-ci-mc-corpus.XXXXXX.jsonl)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14]' EXIT
+# Families of crash points share one pre-crash run per chunk; the
+# reports and witnesses must not depend on how many domains ran the
+# chunks.  Both runs write the same corpus path, so the report text
+# (which names it) compares byte for byte.
+for mode in mc mc-recovery; do
+  for j in 1 4; do
+    dune exec bin/yashme_cli.exe -- check-all --mode "$mode" --jobs "$j" \
+      --quiet --corpus-out "$mc_corpus" > "${mc_report}.$j"
+    cp "$mc_corpus" "${mc_corpus}.$j"
+  done
+  cmp "${mc_report}.1" "${mc_report}.4" || {
+    echo "ci: check-all --mode $mode report differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+  cmp "${mc_corpus}.1" "${mc_corpus}.4" || {
+    echo "ci: check-all --mode $mode corpus differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+done
+
 echo "== litmus-matrix smoke (variants x litmus vs committed golden)"
 # The matrix pins every built-in persistency-model variant's divergence
 # from strict-tso; any semantic drift fails against the committed table.
@@ -131,7 +155,7 @@ echo "== observatory smoke (--attribution invariance + ledger runs/compare)"
 att1=$(mktemp /tmp/yashme-ci-att1.XXXXXX.jsonl)
 att4=$(mktemp /tmp/yashme-ci-att4.XXXXXX.jsonl)
 ledger=$(mktemp /tmp/yashme-ci-ledger.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$att1" "$att4" "$ledger"' EXIT
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger"' EXIT
 rm -f "$ledger"
 # the attribution invariant projection is byte-identical across --jobs
 dune exec bin/yashme_cli.exe -- check CCEH --jobs 1 --quiet \
@@ -173,7 +197,7 @@ oracle_c4=$(mktemp /tmp/yashme-ci-oracle-c4.XXXXXX.jsonl)
 oracle_min=$(mktemp /tmp/yashme-ci-oracle-min.XXXXXX.jsonl)
 oracle_b0=$(mktemp /tmp/yashme-ci-oracle-b0.XXXXXX.jsonl)
 oracle_b1=$(mktemp /tmp/yashme-ci-oracle-b1.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1"' EXIT
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1"' EXIT
 # A budgeted soak run must stop cleanly (soak_ok=true) with a
 # manifest and progress stream the existing JSONL codec accepts.
 dune exec bin/yashme_cli.exe -- soak cceh --seed 7 --max-ops 1200 --jobs 2 \
@@ -314,7 +338,7 @@ scale_proj=$(mktemp /tmp/yashme-ci-scale-proj.XXXXXX.jsonl)
 scale_proj2=$(mktemp /tmp/yashme-ci-scale-proj2.XXXXXX.jsonl)
 scale_svg=$(mktemp /tmp/yashme-ci-scale.XXXXXX.svg)
 scale_sweep=$(mktemp /tmp/yashme-ci-scale-sweep.XXXXXX.json)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"' EXIT
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"' EXIT
 # A jobs sweep over one program: the full report, the non-timing
 # projection, and the per-domain timeline SVG must all come out
 # well-formed.

@@ -57,6 +57,7 @@ let begin_exec t ~id =
   r
 
 let record t ~id = Hashtbl.find_opt t.records id
+let adopt t r = Hashtbl.replace t.records (Exec_record.id r) r
 
 (* Figure 8, Evict_SB(clflush) / Evict_FB: record a flush for the latest
    store to every address on the flushed cache line, provided the store

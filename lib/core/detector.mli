@@ -43,6 +43,13 @@ val begin_exec : t -> id:int -> Exec_record.t
     race-checked. *)
 val record : t -> id:int -> Exec_record.t option
 
+(** Make a record begun by another detector visible to this one's
+    post-crash loads, without making it current.  A family of crash
+    points shares its pre-crash run's record this way; the loads only
+    join its [lastflush]/[cvpre], which {!Exec_record.clear_joins}
+    undoes. *)
+val adopt : t -> Exec_record.t -> unit
+
 (** Machine observer feeding the *current* execution's record; pass it
     in the machine config. *)
 val observer : t -> Px86.Observer.t

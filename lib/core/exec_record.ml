@@ -59,3 +59,13 @@ let join_lastflush t ~line cv =
 
 let cvpre t = t.cvpre
 let join_cvpre t cv = t.cvpre <- Clockvec.join t.cvpre cv
+
+(* Only post-crash loads join [lastflush] and [cvpre]; a reset table has
+   the bucket array [create] gave it, so a cleared record is the record
+   its pre-crash run left. *)
+let joins_empty t =
+  Hashtbl.length t.lastflush = 0 && Clockvec.equal t.cvpre Clockvec.empty
+
+let clear_joins t =
+  Hashtbl.reset t.lastflush;
+  t.cvpre <- Clockvec.empty

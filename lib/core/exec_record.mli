@@ -41,3 +41,18 @@ val join_lastflush : t -> line:int -> Yashme_util.Clockvec.t -> unit
 
 val cvpre : t -> Yashme_util.Clockvec.t
 val join_cvpre : t -> Yashme_util.Clockvec.t -> unit
+
+(** {2 Sharing a pre-crash record}
+
+    A pre-crash run only fills [storemap] and [flushmap]; [lastflush]
+    and [cvpre] are joined by the loads of the post-crash executions
+    that read this execution's stores.  So one pre-crash record can
+    serve several recoveries in turn, provided each recovery's joins
+    are cleared before the next one starts. *)
+
+(** No post-crash load has joined into [lastflush] or [cvpre]. *)
+val joins_empty : t -> bool
+
+(** Drop every [lastflush] and [cvpre] join, returning the record to
+    the state its pre-crash run left it in. *)
+val clear_joins : t -> unit

@@ -13,17 +13,15 @@ let now = Unix.gettimeofday
 (* ------------------------------------------------------------------ *)
 (* Setup memoization                                                    *)
 
-let run_setup (opts : Scenario.options) (p : Program.t) =
-  match p.Program.setup with
-  | None -> None
-  | Some setup ->
-      let r =
-        Executor.run ~plan:Executor.Run_to_end ~sb_policy:opts.Scenario.sb_policy
-          ~variant:opts.Scenario.variant ~seed:opts.Scenario.seed
-          ?max_ops:opts.Scenario.max_ops ?max_wall_s:opts.Scenario.max_wall_s
-          ~exec_id:setup_exec setup
-      in
-      Some r.Executor.state
+(* The setup phase: default round-robin scheduling, no detector — its
+   data is trusted after a clean shutdown. *)
+let setup_run (o : Scenario.options) fn =
+  Executor.run ~plan:Executor.Run_to_end ~sb_policy:o.Scenario.sb_policy
+    ~variant:o.Scenario.variant ~seed:o.Scenario.seed ?max_ops:o.Scenario.max_ops
+    ?max_wall_s:o.Scenario.max_wall_s ~exec_id:setup_exec fn
+
+let run_setup opts (p : Program.t) =
+  Option.map (fun fn -> (setup_run opts fn).Executor.state) p.Program.setup
 
 let materialize_setup ~(options : Scenario.options) (p : Program.t) =
   match p.Program.setup with
@@ -46,9 +44,9 @@ let materialize_setup ~(options : Scenario.options) (p : Program.t) =
 
 (* Every phase of a scenario funnels through here so pre-crash runs,
    recovery runs and crashed-recovery runs share one code path. *)
-let run_phase ?detector ?observer ?inherited ~(options : Scenario.options) ~plan
-    ~seed ~exec_id body =
-  Executor.run ?detector ?observer ?inherited ~plan
+let run_phase ?detector ?observer ?inherited ?at_flush_point
+    ~(options : Scenario.options) ~plan ~seed ~exec_id body =
+  Executor.run ?detector ?observer ?inherited ?at_flush_point ~plan
     ~sb_policy:options.Scenario.sb_policy ~variant:options.Scenario.variant
     ~cut:options.Scenario.cut ~sched:options.Scenario.sched ~seed
     ~check_candidates:options.Scenario.check_candidates
@@ -142,209 +140,212 @@ let ct_oracle = Observe.Attribution.center ~units:"ops" "oracle/observe"
    sets against lost parallel time. *)
 let ct_merge = Observe.Attribution.center ~units:"results" "engine/merge"
 
-let run_scenario (s : Scenario.t) =
+(* One scenario's bookkeeping while it runs: its detector, its execution
+   and op counts, and the sandbox state — which phase is executing,
+   whether a real crash preceded it (a raising recovery then witnesses a
+   crash-consistency bug, not an infrastructure fault), and whether any
+   phase was terminated by a budget. *)
+type run_state = {
+  s : Scenario.t;
+  t0 : float;
+  detector : Yashme.Detector.t;
+  mutable execs : int;
+  mutable ops : int;
+  mutable phase : Finding.phase;
+  mutable crash_seen : bool;
+  mutable diverged : bool;
+}
+
+let start ~t0 (s : Scenario.t) =
+  let o = s.Scenario.options in
+  {
+    s;
+    t0;
+    detector =
+      Yashme.Detector.create ~mode:o.Scenario.mode ~eadr:o.Scenario.eadr
+        ~coherence:o.Scenario.coherence ();
+    execs = 0;
+    ops = 0;
+    phase = Finding.Setup;
+    crash_seen = false;
+    diverged = false;
+  }
+
+(* Count one executor run of the scenario. *)
+let tally rs (r : Executor.result) =
+  rs.execs <- rs.execs + 1;
+  rs.ops <- rs.ops + r.Executor.ops;
+  if r.Executor.outcome = Executor.Diverged then rs.diverged <- true;
+  r
+
+(* The oracle replays the whole chain from the same durable base under
+   [Cut_lowerbound], so it takes its own copy of the hydrated setup state
+   (copy cost paid only when an oracle context is attached). *)
+let oracle_base rs inherited =
+  match (rs.s.Scenario.oracle, inherited) with
+  | Some _, Some st -> Some (Some (Px86.Crashstate.copy st))
+  | Some _, None -> Some None
+  | None, _ -> None
+
+(* Everything after the pre-crash phase: the recovery chain, the
+   oracle's observe phase and the completed record.  [pre] is the
+   pre-crash result, already tallied — a scenario's own run or a shared
+   run's materialization at this scenario's crash point. *)
+let finish rs ~base (pre : Executor.result) =
   let open Scenario in
-  let t0 = now () in
+  let s = rs.s in
   let opts = s.options in
-  let execs = ref 0 and ops = ref 0 in
-  let count (r : Executor.result) =
-    incr execs;
-    ops := !ops + r.Executor.ops;
-    r
+  let detector = rs.detector in
+  let post_flush_points = ref None in
+  let pre_fired = crash_fired ~plan:s.plan pre in
+  if pre_fired then Option.iter Observe.Coverage.crash_point (plan_index s.plan);
+  let chain_crashed =
+    pre_fired
+    && begin
+         rs.crash_seen <- true;
+         rs.phase <- Finding.Recovery 0;
+         let r1 =
+           tally rs
+             (run_phase ~detector ~options:opts ~inherited:pre.Executor.state
+                ~plan:s.post_plan ~seed:(opts.seed + 1) ~exec_id:post_exec s.post)
+         in
+         post_flush_points := Some r1.Executor.flush_points;
+         match s.post_plan with
+         | Executor.Run_to_end -> true
+         | _ ->
+             let fired = crash_fired ~plan:s.post_plan r1 in
+             if fired then begin
+               Option.iter Observe.Coverage.crash_point (plan_index s.post_plan);
+               rs.phase <- Finding.Recovery 1;
+               ignore
+                 (tally rs
+                    (run_recovery ~detector ~options:opts
+                       ~inherited:r1.Executor.state ~seed:(opts.seed + 2)
+                       ~exec_id:(post_exec + 1) s.post))
+             end;
+             fired
+       end
   in
-  let detector =
-    Yashme.Detector.create ~mode:opts.mode ~eadr:opts.eadr
-      ~coherence:opts.coherence ()
-  in
-  (* Sandbox bookkeeping: which phase is executing, whether a real crash
-     preceded it (a raising recovery then witnesses a crash-consistency
-     bug, not an infrastructure fault), and whether any phase was
-     terminated by a budget. *)
-  let phase = ref Finding.Setup in
-  let crash_seen = ref false in
-  let diverged = ref false in
-  let note (r : Executor.result) =
-    if r.Executor.outcome = Executor.Diverged then diverged := true;
-    r
-  in
-  let body () =
-    Observe.Coverage.scenario_started ();
-    Option.iter Observe.Coverage.plan_exercised (plan_index s.plan);
-    Option.iter Observe.Coverage.plan_exercised (plan_index s.post_plan);
-    let inherited =
-      match s.setup with
-      | No_setup -> None
-      | Snapshot cs -> Some (Px86.Crashstate.copy cs)
-      | Run_setup fn ->
-          (* Mirror [run_setup]: default round-robin scheduling, no
-             detector — the setup phase is trusted. *)
-          let r =
-            note
-              (count
-                 (Executor.run ~plan:Executor.Run_to_end ~sb_policy:opts.sb_policy
-                    ~variant:opts.variant ~seed:opts.seed ?max_ops:opts.max_ops
-                    ?max_wall_s:opts.max_wall_s ~exec_id:setup_exec fn))
+  (* Invariant-oracle observe phase: only when an oracle context is
+     attached and the chain really crashed and recovered — a clean
+     run has nothing to diff.  The scenario's own chain materializes
+     crashes with the configured cut (default [Cut_all], the maximal
+     recovery view the race detector wants), so the oracle replays
+     the identical chain — same plans, same seeds, hence the same
+     schedules and crash points — under [Cut_lowerbound]: the image
+     holding only what flushes {e guarantee}, the states a real
+     power failure is allowed to expose.  Recovery runs over that
+     image too (recovery may legitimately repair), then the observe
+     hook snapshots the recovered store and the check diffs it
+     against the invariant-reachable states.  All replay executions
+     are detector-free (observation never adds races) and inside the
+     sandbox, so a throwing hook is a contained [Observe]-phase
+     fault.  None of this runs without an oracle context, keeping
+     oracle-off runs byte-identical. *)
+  let observed = ref false in
+  let violations = ref [] in
+  (match (s.oracle, base) with
+  | Some oc, Some base when chain_crashed ->
+      rs.phase <- Finding.Observe;
+      let lopts = { opts with Scenario.cut = Px86.Machine.Cut_lowerbound } in
+      let o_ops = ref 0 in
+      let track (r : Executor.result) =
+        o_ops := !o_ops + r.Executor.ops;
+        tally rs r
+      in
+      let o_pre =
+        track
+          (run_phase ?inherited:base ~options:lopts ~plan:s.plan
+             ~seed:opts.seed ~exec_id:(post_exec + 2) s.pre)
+      in
+      let o_final =
+        if not (crash_fired ~plan:s.plan o_pre) then None
+        else
+          let o_r1 =
+            track
+              (run_phase ~options:lopts ~inherited:o_pre.Executor.state
+                 ~plan:s.post_plan ~seed:(opts.seed + 1)
+                 ~exec_id:(post_exec + 3) s.post)
           in
-          Some r.Executor.state
-    in
-    (* The oracle replays the whole chain from the same durable base
-       under [Cut_lowerbound], so duplicate the hydrated setup image
-       before the pre phase consumes it (copy cost paid only when an
-       oracle context is attached). *)
-    let oracle_base =
-      match (s.oracle, inherited) with
-      | Some _, Some st -> Some (Some (Px86.Crashstate.copy st))
-      | Some _, None -> Some None
-      | None, _ -> None
-    in
-    phase := Finding.Pre_crash;
-    let pre_result =
-      note
-        (count
-           (run_phase ~detector ?inherited ~options:opts ~plan:s.plan
-              ~seed:opts.seed ~exec_id:pre_exec s.pre))
-    in
-    let post_flush_points = ref None in
-    let pre_fired = crash_fired ~plan:s.plan pre_result in
-    if pre_fired then Option.iter Observe.Coverage.crash_point (plan_index s.plan);
-    let chain_crashed =
-      pre_fired
-      && begin
-           crash_seen := true;
-           phase := Finding.Recovery 0;
-           let r1 =
-             note
-               (count
-                  (run_phase ~detector ~options:opts
-                     ~inherited:pre_result.Executor.state ~plan:s.post_plan
-                     ~seed:(opts.seed + 1) ~exec_id:post_exec s.post))
-           in
-           post_flush_points := Some r1.Executor.flush_points;
-           match s.post_plan with
-           | Executor.Run_to_end -> true
-           | _ ->
-               let fired = crash_fired ~plan:s.post_plan r1 in
-               if fired then begin
-                 Option.iter Observe.Coverage.crash_point (plan_index s.post_plan);
-                 phase := Finding.Recovery 1;
-                 ignore
-                   (note
-                      (count
-                         (run_recovery ~detector ~options:opts
-                            ~inherited:r1.Executor.state ~seed:(opts.seed + 2)
-                            ~exec_id:(post_exec + 1) s.post)))
-               end;
-               fired
-         end
-    in
-    (* Invariant-oracle observe phase: only when an oracle context is
-       attached and the chain really crashed and recovered — a clean
-       run has nothing to diff.  The scenario's own chain materializes
-       crashes with the configured cut (default [Cut_all], the maximal
-       recovery view the race detector wants), so the oracle replays
-       the identical chain — same plans, same seeds, hence the same
-       schedules and crash points — under [Cut_lowerbound]: the image
-       holding only what flushes {e guarantee}, the states a real
-       power failure is allowed to expose.  Recovery runs over that
-       image too (recovery may legitimately repair), then the observe
-       hook snapshots the recovered store and the check diffs it
-       against the invariant-reachable states.  All replay executions
-       are detector-free (observation never adds races) and inside the
-       sandbox, so a throwing hook is a contained [Observe]-phase
-       fault.  None of this runs without an oracle context, keeping
-       oracle-off runs byte-identical. *)
-    let observed = ref false in
-    let violations = ref [] in
-    (match (s.oracle, oracle_base) with
-    | Some oc, Some base when chain_crashed ->
-        phase := Finding.Observe;
-        let lopts = { opts with Scenario.cut = Px86.Machine.Cut_lowerbound } in
-        let o_ops = ref 0 in
-        let track (r : Executor.result) =
-          o_ops := !o_ops + r.Executor.ops;
-          note (count r)
-        in
-        let o_pre =
-          track
-            (run_phase ?inherited:base ~options:lopts ~plan:s.plan
-               ~seed:opts.seed ~exec_id:(post_exec + 2) s.pre)
-        in
-        let o_final =
-          if not (crash_fired ~plan:s.plan o_pre) then None
-          else
-            let o_r1 =
-              track
-                (run_phase ~options:lopts ~inherited:o_pre.Executor.state
-                   ~plan:s.post_plan ~seed:(opts.seed + 1)
-                   ~exec_id:(post_exec + 3) s.post)
-            in
-            match s.post_plan with
-            | Executor.Run_to_end -> Some o_r1.Executor.state
-            | _ ->
-                if not (crash_fired ~plan:s.post_plan o_r1) then None
-                else
-                  let o_r2 =
-                    track
-                      (run_recovery ~options:lopts
-                         ~inherited:o_r1.Executor.state ~seed:(opts.seed + 2)
-                         ~exec_id:(post_exec + 4) s.post)
-                  in
-                  Some o_r2.Executor.state
-        in
-        (match o_final with
-        | None -> ()
-        | Some st ->
-            let snap = ref [] in
-            ignore
-              (track
-                 (run_phase ~options:lopts ~inherited:st
-                    ~plan:Executor.Run_to_end ~seed:(opts.seed + 3)
-                    ~exec_id:(post_exec + 5) (fun () ->
-                      snap := oc.oc_observe ())));
-            observed := true;
-            Observe.Coverage.oracle_checked ();
-            if Observe.Attribution.is_enabled () then
-              Observe.Attribution.charge ct_oracle ~count:1 ~units:!o_ops ();
-            let vs = oc.oc_check ~observed:!snap in
-            List.iter
-              (fun _ ->
-                Observe.Coverage.oracle_violation ();
-                Observe.Metrics.incr m_oracle_violations)
-              vs;
-            violations := vs)
-    | (Some _ | None), _ -> ());
-    {
-      label = s.label;
-      races = Yashme.Detector.races detector;
-      chain_crashed;
-      diverged = !diverged;
-      executions = !execs;
-      ops = !ops;
-      flush_points = pre_result.Executor.flush_points;
-      post_flush_points = !post_flush_points;
-      observed = !observed;
-      violations = !violations;
-      wall_s = now () -. t0;
-    }
-  in
+          match s.post_plan with
+          | Executor.Run_to_end -> Some o_r1.Executor.state
+          | _ ->
+              if not (crash_fired ~plan:s.post_plan o_r1) then None
+              else
+                let o_r2 =
+                  track
+                    (run_recovery ~options:lopts
+                       ~inherited:o_r1.Executor.state ~seed:(opts.seed + 2)
+                       ~exec_id:(post_exec + 4) s.post)
+                in
+                Some o_r2.Executor.state
+      in
+      (match o_final with
+      | None -> ()
+      | Some st ->
+          let snap = ref [] in
+          ignore
+            (track
+               (run_phase ~options:lopts ~inherited:st
+                  ~plan:Executor.Run_to_end ~seed:(opts.seed + 3)
+                  ~exec_id:(post_exec + 5) (fun () ->
+                    snap := oc.oc_observe ())));
+          observed := true;
+          Observe.Coverage.oracle_checked ();
+          if Observe.Attribution.is_enabled () then
+            Observe.Attribution.charge ct_oracle ~count:1 ~units:!o_ops ();
+          let vs = oc.oc_check ~observed:!snap in
+          List.iter
+            (fun _ ->
+              Observe.Coverage.oracle_violation ();
+              Observe.Metrics.incr m_oracle_violations)
+            vs;
+          violations := vs)
+  | (Some _ | None), _ -> ());
+  {
+    label = s.label;
+    races = Yashme.Detector.races detector;
+    chain_crashed;
+    diverged = rs.diverged;
+    executions = rs.execs;
+    ops = rs.ops;
+    flush_points = pre.Executor.flush_points;
+    post_flush_points = !post_flush_points;
+    observed = !observed;
+    violations = !violations;
+    wall_s = now () -. rs.t0;
+  }
+
+(* Run [body] as scenario [rs]: under its label as the ambient coverage
+   program, with any exception captured as a fault of the phase that
+   was executing. *)
+let sandboxed rs body =
+  let s = rs.s in
+  let opts = s.Scenario.options in
   match
     Observe.Coverage.with_program
-      ~variant:(Px86.Variant.label opts.variant)
-      s.label body
+      ~variant:(Px86.Variant.label opts.Scenario.variant)
+      s.Scenario.label
+      (fun () ->
+        Observe.Coverage.scenario_started ();
+        Option.iter Observe.Coverage.plan_exercised (plan_index s.Scenario.plan);
+        Option.iter Observe.Coverage.plan_exercised
+          (plan_index s.Scenario.post_plan);
+        body ())
   with
   | c -> Completed c
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       let info =
         {
-          Finding.label = s.label;
-          phase = !phase;
+          Finding.label = s.Scenario.label;
+          phase = rs.phase;
           exn_text = Printexc.to_string e;
           backtrace = Printexc.raw_backtrace_to_string bt;
-          plan = Executor.plan_label s.plan;
-          post_plan = Executor.plan_label s.post_plan;
-          seed = opts.seed;
-          crash_fired = !crash_seen;
+          plan = Executor.plan_label s.Scenario.plan;
+          post_plan = Executor.plan_label s.Scenario.post_plan;
+          seed = opts.Scenario.seed;
+          crash_fired = rs.crash_seen;
         }
       in
       Observe.Metrics.incr m_faults;
@@ -354,8 +355,8 @@ let run_scenario (s : Scenario.t) =
         Observe.Trace.instant ~cat:"engine" "fault"
           ~args:
             [
-              ("label", s.label);
-              ("phase", Finding.phase_label !phase);
+              ("label", s.Scenario.label);
+              ("phase", Finding.phase_label rs.phase);
               ("plan", info.Finding.plan);
               ("exn", info.Finding.exn_text);
               ( "kind",
@@ -367,11 +368,229 @@ let run_scenario (s : Scenario.t) =
           f_info = info;
           f_exn = e;
           f_backtrace = bt;
-          f_races = Yashme.Detector.races detector;
-          f_executions = !execs;
-          f_ops = !ops;
-          f_wall_s = now () -. t0;
+          f_races = Yashme.Detector.races rs.detector;
+          f_executions = rs.execs;
+          f_ops = rs.ops;
+          f_wall_s = now () -. rs.t0;
         }
+
+let run_scenario_from ~t0 (s : Scenario.t) =
+  let rs = start ~t0 s in
+  sandboxed rs (fun () ->
+      let opts = s.Scenario.options in
+      let inherited =
+        match s.Scenario.setup with
+        | Scenario.No_setup -> None
+        | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
+        | Scenario.Run_setup fn ->
+            Some (tally rs (setup_run opts fn)).Executor.state
+      in
+      let base = oracle_base rs inherited in
+      rs.phase <- Finding.Pre_crash;
+      let pre =
+        tally rs
+          (run_phase ~detector:rs.detector ?inherited ~options:opts
+             ~plan:s.Scenario.plan ~seed:opts.Scenario.seed ~exec_id:pre_exec
+             s.Scenario.pre)
+      in
+      finish rs ~base pre)
+
+let run_scenario s = run_scenario_from ~t0:(now ()) s
+
+(* The trace span of scenario [i]: cat ["scenario"] for a scenario run
+   on its own, ["member"] for one served inside a family chunk (whose
+   own span carries the ["scenario"] cat). *)
+let scenario_span ~cat i (s : Scenario.t) f =
+  Observe.Span.with_ ~cat
+    ~args:
+      [
+        ("index", string_of_int i);
+        ("label", s.Scenario.label);
+        ("plan", Executor.plan_label s.Scenario.plan);
+      ]
+    s.Scenario.label f
+
+(* ------------------------------------------------------------------ *)
+(* Families: one pre-crash run serves many crash points                 *)
+
+(* Scenarios that agree on everything the pre-crash phase depends on
+   and crash it at a flush point or at its end run the same pre-crash
+   prefix.  [Cut_random] is left out: its draws are shared state.  So
+   are scenarios with an oracle context: the observe phase replays the
+   pre-crash program, which would run inside the suspended shared run
+   and could disturb volatile state the program keeps outside the
+   simulated machine (Memcached's LRU clock). *)
+let shareable (s : Scenario.t) =
+  Scenario.parallel_safe s
+  && Option.is_none s.Scenario.oracle
+  &&
+  match s.Scenario.plan with
+  | Executor.Crash_before_flush _ | Executor.Crash_at_end -> true
+  | Executor.Run_to_end | Executor.Crash_before_op _ -> false
+
+let same_family (a : Scenario.t) (b : Scenario.t) =
+  String.equal a.Scenario.label b.Scenario.label
+  && a.Scenario.setup == b.Scenario.setup
+  && a.Scenario.options == b.Scenario.options
+  && a.Scenario.pre == b.Scenario.pre
+
+(* Members per chunk.  A constant, so the split — and with it every
+   counter the shared runs move — is the same at every [jobs]. *)
+let chunk_size = 64
+
+(* A unit of work: one scenario, or a chunk of [len] consecutive family
+   members from submission index [first]. *)
+type item = Single of int | Chunk of { first : int; len : int }
+
+let work_items (arr : Scenario.t array) =
+  let n = Array.length arr in
+  let rec from i acc =
+    if i >= n then List.rev acc
+    else
+      let s = arr.(i) in
+      let rec stop j =
+        if
+          j < n
+          && j - i < chunk_size
+          && shareable arr.(j)
+          && same_family s arr.(j)
+        then stop (j + 1)
+        else j
+      in
+      let j = if shareable s then stop (i + 1) else i + 1 in
+      let item = if j - i = 1 then Single i else Chunk { first = i; len = j - i } in
+      from j (item :: acc)
+  in
+  Array.of_list (from 0 [])
+
+(* The furthest crash point of a chunk: [Crash_at_end] beyond every
+   flush point. *)
+let furthest a b =
+  match (a, b) with
+  | Executor.Crash_at_end, _ | _, Executor.Crash_at_end -> Executor.Crash_at_end
+  | Executor.Crash_before_flush x, Executor.Crash_before_flush y ->
+      Executor.Crash_before_flush (max x y)
+  | _ -> invalid_arg "Engine.furthest: not a family plan"
+
+(* Serve family member [rs] from a shared pre-crash run: [record] is that
+   run's execution record, [setup] its setup run (if the family re-runs
+   its setup), [inherited] its setup state and [pre] the result the
+   member's own pre-crash phase would have returned.  The member's
+   detector reads the shared record; its post-crash joins are cleared
+   before the shared run resumes. *)
+let serve_member rs ~record ~setup ~inherited pre =
+  Yashme.Detector.adopt rs.detector record;
+  let r =
+    sandboxed rs (fun () ->
+        Option.iter (fun r -> ignore (tally rs r)) setup;
+        let base = oracle_base rs inherited in
+        rs.phase <- Finding.Pre_crash;
+        finish rs ~base (tally rs pre))
+  in
+  Yashme.Exec_record.clear_joins record;
+  r
+
+let run_member ~record ?inherited s pre =
+  serve_member (start ~t0:(now ()) s) ~record ~setup:None ~inherited pre
+
+(* Run the chunk of [len] family members from [arr.(first)] on the
+   calling domain.  One pre-crash run crashes where the furthest member
+   does, so its own result serves that member; every other member is
+   served at its flush point through the executor's [at_flush_point]
+   hook.  Members the shared run cannot serve — the run faulted, was
+   stopped by a budget or crashed early ([Pmem.crash_now]) — fall back
+   to [run_scenario_from].  [emit i r] records member [i]'s result;
+   [cancelled ()] is fail-fast's stop flag, checked before each member:
+   a member left unserved once it is up is cancelled.
+   A member's wall time runs from the previous member's end, so it
+   includes its share of the pre-crash run. *)
+let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
+  let member k = arr.(first + k) in
+  let s0 = member 0 in
+  let opts = s0.Scenario.options in
+  let last =
+    let rec go k acc =
+      if k = len then acc else go (k + 1) (furthest acc (member k).Scenario.plan)
+    in
+    go 1 s0.Scenario.plan
+  in
+  let served = Array.make len false in
+  let clock = ref (now ()) in
+  let deliver k r =
+    served.(k) <- true;
+    emit (first + k) r;
+    clock := now ()
+  in
+  let member_span k f = scenario_span ~cat:"member" (first + k) (member k) f in
+  let shared =
+    Yashme.Detector.create ~mode:opts.Scenario.mode ~eadr:opts.Scenario.eadr
+      ~coherence:opts.Scenario.coherence ()
+  in
+  let serve k ~setup ~inherited pre =
+    if not (cancelled ()) then
+      match Yashme.Detector.record shared ~id:pre_exec with
+      | None -> ()
+      | Some record ->
+          let rs = start ~t0:!clock (member k) in
+          deliver k
+            (member_span k (fun () ->
+                 serve_member rs ~record ~setup ~inherited pre))
+  in
+  let shared_run () =
+    match
+      match s0.Scenario.setup with
+      | Scenario.No_setup -> (None, None)
+      | Scenario.Snapshot cs -> (None, Some (Px86.Crashstate.copy cs))
+      | Scenario.Run_setup fn ->
+          let r = setup_run opts fn in
+          (Some r, Some r.Executor.state)
+    with
+    | exception _ -> () (* a setup fault: every member falls back *)
+    | setup, inherited -> (
+        let at_flush_point n crash =
+          let pre = lazy (crash ()) in
+          for k = 0 to len - 1 do
+            match (member k).Scenario.plan with
+            | Executor.Crash_before_flush m when m = n && not served.(k) ->
+                serve k ~setup ~inherited (Lazy.force pre)
+            | _ -> ()
+          done
+        in
+        match
+          run_phase ~detector:shared ?inherited ~options:opts ~plan:last
+            ~seed:opts.Scenario.seed ~exec_id:pre_exec ~at_flush_point
+            s0.Scenario.pre
+        with
+        | exception _ -> () (* a pre-crash fault: members past it fall back *)
+        | r ->
+            (* A run that completed before reaching its flush point is
+               also every unreached member's run. *)
+            let unfired =
+              r.Executor.outcome = Executor.Completed
+              && last <> Executor.Crash_at_end
+            in
+            for k = 0 to len - 1 do
+              if (not served.(k)) && (unfired || (member k).Scenario.plan = last)
+              then serve k ~setup ~inherited r
+            done)
+  in
+  Observe.Span.with_ ~cat:"scenario"
+    ~args:
+      [
+        ("index", string_of_int first);
+        ("members", string_of_int len);
+        ("plan", Executor.plan_label last);
+      ]
+    s0.Scenario.label
+    (fun () ->
+      Observe.Coverage.with_program
+        ~variant:(Px86.Variant.label opts.Scenario.variant)
+        s0.Scenario.label shared_run;
+      for k = 0 to len - 1 do
+        if (not served.(k)) && not (cancelled ()) then
+          deliver k
+            (member_span k (fun () -> run_scenario_from ~t0:!clock (member k)))
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* The worker pool                                                      *)
@@ -493,15 +712,18 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
     end
   in
   let out = Array.make n None in
+  let items = work_items arr in
   Observe.Progress.batch n;
   Observe.Progress.set_jobs jobs;
   let next = Atomic.make 0 in
   (* Cooperative cancellation for fail-fast: a worker that records a
      fault raises the flag; every worker re-checks it before claiming
-     the next queue entry, so in-flight scenarios finish but the rest
-     of the queue is cancelled — never silently "completed". *)
+     the next work item and before each family member, so in-flight
+     scenarios finish but the rest of the queue is cancelled — never
+     silently "completed". *)
   let stop = Atomic.make false in
-  (* Workers claim the next unstarted scenario; each result lands in
+  let cancelled () = fail_fast && Atomic.get stop in
+  (* Workers claim the next unstarted work item; each result lands in
      its scenario's slot, so the merge below is in submission order no
      matter which domain finished first.  Each worker owns trace lane
      (pid 0, tid = slot): scenario spans land in their worker's lane,
@@ -515,62 +737,61 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
       (fun () ->
         let att = Observe.Attribution.is_enabled () in
         let idle_since = ref (if att then Observe.Trace.now_us () else 0) in
+        let gc_mark = ref None in
+        (* Record scenario [i]'s result.  Work and GC are charged per
+           scenario: the GC delta runs from the previous result of this
+           worker (or the claim), like the scenario's wall time. *)
+        let emit i r =
+          if att then begin
+            let execs, wall =
+              match r with
+              | Completed c -> (c.executions, c.wall_s)
+              | Faulted f -> (f.f_executions, f.f_wall_s)
+            in
+            Observe.Attribution.charge ct_work ~count:1 ~units:execs
+              ~wall_us:(int_of_float (wall *. 1e6))
+              ();
+            let g1 = Gc.quick_stat () in
+            (match !gc_mark with
+            | Some g0 ->
+                Observe.Attribution.charge ct_gc_minor ~count:1
+                  ~units:(int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words))
+                  ();
+                Observe.Attribution.charge ct_gc_major ~count:1
+                  ~units:(int_of_float (g1.Gc.major_words -. g0.Gc.major_words))
+                  ()
+            | None -> ());
+            gc_mark := Some g1
+          end;
+          out.(i) <- Some r;
+          (match r with
+          | Completed c ->
+              Observe.Progress.tick ~lane:slot ~races:(List.length c.races)
+                ~faulted:false ()
+          | Faulted f ->
+              Observe.Progress.tick ~lane:slot ~races:(List.length f.f_races)
+                ~faulted:true ());
+          match r with
+          | Faulted _ when fail_fast -> Atomic.set stop true
+          | Faulted _ | Completed _ -> ()
+        in
         let rec loop () =
           if not (Atomic.get stop) then begin
-            let i = Atomic.fetch_and_add next 1 in
-            if i < n then begin
-              if att then
+            let k = Atomic.fetch_and_add next 1 in
+            if k < Array.length items then begin
+              if att then begin
                 Observe.Attribution.charge ct_queue_wait ~count:1
                   ~wall_us:(Observe.Trace.now_us () - !idle_since)
                   ();
-              let s = arr.(i) in
-              let gc0 = if att then Some (Gc.quick_stat ()) else None in
-              let w0 = if att then Observe.Trace.now_us () else 0 in
-              let r =
-                Observe.Span.with_ ~cat:"scenario"
-                  ~args:
-                    [
-                      ("index", string_of_int i);
-                      ("label", s.Scenario.label);
-                      ("plan", Executor.plan_label s.Scenario.plan);
-                    ]
-                  s.Scenario.label
-                  (fun () -> run_scenario s)
-              in
-              if att then begin
-                let w1 = Observe.Trace.now_us () in
-                let execs =
-                  match r with
-                  | Completed c -> c.executions
-                  | Faulted f -> f.f_executions
-                in
-                Observe.Attribution.charge ct_work ~count:1 ~units:execs
-                  ~wall_us:(w1 - w0) ();
-                (match gc0 with
-                | Some g0 ->
-                    let g1 = Gc.quick_stat () in
-                    Observe.Attribution.charge ct_gc_minor ~count:1
-                      ~units:
-                        (int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words))
-                      ();
-                    Observe.Attribution.charge ct_gc_major ~count:1
-                      ~units:
-                        (int_of_float (g1.Gc.major_words -. g0.Gc.major_words))
-                      ()
-                | None -> ());
-                idle_since := w1
+                gc_mark := Some (Gc.quick_stat ())
               end;
-              out.(i) <- Some r;
-              (match r with
-              | Completed c ->
-                  Observe.Progress.tick ~lane:slot
-                    ~races:(List.length c.races) ~faulted:false ()
-              | Faulted f ->
-                  Observe.Progress.tick ~lane:slot
-                    ~races:(List.length f.f_races) ~faulted:true ());
-              (match r with
-              | Faulted _ when fail_fast -> Atomic.set stop true
-              | Faulted _ | Completed _ -> ());
+              (match items.(k) with
+              | Single i ->
+                  emit i
+                    (scenario_span ~cat:"scenario" i arr.(i) (fun () ->
+                         run_scenario arr.(i)))
+              | Chunk { first; len } -> run_chunk ~emit ~cancelled arr ~first ~len);
+              if att then idle_since := Observe.Trace.now_us ();
               loop ()
             end
           end

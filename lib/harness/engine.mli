@@ -17,6 +17,37 @@
       the deduplicated race report byte-identical to a sequential run
       (see {!Yashme.Race.merge_ordered}).
 
+    {b Families.}  A model-checking batch is mostly scenarios that
+    differ only in where the pre-crash run crashes, so each would
+    re-execute the same pre-crash prefix.  The engine instead groups a
+    {e family} — a run of consecutive scenarios with the same label,
+    and physically the same [setup], [options] and [pre], whose plans
+    are [Crash_before_flush n] or [Crash_at_end] (any [post_plan]; no
+    [Cut_random], no oracle context) — into {e chunks} of a fixed
+    number of members.  A chunk is one work-queue entry.  Its worker
+    runs one pre-crash {!Pm_runtime.Executor.run} with a detector
+    attached, planned to crash where the chunk's furthest member does.
+    At each other member's flush point the executor's [at_flush_point]
+    hook materializes the crash state with {!Px86.Machine.crash}, as
+    that member's own crashing run would, and the member's recovery
+    chain runs inline ({!run_member}; the chain code is
+    {!run_scenario}'s).  What members share is read-only: the setup
+    state (one {!Px86.Crashstate.copy} per chunk), the crash state of
+    a flush point (runs never mutate their inherited state), and the
+    pre-crash {!Yashme.Exec_record.t}, whose [lastflush]/[cvpre] joins
+    a member's recovery makes are cleared before the pre-crash run
+    resumes.  Members the shared run cannot serve — after a pre-crash
+    fault, a budget divergence or a [Pmem.crash_now] — fall back to
+    {!run_scenario}; once fail-fast's stop flag is up, unserved members
+    are cancelled like queued scenarios.  The chunk size is a constant, so
+    every result, counter, coverage and attribution total is the same
+    at every [jobs].  Counters of executed work count less: the
+    [executor/pre/*] operation counters, [phase/pre], [px86/snapshot_copies],
+    [px86/crash_materializations] (one per flush point, not per member)
+    and [detector/flush_records].  A member's [wall_s] includes the
+    pre-crash run time its worker spent since the previous member it
+    served.
+
     {b Fault isolation.}  A misbehaving scenario never poisons the
     batch.  {!run_scenario} sandboxes every phase: an exception raised
     by setup, pre-crash or recovery code is captured (with its raw
@@ -38,7 +69,8 @@
     Determinism contract: for any [jobs >= 1], [run ~jobs scenarios]
     returns the same {!scenario_result} list (modulo wall times;
     compare with {!signature} / {!structural}) as [run ~jobs:1
-    scenarios] — faults and fuel divergences included.  Wall-clock
+    scenarios], and as {!run_scenario} applied to each scenario in
+    turn — faults and fuel divergences included.  Wall-clock
     budgets and fail-fast cancellation are the two knobs that trade
     this determinism away (documented per knob).  Scenarios whose
     options are not domain-safe ({!Scenario.parallel_safe}) force
@@ -48,7 +80,9 @@
     Observability: when the {!Observe.Trace} sink is recording, the
     engine emits a [batch] span plus per-worker [worker] spans (trace
     lane pid 0, tid = worker slot) containing one [scenario] span per
-    scenario, tagged with submission index, label and crash plan;
+    work item — a scenario, tagged with submission index, label and
+    crash plan, or a family chunk holding one [member]-category span
+    per member;
     executor and machine sub-spans inherit the worker's lane.  Faults
     raise [fault] instants in the faulting worker's lane, divergences
     raise [diverged] instants (executor), cancelled queue entries raise
@@ -82,11 +116,13 @@ val materialize_setup : options:Scenario.options -> Program.t -> Scenario.setup
 
 (** Run one phase of a scenario.  All pre-crash, recovery and
     crashed-recovery executions go through this single code path,
-    including the budget options. *)
+    including the budget options and a family's shared pre-crash run
+    ([at_flush_point], see {!Pm_runtime.Executor.run}). *)
 val run_phase :
   ?detector:Yashme.Detector.t ->
   ?observer:Px86.Observer.t ->
   ?inherited:Px86.Crashstate.t ->
+  ?at_flush_point:(int -> (unit -> Pm_runtime.Executor.result) -> unit) ->
   options:Scenario.options ->
   plan:Pm_runtime.Executor.plan ->
   seed:int ->
@@ -156,9 +192,28 @@ type fault = {
 
 type scenario_result = Completed of completed | Faulted of fault
 
-(** Execute one scenario on the calling domain.  Never raises: phase
-    exceptions are captured as {!Faulted}. *)
+(** Execute one scenario on the calling domain, from its setup state
+    on.  Never raises: phase exceptions are captured as {!Faulted}.
+    Replay, minimization, soak and random mode run scenarios this way
+    (none of their batches forms a family). *)
 val run_scenario : Scenario.t -> scenario_result
+
+(** Serve one family member from a shared pre-crash run: what {!run}
+    does for each member the shared run reaches.  [record] is the
+    shared run's pre-crash {!Yashme.Exec_record.t}, [inherited] the
+    setup state it started from, and [pre] the result the member's own
+    pre-crash phase would have returned (for [Crash_before_flush n],
+    the [at_flush_point] materialization at flush point [n]).  The
+    member's detector reads [record]; the [lastflush]/[cvpre] joins its
+    recovery makes are cleared before this returns, leaving [record]
+    exactly as it was.  For members without a setup run ([No_setup] or
+    [Snapshot]).  Never raises. *)
+val run_member :
+  record:Yashme.Exec_record.t ->
+  ?inherited:Px86.Crashstate.t ->
+  Scenario.t ->
+  Pm_runtime.Executor.result ->
+  scenario_result
 
 type stats = {
   jobs : int;  (** worker domains actually used *)
@@ -227,12 +282,14 @@ type run_result = { results : scenario_result list; stats : stats }
 
 (** Execute the batch on [jobs] domains (default 1; clamped to the
     batch size and to 1 for non-{!Scenario.parallel_safe} batches).
-    Results are in submission order and {e complete}: faulting
-    scenarios appear as {!Faulted}, healthy ones as {!Completed}, and
-    no result is ever discarded.
+    Families run in chunks (see the module description).  Results are
+    in submission order and {e complete}: faulting scenarios appear as
+    {!Faulted}, healthy ones as {!Completed}, and no result is ever
+    discarded.
 
     With [fail_fast] (default false), a recorded fault raises a stop
-    flag that workers check before claiming the next queue entry;
+    flag that workers check before claiming the next queue entry and
+    before serving each family member;
     remaining entries are cancelled (visible as [engine/cancelled]
     counter ticks and [cancelled] trace instants, since the result
     record never materializes) and the earliest-submitted recorded

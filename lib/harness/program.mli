@@ -6,7 +6,11 @@ type t = {
       (** optional pre-population phase, always run to clean completion
           before the crashy phase (e.g. creating the pool) *)
   pre : unit -> unit;  (** the pre-crash workload *)
-  post : unit -> unit;  (** the post-crash recovery / reader *)
+  post : unit -> unit;
+      (** the post-crash recovery / reader.  Model checking may run it
+          while the pre-crash workload is suspended at a crash point
+          (see [Engine]), so it must not change volatile (OCaml-side)
+          state the workload reads; it may read such state freely *)
   observe : (unit -> (string * string) list) option;
       (** optional state snapshot for the invariant oracle: read the
           recovered structure's observable fields as (name, value)

@@ -5,7 +5,15 @@
     programs, the crash plan and the harness options.  Scenarios are
     pure descriptions: building one runs nothing, and two scenarios
     never share mutable state (a {!Snapshot} is copied before use), so
-    the {!Engine} is free to execute them in any order on any domain. *)
+    the {!Engine} is free to execute them in any order on any domain.
+
+    Scenarios built from the same [setup], [options] and [pre] values
+    (as {!of_program} does for every plan of one program) and crashing
+    at a flush point or at the end form a {e family}: the engine runs
+    their common pre-crash prefix once per chunk of members and serves
+    each member at its crash point, with results identical to running
+    each scenario on its own.  Build a batch's scenarios from shared
+    values to get this; copies of equal values run one by one. *)
 
 type options = {
   mode : Yashme.Detector.mode;
@@ -51,8 +59,9 @@ val options_randomized : options -> bool
     - [No_setup]: the program has no setup phase; boot from pristine
       memory.
     - [Snapshot cs]: the memoized setup state, computed once per
-      program.  Workers take a {!Px86.Crashstate.copy} before running,
-      so a scenario can never mutate the shared snapshot.  Only valid
+      program.  Workers take a {!Px86.Crashstate.copy} before running
+      (one per scenario, or one per family chunk), so a scenario can
+      never mutate the shared snapshot.  Only valid
       when the setup phase is seed-independent (eager store-buffer
       drain); {!Engine.materialize_setup} decides.
     - [Run_setup fn]: re-execute the setup phase with the scenario's

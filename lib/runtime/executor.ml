@@ -142,7 +142,10 @@ type state = {
   rng : Rng.t;
   exec_id : int;
   max_ops : int option;  (** fuel: scheduled operations before [Diverged] *)
-  deadline : float option;  (** absolute wall-clock cutoff *)
+  mutable deadline : float option;
+      (** absolute wall-clock cutoff, pushed back by [at_flush_point] time *)
+  at_flush_point : (int -> (unit -> result) -> unit) option;
+  mutable paused_s : float;  (** wall time spent inside [at_flush_point] *)
   pc : phase_counters;  (** this execution's phase counters *)
   mutable slots : slot array;
       (** indexed by tid; tids are handed out in spawn order, so
@@ -399,14 +402,36 @@ let rec teardown_threads st =
       abort st tid;
       teardown_threads st
 
-let do_crash st =
+(* The durable state a crash here leaves behind.  [Machine.crash] only
+   reads the machine, so the run can also go on afterwards. *)
+let crash_here st =
   Metrics.incr m_crashes;
-  st.crashed <- true;
-  st.crashed_at_op <- Some st.ops;
   let cs = Machine.crash st.machine ~strategy:st.cut in
   cs.Px86.Crashstate.heap_break <- st.heap_break;
-  st.crash_state <- Some cs;
+  cs
+
+let do_crash st =
+  st.crashed <- true;
+  st.crashed_at_op <- Some st.ops;
+  st.crash_state <- Some (crash_here st);
   teardown_threads st
+
+(* Offer flush point [st.flush_points] to the [at_flush_point] hook with
+   the result a [Crash_before_flush] run would return here.  The hook's
+   time is not the run's: the wall-clock budget is pushed back by it. *)
+let offer_flush_point st serve =
+  let t0 = Unix.gettimeofday () in
+  serve st.flush_points (fun () ->
+      {
+        outcome = Crashed;
+        state = crash_here st;
+        ops = st.ops;
+        flush_points = st.flush_points;
+        crashed_at_op = Some st.ops;
+      });
+  let dt = Unix.gettimeofday () -. t0 in
+  st.paused_s <- st.paused_s +. dt;
+  st.deadline <- Option.map (fun d -> d +. dt) st.deadline
 
 (* A budget fired: terminate the runaway phase.  Unlike a crash this is
    not a simulated power failure — the phase is killed and the scenario
@@ -462,6 +487,10 @@ let sched_loop st =
         let kind = kind_of_state ts in
         if should_crash st kind then do_crash st
         else begin
+          (match (kind, st.at_flush_point) with
+          | Op_flushpt, Some serve when st.error = None ->
+              offer_flush_point st serve
+          | (Op_mem | Op_flushpt | Op_meta | Op_crash_req), _ -> ());
           st.fuel_used <- st.fuel_used + 1;
           (match kind with
           | Op_mem -> st.ops <- st.ops + 1
@@ -481,7 +510,7 @@ let sched_loop st =
 let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
     ?(variant = Px86.Variant.strict_tso) ?(cut = Machine.Cut_all)
     ?(sched = Round_robin) ?(seed = 0) ?(check_candidates = true) ?max_ops
-    ?max_wall_s ?observer:extra ~exec_id fn =
+    ?max_wall_s ?observer:extra ?at_flush_point ~exec_id fn =
   let span_t0 =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
@@ -521,6 +550,8 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
       exec_id;
       max_ops;
       deadline = Option.map (fun s -> Unix.gettimeofday () +. s) max_wall_s;
+      at_flush_point;
+      paused_s = 0.;
       pc = all_phase_counters.(phase_of_exec_id exec_id);
       slots = Array.init 4 new_slot;
       next_tid = 0;
@@ -567,7 +598,8 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
   if att then
     Observe.Attribution.charge att_phase_centers.(phase_of_exec_id exec_id)
       ~count:1 ~units:st.ops
-      ~wall_us:(Observe.Trace.now_us () - att_t0)
+      ~wall_us:
+        (Observe.Trace.now_us () - att_t0 - int_of_float (st.paused_s *. 1e6))
       ();
   (match span_t0 with
   | Some ts ->

@@ -12,9 +12,11 @@
     effect-handler continuations — inside the call, so concurrent [run]s
     on separate domains never share structure, {e provided} their inputs
     are unshared:
-    - an [inherited] crash state must not be given to two concurrent
-      runs (post-crash reads consult its tables; snapshot one with
-      {!Px86.Crashstate.copy} per run instead);
+    - a run never mutates its [inherited] crash state (image bytes,
+      origins and candidates are the same afterwards), so runs on one
+      domain may take the same state one after another; concurrent
+      runs on separate domains each take their own
+      {!Px86.Crashstate.copy};
     - a [detector] and an [observer] are single-scenario objects;
     - a [Px86.Machine.Cut_random] cut strategy carries a mutable
       {!Yashme_util.Rng.t} inside the variant and is the one knob that
@@ -98,7 +100,19 @@ type result = {
       time, inherently run-dependent.  Budgets cannot preempt a loop
       that performs no {!Pmem} operation.  Default: unlimited
     @param observer an extra machine observer (e.g. a {!Px86.Trace}
-      recorder), combined with the detector's *)
+      recorder), combined with the detector's
+    @param at_flush_point serve other crash points from this run.
+      Before each flush/fence operation the run's own plan does not
+      crash at, the executor calls [at_flush_point n crash], where [n]
+      is the operation's flush-point index.  [crash ()] materializes
+      (with {!Px86.Machine.crash} and the run's cut) the result a
+      [Crash_before_flush n] run of the same program and seed would
+      return, and the run then goes on unchanged: materializing only
+      reads the machine.  Not called once a thread has raised (the run
+      is going to re-raise).  Time spent in the hook does not count
+      against [max_wall_s] or the run's [phase/*] attribution wall
+      time.  The engine uses it to share one pre-crash run across a
+      family of crash points (see [Pm_harness.Engine]) *)
 val run :
   ?detector:Yashme.Detector.t ->
   ?inherited:Px86.Crashstate.t ->
@@ -112,6 +126,7 @@ val run :
   ?max_ops:int ->
   ?max_wall_s:float ->
   ?observer:Px86.Observer.t ->
+  ?at_flush_point:(int -> (unit -> result) -> unit) ->
   exec_id:int ->
   (unit -> unit) ->
   result

@@ -1,0 +1,391 @@
+(* Tests for family execution: the engine runs consecutive scenarios
+   that share a pre-crash prefix from one pre-crash run, serving each
+   crash point as the run passes it.  First the invariants that sharing
+   relies on, then a differential check of [Engine.run] against
+   [Engine.run_scenario] run one scenario at a time. *)
+
+open Pm_runtime
+module Engine = Pm_harness.Engine
+module Scenario = Pm_harness.Scenario
+module Runner = Pm_harness.Runner
+module Program = Pm_harness.Program
+module Registry = Pm_benchmarks.Registry
+module Demo = Pm_benchmarks.Demo_faults
+
+let check = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
+let options = Runner.default_options
+
+let mc_plans points =
+  List.init points (fun n -> Executor.Crash_before_flush n)
+  @ [ Executor.Crash_at_end ]
+
+let fingerprint v = Marshal.to_string v []
+
+(* The setup state a family's shared run starts from, uncopied. *)
+let setup_state (p : Program.t) =
+  match Engine.materialize_setup ~options p with
+  | Scenario.Snapshot cs -> Some cs
+  | Scenario.No_setup -> None
+  | Scenario.Run_setup _ -> Alcotest.fail "eager drain memoizes the setup"
+
+let pre_record detector =
+  match Yashme.Detector.record detector ~id:Engine.pre_exec with
+  | Some r -> r
+  | None -> Alcotest.fail "the pre-crash run registered no record"
+
+(* ------------------------------------------------------------------ *)
+(* Invariants                                                           *)
+
+(* (a) A run never mutates its inherited crash state: members at one
+   crash point share one materialized state, and a shared run's setup
+   state is never copied per member. *)
+let test_inherited_untouched () =
+  List.iter
+    (fun (p : Program.t) ->
+      let name = p.Program.name in
+      let setup = setup_state p in
+      let before = fingerprint setup in
+      let points = Runner.count_flush_points p in
+      let detector = Yashme.Detector.create () in
+      let pre =
+        Engine.run_phase ~detector ?inherited:setup ~options
+          ~plan:(Executor.Crash_before_flush (points / 2))
+          ~seed:options.Scenario.seed ~exec_id:Engine.pre_exec p.Program.pre
+      in
+      check_str (name ^ ": pre-crash run leaves its setup state") before
+        (fingerprint setup);
+      let crashed = pre.Executor.state in
+      let before = fingerprint crashed in
+      let recover plan exec_id =
+        Engine.run_phase ~detector ~inherited:crashed ~options ~plan
+          ~seed:(options.Scenario.seed + 1) ~exec_id p.Program.post
+      in
+      let r1 = recover Executor.Run_to_end Engine.post_exec in
+      ignore (recover (Executor.Crash_before_flush 0) (Engine.post_exec + 1));
+      check_str (name ^ ": recoveries leave their crash state") before
+        (fingerprint crashed);
+      (* and a second-level crash state is left alone by its recovery *)
+      let before = fingerprint r1.Executor.state in
+      ignore
+        (Engine.run_recovery ~detector ~options ~inherited:r1.Executor.state
+           ~seed:(options.Scenario.seed + 2) ~exec_id:(Engine.post_exec + 2)
+           p.Program.post);
+      check_str (name ^ ": second recovery leaves its state") before
+        (fingerprint r1.Executor.state))
+    Registry.all
+
+(* (b) A pre-crash phase raises no race and joins nothing into its
+   record's [lastflush]/[cvpre], at every crash point and at its end. *)
+let test_pre_crash_joins_nothing () =
+  List.iter
+    (fun (p : Program.t) ->
+      let name = p.Program.name in
+      let detector = Yashme.Detector.create () in
+      let points = ref 0 in
+      let at_flush_point _ _ =
+        incr points;
+        check (name ^ ": no race before a crash point") true
+          (Yashme.Detector.races detector = []);
+        check (name ^ ": no joins before a crash point") true
+          (Yashme.Exec_record.joins_empty (pre_record detector))
+      in
+      ignore
+        (Engine.run_phase ~detector ?inherited:(setup_state p) ~at_flush_point
+           ~options ~plan:Executor.Crash_at_end ~seed:options.Scenario.seed
+           ~exec_id:Engine.pre_exec p.Program.pre);
+      check (name ^ ": the hook saw every flush point") true
+        (!points = Runner.count_flush_points p);
+      check (name ^ ": no race in the pre-crash phase") true
+        (Yashme.Detector.races detector = []);
+      check (name ^ ": no joins in the pre-crash phase") true
+        (Yashme.Exec_record.joins_empty (pre_record detector)))
+    Registry.all
+
+(* Figure 5(a)'s shape with flush points after the stores: x and y
+   share a line, y is a release store, and recovery reads y with an
+   acquire load first — a [Load_Atomic] that joins the pre-crash
+   record's [lastflush] and [cvpre]. *)
+let fig5a =
+  Program.make ~name:"fig5a"
+    ~pre:(fun () ->
+      let x = Pmem.alloc ~align:64 16 in
+      Pmem.set_root 0 x;
+      Pmem.store ~label:"x" x 1L;
+      Pmem.store ~label:"y" ~atomic:Px86.Access.Release (x + 8) 1L;
+      Pmem.clflush x;
+      Pmem.sfence ();
+      Pmem.store ~label:"x" x 2L;
+      Pmem.mfence ())
+    ~post:(fun () ->
+      let x = Pmem.get_root 0 in
+      ignore (Pmem.load ~atomic:Px86.Access.Acquire (x + 8));
+      ignore (Pmem.load x))
+    ()
+
+(* (c) Serving a member leaves the shared pre-crash record exactly as
+   it found it, although the member's recovery joins into it. *)
+let test_member_leaves_record () =
+  let shared = Yashme.Detector.create () in
+  let served = ref 0 and joined = ref 0 in
+  let at_flush_point n crash =
+    let record = pre_record shared in
+    let before = fingerprint record in
+    let pre = crash () in
+    (* The shape matters: a bare recovery over this state does join. *)
+    let probe = Yashme.Detector.create () in
+    Yashme.Detector.adopt probe record;
+    ignore
+      (Engine.run_recovery ~detector:probe ~options
+         ~inherited:pre.Executor.state ~seed:(options.Scenario.seed + 1)
+         ~exec_id:Engine.post_exec fig5a.Program.post);
+    if not (Yashme.Exec_record.joins_empty record) then incr joined;
+    Yashme.Exec_record.clear_joins record;
+    check_str (Printf.sprintf "point %d: clearing restores the record" n) before
+      (fingerprint record);
+    let s =
+      Scenario.of_program ~setup:Scenario.No_setup
+        ~plan:(Executor.Crash_before_flush n) ~options fig5a
+    in
+    let member = Engine.run_member ~record s pre in
+    check_str (Printf.sprintf "point %d: record as found" n) before
+      (fingerprint record);
+    check (Printf.sprintf "point %d: member = its own scenario" n) true
+      (Engine.signature member = Engine.signature (Engine.run_scenario s));
+    incr served
+  in
+  ignore
+    (Engine.run_phase ~detector:shared ~at_flush_point ~options
+       ~plan:Executor.Crash_at_end ~seed:options.Scenario.seed
+       ~exec_id:Engine.pre_exec fig5a.Program.pre);
+  check_int "every flush point served" (Runner.count_flush_points fig5a) !served;
+  check "some member's recovery joined lastflush" true (!joined > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: Engine.run = Engine.run_scenario one at a time         *)
+
+let first_mismatch expected actual =
+  let rec go i = function
+    | e :: es, a :: as_ -> if e = a then go (i + 1) (es, as_) else Some i
+    | [], [] -> None
+    | _ -> Some i
+  in
+  go 0 (expected, actual)
+
+let check_batch name scenarios =
+  let expected =
+    List.map (fun s -> Engine.signature (Engine.run_scenario s)) scenarios
+  in
+  List.iter
+    (fun jobs ->
+      let run = Engine.run ~jobs scenarios in
+      let actual = List.map Engine.signature run.Engine.results in
+      match first_mismatch expected actual with
+      | None -> ()
+      | Some i ->
+          Alcotest.failf
+            "%s, jobs=%d: scenario %d of %d differs from run_scenario" name
+            jobs i (List.length scenarios))
+    [ 1; 2; 4 ];
+  expected
+
+(* Both waves of recovery model checking for every registry program:
+   the probe wave (one scenario per crash point) and the grid (each
+   crash point's recovery crashed at each of its own flush points). *)
+let test_registry_waves () =
+  let grids = ref 0 in
+  List.iter
+    (fun (p : Program.t) ->
+      let setup = Engine.materialize_setup ~options p in
+      let plans = mc_plans (Runner.count_flush_points p) in
+      let wave1 =
+        List.map (fun plan -> Scenario.of_program ~setup ~plan ~options p) plans
+      in
+      let probes = check_batch (p.Program.name ^ " probe wave") wave1 in
+      let grid =
+        List.concat
+          (List.map2
+             (fun plan probe ->
+               match probe with
+               | Engine.Sig_completed
+                   {
+                     Engine.sig_chain_crashed = true;
+                     sig_post_flush_points = Some k;
+                     _;
+                   } ->
+                   List.init k (fun n ->
+                       Scenario.of_program ~setup ~plan
+                         ~post_plan:(Executor.Crash_before_flush n) ~options p)
+               | Engine.Sig_completed _ | Engine.Sig_faulted _ -> [])
+             plans probes)
+      in
+      grids := !grids + List.length grid;
+      ignore (check_batch (p.Program.name ^ " grid wave") grid))
+    Registry.all;
+  check "some recovery has flush points to crash" true (!grids > 0)
+
+let raising =
+  Program.make ~name:"raising"
+    ~pre:(fun () ->
+      let a = Pmem.alloc ~align:64 8 in
+      Pmem.store ~label:"pre-fault" a 1L;
+      failwith "boom")
+    ~post:(fun () -> ())
+    ()
+
+(* A helper thread raises between flush points 1 and 2 while the main
+   thread goes on flushing: members before the fault are served by the
+   shared run; the rest fault (the run re-raises once its threads are
+   done) and must fall back to fault on their own. *)
+let raising_late =
+  Program.make ~name:"raising-late"
+    ~pre:(fun () ->
+      let a = Pmem.alloc ~align:64 8 in
+      Pmem.store ~label:"late" a 1L;
+      Pmem.clflush a;
+      Pmem.mfence ();
+      let t = Pmem.spawn (fun () -> failwith "late boom") in
+      Pmem.store ~label:"late" a 2L;
+      Pmem.clflush a;
+      Pmem.mfence ();
+      Pmem.join t)
+    ~post:(fun () -> ignore (Pmem.load (Pmem.alloc ~align:64 8)))
+    ()
+
+(* Crashes itself between its flush points. *)
+let crashing =
+  Program.make ~name:"crash-now"
+    ~pre:(fun () ->
+      let a = Pmem.alloc ~align:64 8 in
+      Pmem.set_root 0 a;
+      Pmem.store ~label:"c" a 1L;
+      Pmem.clflush a;
+      Pmem.mfence ();
+      Pmem.store ~label:"c" a 2L;
+      Pmem.crash_now ())
+    ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+    ()
+
+let family ?post_plan ~options (p : Program.t) plans =
+  let setup = Engine.materialize_setup ~options p in
+  List.map
+    (fun plan -> Scenario.of_program ?post_plan ~setup ~plan ~options p)
+    plans
+
+let oracle_family (p : Program.t) =
+  let oracle =
+    match Runner.prepare_oracle ~options p with
+    | Some prep -> prep.Runner.op_ctx
+    | None -> Alcotest.failf "%s has an observe hook" p.Program.name
+  in
+  let setup = Engine.materialize_setup ~options p in
+  List.map
+    (fun plan -> Scenario.of_program ~oracle ~setup ~plan ~options p)
+    (mc_plans (Runner.count_flush_points p))
+
+(* Families the shared run cannot fully serve, side by side: a
+   pre-crash fault before and after flush points, a budget divergence
+   (with a member beyond it), [Pmem.crash_now], recovery faults on both
+   waves, members in no particular order or past the last flush point,
+   a re-run ([Random_drain]) setup, and oracle scenarios (never shared:
+   Memcached's observe phase would disturb its volatile LRU clock). *)
+let test_fault_batches () =
+  let budget = { options with Scenario.max_ops = Some 400 } in
+  let cbf n = Executor.Crash_before_flush n and at_end = Executor.Crash_at_end in
+  let drained =
+    { options with Scenario.sb_policy = Px86.Machine.Random_drain 0.5 }
+  in
+  let cceh = Pm_benchmarks.Cceh.program in
+  let faulty = Demo.faulty_recovery in
+  let faulty_points = Runner.count_flush_points faulty in
+  let batch =
+    family ~options:budget raising [ cbf 0; cbf 1; at_end ]
+    @ family ~options:budget raising_late [ cbf 0; cbf 1; cbf 2; cbf 3; at_end ]
+    @ family ~options:budget Demo.diverge [ cbf 0; cbf 1; cbf 5; at_end ]
+    @ family ~options crashing [ cbf 0; cbf 1; cbf 2; cbf 9; at_end ]
+    @ family ~options faulty (mc_plans faulty_points)
+    @ family ~options ~post_plan:(cbf 0) faulty (mc_plans faulty_points)
+    @ family ~options cceh [ at_end; cbf 3; cbf 1; cbf 100_000; cbf 3 ]
+    @ family ~options cceh [ cbf 1; cbf 100_000; cbf 200_000 ]
+    @ family ~options:drained cceh [ cbf 0; cbf 4; cbf 9; at_end ]
+    @ oracle_family Demo.inconsistency
+    @ oracle_family Pm_benchmarks.Memcached.program
+  in
+  let sigs = check_batch "fault batch" batch in
+  let faulted =
+    List.filter (function Engine.Sig_faulted _ -> true | _ -> false) sigs
+  in
+  let diverged =
+    List.filter
+      (function Engine.Sig_completed c -> c.Engine.sig_diverged | _ -> false)
+      sigs
+  in
+  let observed =
+    List.filter
+      (function Engine.Sig_completed c -> c.Engine.sig_observed | _ -> false)
+      sigs
+  in
+  check "faults present" true (List.length faulted >= 6);
+  check "divergences present" true (diverged <> []);
+  check "oracle observed" true (observed <> [])
+
+(* Fail-fast cancels the members a fault leaves unserved: at jobs=1
+   exactly the scenarios after the first fault, as a sequential loop
+   would, and at every jobs count it re-raises that fault. *)
+let test_fail_fast () =
+  let healthy =
+    family ~options Pm_benchmarks.Cceh.program
+      [ Executor.Crash_before_flush 0; Executor.Crash_before_flush 1 ]
+  in
+  let faulty =
+    family ~options Demo.faulty_recovery
+      (mc_plans (Runner.count_flush_points Demo.faulty_recovery))
+  in
+  let batch = healthy @ faulty in
+  let rec first_fault i = function
+    | [] -> Alcotest.fail "the batch has a recovery fault"
+    | s :: rest -> (
+        match Engine.run_scenario s with
+        | Engine.Faulted f -> (i, f.Engine.f_info.Pm_harness.Finding.exn_text)
+        | Engine.Completed _ -> first_fault (i + 1) rest)
+  in
+  let index, text = first_fault 0 batch in
+  List.iter
+    (fun jobs ->
+      Observe.Metrics.enable ();
+      let before = Observe.Metrics.snapshot () in
+      (match Engine.run ~jobs ~fail_fast:true batch with
+      | _ -> Alcotest.fail "fail-fast must re-raise"
+      | exception e ->
+          check_str (Printf.sprintf "jobs=%d: first fault re-raised" jobs) text
+            (Printexc.to_string e));
+      let diff = Observe.Metrics.diff before (Observe.Metrics.snapshot ()) in
+      Observe.Metrics.disable ();
+      if jobs = 1 then
+        check_int "jobs=1: everything after the first fault cancelled"
+          (List.length batch - index - 1)
+          (Option.value ~default:0 (List.assoc_opt "engine/cancelled" diff)))
+    [ 1; 2; 4 ]
+
+let () =
+  Alcotest.run "family"
+    [
+      ( "invariants",
+        [
+          Alcotest.test_case "runs never mutate their inherited state" `Quick
+            test_inherited_untouched;
+          Alcotest.test_case "pre-crash phase joins nothing" `Quick
+            test_pre_crash_joins_nothing;
+          Alcotest.test_case "serving a member restores the record" `Quick
+            test_member_leaves_record;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "registry: both recovery waves" `Slow
+            test_registry_waves;
+          Alcotest.test_case "faults, budgets, crash_now and oracle" `Quick
+            test_fault_batches;
+          Alcotest.test_case "fail-fast cancellation" `Quick test_fail_fast;
+        ] );
+    ]
