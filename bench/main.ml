@@ -196,88 +196,19 @@ let table5 () =
 (* Exploration engine throughput                                        *)
 
 module Engine = Pm_harness.Engine
-
-(* One measured engine run: stats plus everything that rides along in
-   the JSON line and the optional run ledger. *)
-type sample = {
-  b_stats : Engine.stats;
-  b_diff : (string * int) list;  (* metrics diff around the run *)
-  b_att : Observe.Attribution.row list;  (* cost centers, same window *)
-  b_gc_minor : int;  (* Gc.quick_stat word deltas, same window *)
-  b_gc_major : int;
-  b_extract : Pm_corpus.Witness.extraction;
-  b_report : Report.t;
-}
+module Telemetry = Pm_corpus.Telemetry
 
 (* One emitted row: the best-of-N sample at one jobs level, with the
-   reference level's best elapsed alongside for the speedup column. *)
+   reference (lowest) level's best elapsed for the speedup column.  The
+   sample's counter diffs are jobs-invariant (each scenario runs exactly
+   once), so they double as a cheap cross-check of the determinism
+   contract; its GC word deltas are process-global and volatile. *)
 type measure = {
   m_name : string;
   m_jobs : int;
-  m_ref_jobs : int;
   m_ref_elapsed_s : float;
-  m_best : sample;
+  m_best : Telemetry.sample;
 }
-
-(* One engine run of [p] at [jobs] with the observe windows around it.
-   The counter diffs are jobs-invariant (each scenario runs exactly
-   once), so they double as a cheap cross-check of the determinism
-   contract; attribution cost centers are collected over the same
-   window; GC word deltas are process-global and volatile. *)
-let run_sample ~jobs (p : Pm_harness.Program.t) =
-  let before = Observe.Metrics.snapshot () in
-  let att_before = Observe.Attribution.snapshot () in
-  let gc0 = Gc.quick_stat () in
-  let o = Runner.model_check_outcome ~jobs p in
-  let gc1 = Gc.quick_stat () in
-  (* Witness-corpus accounting rides along: how many distinct witnesses
-     the run would emit under --corpus-out, and what fraction of the
-     raw observations folded into them. *)
-  let e = Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o in
-  {
-    b_stats = o.Runner.o_stats;
-    b_diff = Observe.Metrics.diff before (Observe.Metrics.snapshot ());
-    b_att = Observe.Attribution.diff att_before (Observe.Attribution.snapshot ());
-    b_gc_minor = int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
-    b_gc_major = int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
-    b_extract = e;
-    b_report = o.Runner.o_report;
-  }
-
-(* Best-of-N over interleaved repeats.  A fixed jobs=1-first order
-   would hand every later level a warmed allocator and memoized
-   setup — the measurement bias that made the committed speedups look
-   worse than they were — so each repeat visits every jobs level
-   before any level repeats, and the minimum elapsed per level wins. *)
-let measure_levels ~repeats ~jobs_list (p : Pm_harness.Program.t) =
-  let best : (int, sample) Hashtbl.t = Hashtbl.create 8 in
-  for _rep = 1 to max 1 repeats do
-    List.iter
-      (fun jobs ->
-        let s = run_sample ~jobs p in
-        match Hashtbl.find_opt best jobs with
-        | Some prev
-          when prev.b_stats.Engine.elapsed_s <= s.b_stats.Engine.elapsed_s ->
-            ()
-        | Some _ | None -> Hashtbl.replace best jobs s)
-      jobs_list
-  done;
-  let ref_jobs = List.fold_left min max_int jobs_list in
-  let ref_elapsed_s =
-    match Hashtbl.find_opt best ref_jobs with
-    | Some s -> s.b_stats.Engine.elapsed_s
-    | None -> 0.
-  in
-  List.map
-    (fun jobs ->
-      {
-        m_name = p.Pm_harness.Program.name;
-        m_jobs = jobs;
-        m_ref_jobs = ref_jobs;
-        m_ref_elapsed_s = ref_elapsed_s;
-        m_best = Hashtbl.find best jobs;
-      })
-    jobs_list
 
 (* Model-check a few multi-flush-point benchmarks through the engine
    across [jobs_list] and report scenario/execution/op throughput, plus
@@ -301,33 +232,47 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
     [ Pm_benchmarks.Cceh.program; Pm_benchmarks.Fast_fair.program;
       Pm_benchmarks.Memcached.program ]
   in
-  Observe.Metrics.enable ();
-  Observe.Attribution.enable ();
   let counter_of diff name =
     match List.assoc_opt name diff with Some v -> v | None -> 0
   in
-  let measured =
-    List.concat_map
-      (fun p ->
-        let levels = measure_levels ~repeats ~jobs_list p in
-        if sweep then levels
-        else List.filter (fun m -> m.m_jobs = top) levels)
-      programs
+  let elapsed (s : Telemetry.sample) =
+    s.Telemetry.s_outcome.Runner.o_stats.Engine.elapsed_s
   in
-  Observe.Metrics.disable ();
-  Observe.Attribution.disable ();
+  let ref_jobs = List.hd jobs_list in
+  (* Interleaved best-of-N (Telemetry.best_of): a fixed jobs=1-first
+     order would hand every later level a warmed allocator and memoized
+     setup, the bias that made the committed speedups look worse than
+     they were. *)
+  let measured =
+    Telemetry.with_session
+      { Telemetry.off with metrics = true; attribution = true }
+      (fun () ->
+        List.concat_map
+          (fun (p : Pm_harness.Program.t) ->
+            let best =
+              Telemetry.best_of ~repeats jobs_list (fun ~rep:_ ~jobs ->
+                  Telemetry.measure ~jobs p)
+            in
+            List.map2
+              (fun jobs s ->
+                { m_name = p.Pm_harness.Program.name; m_jobs = jobs;
+                  m_ref_elapsed_s = elapsed (List.hd best); m_best = s })
+              jobs_list best
+            |> List.filter (fun m -> sweep || m.m_jobs = top))
+          programs)
+  in
   (* Divisions guard against elapsed ~ 0 (a degenerate fast run must
      not print "inf", which is not JSON). *)
   let safe_div a b = if b > 0. then a /. b else 0. in
-  let speedup_of m = safe_div m.m_ref_elapsed_s m.m_best.b_stats.Engine.elapsed_s in
+  let speedup_of m = safe_div m.m_ref_elapsed_s (elapsed m.m_best) in
   let efficiency_of m =
     safe_div (speedup_of m)
-      (float_of_int m.m_jobs /. float_of_int (max 1 m.m_ref_jobs))
+      (float_of_int m.m_jobs /. float_of_int (max 1 ref_jobs))
   in
   let rows =
     List.map
       (fun m ->
-        let sn = m.m_best.b_stats in
+        let sn = m.m_best.Telemetry.s_outcome.Runner.o_stats in
         [ m.m_name; string_of_int sn.Engine.jobs;
           string_of_int sn.Engine.scenarios;
           string_of_int sn.Engine.executions; string_of_int sn.Engine.ops;
@@ -342,16 +287,17 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
     (Pretty.table
        ~header:
          [ "Benchmark"; "jobs"; "scenarios"; "execs"; "ops";
-           Printf.sprintf "jobs=%d" (List.fold_left min max_int jobs_list);
+           Printf.sprintf "jobs=%d" ref_jobs;
            "elapsed"; "speedup"; "efficiency"; "ops/s" ]
        rows);
   print_endline "engine-throughput JSON:";
   let json_lines =
     List.map
       (fun m ->
-        let sn = m.m_best.b_stats in
-        let e = m.m_best.b_extract in
-        let c = counter_of m.m_best.b_diff in
+        let sn = m.m_best.Telemetry.s_outcome.Runner.o_stats in
+        let e = m.m_best.Telemetry.s_extraction in
+        let obs = m.m_best.Telemetry.s_observed in
+        let c = counter_of obs.Telemetry.o_metrics in
         let dedup_rate =
           if e.Pm_corpus.Witness.raw = 0 then 0.0
           else
@@ -396,8 +342,8 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
                GC deltas and snapshot-copy volume).  Appended last so
                older baselines diff cleanly — bench-diff ignores extra
                metrics it wasn't asked to compare. *)
-            ("gc_minor_words", `I m.m_best.b_gc_minor);
-            ("gc_major_words", `I m.m_best.b_gc_major);
+            ("gc_minor_words", `I obs.Telemetry.o_gc_minor_words);
+            ("gc_major_words", `I obs.Telemetry.o_gc_major_words);
             ("snapshot_bytes", `I (c "px86/snapshot_bytes"));
             ("oracle_invariants", `I (c "oracle/invariants"));
             ("oracle_violations", `I (c "oracle/violations"));
@@ -406,56 +352,23 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
       measured
   in
   List.iter print_endline json_lines;
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        json_lines);
+  Yashme_util.Atomic_file.write out
+    (String.concat "" (List.map (fun l -> l ^ "\n") json_lines));
   Printf.printf "engine-throughput summary written to %s\n" out;
-  match ledger with
-  | None -> ()
-  | Some file ->
+  Option.iter
+    (fun file ->
       List.iter
         (fun m ->
-          let sn = m.m_best.b_stats in
-          let r = m.m_best.b_report in
-          let entry =
-            {
-              Observe.Ledger.e_version = Observe.Ledger.version;
-              e_run = m.m_name;
-              e_ts = Unix.gettimeofday ();
-              e_program = m.m_name;
-              e_variant = Px86.Variant.default_label;
-              e_mode = "bench";
-              e_jobs = sn.Engine.jobs;
-              e_seed = Runner.default_options.Runner.seed;
-              e_scenarios = sn.Engine.scenarios;
-              e_completed = sn.Engine.completed;
-              e_faulted = sn.Engine.faulted;
-              e_diverged = sn.Engine.diverged;
-              e_executions = sn.Engine.executions;
-              e_ops = sn.Engine.ops;
-              e_races = List.length (Report.real r);
-              e_benign = List.length (Report.benign r);
-              e_raw_races = r.Report.raw_races;
-              e_recovery_failures = List.length r.Report.recovery_failures;
-              e_witnesses =
-                List.length m.m_best.b_extract.Pm_corpus.Witness.witnesses;
-              e_elapsed_s = sn.Engine.elapsed_s;
-              e_cpu_s = sn.Engine.cpu_s;
-              e_metrics_digest = Observe.Ledger.digest_counters m.m_best.b_diff;
-              e_coverage_digest = "";
-              e_cost = Observe.Ledger.costs_of_rows m.m_best.b_att;
-            }
-          in
-          Pm_corpus.Ledger_store.append file entry)
+          let s = m.m_best in
+          Pm_corpus.Ledger_store.append file
+            (Telemetry.outcome_entry Telemetry.off ~mode:"bench"
+               ~seed:Runner.default_options.Runner.seed ~program:m.m_name
+               s.Telemetry.s_outcome s.Telemetry.s_extraction
+               s.Telemetry.s_observed))
         measured;
       Printf.printf "ledger: %d bench run(s) appended to %s\n"
-        (List.length measured) file
+        (List.length measured) file)
+    ledger
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                    *)
@@ -662,62 +575,51 @@ let bechamel_suite () =
 
 (* ------------------------------------------------------------------ *)
 
-(* [--jobs N] sizes the engine's domain pool for the throughput section
-   (default 4, the evaluation's comparison point). *)
-let jobs_arg =
+(* Flags are scanned by hand; a malformed value is an error naming the
+   flag (exit 2), never a silent default. *)
+let flag name =
   let rec scan = function
-    | "--jobs" :: n :: _ -> ( try int_of_string n with Failure _ -> 4)
+    | f :: v :: _ when f = name -> Some v
     | _ :: rest -> scan rest
-    | [] -> 4
+    | [] -> None
   in
   scan (Array.to_list Sys.argv)
+
+let bad name v need =
+  Printf.eprintf "bad %s %S: need %s\n" name v need;
+  exit 2
+
+let int_flag name ~default =
+  match flag name with
+  | None -> default
+  | Some v -> (
+      match int_of_string_opt v with Some n -> n | None -> bad name v "an integer")
+
+(* [--jobs N] sizes the engine's domain pool for the throughput section
+   (default 4, the evaluation's comparison point). *)
+let jobs_arg = int_flag "--jobs" ~default:4
 
 (* [--jobs-sweep 1,2,4] emits one throughput row per jobs level instead
    of only the top one — the input of yashme bench-diff --scaling. *)
 let jobs_sweep_arg =
-  let parse s =
-    List.filter_map
-      (fun t -> match int_of_string_opt (String.trim t) with
-        | Some j when j >= 1 -> Some j
-        | _ -> None)
-      (String.split_on_char ',' s)
-  in
-  let rec scan = function
-    | "--jobs-sweep" :: l :: _ -> Some (parse l)
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
+  Option.map
+    (fun v ->
+      match Telemetry.parse_levels v with
+      | Some levels -> levels
+      | None -> bad "--jobs-sweep" v "comma-separated integers >= 1")
+    (flag "--jobs-sweep")
 
 (* [--repeats N] (default 2) interleaves N measurement passes over the
    jobs levels and keeps the best elapsed per level. *)
-let repeats_arg =
-  let rec scan = function
-    | "--repeats" :: n :: _ -> ( try max 1 (int_of_string n) with Failure _ -> 2)
-    | _ :: rest -> scan rest
-    | [] -> 2
-  in
-  scan (Array.to_list Sys.argv)
+let repeats_arg = max 1 (int_flag "--repeats" ~default:2)
 
 (* [--out FILE] places the engine-throughput summary (default: the
    baseline path committed at the repo root). *)
-let out_arg =
-  let rec scan = function
-    | "--out" :: f :: _ -> f
-    | _ :: rest -> scan rest
-    | [] -> "BENCH_engine_throughput.json"
-  in
-  scan (Array.to_list Sys.argv)
+let out_arg = Option.value (flag "--out") ~default:"BENCH_engine_throughput.json"
 
 (* [--ledger FILE] appends one run-manifest entry per benchmark to the
    ledger, mode "bench" (see yashme runs / yashme compare). *)
-let ledger_arg =
-  let rec scan = function
-    | "--ledger" :: f :: _ -> Some f
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
+let ledger_arg = flag "--ledger"
 
 (* [--throughput-only] skips the paper tables: the fast path CI's bench
    gate runs twice back to back. *)
@@ -726,8 +628,8 @@ let throughput_only = Array.exists (String.equal "--throughput-only") Sys.argv
 let engine_throughput_main () =
   let jobs_list, sweep =
     match jobs_sweep_arg with
-    | Some (_ :: _ as levels) -> (levels, true)
-    | Some [] | None -> ([ 1; jobs_arg ], false)
+    | Some levels -> (levels, true)
+    | None -> ([ 1; jobs_arg ], false)
   in
   engine_throughput ~jobs_list ~repeats:repeats_arg ~sweep ~out:out_arg
     ?ledger:ledger_arg ()

@@ -231,137 +231,37 @@ let run_label_arg =
              ordinal." in
   Arg.(value & opt (some string) None & info [ "run-label" ] ~doc ~docv:"LABEL")
 
-(* Arm the observe layer before a detection run... *)
-let observe_setup ~log_level ~coverage ~progress ~progress_out ~metrics
-    ?(attribution = false) ~trace_out ~quiet () =
-  (match log_level with
-  | Some l -> Observe.Log.set_level l
-  | None -> Observe.Log.set_quiet quiet);
-  if metrics then Observe.Metrics.enable ();
-  if attribution then Observe.Attribution.enable ();
-  if coverage then begin
-    Observe.Coverage.enable ();
-    Observe.Coverage.reset ()
-  end;
-  if progress || progress_out <> None then
-    Observe.Progress.start ~heartbeat:progress ?jsonl:progress_out ();
-  if trace_out <> None then Observe.Trace.start ()
+module Telemetry = Pm_corpus.Telemetry
 
-(* Progress winds down before the report prints, so the final
-   heartbeat never interleaves with findings. *)
-let finish_progress () = ignore (Observe.Progress.stop ())
-
-(* The merged coverage snapshot as JSONL: one flat object per program,
-   through the corpus codec so field order and number rendering are
-   deterministic.  Written crash-safely (tmp + atomic rename) like
-   every other file the driver emits. *)
-let write_coverage_file = function
-  | None -> ()
-  | Some file ->
-      let stats = Observe.Coverage.snapshot () in
-      Yashme_util.Atomic_file.write file
-        (String.concat ""
-           (List.map
-              (fun s ->
-                Yashme_util.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
-              stats));
-      Printf.printf "coverage: %d program(s) written to %s\n" (List.length stats)
-        file
-
-let attach_coverage ~coverage ~variant (p : Pm_harness.Program.t) r =
-  if not coverage then r
-  else
-    match
-      Observe.Coverage.find ~variant:(Px86.Variant.label variant)
-        p.Pm_harness.Program.name
-    with
-    | Some c -> Pm_harness.Report.with_coverage r c
-    | None -> r
-
-(* The jobs-invariant attribution projection as JSONL, one flat object
-   per cost center, through the corpus codec (like coverage-out).
-   Also crash-safe via tmp + atomic rename. *)
-let write_attribution_file rows = function
-  | None -> ()
-  | Some file ->
-      Yashme_util.Atomic_file.write file
-        (String.concat ""
-           (List.map
-              (fun r ->
-                Yashme_util.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
-              rows));
-      Printf.printf "attribution: %d cost center(s) written to %s\n"
-        (List.length rows) file
+(* The telemetry flags, folded into one run config.  [`Check] commands
+   take all twelve; [`Soak] has no block flags (--metrics, --coverage,
+   --attribution); [`Log] takes only --quiet and --log-level. *)
+let telemetry_term shape =
+  let blocks = shape = `Check and files = shape <> `Log in
+  let pick present arg default = if present then arg else Term.const default in
+  Term.(
+    const
+      (fun log_level quiet metrics coverage coverage_out attribution
+           attribution_out progress progress_out trace_out ledger run_label ->
+        { Telemetry.log_level; quiet; metrics; coverage;
+          coverage_out; attribution; attribution_out; progress; progress_out;
+          trace_out; ledger; run_label })
+    $ log_level_arg $ quiet_flag
+    $ pick blocks metrics_flag false
+    $ pick blocks coverage_flag false
+    $ pick files coverage_out None
+    $ pick blocks attribution_flag false
+    $ pick files attribution_out None
+    $ pick files progress_flag false
+    $ pick files progress_out None
+    $ pick files trace_out None
+    $ pick files ledger_arg None
+    $ pick files run_label_arg None)
 
 let mode_label = function
   | `Mc -> "mc"
   | `Mc_recovery -> "mc-recovery"
   | `Random -> "random"
-
-(* One run-manifest line, built from what the run attached to the
-   report (metrics diff, coverage, attribution rows) plus the engine
-   stats.  [--ledger] forces all three to be collected, so the digests
-   and cost centers are always populated here. *)
-let append_ledger ~ledger ~run_label ~mode ~seed ~witnesses
-    ~(stats : Pm_harness.Engine.stats) (r : Pm_harness.Report.t) =
-  match ledger with
-  | None -> ()
-  | Some file ->
-      let entry =
-        {
-          Observe.Ledger.e_version = Observe.Ledger.version;
-          e_run =
-            Option.value run_label ~default:r.Pm_harness.Report.program;
-          e_ts = Unix.gettimeofday ();
-          e_program = r.Pm_harness.Report.program;
-          e_variant = r.Pm_harness.Report.variant;
-          e_mode = mode;
-          e_jobs = stats.Pm_harness.Engine.jobs;
-          e_seed = seed;
-          e_scenarios = stats.Pm_harness.Engine.scenarios;
-          e_completed = stats.Pm_harness.Engine.completed;
-          e_faulted = stats.Pm_harness.Engine.faulted;
-          e_diverged = stats.Pm_harness.Engine.diverged;
-          e_executions = stats.Pm_harness.Engine.executions;
-          e_ops = stats.Pm_harness.Engine.ops;
-          e_races = List.length (Pm_harness.Report.real r);
-          e_benign = List.length (Pm_harness.Report.benign r);
-          e_raw_races = r.Pm_harness.Report.raw_races;
-          e_recovery_failures =
-            List.length r.Pm_harness.Report.recovery_failures;
-          e_witnesses = witnesses;
-          e_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-          e_cpu_s = stats.Pm_harness.Engine.cpu_s;
-          e_metrics_digest =
-            Observe.Ledger.digest_counters r.Pm_harness.Report.metrics;
-          e_coverage_digest =
-            (match r.Pm_harness.Report.coverage with
-            | Some c ->
-                Observe.Ledger.digest_fields (Observe.Coverage.fields c)
-            | None -> "");
-          e_cost =
-            Observe.Ledger.costs_of_rows r.Pm_harness.Report.attribution;
-        }
-      in
-      Pm_corpus.Ledger_store.append file entry;
-      Printf.printf "ledger: run %S appended to %s\n"
-        entry.Observe.Ledger.e_run file
-
-(* ...and flush it afterwards: write the trace file, if one was asked
-   for. *)
-let write_trace = function
-  | Some file ->
-      Observe.Trace.stop ();
-      Observe.Trace.write file;
-      Printf.printf "trace: %d event(s) written to %s\n"
-        (Observe.Trace.event_count ()) file
-  | None -> ()
-
-let print_metrics_summary ~title metrics =
-  Printf.printf "%s:\n" title;
-  let nonzero = List.filter (fun (_, v) -> v <> 0) metrics in
-  if nonzero = [] then print_endline "  (none recorded)"
-  else List.iter (fun (name, v) -> Printf.printf "  %-42s %d\n" name v) nonzero
 
 let options ?(eadr = false) ?(no_coherence = false) ?(no_candidates = false)
     ?(variant = Px86.Variant.strict_tso) ?max_ops ?max_wall_s mode seed =
@@ -369,18 +269,20 @@ let options ?(eadr = false) ?(no_coherence = false) ?(no_candidates = false)
     mode; seed; eadr; variant; coherence = not no_coherence;
     check_candidates = not no_candidates; max_ops; max_wall_s }
 
-let outcome_program ?(oracle = false) run_mode opts ~jobs ~fail_fast execs
+(* One detection run of [p] and the telemetry window around it. *)
+let detect ~oracle run_mode opts ~jobs ~fail_fast execs
     (p : Pm_harness.Program.t) =
-  match run_mode with
-  | `Mc ->
-      Pm_harness.Runner.model_check_outcome ~options:opts ~jobs ~fail_fast
-        ~oracle p
-  | `Mc_recovery ->
-      Pm_harness.Runner.model_check_recovery_outcome ~options:opts ~jobs
-        ~fail_fast ~oracle p
-  | `Random ->
-      Pm_harness.Runner.random_mode_outcome ~options:opts ~jobs ~fail_fast
-        ~oracle ~execs p
+  Telemetry.observing (fun () ->
+      match run_mode with
+      | `Mc ->
+          Pm_harness.Runner.model_check_outcome ~options:opts ~jobs ~fail_fast
+            ~oracle p
+      | `Mc_recovery ->
+          Pm_harness.Runner.model_check_recovery_outcome ~options:opts ~jobs
+            ~fail_fast ~oracle p
+      | `Random ->
+          Pm_harness.Runner.random_mode_outcome ~options:opts ~jobs ~fail_fast
+            ~oracle ~execs p)
 
 (* Replay/minimize rebuild scenarios by registry name; demos are
    findable too, so corpora recorded from them replay as well.  Soak
@@ -443,6 +345,31 @@ let print_report show_benign (r : Pm_harness.Report.t) =
         r.Pm_harness.Report.fault_count r.Pm_harness.Report.diverged
   end
 
+(* One program's report, its [oracle] block and the telemetry blocks
+   that follow it. *)
+let print_run tel ~show_benign ~oracle (p : Pm_harness.Program.t) obs
+    (r : Pm_harness.Report.t) =
+  print_report show_benign r;
+  if oracle then print_endline (Pm_harness.Report.oracle_to_string r);
+  Telemetry.print_blocks tel ~program:p.Pm_harness.Program.name r obs
+
+(* Witnesses are extracted only when a corpus or a ledger entry wants
+   them. *)
+let extract ~corpus_out (tel : Telemetry.config) (p : Pm_harness.Program.t) o =
+  if corpus_out = None && tel.Telemetry.ledger = None then None
+  else Some (Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o)
+
+let ledger_run tel ~run_mode ~seed (p : Pm_harness.Program.t) o obs ex =
+  Option.iter
+    (fun file ->
+      let e =
+        Telemetry.outcome_entry tel ~mode:(mode_label run_mode) ~seed
+          ~program:p.Pm_harness.Program.name o ex obs
+      in
+      Pm_corpus.Ledger_store.append file e;
+      Printf.printf "ledger: run %S appended to %s\n" e.Observe.Ledger.e_run file)
+    tel.Telemetry.ledger
+
 let list_cmd =
   let term =
     Term.(
@@ -474,81 +401,32 @@ let check_cmd =
            ~doc:"Benchmark name (see $(b,yashme list)).")
   in
   let run bench run_mode dmode execs jobs seed variant show_benign eadr
-      no_coherence no_candidates metrics trace_out quiet max_ops timeout
-      fail_fast oracle corpus_out log_level coverage coverage_out progress
-      progress_out attribution attribution_out ledger run_label =
+      no_coherence no_candidates max_ops timeout fail_fast oracle corpus_out tel =
     match Pm_benchmarks.Registry.find bench with
     | exception Not_found ->
         Printf.eprintf "unknown benchmark %S; try `yashme list'\n" bench;
         exit 1
     | p ->
-        (* Show vs collect: --ledger needs metrics, coverage and
-           attribution collected for its digests and cost centers, but
-           printing their blocks stays gated on the explicit flags. *)
-        let coverage_show = coverage || coverage_out <> None in
-        let att_show = attribution || attribution_out <> None in
-        let collect_metrics = metrics || ledger <> None in
-        let collect_coverage = coverage_show || ledger <> None in
-        let collect_att = att_show || ledger <> None in
-        observe_setup ~log_level ~coverage:collect_coverage ~progress
-          ~progress_out ~metrics:collect_metrics ~attribution:collect_att
-          ~trace_out ~quiet ();
-        let before =
-          if collect_metrics then Observe.Metrics.snapshot () else []
-        in
-        let att_before =
-          if collect_att then Observe.Attribution.snapshot () else []
-        in
-        let o =
-          outcome_program ~oracle run_mode
-            (options ~eadr ~no_coherence ~no_candidates ~variant ?max_ops
-               ?max_wall_s:timeout dmode seed)
-            ~jobs ~fail_fast execs p
-        in
-        finish_progress ();
-        let r = o.Pm_harness.Runner.o_report in
-        let r =
-          if collect_metrics then
-            Pm_harness.Report.with_metrics r
-              (Observe.Metrics.diff before (Observe.Metrics.snapshot ()))
-          else r
-        in
-        let r = attach_coverage ~coverage:collect_coverage ~variant p r in
-        let r =
-          if collect_att then
-            Pm_harness.Report.with_attribution r
-              (Observe.Attribution.diff att_before
-                 (Observe.Attribution.snapshot ()))
-          else r
-        in
-        print_report show_benign r;
-        if oracle then print_endline (Pm_harness.Report.oracle_to_string r);
-        if metrics then print_endline (Pm_harness.Report.metrics_to_string r);
-        if coverage_show then
-          print_endline (Pm_harness.Report.coverage_to_string r);
-        if att_show then
-          print_endline (Pm_harness.Report.attribution_to_string r);
-        write_coverage_file coverage_out;
-        write_attribution_file r.Pm_harness.Report.attribution attribution_out;
-        if corpus_out <> None || ledger <> None then begin
-          let ex =
-            Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-          in
-          if corpus_out <> None then write_corpus ~corpus_out [ ex ];
-          append_ledger ~ledger ~run_label ~mode:(mode_label run_mode) ~seed
-            ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
-            ~stats:o.Pm_harness.Runner.o_stats r
-        end;
-        write_trace trace_out
+        Telemetry.with_session tel (fun () ->
+            let o, obs =
+              detect ~oracle run_mode
+                (options ~eadr ~no_coherence ~no_candidates ~variant ?max_ops
+                   ?max_wall_s:timeout dmode seed)
+                ~jobs ~fail_fast execs p
+            in
+            ignore (Observe.Progress.stop ());
+            print_run tel ~show_benign ~oracle p obs o.Pm_harness.Runner.o_report;
+            Telemetry.write_outputs tel obs;
+            let ex = extract ~corpus_out tel p o in
+            write_corpus ~corpus_out (Option.to_list ex);
+            Option.iter (ledger_run tel ~run_mode ~seed p o obs) ex)
   in
   let term =
     Term.(
       const run $ bench $ run_mode $ detector_mode $ execs $ jobs $ seed
       $ variant_arg $ show_benign $ eadr_flag $ no_coherence $ no_candidates
-      $ metrics_flag $ trace_out $ quiet_flag $ max_ops_arg $ timeout_arg
-      $ fail_fast_flag $ oracle_flag $ corpus_out $ log_level_arg
-      $ coverage_flag $ coverage_out $ progress_flag $ progress_out
-      $ attribution_flag $ attribution_out $ ledger_arg $ run_label_arg)
+      $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag $ corpus_out
+      $ telemetry_term `Check)
   in
   Cmd.v (Cmd.info "check" ~doc:"Detect persistency races in one benchmark") term
 
@@ -588,93 +466,44 @@ let witness_cmd =
     term
 
 let check_all_cmd =
-  let run run_mode dmode execs jobs seed variant show_benign metrics trace_out
-      quiet max_ops timeout fail_fast oracle corpus_out log_level coverage
-      coverage_out progress progress_out attribution attribution_out ledger
-      run_label =
-    let coverage_show = coverage || coverage_out <> None in
-    let att_show = attribution || attribution_out <> None in
-    let collect_metrics = metrics || ledger <> None in
-    let collect_coverage = coverage_show || ledger <> None in
-    let collect_att = att_show || ledger <> None in
-    observe_setup ~log_level ~coverage:collect_coverage ~progress ~progress_out
-      ~metrics:collect_metrics ~attribution:collect_att ~trace_out ~quiet ();
-    let suite_before =
-      if collect_metrics then Observe.Metrics.snapshot () else []
-    in
-    let suite_att_before =
-      if collect_att then Observe.Attribution.snapshot () else []
-    in
-    let total = ref 0 in
-    let extractions = ref [] in
-    List.iter
-      (fun (p : Pm_harness.Program.t) ->
-        let before =
-          if collect_metrics then Observe.Metrics.snapshot () else []
+  let run run_mode dmode execs jobs seed variant show_benign max_ops timeout
+      fail_fast oracle corpus_out tel =
+    Telemetry.with_session tel (fun () ->
+        let total = ref 0 in
+        let extractions = ref [] in
+        let (), suite =
+          Telemetry.observing (fun () ->
+              List.iter
+                (fun (p : Pm_harness.Program.t) ->
+                  let o, obs =
+                    detect ~oracle run_mode
+                      (options ~variant ?max_ops ?max_wall_s:timeout dmode seed)
+                      ~jobs ~fail_fast execs p
+                  in
+                  let r = o.Pm_harness.Runner.o_report in
+                  Option.iter
+                    (fun ex ->
+                      if corpus_out <> None then extractions := ex :: !extractions;
+                      ledger_run tel ~run_mode ~seed p o obs ex)
+                    (extract ~corpus_out tel p o);
+                  total := !total + List.length (Pm_harness.Report.real r);
+                  print_run tel ~show_benign ~oracle p obs r;
+                  print_newline ())
+                Pm_benchmarks.Registry.all)
         in
-        let att_before =
-          if collect_att then Observe.Attribution.snapshot () else []
-        in
-        let o =
-          outcome_program ~oracle run_mode
-            (options ~variant ?max_ops ?max_wall_s:timeout dmode seed)
-            ~jobs ~fail_fast execs p
-        in
-        let r = o.Pm_harness.Runner.o_report in
-        let r =
-          if collect_metrics then
-            Pm_harness.Report.with_metrics r
-              (Observe.Metrics.diff before (Observe.Metrics.snapshot ()))
-          else r
-        in
-        let r = attach_coverage ~coverage:collect_coverage ~variant p r in
-        let r =
-          if collect_att then
-            Pm_harness.Report.with_attribution r
-              (Observe.Attribution.diff att_before
-                 (Observe.Attribution.snapshot ()))
-          else r
-        in
-        if corpus_out <> None || ledger <> None then begin
-          let ex =
-            Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-          in
-          if corpus_out <> None then extractions := ex :: !extractions;
-          append_ledger ~ledger ~run_label ~mode:(mode_label run_mode) ~seed
-            ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
-            ~stats:o.Pm_harness.Runner.o_stats r
-        end;
-        total := !total + List.length (Pm_harness.Report.real r);
-        print_report show_benign r;
-        if oracle then print_endline (Pm_harness.Report.oracle_to_string r);
-        if metrics then print_endline (Pm_harness.Report.metrics_to_string r);
-        if coverage_show then
-          print_endline (Pm_harness.Report.coverage_to_string r);
-        if att_show then
-          print_endline (Pm_harness.Report.attribution_to_string r);
-        print_newline ())
-      Pm_benchmarks.Registry.all;
-    finish_progress ();
-    Printf.printf "total distinct persistency races: %d\n" !total;
-    write_corpus ~corpus_out (List.rev !extractions);
-    write_coverage_file coverage_out;
-    if attribution_out <> None then
-      write_attribution_file
-        (Observe.Attribution.diff suite_att_before
-           (Observe.Attribution.snapshot ()))
-        attribution_out;
-    if metrics then
-      print_metrics_summary ~title:"metrics summary (whole suite)"
-        (Observe.Metrics.diff suite_before (Observe.Metrics.snapshot ()));
-    write_trace trace_out
+        ignore (Observe.Progress.stop ());
+        Printf.printf "total distinct persistency races: %d\n" !total;
+        write_corpus ~corpus_out (List.rev !extractions);
+        Telemetry.write_outputs tel suite;
+        if tel.Telemetry.metrics then
+          Telemetry.print_counters ~title:"metrics summary (whole suite)"
+            suite.Telemetry.o_metrics)
   in
   let term =
     Term.(
       const run $ run_mode $ detector_mode $ execs $ jobs $ seed $ variant_arg
-      $ show_benign $ metrics_flag $ trace_out $ quiet_flag $ max_ops_arg
-      $ timeout_arg $ fail_fast_flag $ oracle_flag $ corpus_out $ log_level_arg
-      $ coverage_flag $ coverage_out $ progress_flag $ progress_out
-      $ attribution_flag $ attribution_out $ ledger_arg $ run_label_arg)
+      $ show_benign $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag
+      $ corpus_out $ telemetry_term `Check)
   in
   Cmd.v (Cmd.info "check-all" ~doc:"Detect persistency races across the whole suite") term
 
@@ -886,18 +715,15 @@ let scaling_cmd =
     Arg.(value & flag & info [ "timeline" ] ~doc)
   in
   let run progs jobs_list repeats seed variant out projection_out svg_file
-      timeline quiet log_level =
+      timeline tel =
     let levels_asked =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun t -> int_of_string_opt (String.trim t))
-           (String.split_on_char ',' jobs_list))
+      match Telemetry.parse_levels jobs_list with
+      | Some levels -> levels
+      | None ->
+          Printf.eprintf "bad --jobs-list %S: need comma-separated integers >= 1\n"
+            jobs_list;
+          exit 2
     in
-    if levels_asked = [] || List.exists (fun j -> j < 1) levels_asked then begin
-      Printf.eprintf "bad --jobs-list %S: need comma-separated integers >= 1\n"
-        jobs_list;
-      exit 2
-    end;
     let programs =
       match progs with
       | [] ->
@@ -914,116 +740,69 @@ let scaling_cmd =
                   exit 2)
             names
     in
-    observe_setup ~log_level ~coverage:false ~progress:false ~progress_out:None
-      ~metrics:false ~attribution:true ~trace_out:None ~quiet ();
     let opts = { Pm_harness.Runner.default_options with seed; variant } in
     let top = List.fold_left max 1 levels_asked in
     let last_timeline = ref None in
-    (* One engine run at [jobs] with the cost-center window around it;
-       traced runs additionally reconstruct the per-domain timeline. *)
-    let run_level ~trace (p : Pm_harness.Program.t) jobs =
-      if trace then Observe.Trace.start ();
-      let att0 = Observe.Attribution.snapshot () in
-      let o = Pm_harness.Runner.model_check_outcome ~options:opts ~jobs p in
-      let att =
-        Observe.Attribution.diff att0 (Observe.Attribution.snapshot ())
-      in
-      if trace then begin
-        Observe.Trace.stop ();
-        let events = Observe.Trace.events () in
-        Observe.Trace.clear ();
-        match Observe.Timeline.of_events events with
-        | Ok t ->
-            last_timeline := Some (p.Pm_harness.Program.name, jobs, t);
-            if timeline then begin
-              Printf.printf "%s timeline (jobs=%d):\n"
-                p.Pm_harness.Program.name jobs;
-              print_endline (Observe.Timeline.ascii t);
-              print_endline (Observe.Timeline.to_string t);
-              print_newline ()
-            end
-        | Error msg ->
-            Observe.Log.warn
-              (Printf.sprintf "timeline reconstruction failed: %s" msg)
-      end;
-      let stats = o.Pm_harness.Runner.o_stats in
-      let r = o.Pm_harness.Runner.o_report in
-      let ex =
-        Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-      in
-      let snapshot_bytes, queue_wait_us, snapshot_us, merge_us, gc_minor,
-          gc_major =
-        Observe.Scaling.of_attribution att
-      in
-      {
-        Observe.Scaling.v_jobs = stats.Pm_harness.Engine.jobs;
-        v_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-        v_cpu_s = stats.Pm_harness.Engine.cpu_s;
-        v_scenarios = stats.Pm_harness.Engine.scenarios;
-        v_completed = stats.Pm_harness.Engine.completed;
-        v_faulted = stats.Pm_harness.Engine.faulted;
-        v_executions = stats.Pm_harness.Engine.executions;
-        v_ops = stats.Pm_harness.Engine.ops;
-        v_races = List.length (Pm_harness.Report.real r);
-        v_witnesses = List.length ex.Pm_corpus.Witness.witnesses;
-        v_snapshot_bytes = snapshot_bytes;
-        v_queue_wait_us = queue_wait_us;
-        v_snapshot_us = snapshot_us;
-        v_merge_us = merge_us;
-        v_gc_minor_words = gc_minor;
-        v_gc_major_words = gc_major;
-      }
-    in
     let rows = ref [] and projection_rows = ref [] in
-    List.iter
-      (fun (p : Pm_harness.Program.t) ->
-        let name = p.Pm_harness.Program.name in
-        (* Interleaved best-of-N, like the bench: each pass visits every
-           level before any level repeats, so no level systematically
-           runs cold.  The top level of the first pass is traced for
-           the timeline artifacts. *)
-        let best : (int, Observe.Scaling.level) Hashtbl.t = Hashtbl.create 8 in
-        for rep = 1 to max 1 repeats do
-          List.iter
-            (fun jobs ->
-              let trace = rep = 1 && jobs = top && (timeline || svg_file <> None) in
-              let l = run_level ~trace p jobs in
-              match Hashtbl.find_opt best jobs with
-              | Some prev
-                when prev.Observe.Scaling.v_elapsed_s
-                     <= l.Observe.Scaling.v_elapsed_s ->
-                  ()
-              | Some _ | None -> Hashtbl.replace best jobs l)
-            levels_asked
-        done;
-        let levels =
-          List.map (fun jobs -> Hashtbl.find best jobs) levels_asked
-        in
-        (match Observe.Scaling.check ~program:name levels with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.eprintf
-              "%s: determinism violation across the sweep: %s\n" name msg;
-            exit 1);
-        match Observe.Scaling.analyze ~program:name levels with
-        | Error msg ->
-            Printf.eprintf "%s: %s\n" name msg;
-            exit 1
-        | Ok a ->
-            print_endline (Observe.Scaling.to_string a);
-            print_newline ();
-            List.iter
-              (fun pair ->
-                rows :=
-                  Yashme_util.Json.encode_obj
-                    (Observe.Scaling.fields ~program:name pair)
-                  :: !rows;
-                projection_rows :=
-                  Yashme_util.Json.encode_obj
-                    (Observe.Scaling.fields ~timing:false ~program:name pair)
-                  :: !projection_rows)
-              a.Observe.Scaling.a_levels)
-      programs;
+    Telemetry.with_session { tel with Telemetry.attribution = true } (fun () ->
+        List.iter
+          (fun (p : Pm_harness.Program.t) ->
+            let name = p.Pm_harness.Program.name in
+            (* The top level of the first pass is traced for the
+               timeline artifacts. *)
+            let levels =
+              Telemetry.best_of ~repeats levels_asked (fun ~rep ~jobs ->
+                  let trace =
+                    rep = 1 && jobs = top && (timeline || svg_file <> None)
+                  in
+                  if trace then Observe.Trace.start ();
+                  let s = Telemetry.measure ~options:opts ~jobs p in
+                  if trace then begin
+                    Observe.Trace.stop ();
+                    let events = Observe.Trace.events () in
+                    Observe.Trace.clear ();
+                    match Observe.Timeline.of_events events with
+                    | Ok t ->
+                        last_timeline := Some (name, jobs, t);
+                        if timeline then begin
+                          Printf.printf "%s timeline (jobs=%d):\n" name jobs;
+                          print_endline (Observe.Timeline.ascii t);
+                          print_endline (Observe.Timeline.to_string t);
+                          print_newline ()
+                        end
+                    | Error msg ->
+                        Observe.Log.warn
+                          (Printf.sprintf "timeline reconstruction failed: %s"
+                             msg)
+                  end;
+                  s)
+              |> List.map Telemetry.scaling_level
+            in
+            (match Observe.Scaling.check ~program:name levels with
+            | Ok () -> ()
+            | Error msg ->
+                Printf.eprintf
+                  "%s: determinism violation across the sweep: %s\n" name msg;
+                exit 1);
+            match Observe.Scaling.analyze ~program:name levels with
+            | Error msg ->
+                Printf.eprintf "%s: %s\n" name msg;
+                exit 1
+            | Ok a ->
+                print_endline (Observe.Scaling.to_string a);
+                print_newline ();
+                List.iter
+                  (fun pair ->
+                    rows :=
+                      Yashme_util.Json.encode_obj
+                        (Observe.Scaling.fields ~program:name pair)
+                      :: !rows;
+                    projection_rows :=
+                      Yashme_util.Json.encode_obj
+                        (Observe.Scaling.fields ~timing:false ~program:name pair)
+                      :: !projection_rows)
+                  a.Observe.Scaling.a_levels)
+          programs);
     let write_rows file lines what =
       match file with
       | None -> ()
@@ -1048,8 +827,8 @@ let scaling_cmd =
   let term =
     Term.(
       const run $ progs $ jobs_list_arg $ repeats_arg $ seed $ variant_arg
-      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag $ quiet_flag
-      $ log_level_arg)
+      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag
+      $ telemetry_term `Log)
   in
   Cmd.v
     (Cmd.info "scaling"
@@ -1443,35 +1222,14 @@ let soak_cmd =
             exit 1)
       names
   in
-  (* All coverage buckets are combo labels (seed-free), so the digest
-     stays bounded and two same-seed runs digest identically. *)
-  let coverage_digest () =
-    match Observe.Coverage.snapshot () with
-    | [] -> ""
-    | stats ->
-        Observe.Ledger.digest_string
-          (String.concat "\n"
-             (List.map
-                (fun s ->
-                  Yashme_util.Json.encode_obj (Observe.Coverage.fields s))
-                stats))
-  in
   let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops
       ~wall_s ~checkpoint_every ~manifest_path ~corpus_path ~resume_snapshot
-      ~preload ~stop_after ~oracle ~quiet ~log_level ~progress ~progress_out
-      ~coverage_out ~attribution_out ~ledger ~run_label ~trace_out =
-    let collect_metrics = ledger <> None in
-    let collect_att = attribution_out <> None || ledger <> None in
-    observe_setup ~log_level ~coverage:true ~progress ~progress_out
-      ~metrics:collect_metrics ~attribution:collect_att ~trace_out ~quiet ();
-    let before = if collect_metrics then Observe.Metrics.snapshot () else [] in
-    let att_before =
-      if collect_att then Observe.Attribution.snapshot () else []
-    in
+      ~preload ~stop_after ~oracle tel =
+    Telemetry.with_session { tel with Telemetry.coverage = true } @@ fun () ->
     let sink = Pm_corpus.Soak_store.sink () in
     Pm_corpus.Soak_store.preload sink preload;
     let run_name =
-      Option.value run_label
+      Option.value tel.Telemetry.run_label
         ~default:("soak:" ^ String.concat "," (stream_names streams))
     in
     let cfg =
@@ -1505,7 +1263,7 @@ let soak_cmd =
         m_witnesses = List.length (Pm_corpus.Soak_store.witnesses sink);
         m_raw = Pm_corpus.Soak_store.raw sink;
         m_duplicates = Pm_corpus.Soak_store.duplicates sink;
-        m_coverage_digest = coverage_digest ();
+        m_coverage_digest = Telemetry.coverage_digest ();
         m_soak_ok = soak_ok;
         m_stopped = stopped;
         m_ts = Unix.gettimeofday ();
@@ -1545,14 +1303,15 @@ let soak_cmd =
       Sys.signal Sys.sigint
         (Sys.Signal_handle (fun _ -> Pm_harness.Soak.request_stop ()))
     in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
-        (fun () ->
-          Pm_harness.Soak.run ?resume:resume_snapshot ~on_batch ~on_checkpoint
-            cfg)
+    let result, obs =
+      Telemetry.observing (fun () ->
+          Fun.protect
+            ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
+            (fun () ->
+              Pm_harness.Soak.run ?resume:resume_snapshot ~on_batch
+                ~on_checkpoint cfg))
     in
-    finish_progress ();
+    ignore (Observe.Progress.stop ());
     let reason = Pm_harness.Soak.stop_reason_label result.Pm_harness.Soak.r_reason in
     flush ~soak_ok:result.Pm_harness.Soak.r_ok ~stopped:reason
       ~elapsed:result.Pm_harness.Soak.r_elapsed_s
@@ -1595,122 +1354,82 @@ let soak_cmd =
     | Some file -> Printf.printf "manifest: %s\n" file
     | None -> ());
     Printf.printf "soak_ok: %b\n" result.Pm_harness.Soak.r_ok;
-    write_coverage_file coverage_out;
-    if collect_att then
-      write_attribution_file
-        (Observe.Attribution.diff att_before (Observe.Attribution.snapshot ()))
-        attribution_out;
-    (match ledger with
-    | None -> ()
-    | Some file ->
-        let entry =
-          {
-            Observe.Ledger.e_version = Observe.Ledger.version;
-            e_run = run_name;
-            e_ts = Unix.gettimeofday ();
-            e_program = run_name;
-            e_variant = Px86.Variant.label variant;
-            e_mode = "soak";
-            e_jobs = jobs;
-            e_seed = seed;
-            e_scenarios = snap.Pm_harness.Soak.snap_scenarios;
-            e_completed = snap.Pm_harness.Soak.snap_completed;
-            e_faulted = snap.Pm_harness.Soak.snap_faulted;
-            e_diverged = snap.Pm_harness.Soak.snap_diverged;
-            e_executions = snap.Pm_harness.Soak.snap_executions;
-            e_ops = snap.Pm_harness.Soak.snap_ops;
-            e_races = race_ws;
-            e_benign = 0;
-            e_raw_races = snap.Pm_harness.Soak.snap_races;
-            e_recovery_failures = rf_ws;
-            e_witnesses = List.length ws;
-            e_elapsed_s = result.Pm_harness.Soak.r_elapsed_s;
-            e_cpu_s = 0.;
-            e_metrics_digest =
-              Observe.Ledger.digest_counters
-                (Observe.Metrics.diff before (Observe.Metrics.snapshot ()));
-            e_coverage_digest = coverage_digest ();
-            e_cost =
-              Observe.Ledger.costs_of_rows
-                (if collect_att then
-                   Observe.Attribution.diff att_before
-                     (Observe.Attribution.snapshot ())
-                 else []);
-          }
-        in
-        Pm_corpus.Ledger_store.append file entry;
-        Printf.printf "ledger: run %S appended to %s\n" run_name file);
-    write_trace trace_out;
-    if not result.Pm_harness.Soak.r_ok then exit 1
+    Telemetry.write_outputs tel obs;
+    Option.iter
+      (fun file ->
+        Pm_corpus.Ledger_store.append file
+          (Telemetry.soak_entry tel ~run:run_name
+             ~variant:(Px86.Variant.label variant) ~seed ~jobs ~races:race_ws
+             ~recovery_failures:rf_ws ~witnesses:(List.length ws) result obs);
+        Printf.printf "ledger: run %S appended to %s\n" run_name file)
+      tel.Telemetry.ledger;
+    result.Pm_harness.Soak.r_ok
   in
   let run streams_pos seed jobs variant max_ops wall_s fault_budget
       ops_per_exec checkpoint_every manifest_path resume stop_after oracle
-      corpus_out quiet log_level progress progress_out coverage_out
-      attribution_out ledger run_label trace_out =
-    match resume with
-    | None ->
-        let names =
-          if streams_pos = [] then
-            stream_names Pm_benchmarks.Registry.soak_streams
-          else streams_pos
-        in
-        go ~streams:(resolve_streams names) ~seed ~variant ~jobs ~ops_per_exec
-          ~fault_budget ~max_ops ~wall_s ~checkpoint_every ~manifest_path
-          ~corpus_path:corpus_out ~resume_snapshot:None ~preload:[] ~stop_after
-          ~oracle ~quiet ~log_level ~progress ~progress_out ~coverage_out
-          ~attribution_out ~ledger ~run_label ~trace_out
-    | Some mf_path -> (
-        match Pm_corpus.Soak_store.load mf_path with
-        | Error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 1
-        | Ok m ->
-            let variant =
-              match Px86.Variant.of_label m.Pm_corpus.Soak_store.m_variant with
-              | Some v -> v
-              | None ->
-                  Printf.eprintf "%s: unknown variant %S in manifest\n" mf_path
-                    m.Pm_corpus.Soak_store.m_variant;
-                  exit 1
-            in
-            (* Configuration comes from the manifest — a resumed run is
-               the same run.  Its corpus is preloaded so the dedup sink
-               suppresses re-observations, only when the manifest says
-               witnesses were actually written. *)
-            let preload =
-              if
-                m.Pm_corpus.Soak_store.m_witnesses > 0
-                && m.Pm_corpus.Soak_store.m_corpus <> ""
-              then load_corpus_or_exit m.Pm_corpus.Soak_store.m_corpus
-              else []
-            in
-            go
-              ~streams:(resolve_streams m.Pm_corpus.Soak_store.m_streams)
-              ~seed:m.Pm_corpus.Soak_store.m_seed ~variant
-              ~jobs:m.Pm_corpus.Soak_store.m_jobs
-              ~ops_per_exec:m.Pm_corpus.Soak_store.m_ops_per_exec
-              ~fault_budget:m.Pm_corpus.Soak_store.m_fault_budget
-              ~max_ops:m.Pm_corpus.Soak_store.m_max_ops
-              ~wall_s:m.Pm_corpus.Soak_store.m_wall_s
-              ~checkpoint_every:m.Pm_corpus.Soak_store.m_checkpoint_every
-              ~manifest_path:(Some mf_path)
-              ~corpus_path:
-                (if m.Pm_corpus.Soak_store.m_corpus = "" then corpus_out
-                 else Some m.Pm_corpus.Soak_store.m_corpus)
-              ~resume_snapshot:(Some m.Pm_corpus.Soak_store.m_snapshot)
-              ~preload ~stop_after ~oracle ~quiet ~log_level ~progress
-              ~progress_out ~coverage_out ~attribution_out ~ledger
-              ~run_label:(Some m.Pm_corpus.Soak_store.m_run)
-              ~trace_out)
+      corpus_out tel =
+    let ok =
+      match resume with
+      | None ->
+          let names =
+            if streams_pos = [] then
+              stream_names Pm_benchmarks.Registry.soak_streams
+            else streams_pos
+          in
+          go ~streams:(resolve_streams names) ~seed ~variant ~jobs ~ops_per_exec
+            ~fault_budget ~max_ops ~wall_s ~checkpoint_every ~manifest_path
+            ~corpus_path:corpus_out ~resume_snapshot:None ~preload:[] ~stop_after
+            ~oracle tel
+      | Some mf_path -> (
+          match Pm_corpus.Soak_store.load mf_path with
+          | Error msg ->
+              Printf.eprintf "%s\n" msg;
+              exit 1
+          | Ok m ->
+              let variant =
+                match Px86.Variant.of_label m.Pm_corpus.Soak_store.m_variant with
+                | Some v -> v
+                | None ->
+                    Printf.eprintf "%s: unknown variant %S in manifest\n" mf_path
+                      m.Pm_corpus.Soak_store.m_variant;
+                    exit 1
+              in
+              (* Configuration comes from the manifest — a resumed run is
+                 the same run.  Its corpus is preloaded so the dedup sink
+                 suppresses re-observations, only when the manifest says
+                 witnesses were actually written. *)
+              let preload =
+                if
+                  m.Pm_corpus.Soak_store.m_witnesses > 0
+                  && m.Pm_corpus.Soak_store.m_corpus <> ""
+                then load_corpus_or_exit m.Pm_corpus.Soak_store.m_corpus
+                else []
+              in
+              go
+                ~streams:(resolve_streams m.Pm_corpus.Soak_store.m_streams)
+                ~seed:m.Pm_corpus.Soak_store.m_seed ~variant
+                ~jobs:m.Pm_corpus.Soak_store.m_jobs
+                ~ops_per_exec:m.Pm_corpus.Soak_store.m_ops_per_exec
+                ~fault_budget:m.Pm_corpus.Soak_store.m_fault_budget
+                ~max_ops:m.Pm_corpus.Soak_store.m_max_ops
+                ~wall_s:m.Pm_corpus.Soak_store.m_wall_s
+                ~checkpoint_every:m.Pm_corpus.Soak_store.m_checkpoint_every
+                ~manifest_path:(Some mf_path)
+                ~corpus_path:
+                  (if m.Pm_corpus.Soak_store.m_corpus = "" then corpus_out
+                   else Some m.Pm_corpus.Soak_store.m_corpus)
+                ~resume_snapshot:(Some m.Pm_corpus.Soak_store.m_snapshot)
+                ~preload ~stop_after ~oracle
+                { tel with Telemetry.run_label = Some m.Pm_corpus.Soak_store.m_run })
+    in
+    if not ok then exit 1
   in
   let term =
     Term.(
       const run $ streams_pos $ seed $ jobs $ variant_arg $ soak_max_ops
       $ wall_s_arg $ fault_budget_arg $ ops_per_exec_arg
       $ checkpoint_every_arg $ manifest_arg $ resume_arg $ stop_after_arg
-      $ oracle_flag $ corpus_out $ quiet_flag $ log_level_arg $ progress_flag
-      $ progress_out $ coverage_out $ attribution_out $ ledger_arg
-      $ run_label_arg $ trace_out)
+      $ oracle_flag $ corpus_out $ telemetry_term `Soak)
   in
   Cmd.v
     (Cmd.info "soak"

@@ -197,7 +197,9 @@ oracle_c4=$(mktemp /tmp/yashme-ci-oracle-c4.XXXXXX.jsonl)
 oracle_min=$(mktemp /tmp/yashme-ci-oracle-min.XXXXXX.jsonl)
 oracle_b0=$(mktemp /tmp/yashme-ci-oracle-b0.XXXXXX.jsonl)
 oracle_b1=$(mktemp /tmp/yashme-ci-oracle-b1.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1"' EXIT
+soak_ledger=$(mktemp /tmp/yashme-ci-soak-ledger.XXXXXX.jsonl)
+bench_ledger=$(mktemp /tmp/yashme-ci-bench-ledger.XXXXXX.jsonl)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$soak_ledger" "$bench_ledger"' EXIT
 # A budgeted soak run must stop cleanly (soak_ok=true) with a
 # manifest and progress stream the existing JSONL codec accepts.
 dune exec bin/yashme_cli.exe -- soak cceh --seed 7 --max-ops 1200 --jobs 2 \
@@ -261,6 +263,14 @@ echo "$out" | grep -q "quarantined" || {
   echo "$out" >&2
   exit 1
 }
+# Two same-seed soak runs append ledger entries that compare with zero
+# non-timing deltas.
+rm -f "$soak_ledger"
+for _ in 1 2; do
+  dune exec bin/yashme_cli.exe -- soak cceh --seed 7 --max-ops 1200 --jobs 2 \
+    --ledger "$soak_ledger" --quiet >/dev/null
+done
+dune exec bin/yashme_cli.exe -- compare "$soak_ledger" 1 2
 
 echo "== invariant-oracle smoke (check --oracle + corpus + replay + minimize)"
 # The fixture the race detector must NOT flag: fully fenced, but the
@@ -309,10 +319,14 @@ echo "== bench gate (committed baseline + back-to-back run)"
 # same tree.  Throughput numbers are machine-dependent, so the
 # tolerance here is deliberately loose: the gate's job in CI is to
 # catch collapses (and exercise the exit paths), not 5% noise.
+rm -f "$bench_ledger"
 dune exec bench/main.exe -- --throughput-only --jobs 2 --repeats 1 \
-  --out "$bench_cur" >/dev/null
+  --out "$bench_cur" --ledger "$bench_ledger" >/dev/null
 dune exec bin/yashme_cli.exe -- bench-diff BENCH_engine_throughput.json \
   "$bench_cur" --tolerance 400
+# The bench's ledger entries list and lint like the CLI's.
+dune exec bin/yashme_cli.exe -- runs "$bench_ledger" >/dev/null
+dune exec bin/yashme_cli.exe -- trace-lint "$bench_ledger"
 # Two back-to-back runs of the same build must pass a generous gate.
 dune exec bench/main.exe -- --throughput-only --jobs 2 --repeats 1 \
   --out "$bench_rerun" >/dev/null
@@ -338,7 +352,7 @@ scale_proj=$(mktemp /tmp/yashme-ci-scale-proj.XXXXXX.jsonl)
 scale_proj2=$(mktemp /tmp/yashme-ci-scale-proj2.XXXXXX.jsonl)
 scale_svg=$(mktemp /tmp/yashme-ci-scale.XXXXXX.svg)
 scale_sweep=$(mktemp /tmp/yashme-ci-scale-sweep.XXXXXX.json)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"' EXIT
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$soak_ledger" "$bench_ledger" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"' EXIT
 # A jobs sweep over one program: the full report, the non-timing
 # projection, and the per-domain timeline SVG must all come out
 # well-formed.
@@ -366,5 +380,27 @@ dune exec bin/yashme_cli.exe -- bench-diff --scaling "$scale_sweep" \
   "$scale_sweep"
 dune exec bin/yashme_cli.exe -- bench-diff --scaling \
   BENCH_engine_throughput.json "$scale_sweep" --tolerance 300
+
+echo "== fail-fast run closes its telemetry (progress + trace, no temporaries)"
+ff_dir=$(mktemp -d /tmp/yashme-ci-failfast.XXXXXX)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$mc_report" "$mc_corpus" ${mc_report}.[14] ${mc_corpus}.[14] "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$soak_ledger" "$bench_ledger" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"; rm -rf "$ff_dir"' EXIT
+# demo-faulty-recovery's fault re-raises under --fail-fast (exit 125);
+# the session must still commit the progress stream and write the
+# trace on the way out, leaving no *.tmp.* file behind.
+status=0
+dune exec bin/yashme_cli.exe -- check demo-faulty-recovery --fail-fast \
+  --progress-out "$ff_dir/progress.jsonl" --trace-out "$ff_dir/trace.json" \
+  --quiet >/dev/null 2>&1 || status=$?
+[ "$status" -eq 125 ] || {
+  echo "ci: fail-fast run exited $status, expected 125" >&2
+  exit 1
+}
+if ls "$ff_dir" | grep -q '\.tmp\.'; then
+  echo "ci: fail-fast run left a temporary file behind" >&2
+  ls "$ff_dir" >&2
+  exit 1
+fi
+dune exec bin/yashme_cli.exe -- trace-lint "$ff_dir/progress.jsonl"
+dune exec bin/yashme_cli.exe -- trace-lint "$ff_dir/trace.json"
 
 echo "CI OK"

@@ -33,19 +33,6 @@ type t = {
          byte-identical to pre-oracle output *)
   fault_count : int;
   diverged : int;
-  metrics : (string * int) list;
-      (* observe-layer counters attributed to this report (e.g. the
-         per-program Metrics.diff the CLI attaches under --metrics);
-         deliberately excluded from [pp]/[to_string] so the race
-         report stays byte-identical with metrics on or off *)
-  coverage : Observe.Coverage.stats option;
-      (* crash-space coverage attributed to this report (attached by
-         the CLI under --coverage); excluded from [pp]/[to_string] for
-         the same byte-identity reason — rendered by [pp_coverage] *)
-  attribution : Observe.Attribution.row list;
-      (* cost-center rows attributed to this report (attached by the
-         CLI under --attribution / --ledger); excluded from
-         [pp]/[to_string] — rendered by [pp_attribution] *)
   oracle : string list option;
       (* the inferred invariant labels ([--oracle] only); rendered by
          [pp_oracle], never by [pp]/[to_string] *)
@@ -121,16 +108,10 @@ let dedup ~program ?(variant = Px86.Variant.default_label) ~executions
     consistency_violations;
     fault_count = !fault_count;
     diverged;
-    metrics = [];
-    coverage = None;
-    attribution = [];
     oracle = None;
   }
 
-let with_metrics t metrics = { t with metrics }
 let with_oracle t invariants = { t with oracle = Some invariants }
-let with_coverage t coverage = { t with coverage = Some coverage }
-let with_attribution t attribution = { t with attribution }
 
 let real t = List.filter (fun f -> not f.benign) t.findings
 let benign t = List.filter (fun f -> f.benign) t.findings
@@ -183,24 +164,6 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-let pp_metrics ppf t =
-  Format.fprintf ppf "@[<v>%s metrics:" t.program;
-  if t.metrics = [] then Format.fprintf ppf "@,  (none recorded)"
-  else
-    List.iter
-      (fun (name, v) -> Format.fprintf ppf "@,  %-42s %d" name v)
-      t.metrics;
-  Format.fprintf ppf "@]"
-
-let metrics_to_string t = Format.asprintf "%a" pp_metrics t
-
-let pp_coverage ppf t =
-  match t.coverage with
-  | None -> Format.fprintf ppf "@[<v>%s coverage:@,  (not recorded)@]" t.program
-  | Some c -> Observe.Coverage.pp ppf c
-
-let coverage_to_string t = Format.asprintf "%a" pp_coverage t
-
 (* The [oracle] block: the inferred invariant set plus per-violation
    detail.  Deterministic — the invariant list is sorted at inference
    and violations are sorted by key — so the block is byte-identical
@@ -222,10 +185,3 @@ let pp_oracle ppf t =
       Format.fprintf ppf "@]"
 
 let oracle_to_string t = Format.asprintf "%a" pp_oracle t
-
-let pp_attribution ppf t =
-  if t.attribution = [] then
-    Format.fprintf ppf "[attribution] %s: (not recorded)" t.program
-  else Observe.Attribution.pp ppf t.attribution
-
-let attribution_to_string t = Format.asprintf "%a" pp_attribution t

@@ -54,20 +54,6 @@ type t = {
       (** contained faults that are {e not} recovery failures (setup or
           pre-crash phase, or a recovery raising without a crash) *)
   diverged : int;  (** scenarios with a budget-terminated phase *)
-  metrics : (string * int) list;
-      (** observe-layer counters attributed to this report (empty
-          unless attached with {!with_metrics}).  Never rendered by
-          {!pp}/{!to_string}: the race report is byte-identical with
-          metrics on or off. *)
-  coverage : Observe.Coverage.stats option;
-      (** crash-space coverage attributed to this report ([None]
-          unless attached with {!with_coverage}).  Never rendered by
-          {!pp}/{!to_string} for the same byte-identity reason. *)
-  attribution : Observe.Attribution.row list;
-      (** per-scenario cost-center rows attributed to this report
-          (empty unless attached with {!with_attribution}).  Never
-          rendered by {!pp}/{!to_string} for the same byte-identity
-          reason — rendered by {!pp_attribution}. *)
   oracle : string list option;
       (** inferred invariant labels ([None] unless attached with
           {!with_oracle}).  Never rendered by {!pp}/{!to_string} —
@@ -76,9 +62,9 @@ type t = {
 
 (** Deduplicate raw races by field label and [faults] (submission
     order) by recovery-failure key.  A label is benign only if every
-    report for it is benign.  [metrics] starts empty; duplicate
-    observations are counted on the [report/duplicate_races] counter
-    of the global {!Observe.Metrics} registry. *)
+    report for it is benign.  Duplicate observations are counted on
+    the [report/duplicate_races] counter of the global
+    {!Observe.Metrics} registry. *)
 val dedup :
   program:string ->
   ?variant:string ->
@@ -89,21 +75,9 @@ val dedup :
   Yashme.Race.t list ->
   t
 
-(** Attach a metrics block (e.g. an {!Observe.Metrics.diff} covering
-    this report's run). *)
-val with_metrics : t -> (string * int) list -> t
-
-(** Attach the program's crash-space coverage
-    ({!Observe.Coverage.find}). *)
-val with_coverage : t -> Observe.Coverage.stats -> t
-
 (** Attach the oracle's inferred invariant labels
     ({!Pm_oracle.Invariant.label} of each, sorted). *)
 val with_oracle : t -> string list -> t
-
-(** Attach cost-attribution rows (an {!Observe.Attribution.diff}
-    covering this report's run). *)
-val with_attribution : t -> Observe.Attribution.row list -> t
 
 (** Real (non-benign) findings. *)
 val real : t -> finding list
@@ -129,27 +103,9 @@ val pp_consistency_violation : Format.formatter -> consistency_violation -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Render the attached metrics block (name/value per line). *)
-val pp_metrics : Format.formatter -> t -> unit
-
-val metrics_to_string : t -> string
-
-(** Render the attached coverage block ({!Observe.Coverage.pp}), or a
-    ["(not recorded)"] placeholder when none is attached. *)
-val pp_coverage : Format.formatter -> t -> unit
-
-val coverage_to_string : t -> string
-
 (** Render the [\[oracle\]] block: inferred invariant set plus
     per-violation detail, byte-identical across [--jobs] counts; a
     ["(not run)"] placeholder when no oracle was attached. *)
 val pp_oracle : Format.formatter -> t -> unit
 
 val oracle_to_string : t -> string
-
-(** Render the attached [\[attribution\]] cost-center table
-    ({!Observe.Attribution.pp}, wall clocks included), or a
-    ["(not recorded)"] placeholder when none is attached. *)
-val pp_attribution : Format.formatter -> t -> unit
-
-val attribution_to_string : t -> string

@@ -1,7 +1,7 @@
 (* Per-scenario cost attribution: where does exploration time go?
 
    A [center] is a named cost bucket (snapshot copying, queue wait,
-   detector clock-vector comparisons, ...) holding three domain-sharded
+   detector clock-vector comparisons, ...) holding three {!Sharded}
    accumulators: an occurrence count, a charged-unit total (bytes, ops,
    comparisons — whatever the center's [units] label says) and a
    wall-clock total in microseconds.  Concurrent charges from engine
@@ -22,10 +22,6 @@
    branch until [enable], and nothing here feeds back into the engine:
    attribution on vs off never changes a race report. *)
 
-let shards = 64
-
-let slot () = (Domain.self () :> int) land (shards - 1)
-
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
@@ -35,15 +31,13 @@ type center = {
   a_name : string;
   a_units_label : string; (* "" = the center charges no units *)
   a_volatile_units : bool; (* units are wall-clock class (GC words) *)
-  a_counts : int Atomic.t array;
-  a_units : int Atomic.t array;
-  a_wall : int Atomic.t array;
+  a_counts : Sharded.counter;
+  a_units : Sharded.counter;
+  a_wall : Sharded.counter;
 }
 
 let registry_lock = Mutex.create ()
 let registry : (string, center) Hashtbl.t = Hashtbl.create 32
-
-let atomics n = Array.init n (fun _ -> Atomic.make 0)
 
 (* Find-or-create, like {!Metrics.counter}: one name, one set of cells,
    so instrumentation sites and tests share centers by name alone.
@@ -58,9 +52,9 @@ let center ?(units = "") ?(volatile_units = false) name =
               a_name = name;
               a_units_label = units;
               a_volatile_units = volatile_units;
-              a_counts = atomics shards;
-              a_units = atomics shards;
-              a_wall = atomics shards;
+              a_counts = Sharded.counter ();
+              a_units = Sharded.counter ();
+              a_wall = Sharded.counter ();
             }
           in
           Hashtbl.add registry name c;
@@ -70,14 +64,12 @@ let center_name c = c.a_name
 
 let charge c ?(count = 1) ?(units = 0) ?(wall_us = 0) () =
   if Atomic.get enabled then begin
-    let s = slot () in
-    if count <> 0 then ignore (Atomic.fetch_and_add c.a_counts.(s) count);
-    if units <> 0 then ignore (Atomic.fetch_and_add c.a_units.(s) units);
-    if wall_us > 0 then ignore (Atomic.fetch_and_add c.a_wall.(s) wall_us)
+    if count <> 0 then Sharded.add c.a_counts count;
+    if units <> 0 then Sharded.add c.a_units units;
+    if wall_us > 0 then Sharded.add c.a_wall wall_us
   end
 
-let tick c =
-  if Atomic.get enabled then ignore (Atomic.fetch_and_add c.a_counts.(slot ()) 1)
+let tick c = if Atomic.get enabled then Sharded.add c.a_counts 1
 
 (* ------------------------------------------------------------------ *)
 (* Merge-on-read rows                                                   *)
@@ -91,16 +83,14 @@ type row = {
   r_wall_us : int;
 }
 
-let merged a = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 a
-
 let row_of c =
   {
     r_center = c.a_name;
     r_units_label = c.a_units_label;
     r_volatile_units = c.a_volatile_units;
-    r_count = merged c.a_counts;
-    r_units = merged c.a_units;
-    r_wall_us = merged c.a_wall;
+    r_count = Sharded.sum c.a_counts;
+    r_units = Sharded.sum c.a_units;
+    r_wall_us = Sharded.sum c.a_wall;
   }
 
 (* Registered-but-uncharged centers are dropped so the table only names
@@ -135,12 +125,11 @@ let diff before after =
 
 let reset () =
   Mutex.protect registry_lock (fun () ->
-      let zero a = Array.iter (fun cell -> Atomic.set cell 0) a in
       Hashtbl.iter
         (fun _ c ->
-          zero c.a_counts;
-          zero c.a_units;
-          zero c.a_wall)
+          Sharded.zero c.a_counts;
+          Sharded.zero c.a_units;
+          Sharded.zero c.a_wall)
         registry)
 
 (* ------------------------------------------------------------------ *)
@@ -169,21 +158,11 @@ let pp ?(timing = true) ppf rows =
     if timing then [ "cost center"; "count"; "charged"; "wall" ]
     else [ "cost center"; "count"; "charged" ]
   in
-  let widths =
-    List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
-      cells
-  in
-  let render_row row =
-    String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row)
-  in
   Format.fprintf ppf "@[<v>[attribution]";
   if rows = [] then Format.fprintf ppf "@,  (no cost recorded)"
-  else begin
-    Format.fprintf ppf "@,  %s" (render_row header);
-    List.iter (fun row -> Format.fprintf ppf "@,  %s" (render_row row)) cells
-  end;
+  else
+    List.iter (Format.fprintf ppf "@,  %s")
+      (Yashme_util.Pretty.columns ~header cells);
   Format.fprintf ppf "@]"
 
 let to_string ?timing rows = Format.asprintf "%a" (pp ?timing) rows

@@ -8,16 +8,14 @@
 
    Accounting is attributed to the ambient program of the calling
    domain (a [Domain.DLS] slot the engine sets around each scenario),
-   and accumulated into per-domain shards merged on read.  Every
-   per-program quantity is either a set union or a counter sum, and
+   and accumulated into per-domain shards ({!Sharded}) merged on read.
+   Every per-program quantity is either a set union or a counter sum, and
    each scenario executes exactly once regardless of the pool size, so
    merged coverage is byte-identical for every [--jobs] count.
 
    Like {!Metrics}, the whole module is disabled by default: each hook
    is a no-op behind a single [Atomic.get] branch, and nothing here
    feeds back into the exploration being measured. *)
-
-let shards = 64 (* power of two; domain ids map to shards by masking *)
 
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
@@ -56,10 +54,10 @@ type acc = {
 type shard = { lock : Mutex.t; progs : (string * string, acc) Hashtbl.t }
 
 let store =
-  Array.init shards (fun _ -> { lock = Mutex.create (); progs = Hashtbl.create 8 })
+  Sharded.make (fun () -> { lock = Mutex.create (); progs = Hashtbl.create 8 })
 
 let reset () =
-  Array.iter
+  Sharded.iter
     (fun s -> Mutex.protect s.lock (fun () -> Hashtbl.reset s.progs))
     store
 
@@ -91,7 +89,7 @@ let touch f =
     match Domain.DLS.get ambient with
     | None -> ()
     | Some key ->
-        let s = store.((Domain.self () :> int) land (shards - 1)) in
+        let s = Sharded.local store in
         Mutex.protect s.lock (fun () -> f (acc_of s key))
 
 let with_program ?(variant = default_variant) program f =
@@ -180,7 +178,7 @@ let merge (program, variant) accs =
 
 let snapshot () =
   let by_key : (string * string, acc list) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
+  Sharded.iter
     (fun s ->
       Mutex.protect s.lock (fun () ->
           Hashtbl.iter

@@ -1,25 +1,22 @@
 (* Domain-safe counters and histograms.
 
-   Every cell is an [Atomic.t] sharded by domain id: concurrent
-   increments from engine workers land on different cells, and reads
-   merge the shards (addition commutes, so merged totals are identical
-   for any interleaving — and therefore for any --jobs count).
+   Every cell is an [Atomic.t] sharded by domain id ({!Sharded}):
+   concurrent increments from engine workers land on different cells,
+   and reads merge the shards (addition commutes, so merged totals are
+   identical for any interleaving — and therefore for any --jobs
+   count).
 
    Everything is a no-op behind a single [Atomic.get] branch until
    [enable] is called, and nothing here feeds back into the systems
    being measured: instrumented code behaves identically with metrics
    on or off. *)
 
-let shards = 64 (* power of two; domain ids map to cells by masking *)
-
-let slot () = (Domain.self () :> int) land (shards - 1)
-
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 let is_enabled () = Atomic.get enabled
 
-type counter = { c_name : string; cells : int Atomic.t array }
+type counter = { c_name : string; cells : Sharded.counter }
 
 (* Power-of-two buckets: a value v lands in bucket [bits v], so bucket
    i holds values in [2^(i-1), 2^i). *)
@@ -27,9 +24,9 @@ let buckets = 63
 
 type histogram = {
   h_name : string;
-  h_counts : int Atomic.t array; (* shards * buckets, flattened *)
-  h_sums : int Atomic.t array; (* per-shard value sums *)
-  h_maxes : int Atomic.t array; (* per-shard maxima *)
+  h_counts : int Atomic.t array Sharded.t; (* per-shard bucket counts *)
+  h_sums : Sharded.counter; (* per-shard value sums *)
+  h_maxes : Sharded.counter; (* per-shard maxima *)
 }
 
 type hstats = { count : int; sum : int; max : int }
@@ -37,8 +34,6 @@ type hstats = { count : int; sum : int; max : int }
 let registry_lock = Mutex.create ()
 let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 64
 let histogram_registry : (string, histogram) Hashtbl.t = Hashtbl.create 16
-
-let atomics n = Array.init n (fun _ -> Atomic.make 0)
 
 (* Creation is idempotent: asking twice for one name yields the same
    cells, so instrumentation sites and tests can share counters by
@@ -48,7 +43,7 @@ let counter name =
       match Hashtbl.find_opt counter_registry name with
       | Some c -> c
       | None ->
-          let c = { c_name = name; cells = atomics shards } in
+          let c = { c_name = name; cells = Sharded.counter () } in
           Hashtbl.add counter_registry name c;
           c)
 
@@ -60,9 +55,10 @@ let histogram name =
           let h =
             {
               h_name = name;
-              h_counts = atomics (shards * buckets);
-              h_sums = atomics shards;
-              h_maxes = atomics shards;
+              h_counts =
+                Sharded.make (fun () -> Array.init buckets (fun _ -> Atomic.make 0));
+              h_sums = Sharded.counter ();
+              h_maxes = Sharded.counter ();
             }
           in
           Hashtbl.add histogram_registry name h;
@@ -71,12 +67,11 @@ let histogram name =
 let counter_name c = c.c_name
 let histogram_name h = h.h_name
 
-let add c n =
-  if Atomic.get enabled then ignore (Atomic.fetch_and_add c.cells.(slot ()) n)
+let add c n = if Atomic.get enabled then Sharded.add c.cells n
 
 let incr c = add c 1
 
-let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.cells
+let value c = Sharded.sum c.cells
 
 let bucket_of v =
   if v <= 0 then 0
@@ -91,29 +86,28 @@ let bucket_of v =
 
 let observe h v =
   if Atomic.get enabled then begin
-    let s = slot () in
-    ignore (Atomic.fetch_and_add h.h_counts.((s * buckets) + bucket_of v) 1);
-    ignore (Atomic.fetch_and_add h.h_sums.(s) v);
+    ignore (Atomic.fetch_and_add (Sharded.local h.h_counts).(bucket_of v) 1);
+    Sharded.add h.h_sums v;
+    let cell = Sharded.local h.h_maxes in
     let rec bump () =
-      let m = Atomic.get h.h_maxes.(s) in
-      if v > m && not (Atomic.compare_and_set h.h_maxes.(s) m v) then bump ()
+      let m = Atomic.get cell in
+      if v > m && not (Atomic.compare_and_set cell m v) then bump ()
     in
     bump ()
   end
 
 let hstats h =
-  let count = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.h_counts in
-  let sum = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.h_sums in
-  let max = Array.fold_left (fun acc a -> Stdlib.max acc (Atomic.get a)) 0 h.h_maxes in
-  { count; sum; max }
+  let count =
+    Sharded.fold
+      (Array.fold_left (fun acc a -> acc + Atomic.get a))
+      0 h.h_counts
+  in
+  let max = Sharded.fold (fun acc a -> Stdlib.max acc (Atomic.get a)) 0 h.h_maxes in
+  { count; sum = Sharded.sum h.h_sums; max }
 
 let bucket_counts h =
   Array.init buckets (fun b ->
-      let acc = ref 0 in
-      for s = 0 to shards - 1 do
-        acc := !acc + Atomic.get h.h_counts.((s * buckets) + b)
-      done;
-      !acc)
+      Sharded.fold (fun acc cells -> acc + Atomic.get cells.(b)) 0 h.h_counts)
 
 (* Merged view of the whole registry: counters by name, plus #count /
    #sum / #max pseudo-counters per histogram, sorted by name so two
@@ -146,11 +140,10 @@ let diff before after =
 
 let reset () =
   Mutex.protect registry_lock (fun () ->
-      let zero a = Array.iter (fun cell -> Atomic.set cell 0) a in
-      Hashtbl.iter (fun _ c -> zero c.cells) counter_registry;
+      Hashtbl.iter (fun _ c -> Sharded.zero c.cells) counter_registry;
       Hashtbl.iter
         (fun _ h ->
-          zero h.h_counts;
-          zero h.h_sums;
-          zero h.h_maxes)
+          Sharded.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.h_counts;
+          Sharded.zero h.h_sums;
+          Sharded.zero h.h_maxes)
         histogram_registry)

@@ -36,23 +36,6 @@ type level = {
   v_gc_major_words : int;
 }
 
-(* Pull the cost-center quantities a level needs out of an
-   [Attribution.diff] window. *)
-let of_attribution rows =
-  let find name = List.find_opt (fun r -> r.Attribution.r_center = name) rows in
-  let wall name =
-    match find name with Some r -> r.Attribution.r_wall_us | None -> 0
-  in
-  let units name =
-    match find name with Some r -> r.Attribution.r_units | None -> 0
-  in
-  ( units "px86/snapshot_copy",
-    wall "engine/queue_wait",
-    wall "px86/snapshot_copy",
-    wall "engine/merge",
-    units "gc/minor",
-    units "gc/major" )
-
 type derived = {
   d_speedup : float;  (* T_ref / T_n *)
   d_efficiency : float;  (* speedup / (jobs / ref_jobs) *)
@@ -259,17 +242,7 @@ let pp ppf a =
         ])
       a.a_levels
   in
-  let widths =
-    List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
-      rows
-  in
-  let render row =
-    String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row)
-  in
-  Format.fprintf ppf "@,  %s" (render header);
-  List.iter (fun row -> Format.fprintf ppf "@,  %s" (render row)) rows;
+  List.iter (Format.fprintf ppf "@,  %s") (Yashme_util.Pretty.columns ~header rows);
   (match a.a_serial_fraction with
   | Some s -> Format.fprintf ppf "@,  serial fraction (Amdahl fit): %.2f" s
   | None -> Format.fprintf ppf "@,  serial fraction: n/a (single jobs level)");

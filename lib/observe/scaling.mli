@@ -30,11 +30,6 @@ type level = {
   v_gc_major_words : int;
 }
 
-(** Extract [(snapshot_bytes, queue_wait_us, snapshot_us, merge_us,
-    gc_minor_words, gc_major_words)] from an {!Attribution.diff}
-    window; absent centers read as zero. *)
-val of_attribution : Attribution.row list -> int * int * int * int * int * int
-
 type derived = {
   d_speedup : float;  (** T_ref / T_n *)
   d_efficiency : float;  (** speedup / (jobs / reference jobs) *)

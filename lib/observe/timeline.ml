@@ -605,17 +605,7 @@ let pp ppf t =
         ])
       t.t_lanes
   in
-  let widths =
-    List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
-      rows
-  in
-  let render row =
-    String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row)
-  in
-  Format.fprintf ppf "@,  %s" (render header);
-  List.iter (fun row -> Format.fprintf ppf "@,  %s" (render row)) rows;
+  List.iter (Format.fprintf ppf "@,  %s") (Yashme_util.Pretty.columns ~header rows);
   Format.fprintf ppf "@]"
 
 let to_string t = Format.asprintf "%a" pp t

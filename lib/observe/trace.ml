@@ -2,8 +2,8 @@
    about://tracing JSON ({"traceEvents":[...]}) or machine-readable
    JSONL (one event object per line).
 
-   Events are recorded into per-domain sharded buffers (one mutex per
-   shard, domains collide only modulo the shard count) and merged at
+   Events are recorded into per-domain {!Sharded} buffers (one mutex
+   per shard, domains collide only modulo the shard count) and merged at
    export.  Recording is off until [start]; every emit is a no-op
    behind one [Atomic.get] branch, so instrumentation left in hot
    paths costs one load + branch when tracing is disabled. *)
@@ -42,15 +42,12 @@ let now_us () =
 let recording_flag = Atomic.make false
 let recording () = Atomic.get recording_flag
 
-let shard_count = 64
-
 type shard = { lock : Mutex.t; mutable shard_events : event list (* newest first *) }
 
-let shards =
-  Array.init shard_count (fun _ -> { lock = Mutex.create (); shard_events = [] })
+let shards = Sharded.make (fun () -> { lock = Mutex.create (); shard_events = [] })
 
 let clear () =
-  Array.iter
+  Sharded.iter
     (fun s -> Mutex.protect s.lock (fun () -> s.shard_events <- []))
     shards
 
@@ -74,7 +71,7 @@ let default_pid_tid () =
   | None -> (0, (Domain.self () :> int))
 
 let record ev =
-  let s = shards.((Domain.self () :> int) land (shard_count - 1)) in
+  let s = Sharded.local shards in
   Mutex.protect s.lock (fun () -> s.shard_events <- ev :: s.shard_events)
 
 let complete ?(cat = "") ?pid ?tid ?(args = []) ~ts_us ~dur_us name =
@@ -101,7 +98,7 @@ let instant ?(cat = "") ?pid ?tid ?(args = []) name =
    before — its children. *)
 let events () =
   let all =
-    Array.fold_left
+    Sharded.fold
       (fun acc s ->
         List.rev_append (List.mapi (fun i e -> (i, e)) s.shard_events) acc)
       [] shards
@@ -168,11 +165,8 @@ let event_count () = List.length (events ())
 let is_jsonl path = Filename.check_suffix path ".jsonl"
 
 let write path =
-  let data = if is_jsonl path then to_jsonl () else to_chrome_json () in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
+  Yashme_util.Atomic_file.write path
+    (if is_jsonl path then to_jsonl () else to_chrome_json ())
 
 (* Validation goes through the one codec ({!Yashme_util.Json}); an
    empty file is rejected in both formats, so a trace truncated at

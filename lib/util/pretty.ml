@@ -28,3 +28,15 @@ let table ~header rows =
   let total = Array.fold_left ( + ) 0 widths + (2 * max 0 (ncols - 1)) in
   let lines = render header :: rule total :: List.map render rows in
   String.concat "\n" lines
+
+let columns ~header rows =
+  let widths =
+    List.fold_left
+      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
+      (List.map String.length header)
+      rows
+  in
+  List.map
+    (fun row ->
+      String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row))
+    (header :: rows)

@@ -11,3 +11,8 @@ val rule : int -> string
 
 (** [table ~header rows] renders an aligned plain-text table. *)
 val table : header:string list -> string list list -> string
+
+(** [columns ~header rows] is the header and rows as lines of cells
+    padded to their column width and joined by two spaces, trailing
+    padding kept: the aligned body of an indented report block. *)
+val columns : header:string list -> string list list -> string list

@@ -367,37 +367,9 @@ let test_gate_missing_metric () =
 (* The crux, end to end: jobs 1 vs 4 non-timing byte-identity           *)
 
 let run_level ~jobs p =
-  Observe.Attribution.enable ();
-  let att0 = Observe.Attribution.snapshot () in
-  let o = Runner.model_check_outcome ~jobs p in
-  let att = Observe.Attribution.diff att0 (Observe.Attribution.snapshot ()) in
-  Observe.Attribution.disable ();
-  let stats = o.Runner.o_stats in
-  let r = o.Runner.o_report in
-  let ex =
-    Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-  in
-  let snapshot_bytes, queue_wait_us, snapshot_us, merge_us, gc_minor, gc_major =
-    Scaling.of_attribution att
-  in
-  {
-    Scaling.v_jobs = stats.Pm_harness.Engine.jobs;
-    v_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-    v_cpu_s = stats.Pm_harness.Engine.cpu_s;
-    v_scenarios = stats.Pm_harness.Engine.scenarios;
-    v_completed = stats.Pm_harness.Engine.completed;
-    v_faulted = stats.Pm_harness.Engine.faulted;
-    v_executions = stats.Pm_harness.Engine.executions;
-    v_ops = stats.Pm_harness.Engine.ops;
-    v_races = List.length (Report.real r);
-    v_witnesses = List.length ex.Pm_corpus.Witness.witnesses;
-    v_snapshot_bytes = snapshot_bytes;
-    v_queue_wait_us = queue_wait_us;
-    v_snapshot_us = snapshot_us;
-    v_merge_us = merge_us;
-    v_gc_minor_words = gc_minor;
-    v_gc_major_words = gc_major;
-  }
+  let open Pm_corpus.Telemetry in
+  with_session { off with attribution = true } (fun () ->
+      scaling_level (measure ~jobs p))
 
 let test_projection_jobs_identity () =
   let p = Pm_benchmarks.Memcached.program in

@@ -464,6 +464,185 @@ let test_bench_gate_load_rejects_empty () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing bench file accepted")
 
+(* ------------------------------------------------------------------ *)
+(* Sessions (Pm_corpus.Telemetry)                                       *)
+
+module Telemetry = Pm_corpus.Telemetry
+
+let temp_dir () =
+  let d = Filename.temp_file "yashme_session" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let remove_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Sys.rmdir d
+
+(* A run that raises out of the session still commits the progress
+   stream with its final line, writes the trace, leaves no temporary
+   behind and disarms what it armed; the exception reaches the caller
+   unchanged. *)
+let test_session_closes_on_exception () =
+  quiesce ();
+  let d = temp_dir () in
+  let progress = Filename.concat d "progress.jsonl"
+  and trace = Filename.concat d "trace.json" in
+  let cfg =
+    { Telemetry.off with
+      quiet = true; metrics = true; progress_out = Some progress;
+      trace_out = Some trace }
+  in
+  (match
+     Telemetry.with_session cfg (fun () ->
+         ignore (Runner.model_check_outcome ~jobs:2 toy);
+         raise Exit)
+   with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Exit -> ());
+  check "progress committed" true (Sys.file_exists progress);
+  check "trace written" true (Sys.file_exists trace);
+  check "no temporary left" false
+    (Array.exists
+       (fun f -> Str.string_match (Str.regexp ".*\\.tmp\\.") f 0)
+       (Sys.readdir d));
+  check "progress lints" true (Trace.check_file progress = Ok ());
+  check "trace lints" true (Trace.check_file trace = Ok ());
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin progress In_channel.input_all)
+  in
+  check "final summary line" true
+    (List.exists
+       (fun l -> Str.string_match (Str.regexp ".*\"per_domain\"") l 0)
+       lines);
+  check "metrics disarmed" false (Metrics.is_enabled ());
+  check "trace stopped" false (Trace.recording ());
+  remove_dir d;
+  quiesce ()
+
+(* A trace that cannot be written neither masks the body's exception
+   nor stops the rest of the close: progress is still committed and
+   everything disarmed.  When the body returned, the write error itself
+   reaches the caller. *)
+let test_session_unwritable_trace () =
+  quiesce ();
+  let d = temp_dir () in
+  let progress = Filename.concat d "progress.jsonl" in
+  let cfg =
+    { Telemetry.off with
+      quiet = true; metrics = true; progress_out = Some progress;
+      trace_out = Some (Filename.concat d "missing/trace.json") }
+  in
+  (match Telemetry.with_session cfg (fun () -> raise Exit) with
+  | () -> Alcotest.fail "the body's exception was swallowed"
+  | exception Exit -> ()
+  | exception e -> Alcotest.failf "body's Exit masked by %s" (Printexc.to_string e));
+  check "progress committed" true (Sys.file_exists progress);
+  check "metrics disarmed" false (Metrics.is_enabled ());
+  check "trace stopped" false (Trace.recording ());
+  Sys.remove progress;
+  (match Telemetry.with_session cfg (fun () -> ()) with
+  | () -> Alcotest.fail "the trace write error was swallowed"
+  | exception Sys_error _ -> ());
+  check "progress committed after a normal body" true (Sys.file_exists progress);
+  check "metrics disarmed after a normal body" false (Metrics.is_enabled ());
+  check "no temporary left" false
+    (Array.exists
+       (fun f -> Str.string_match (Str.regexp ".*\\.tmp\\.") f 0)
+       (Sys.readdir d));
+  remove_dir d;
+  quiesce ()
+
+(* --ledger collects metrics, coverage and attribution without showing
+   them; a show flag arms only its own collector; closing disarms all
+   three. *)
+let test_session_show_vs_collect () =
+  quiesce ();
+  let armed () =
+    ( Metrics.is_enabled (),
+      Observe.Attribution.is_enabled (),
+      Coverage.is_enabled () )
+  in
+  let inside cfg = Telemetry.with_session cfg armed in
+  let quiet = { Telemetry.off with quiet = true } in
+  check "off arms nothing" true (inside quiet = (false, false, false));
+  check "a ledger arms all three" true
+    (inside { quiet with ledger = Some "unused.jsonl" } = (true, true, true));
+  check "coverage-out arms coverage" true
+    (inside { quiet with coverage_out = Some "unused.jsonl" }
+    = (false, false, true));
+  check "attribution arms attribution" true
+    (inside { quiet with attribution = true } = (false, true, false));
+  check "closing disarms" true (armed () = (false, false, false));
+  quiesce ()
+
+(* A window sees exactly the work run inside it. *)
+let test_window_observes_run () =
+  quiesce ();
+  Telemetry.with_session { Telemetry.off with quiet = true; metrics = true }
+    (fun () ->
+      let (), obs =
+        Telemetry.observing (fun () ->
+            ignore (Runner.model_check_outcome ~jobs:2 toy))
+      in
+      check "stores counted" true
+        (List.assoc_opt "executor/pre/stores" obs.Telemetry.o_metrics <> None);
+      check "an empty window sees nothing" true
+        ((snd (Telemetry.observing ignore)).Telemetry.o_metrics = []));
+  quiesce ()
+
+(* Best-of-N visits every level once per pass, in order, and keeps one
+   winner per level. *)
+let test_best_of_interleaves () =
+  quiesce ();
+  let calls = ref [] in
+  let best =
+    Telemetry.best_of ~repeats:2 [ 1; 2 ] (fun ~rep ~jobs ->
+        calls := (rep, jobs) :: !calls;
+        Telemetry.measure ~jobs toy)
+  in
+  check "interleaved passes" true
+    (List.rev !calls = [ (1, 1); (1, 2); (2, 1); (2, 2) ]);
+  check "one winner per level, in order" true
+    (List.map
+       (fun s -> s.Telemetry.s_outcome.Runner.o_stats.Engine.jobs)
+       best
+    = [ 1; 2 ]);
+  quiesce ()
+
+let test_parse_levels () =
+  let p = Telemetry.parse_levels in
+  check "sorted, distinct" true (p "4,1,1" = Some [ 1; 4 ]);
+  check "blanks and empty tokens" true (p " 2 , 1," = Some [ 1; 2 ]);
+  check "nothing parses" true (p "x" = None);
+  check "one token is not an integer" true (p "1,x" = None);
+  check "empty" true (p "" = None);
+  check "below one" true (p "0,2" = None)
+
+(* The one ledger builder: run label defaults to the program, the
+   digests and cost centers come from the window. *)
+let test_outcome_entry () =
+  quiesce ();
+  let s =
+    Telemetry.with_session
+      { Telemetry.off with metrics = true; attribution = true }
+      (fun () -> Telemetry.measure ~jobs:1 toy)
+  in
+  let entry cfg =
+    Telemetry.outcome_entry cfg ~mode:"mc" ~seed:42 ~program:"toy"
+      s.Telemetry.s_outcome s.Telemetry.s_extraction s.Telemetry.s_observed
+  in
+  let e = entry Telemetry.off in
+  check_str "run defaults to the program" "toy" e.Observe.Ledger.e_run;
+  check_str "metrics digest from the window"
+    (Observe.Ledger.digest_counters s.Telemetry.s_observed.Telemetry.o_metrics)
+    e.Observe.Ledger.e_metrics_digest;
+  check "cost centers from the window" true (e.Observe.Ledger.e_cost <> []);
+  check_str "--run-label wins" "nightly"
+    (entry { Telemetry.off with run_label = Some "nightly" }).Observe.Ledger.e_run;
+  quiesce ()
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -520,5 +699,18 @@ let () =
             test_bench_gate_new_benches_ignored;
           Alcotest.test_case "load rejects empty" `Quick
             test_bench_gate_load_rejects_empty;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "closes on exception" `Quick
+            test_session_closes_on_exception;
+          Alcotest.test_case "unwritable trace" `Quick
+            test_session_unwritable_trace;
+          Alcotest.test_case "show vs collect" `Quick test_session_show_vs_collect;
+          Alcotest.test_case "window observes a run" `Quick
+            test_window_observes_run;
+          Alcotest.test_case "best-of interleaves" `Quick test_best_of_interleaves;
+          Alcotest.test_case "parse levels" `Quick test_parse_levels;
+          Alcotest.test_case "outcome entry" `Quick test_outcome_entry;
         ] );
     ]
