@@ -9,9 +9,9 @@
      Table 5     prefix vs baseline + Yashme vs Jaaru runtimes
      Figures 4-6 detection scenarios (see also examples/scenarios.exe)
 
-   plus one Bechamel micro-benchmark per table.  Absolute numbers differ
-   from the paper (different substrate, simulated machine); the shapes
-   are the reproduction target (see EXPERIMENTS.md). *)
+   plus the ablations.  Absolute numbers differ from the paper
+   (different substrate, simulated machine); the shapes are the
+   reproduction target (see EXPERIMENTS.md). *)
 
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
@@ -193,184 +193,6 @@ let table5 () =
     (if !sb = 0 then Float.infinity else float_of_int !sp /. float_of_int !sb)
 
 (* ------------------------------------------------------------------ *)
-(* Exploration engine throughput                                        *)
-
-module Engine = Pm_harness.Engine
-module Telemetry = Pm_corpus.Telemetry
-
-(* One emitted row: the best-of-N sample at one jobs level, with the
-   reference (lowest) level's best elapsed for the speedup column.  The
-   sample's counter diffs are jobs-invariant (each scenario runs exactly
-   once), so they double as a cheap cross-check of the determinism
-   contract; its GC word deltas are process-global and volatile. *)
-type measure = {
-  m_name : string;
-  m_jobs : int;
-  m_ref_elapsed_s : float;
-  m_best : Telemetry.sample;
-}
-
-(* Model-check a few multi-flush-point benchmarks through the engine
-   across [jobs_list] and report scenario/execution/op throughput, plus
-   one machine-readable JSON line per emitted row (the driver consuming
-   the bench output parses these).  Without a sweep, only the highest
-   level emits (one row per benchmark, the historical shape); with
-   [sweep] every level does, keyed [bench[jobs=N]].  The same lines are
-   written to [out] — the summary file [yashme bench-diff] gates
-   against a committed baseline — and, with [ledger], one run-manifest
-   entry per row is appended for [yashme runs]/[yashme compare]. *)
-let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
-  let jobs_list = List.sort_uniq compare (List.filter (fun j -> j >= 1) jobs_list) in
-  let jobs_list = if jobs_list = [] then [ 1 ] else jobs_list in
-  let top = List.fold_left max 1 jobs_list in
-  section
-    (Printf.sprintf
-       "Exploration engine throughput (model checking, jobs %s, best of %d)"
-       (String.concat "," (List.map string_of_int jobs_list))
-       (max 1 repeats));
-  let programs =
-    [ Pm_benchmarks.Cceh.program; Pm_benchmarks.Fast_fair.program;
-      Pm_benchmarks.Memcached.program ]
-  in
-  let counter_of diff name =
-    match List.assoc_opt name diff with Some v -> v | None -> 0
-  in
-  let elapsed (s : Telemetry.sample) =
-    s.Telemetry.s_outcome.Runner.o_stats.Engine.elapsed_s
-  in
-  let ref_jobs = List.hd jobs_list in
-  (* Interleaved best-of-N (Telemetry.best_of): a fixed jobs=1-first
-     order would hand every later level a warmed allocator and memoized
-     setup, the bias that made the committed speedups look worse than
-     they were. *)
-  let measured =
-    Telemetry.with_session
-      { Telemetry.off with metrics = true; attribution = true }
-      (fun () ->
-        List.concat_map
-          (fun (p : Pm_harness.Program.t) ->
-            let best =
-              Telemetry.best_of ~repeats jobs_list (fun ~rep:_ ~jobs ->
-                  Telemetry.measure ~jobs p)
-            in
-            List.map2
-              (fun jobs s ->
-                { m_name = p.Pm_harness.Program.name; m_jobs = jobs;
-                  m_ref_elapsed_s = elapsed (List.hd best); m_best = s })
-              jobs_list best
-            |> List.filter (fun m -> sweep || m.m_jobs = top))
-          programs)
-  in
-  (* Divisions guard against elapsed ~ 0 (a degenerate fast run must
-     not print "inf", which is not JSON). *)
-  let safe_div a b = if b > 0. then a /. b else 0. in
-  let speedup_of m = safe_div m.m_ref_elapsed_s (elapsed m.m_best) in
-  let efficiency_of m =
-    safe_div (speedup_of m)
-      (float_of_int m.m_jobs /. float_of_int (max 1 ref_jobs))
-  in
-  let rows =
-    List.map
-      (fun m ->
-        let sn = m.m_best.Telemetry.s_outcome.Runner.o_stats in
-        [ m.m_name; string_of_int sn.Engine.jobs;
-          string_of_int sn.Engine.scenarios;
-          string_of_int sn.Engine.executions; string_of_int sn.Engine.ops;
-          Printf.sprintf "%.4fs" m.m_ref_elapsed_s;
-          Printf.sprintf "%.4fs" sn.Engine.elapsed_s;
-          Printf.sprintf "%.2fx" (speedup_of m);
-          Printf.sprintf "%.0f%%" (100. *. efficiency_of m);
-          Printf.sprintf "%.0f" (safe_div (float_of_int sn.Engine.ops) sn.Engine.elapsed_s) ])
-      measured
-  in
-  print_endline
-    (Pretty.table
-       ~header:
-         [ "Benchmark"; "jobs"; "scenarios"; "execs"; "ops";
-           Printf.sprintf "jobs=%d" ref_jobs;
-           "elapsed"; "speedup"; "efficiency"; "ops/s" ]
-       rows);
-  print_endline "engine-throughput JSON:";
-  let json_lines =
-    List.map
-      (fun m ->
-        let sn = m.m_best.Telemetry.s_outcome.Runner.o_stats in
-        let e = m.m_best.Telemetry.s_extraction in
-        let obs = m.m_best.Telemetry.s_observed in
-        let c = counter_of obs.Telemetry.o_metrics in
-        let dedup_rate =
-          if e.Pm_corpus.Witness.raw = 0 then 0.0
-          else
-            float_of_int e.Pm_corpus.Witness.duplicates
-            /. float_of_int e.Pm_corpus.Witness.raw
-        in
-        let executor_loads =
-          c "executor/setup/loads" + c "executor/pre/loads"
-          + c "executor/post/loads"
-        in
-        let executor_stores =
-          c "executor/setup/stores" + c "executor/pre/stores"
-          + c "executor/post/stores"
-        in
-        Yashme_util.Json.encode_obj
-          [ ("bench", `S m.m_name);
-            ("variant", `S Px86.Variant.default_label);
-            ("jobs", `I sn.Engine.jobs);
-            ("scenarios", `I sn.Engine.scenarios);
-            ("faulted", `I sn.Engine.faulted);
-            ("diverged", `I sn.Engine.diverged);
-            ("executions", `I sn.Engine.executions);
-            ("ops", `I sn.Engine.ops);
-            ("elapsed_s_jobs1", `F m.m_ref_elapsed_s);
-            ("elapsed_s", `F sn.Engine.elapsed_s);
-            ("speedup", `F (speedup_of m));
-            ("ops_per_s", `F (safe_div (float_of_int sn.Engine.ops) sn.Engine.elapsed_s));
-            ("cpu_s", `F sn.Engine.cpu_s);
-            ("detector_candidates", `I (c "detector/candidate_checks"));
-            ("detector_prefix_expansions", `I (c "detector/prefix_expansions"));
-            ("detector_cv_comparisons", `I (c "detector/cv_comparisons"));
-            ("detector_races_raised", `I (c "detector/races_raised"));
-            ("detector_races_benign", `I (c "detector/races_benign"));
-            ("executor_loads", `I executor_loads);
-            ("executor_stores", `I executor_stores);
-            ("px86_sb_evictions", `I (c "px86/sb_evictions"));
-            ("px86_fb_applies", `I (c "px86/fb_applies"));
-            ("px86_crashes", `I (c "px86/crash_materializations"));
-            ("witnesses_emitted", `I (List.length e.Pm_corpus.Witness.witnesses));
-            ("corpus_dedup_rate", `F dedup_rate);
-            (* Observability columns (wall-clock class: process-global
-               GC deltas and snapshot-copy volume).  Appended last so
-               older baselines diff cleanly — bench-diff ignores extra
-               metrics it wasn't asked to compare. *)
-            ("gc_minor_words", `I obs.Telemetry.o_gc_minor_words);
-            ("gc_major_words", `I obs.Telemetry.o_gc_major_words);
-            ("snapshot_bytes", `I (c "px86/snapshot_bytes"));
-            ("oracle_invariants", `I (c "oracle/invariants"));
-            ("oracle_violations", `I (c "oracle/violations"));
-            (* Scaling-gate column (bench-diff --scaling), newest last. *)
-            ("efficiency", `F (efficiency_of m)) ])
-      measured
-  in
-  List.iter print_endline json_lines;
-  Yashme_util.Atomic_file.write out
-    (String.concat "" (List.map (fun l -> l ^ "\n") json_lines));
-  Printf.printf "engine-throughput summary written to %s\n" out;
-  Option.iter
-    (fun file ->
-      List.iter
-        (fun m ->
-          let s = m.m_best in
-          Pm_corpus.Ledger_store.append file
-            (Telemetry.outcome_entry Telemetry.off ~mode:"bench"
-               ~seed:Runner.default_options.Runner.seed ~program:m.m_name
-               s.Telemetry.s_outcome s.Telemetry.s_extraction
-               s.Telemetry.s_observed))
-        measured;
-      Printf.printf "ledger: %d bench run(s) appended to %s\n"
-        (List.length measured) file)
-    ledger
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                    *)
 
 let ablations () =
@@ -491,166 +313,26 @@ let ablations () =
     (Pretty.table ~header:[ "crash density"; "executions"; "prefix"; "baseline" ] rows)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table                   *)
-
-let bechamel_suite () =
-  section "Bechamel micro-benchmarks (one per table)";
-  let open Bechamel in
-  let open Toolkit in
-  let cceh = Pm_benchmarks.Cceh.program in
-  let memcached = Pm_benchmarks.Memcached.program in
-  let tests =
-    Test.make_grouped ~name:"yashme"
-      [
-        Test.make ~name:"figure1-scenario"
-          (Staged.stage (fun () ->
-               let open Pm_runtime in
-               let d = Yashme.Detector.create () in
-               let pre () =
-                 let x = Pmem.alloc ~align:64 8 in
-                 Pmem.set_root 0 x;
-                 Pmem.store ~label:"x" x 1L;
-                 Pmem.clflush x;
-                 Pmem.mfence ()
-               in
-               let r =
-                 Executor.run ~detector:d ~plan:Executor.Crash_at_end ~exec_id:0 pre
-               in
-               ignore
-                 (Executor.run ~detector:d ~inherited:r.Executor.state ~exec_id:1
-                    (fun () -> ignore (Pmem.load (Pmem.get_root 0))))));
-        Test.make ~name:"table1-reorder-matrix"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun e ->
-                   List.iter
-                     (fun l ->
-                       ignore
-                         (Px86.Reorder.required ~earlier:e ~later:l ~same_line:false))
-                     Px86.Reorder.all_kinds)
-                 Px86.Reorder.all_kinds));
-        Test.make ~name:"table2-optimizer-pipeline"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun p -> ignore (Pm_compiler.Programs.counts p))
-                 Pm_compiler.Programs.all));
-        Test.make ~name:"table3-model-check-cceh"
-          (Staged.stage (fun () -> ignore (Runner.model_check cceh)));
-        Test.make ~name:"table4-random-exec-memcached"
-          (Staged.stage (fun () -> ignore (Runner.single_random memcached)));
-        Test.make ~name:"table5-prefix-vs-baseline"
-          (Staged.stage (fun () ->
-               let opts mode = { Runner.default_options with mode } in
-               ignore (Runner.single_random ~options:(opts Yashme.Detector.Prefix) cceh);
-               ignore
-                 (Runner.single_random ~options:(opts Yashme.Detector.Baseline) cceh)));
-      ]
-  in
-  let benchmark () =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    let results = List.map (fun i -> Analyze.all ols i raw) instances in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  let clock = Measure.label Instance.monotonic_clock in
-  match Hashtbl.find_opt results clock with
-  | None -> print_endline "(no results)"
-  | Some tbl ->
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with
-            | Some [ t ] -> Printf.sprintf "%.2f us/run" (t /. 1_000.0)
-            | Some _ | None -> "n/a"
-          in
-          rows := [ name; est ] :: !rows)
-        tbl;
-      print_endline (Pretty.table ~header:[ "bench"; "time" ] (List.sort compare !rows))
-
-(* ------------------------------------------------------------------ *)
-
-(* Flags are scanned by hand; a malformed value is an error naming the
-   flag (exit 2), never a silent default. *)
-let flag name =
-  let rec scan = function
-    | f :: v :: _ when f = name -> Some v
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
-
-let bad name v need =
-  Printf.eprintf "bad %s %S: need %s\n" name v need;
-  exit 2
-
-let int_flag name ~default =
-  match flag name with
-  | None -> default
-  | Some v -> (
-      match int_of_string_opt v with Some n -> n | None -> bad name v "an integer")
-
-(* [--jobs N] sizes the engine's domain pool for the throughput section
-   (default 4, the evaluation's comparison point). *)
-let jobs_arg = int_flag "--jobs" ~default:4
-
-(* [--jobs-sweep 1,2,4] emits one throughput row per jobs level instead
-   of only the top one — the input of yashme bench-diff --scaling. *)
-let jobs_sweep_arg =
-  Option.map
-    (fun v ->
-      match Telemetry.parse_levels v with
-      | Some levels -> levels
-      | None -> bad "--jobs-sweep" v "comma-separated integers >= 1")
-    (flag "--jobs-sweep")
-
-(* [--repeats N] (default 2) interleaves N measurement passes over the
-   jobs levels and keeps the best elapsed per level. *)
-let repeats_arg = max 1 (int_flag "--repeats" ~default:2)
-
-(* [--out FILE] places the engine-throughput summary (default: the
-   baseline path committed at the repo root). *)
-let out_arg = Option.value (flag "--out") ~default:"BENCH_engine_throughput.json"
-
-(* [--ledger FILE] appends one run-manifest entry per benchmark to the
-   ledger, mode "bench" (see yashme runs / yashme compare). *)
-let ledger_arg = flag "--ledger"
-
-(* [--throughput-only] skips the paper tables: the fast path CI's bench
-   gate runs twice back to back. *)
-let throughput_only = Array.exists (String.equal "--throughput-only") Sys.argv
-
-let engine_throughput_main () =
-  let jobs_list, sweep =
-    match jobs_sweep_arg with
-    | Some levels -> (levels, true)
-    | None -> ([ 1; jobs_arg ], false)
-  in
-  engine_throughput ~jobs_list ~repeats:repeats_arg ~sweep ~out:out_arg
-    ?ledger:ledger_arg ()
 
 let () =
+  (* The harness takes no arguments: a stray or stale flag is an error
+     naming it (exit 2), never a silent full run. *)
+  if Array.length Sys.argv > 1 then begin
+    Printf.eprintf "usage: %s (no arguments); unexpected argument %S\n"
+      (Filename.basename Sys.argv.(0)) Sys.argv.(1);
+    exit 2
+  end;
   print_endline "Yashme reproduction benchmark harness";
-  if throughput_only then engine_throughput_main ()
-  else begin
-    print_endline
-      "(shapes, not absolute numbers, are the target; see EXPERIMENTS.md)";
-    figure1 ();
-    table1 ();
-    table2a ();
-    table2b ();
-    let t3 = table3 () in
-    let t4 = table4 () in
-    table5 ();
-    engine_throughput_main ();
-    ablations ();
-    bechamel_suite ();
-    section "Summary";
-    Printf.printf "distinct real persistency races found: %d (paper: 24)\n"
-      (t3 + t4)
-  end
+  print_endline
+    "(shapes, not absolute numbers, are the target; see EXPERIMENTS.md)";
+  figure1 ();
+  table1 ();
+  table2a ();
+  table2b ();
+  let t3 = table3 () in
+  let t4 = table4 () in
+  table5 ();
+  ablations ();
+  section "Summary";
+  Printf.printf "distinct real persistency races found: %d (paper: 24)\n"
+    (t3 + t4)

@@ -8,7 +8,6 @@
    yashme minimize CORPUS               ddmin-shrink recorded witnesses
    yashme corpus merge|stats            manage witness corpora
    yashme profile TRACE                 hot-spot tables from a recorded trace
-   yashme bench-diff BASE CUR           benchmark regression gate
    yashme runs LEDGER                   list runs recorded with --ledger
    yashme compare LEDGER A B            diff two ledger runs (counter deltas)
    yashme variants                      list persistency-model variants
@@ -622,64 +621,11 @@ let profile_cmd =
              table from an attribution JSONL file")
     Term.(const run $ file $ top $ attribution)
 
-let bench_diff_cmd =
-  let baseline =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE"
-           ~doc:"Committed bench summary (JSONL, written by bench --out).")
-  in
-  let current =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"CURRENT"
-           ~doc:"Fresh bench summary to gate against the baseline.")
-  in
-  let tolerance =
-    let doc = "Allowed regression, in percent of the baseline value." in
-    Arg.(value & opt float 10. & info [ "tolerance" ] ~doc ~docv:"PCT")
-  in
-  let metric =
-    let doc = "Higher-is-better numeric field to compare." in
-    Arg.(value & opt string "ops_per_s" & info [ "metric" ] ~doc ~docv:"NAME")
-  in
-  let scaling =
-    let doc = "Judge the scaling metric set instead of a single metric: \
-               $(b,speedup) and $(b,efficiency), both higher-is-better, per \
-               baseline row.  Rows written by $(b,bench --jobs-sweep) carry \
-               one (bench, jobs) pair each, so every jobs level gates \
-               independently." in
-    Arg.(value & flag & info [ "scaling" ] ~doc)
-  in
-  let run baseline current tolerance metric scaling =
-    let load path =
-      match Pm_corpus.Bench_gate.load path with
-      | Ok entries -> entries
-      | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-    in
-    let b = load baseline in
-    let c = load current in
-    let o =
-      if scaling then
-        Pm_corpus.Bench_gate.diff_metrics
-          ~metrics:Pm_corpus.Bench_gate.scaling_metrics ~tolerance ~baseline:b
-          ~current:c ()
-      else Pm_corpus.Bench_gate.diff ~metric ~tolerance ~baseline:b ~current:c ()
-    in
-    print_endline (Pm_corpus.Bench_gate.outcome_to_string o);
-    if not o.Pm_corpus.Bench_gate.passed then exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:"Gate a fresh bench summary against a committed baseline; exits \
-             non-zero when the metric regresses beyond the tolerance (or a \
-             baseline benchmark went missing).  With $(b,--scaling), gates \
-             speedup and parallel efficiency instead of a single metric")
-    Term.(const run $ baseline $ current $ tolerance $ metric $ scaling)
-
 let scaling_cmd =
   let progs =
     Arg.(value & pos_all string [] & info [] ~docv:"BENCH"
            ~doc:"Benchmark programs to sweep (default: CCEH, Fast_Fair and \
-                 Memcached, the throughput-bench set).")
+                 Memcached).")
   in
   let jobs_list_arg =
     let doc = "Comma-separated worker-domain counts to sweep, e.g. \
@@ -1550,7 +1496,7 @@ let main =
   Cmd.group (Cmd.info "yashme" ~version:"1.0.0" ~doc)
     [ list_cmd; check_cmd; check_all_cmd; soak_cmd; tables_cmd; witness_cmd;
       variants_cmd; litmus_cmd; oracle_cmd; trace_lint_cmd; profile_cmd;
-      scaling_cmd; bench_diff_cmd; runs_cmd; compare_cmd; replay_cmd;
+      scaling_cmd; runs_cmd; compare_cmd; replay_cmd;
       minimize_cmd; corpus_cmd ]
 
 let () = exit (Cmd.eval main)

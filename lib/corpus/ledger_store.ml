@@ -1,8 +1,7 @@
 (* Run-ledger file I/O and comparison.
 
    The schema lives in Observe.Ledger; here it meets the JSONL codec
-   ({!Yashme_util.Json}, whose flat records are Ledger's field lists)
-   and the bench gate's tolerance judge. *)
+   ({!Yashme_util.Json}, whose flat records are Ledger's field lists). *)
 
 module Ledger = Observe.Ledger
 
@@ -35,9 +34,16 @@ let find entries sel =
             (Printf.sprintf "%d runs labelled %S; select by 1-based ordinal"
                (List.length l) sel))
 
+type delta = {
+  d_field : string;
+  d_baseline : float;
+  d_current : float;
+  d_regressed : bool;
+}
+
 type comparison = {
-  cmp_changed : Bench_gate.verdict list;
-  cmp_timing : Bench_gate.verdict list;
+  cmp_changed : delta list;
+  cmp_timing : delta list;
   cmp_mismatched : (string * string * string) list;
   cmp_passed : bool;
 }
@@ -58,27 +64,12 @@ let compare_runs ~baseline ~current =
       let bv = Option.value ~default:0. (List.assoc_opt k bn) in
       let cv = Option.value ~default:0. (List.assoc_opt k cn) in
       if bv <> cv then begin
-        let v =
-          match Ledger.direction k with
-          | `Higher ->
-              Bench_gate.judge ~key:k ~metric:k ~better:Bench_gate.Higher
-                ~tolerance:0. ~baseline:bv ~current:cv ()
-          | `Lower ->
-              Bench_gate.judge ~key:k ~metric:k ~better:Bench_gate.Lower
-                ~tolerance:0. ~baseline:bv ~current:cv ()
-          | `Neutral ->
-              (* any delta is a change, neither direction a regression *)
-              {
-                (Bench_gate.judge ~key:k ~metric:k ~tolerance:0. ~baseline:bv
-                   ~current:cv ())
-                with
-                Bench_gate.v_regressed = false;
-              }
+        let d =
+          { d_field = k; d_baseline = bv; d_current = cv;
+            d_regressed = Ledger.direction k = `Higher && cv < bv }
         in
-        if Ledger.timing_field k then
-          (* informational only — never flagged, never gates *)
-          timing := { v with Bench_gate.v_regressed = false } :: !timing
-        else changed := v :: !changed
+        if Ledger.timing_field k then timing := d :: !timing
+        else changed := d :: !changed
       end)
     keys;
   let cmp_changed = List.rev !changed and cmp_timing = List.rev !timing in
@@ -110,17 +101,18 @@ let render ~a_label ~b_label c =
     (fun (f, a, b) -> add "  %s: %S != %S MISMATCH" f a b)
     c.cmp_mismatched;
   List.iter
-    (fun (v : Bench_gate.verdict) ->
-      add "  %s: %g -> %g (%+.1f%%)%s" v.Bench_gate.v_key v.Bench_gate.v_baseline
-        v.Bench_gate.v_current v.Bench_gate.v_delta_pct
-        (if v.Bench_gate.v_regressed then " REGRESSED" else " CHANGED"))
+    (fun d ->
+      add "  %s: %g -> %g (%s)%s" d.d_field d.d_baseline d.d_current
+        (if d.d_baseline = 0. then "new"
+         else
+           Printf.sprintf "%+.1f%%"
+             ((d.d_current -. d.d_baseline) /. d.d_baseline *. 100.))
+        (if d.d_regressed then " REGRESSED" else " CHANGED"))
     c.cmp_changed;
   if c.cmp_changed = [] && c.cmp_mismatched = [] then
     add "  no non-timing deltas";
   List.iter
-    (fun (v : Bench_gate.verdict) ->
-      add "  [timing] %s: %g -> %g" v.Bench_gate.v_key v.Bench_gate.v_baseline
-        v.Bench_gate.v_current)
+    (fun d -> add "  [timing] %s: %g -> %g" d.d_field d.d_baseline d.d_current)
     c.cmp_timing;
   add "ledger compare: %s" (if c.cmp_passed then "PASS" else "FAIL");
   String.concat "\n" (List.rev !lines)

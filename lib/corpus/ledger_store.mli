@@ -26,14 +26,20 @@ val load : string -> (Observe.Ledger.entry list, string) result
 val find :
   Observe.Ledger.entry list -> string -> (Observe.Ledger.entry, string) result
 
+(** One numeric field that differs between two runs. *)
+type delta = {
+  d_field : string;
+  d_baseline : float;
+  d_current : float;
+  d_regressed : bool;
+      (** a {!Observe.Ledger.direction} [`Higher] field dropped *)
+}
+
 type comparison = {
-  cmp_changed : Bench_gate.verdict list;
-      (** non-timing numeric fields whose values differ (tolerance 0,
-          {!Observe.Ledger.direction}-aware: a [`Higher] field that
-          dropped, or a [`Lower] field that rose, is regressed; every
-          other delta is a change) *)
-  cmp_timing : Bench_gate.verdict list;
-      (** timing-class deltas — informational, never gate *)
+  cmp_changed : delta list;
+      (** non-timing numeric fields whose values differ; every one
+          fails the compare, and a regressed one is flagged *)
+  cmp_timing : delta list;  (** timing-class deltas: informational *)
   cmp_mismatched : (string * string * string) list;
       (** (field, baseline, current) string-field disagreements —
           comparing runs of different programs/variants/digests fails *)
@@ -48,7 +54,8 @@ type comparison = {
 val compare_runs :
   baseline:Observe.Ledger.entry -> current:Observe.Ledger.entry -> comparison
 
-(** Deterministic rendering: changed fields (regressions flagged),
-    string mismatches, timing deltas, and a final
-    ["ledger compare: PASS"]/[FAIL] line. *)
+(** Deterministic rendering: string mismatches, changed fields with
+    their relative change ([new] when the baseline is 0; regressions
+    flagged), timing deltas, and a final ["ledger compare: PASS"]/[FAIL]
+    line. *)
 val render : a_label:string -> b_label:string -> comparison -> string

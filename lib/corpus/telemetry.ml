@@ -1,7 +1,7 @@
 (* One run's telemetry, from start to finish: the session that arms and
    disarms the observe layer, the window around a run, the blocks, files
    and ledger entry built from it, and the jobs-level measurement behind
-   scaling and the bench. *)
+   scaling. *)
 
 module Report = Pm_harness.Report
 module Runner = Pm_harness.Runner

@@ -1,11 +1,10 @@
 (** One run's telemetry, from start to finish.
 
-    [check], [check-all], [soak], [scaling] and the bench each run
-    inside one {!with_session}, configured by the CLI's telemetry
-    flags.  Runs are observed through a window ({!observing}); the
-    blocks, JSONL files and ledger entries are built from that
-    observation, never from the report, so reports are byte-identical
-    with telemetry on or off. *)
+    [check], [check-all], [soak] and [scaling] each run inside one
+    {!with_session}, configured by the CLI's telemetry flags.  Runs are
+    observed through a window ({!observing}); the blocks, JSONL files
+    and ledger entries are built from that observation, never from the
+    report, so reports are byte-identical with telemetry on or off. *)
 
 (** One field per telemetry flag.  [coverage_out] and [attribution_out]
     also show their block; [ledger] collects metrics, coverage and

@@ -158,8 +158,7 @@ val consistencies_of_pairs :
 val model_check :
   ?options:options -> ?jobs:int -> ?fail_fast:bool -> Program.t -> Report.t
 
-(** {!model_check} plus the engine's batch statistics (throughput
-    accounting for the bench harness). *)
+(** {!model_check} plus the engine's batch statistics. *)
 val model_check_run :
   ?options:options ->
   ?jobs:int ->

@@ -25,7 +25,7 @@ type entry = {
   e_ts : float; (* unix seconds at append time *)
   e_program : string;
   e_variant : string;
-  e_mode : string; (* mc | mc-recovery | random | bench *)
+  e_mode : string; (* mc | mc-recovery | random | soak *)
   e_jobs : int;
   e_seed : int;
   e_scenarios : int;
@@ -98,14 +98,12 @@ let timing_field name =
 let identity_field name = name = "run" || name = "v"
 
 (* Regression direction of a numeric field: losing races/witnesses is
-   the regression the gate exists to catch; timing only informs. *)
-let direction name : [ `Higher | `Lower | `Neutral ] =
-  if timing_field name then `Lower
-  else
-    match name with
-    | "races" | "raw_races" | "benign" | "recovery_failures" | "witnesses" ->
-        `Higher
-    | _ -> `Neutral
+   the regression the gate exists to catch. *)
+let direction name : [ `Higher | `Neutral ] =
+  match name with
+  | "races" | "raw_races" | "benign" | "recovery_failures" | "witnesses" ->
+      `Higher
+  | _ -> `Neutral
 
 (* ------------------------------------------------------------------ *)
 (* Encoding to / from flat field lists                                  *)

@@ -22,7 +22,7 @@ type entry = {
   e_ts : float;  (** unix seconds at append time *)
   e_program : string;
   e_variant : string;
-  e_mode : string;  (** mc | mc-recovery | random | bench *)
+  e_mode : string;  (** mc | mc-recovery | random | soak *)
   e_jobs : int;
   e_seed : int;
   e_scenarios : int;
@@ -64,9 +64,9 @@ val identity_field : string -> bool
 
 (** Regression direction of a numeric field under comparison: [`Higher]
     is better (races, witnesses — losing one is the regression the
-    gate exists to catch), [`Lower] is better (timing), [`Neutral]
-    means any delta is a change worth flagging. *)
-val direction : string -> [ `Higher | `Lower | `Neutral ]
+    gate exists to catch); [`Neutral] means any delta is a change
+    worth flagging, and neither direction a regression. *)
+val direction : string -> [ `Higher | `Neutral ]
 
 (** Flat, order-stable field list — the shape {!Yashme_util.Json} encodes
     verbatim as one JSONL line.  Cost centers appear as

@@ -16,7 +16,6 @@ module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Json = Yashme_util.Json
 module Ledger_store = Pm_corpus.Ledger_store
-module Bench_gate = Pm_corpus.Bench_gate
 
 open Pm_runtime
 
@@ -260,8 +259,6 @@ let test_ledger_field_classes () =
   check "snapshot bytes are not timing" true
     (not (Ledger.timing_field "cc:px86/snapshot_copy:units"));
   check "races gate higher-is-better" true (Ledger.direction "races" = `Higher);
-  check "elapsed gates lower-is-better" true
-    (Ledger.direction "elapsed_s" = `Lower);
   check "scenarios gate neutrally" true
     (Ledger.direction "scenarios" = `Neutral);
   check "run is identity" true (Ledger.identity_field "run")
@@ -345,7 +342,7 @@ let test_compare_identical_runs () =
     (List.length c.Ledger_store.cmp_mismatched);
   check "timing deltas are informational" true
     (List.for_all
-       (fun v -> not v.Bench_gate.v_regressed)
+       (fun d -> not d.Ledger_store.d_regressed)
        c.Ledger_store.cmp_timing);
   let rendered = Ledger_store.render ~a_label:"r1" ~b_label:"r2" c in
   check "render reports a clean compare" true
@@ -361,16 +358,16 @@ let test_compare_direction_aware () =
   let c = Ledger_store.compare_runs ~baseline:entry ~current:fewer in
   check "lost race fails" true (not c.Ledger_store.cmp_passed);
   (match c.Ledger_store.cmp_changed with
-  | [ v ] ->
-      check_str "races flagged" "races" v.Bench_gate.v_key;
-      check "flagged as regression" true v.Bench_gate.v_regressed
+  | [ d ] ->
+      check_str "races flagged" "races" d.Ledger_store.d_field;
+      check "flagged as regression" true d.Ledger_store.d_regressed
   | l -> Alcotest.failf "expected one delta, got %d" (List.length l));
   (* gaining one is a change, not a regression *)
   let more = { entry with Ledger.e_run = "r2"; e_races = 3 } in
   let c = Ledger_store.compare_runs ~baseline:entry ~current:more in
   check "gained race is not a regression" true
     (List.for_all
-       (fun v -> not v.Bench_gate.v_regressed)
+       (fun d -> not d.Ledger_store.d_regressed)
        c.Ledger_store.cmp_changed);
   (* but still fails the zero-delta gate *)
   check "gained race still fails zero-delta gate" true
@@ -379,11 +376,11 @@ let test_compare_direction_aware () =
   let j4 = { entry with Ledger.e_run = "r2"; e_jobs = 4 } in
   let c = Ledger_store.compare_runs ~baseline:entry ~current:j4 in
   check "neutral delta flagged" true
-    (List.exists (fun v -> v.Bench_gate.v_key = "jobs")
+    (List.exists (fun d -> d.Ledger_store.d_field = "jobs")
        c.Ledger_store.cmp_changed);
   check "neutral delta never regresses" true
     (List.for_all
-       (fun v -> not v.Bench_gate.v_regressed)
+       (fun d -> not d.Ledger_store.d_regressed)
        c.Ledger_store.cmp_changed)
 
 let test_compare_mismatched_config () =
@@ -405,9 +402,9 @@ let test_compare_one_sided_cost_center () =
   check "dropped center fails" true (not c.Ledger_store.cmp_passed);
   check "dropped center surfaces against zero" true
     (List.exists
-       (fun v ->
-         v.Bench_gate.v_key = "cc:px86/snapshot_copy:units"
-         && v.Bench_gate.v_current = 0.)
+       (fun d ->
+         d.Ledger_store.d_field = "cc:px86/snapshot_copy:units"
+         && d.Ledger_store.d_current = 0.)
        c.Ledger_store.cmp_changed)
 
 let test_compare_golden_render () =
@@ -422,55 +419,23 @@ let test_compare_golden_render () =
     \  scenarios: 81 -> 82 (+1.2%) CHANGED\n\
     \  races: 2 -> 1 (-50.0%) REGRESSED\n\
      ledger compare: FAIL"
+    (Ledger_store.render ~a_label:"r1" ~b_label:"r2" c);
+  (* a field the baseline holds at 0 (here, a cost center only the
+     current run recorded) has no relative change *)
+  let current =
+    { entry with Ledger.e_run = "r2";
+      e_cost =
+        [ List.hd entry.Ledger.e_cost;
+          { Ledger.c_center = "oracle/observe"; c_count = 81; c_units = 0;
+            c_wall_us = 0 };
+          List.nth entry.Ledger.e_cost 1 ] }
+  in
+  let c = Ledger_store.compare_runs ~baseline:entry ~current in
+  check_str "golden render of a zero baseline"
+    "ledger compare: r1 (baseline) vs r2 (current)\n\
+    \  cc:oracle/observe:count: 0 -> 81 (new) CHANGED\n\
+     ledger compare: FAIL"
     (Ledger_store.render ~a_label:"r1" ~b_label:"r2" c)
-
-(* ------------------------------------------------------------------ *)
-(* Bench rows with extra metrics                                        *)
-
-let test_bench_gate_ignores_extra_metrics () =
-  (* rows grown by new columns (gc words, snapshot bytes) still diff
-     cleanly against a baseline that predates them *)
-  let old_row = "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0}\n" in
-  let new_row =
-    "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0,\
-     \"gc_minor_words\":3877727,\"gc_major_words\":409765,\
-     \"snapshot_bytes\":465760}\n"
-  in
-  let parse s =
-    let tmp = Filename.temp_file "yashme_bench" ".jsonl" in
-    Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
-    let r = Bench_gate.load tmp in
-    Sys.remove tmp;
-    match r with Ok es -> es | Error e -> Alcotest.fail e
-  in
-  let o =
-    Bench_gate.diff ~tolerance:0. ~baseline:(parse old_row)
-      ~current:(parse new_row) ()
-  in
-  check "extra metrics in current rows don't gate" true o.Bench_gate.passed;
-  let o' =
-    Bench_gate.diff ~tolerance:0. ~baseline:(parse new_row)
-      ~current:(parse old_row) ()
-  in
-  check "extra metrics in baseline rows don't gate" true o'.Bench_gate.passed
-
-let test_bench_gate_judge_directions () =
-  let v =
-    Bench_gate.judge ~key:"k" ~metric:"elapsed_s" ~better:Bench_gate.Lower
-      ~tolerance:10. ~baseline:1.0 ~current:1.2 ()
-  in
-  check "lower-is-better: +20%% beyond 10%% tolerance regresses" true
-    v.Bench_gate.v_regressed;
-  let v =
-    Bench_gate.judge ~key:"k" ~metric:"elapsed_s" ~better:Bench_gate.Lower
-      ~tolerance:10. ~baseline:1.0 ~current:0.5 ()
-  in
-  check "lower-is-better: speedup passes" true (not v.Bench_gate.v_regressed);
-  let v =
-    Bench_gate.judge ~key:"k" ~metric:"ops_per_s" ~better:Bench_gate.Higher
-      ~tolerance:10. ~baseline:1.0 ~current:0.5 ()
-  in
-  check "higher-is-better: drop regresses" true v.Bench_gate.v_regressed
 
 (* ------------------------------------------------------------------ *)
 (* Progress heartbeat vs log level                                      *)
@@ -568,13 +533,6 @@ let () =
           Alcotest.test_case "one-sided cost center" `Quick
             test_compare_one_sided_cost_center;
           Alcotest.test_case "golden render" `Quick test_compare_golden_render;
-        ] );
-      ( "bench-rows",
-        [
-          Alcotest.test_case "extra metrics ignored" `Quick
-            test_bench_gate_ignores_extra_metrics;
-          Alcotest.test_case "judge directions" `Quick
-            test_bench_gate_judge_directions;
         ] );
       ( "progress",
         [

@@ -2,14 +2,13 @@
    reconstruction (busy/wait/idle classification, edge cases, ASCII and
    SVG rendering, idle-gap histograms), the jobs-sweep analyzer (Amdahl
    fit, loss decomposition, the non-timing-projection determinism
-   check) and the multi-metric scaling gate.  The crux contract is
-   asserted end to end on a real engine run: the non-timing projection
-   of a sweep level is byte-identical at jobs=1 and jobs=4. *)
+   check).  The crux contract is asserted end to end on a real engine
+   run: the non-timing projection of a sweep level is byte-identical at
+   jobs=1 and jobs=4. *)
 
 module Timeline = Observe.Timeline
 module Scaling = Observe.Scaling
 module Trace = Observe.Trace
-module Bench_gate = Pm_corpus.Bench_gate
 module Json = Yashme_util.Json
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
@@ -307,63 +306,6 @@ let test_scaling_fields_projection () =
   check "proj encodes" true (Result.is_ok (Json.decode_obj (Json.encode_obj proj)))
 
 (* ------------------------------------------------------------------ *)
-(* The scaling gate                                                     *)
-
-let entry ~bench ~jobs ~speedup ~efficiency =
-  {
-    Bench_gate.e_key = Printf.sprintf "%s[jobs=%d]" bench jobs;
-    e_fields =
-      [ ("bench", `S bench); ("jobs", `I jobs); ("speedup", `F speedup);
-        ("efficiency", `F efficiency) ];
-  }
-
-let test_gate_pass_and_regress () =
-  let baseline = [ entry ~bench:"CCEH" ~jobs:2 ~speedup:1.5 ~efficiency:0.75 ] in
-  let same =
-    Bench_gate.diff_metrics ~metrics:Bench_gate.scaling_metrics ~tolerance:10.
-      ~baseline ~current:baseline ()
-  in
-  check "self-compare passes" true same.Bench_gate.passed;
-  check_int "one verdict per metric" 2 (List.length same.Bench_gate.verdicts);
-  let worse = [ entry ~bench:"CCEH" ~jobs:2 ~speedup:1.0 ~efficiency:0.5 ] in
-  let o =
-    Bench_gate.diff_metrics ~metrics:Bench_gate.scaling_metrics ~tolerance:10.
-      ~baseline ~current:worse ()
-  in
-  check "collapse fails" true (not o.Bench_gate.passed);
-  check_int "both metrics regressed" 2
-    (List.length
-       (List.filter (fun v -> v.Bench_gate.v_regressed) o.Bench_gate.verdicts));
-  (* A better current never regresses a higher-is-better metric. *)
-  let better = [ entry ~bench:"CCEH" ~jobs:2 ~speedup:2.0 ~efficiency:1.0 ] in
-  check "improvement passes" true
-    (Bench_gate.diff_metrics ~metrics:Bench_gate.scaling_metrics ~tolerance:10.
-       ~baseline ~current:better ())
-      .Bench_gate.passed
-
-let test_gate_missing_metric () =
-  let baseline = [ entry ~bench:"CCEH" ~jobs:2 ~speedup:1.5 ~efficiency:0.75 ] in
-  let no_eff =
-    [ { (List.hd baseline) with
-        Bench_gate.e_fields =
-          [ ("bench", `S "CCEH"); ("jobs", `I 2); ("speedup", `F 1.5) ];
-      } ]
-  in
-  let o =
-    Bench_gate.diff_metrics ~metrics:Bench_gate.scaling_metrics ~tolerance:10.
-      ~baseline ~current:no_eff ()
-  in
-  check "missing metric fails" true (not o.Bench_gate.passed);
-  check "named key.metric" true
-    (List.mem "CCEH[jobs=2].efficiency" o.Bench_gate.missing);
-  (* A missing row fails too. *)
-  let o =
-    Bench_gate.diff_metrics ~metrics:Bench_gate.scaling_metrics ~tolerance:10.
-      ~baseline ~current:[] ()
-  in
-  check "missing bench fails" true (not o.Bench_gate.passed)
-
-(* ------------------------------------------------------------------ *)
 (* The crux, end to end: jobs 1 vs 4 non-timing byte-identity           *)
 
 let run_level ~jobs p =
@@ -422,11 +364,6 @@ let () =
           Alcotest.test_case "determinism check" `Quick test_scaling_check;
           Alcotest.test_case "field projection" `Quick
             test_scaling_fields_projection;
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "pass and regress" `Quick test_gate_pass_and_regress;
-          Alcotest.test_case "missing metric" `Quick test_gate_missing_metric;
         ] );
       ( "engine",
         [

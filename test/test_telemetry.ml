@@ -1,7 +1,7 @@
 (* Tests for the exploration telemetry subsystem: crash-space coverage
    accounting (jobs-invariance, ambient attribution, rendering), live
-   progress streams, trace profiles, and the benchmark regression
-   gate.  The determinism contract is asserted end to end: coverage
+   progress streams, trace profiles and telemetry sessions.  The
+   determinism contract is asserted end to end: coverage
    snapshots are byte-identical across --jobs counts, and a race
    report is byte-identical with all telemetry on vs off. *)
 
@@ -15,7 +15,6 @@ module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Engine = Pm_harness.Engine
 module Json = Yashme_util.Json
-module Bench_gate = Pm_corpus.Bench_gate
 
 open Pm_runtime
 
@@ -382,89 +381,6 @@ let test_profile_decodes_surrogate_pairs () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* Bench gate                                                           *)
-
-let baseline_jsonl =
-  "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0}\n\
-   {\"bench\":\"FAST_FAIR\",\"jobs\":2,\"ops_per_s\":2000.0}\n"
-
-let entries s =
-  let tmp = Filename.temp_file "yashme_bench" ".jsonl" in
-  Out_channel.with_open_bin tmp (fun oc -> output_string oc s);
-  let r = Bench_gate.load tmp in
-  Sys.remove tmp;
-  match r with Ok es -> es | Error e -> Alcotest.fail e
-
-let test_bench_gate_passes_within_tolerance () =
-  let baseline = entries baseline_jsonl in
-  let current =
-    entries
-      "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":950.0}\n\
-       {\"bench\":\"FAST_FAIR\",\"jobs\":2,\"ops_per_s\":2100.0}\n"
-  in
-  let o = Bench_gate.diff ~tolerance:10. ~baseline ~current () in
-  check "within tolerance passes" true o.Bench_gate.passed;
-  check_int "one verdict per baseline entry" 2
-    (List.length o.Bench_gate.verdicts);
-  check "self-diff is exact" true
-    (Bench_gate.diff ~tolerance:0. ~baseline ~current:baseline ())
-      .Bench_gate.passed
-
-let test_bench_gate_fails_on_regression () =
-  let baseline = entries baseline_jsonl in
-  let current =
-    entries
-      "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":800.0}\n\
-       {\"bench\":\"FAST_FAIR\",\"jobs\":2,\"ops_per_s\":2000.0}\n"
-  in
-  let o = Bench_gate.diff ~tolerance:10. ~baseline ~current () in
-  check "20%% drop beyond 10%% tolerance fails" true (not o.Bench_gate.passed);
-  let v =
-    List.find (fun v -> v.Bench_gate.v_regressed) o.Bench_gate.verdicts
-  in
-  check_str "regressed bench identified" "CCEH[jobs=2]" v.Bench_gate.v_key;
-  check "delta is -20%%" true (abs_float (v.Bench_gate.v_delta_pct +. 20.) < 1e-9);
-  check "rendered outcome says FAIL" true
-    (let s = Bench_gate.outcome_to_string o in
-     String.length s >= 4 && String.sub s (String.length s - 4) 4 = "FAIL")
-
-let test_bench_gate_fails_on_missing () =
-  let baseline = entries baseline_jsonl in
-  let current = entries "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0}\n" in
-  let o = Bench_gate.diff ~tolerance:10. ~baseline ~current () in
-  check "dropped benchmark fails the gate" true (not o.Bench_gate.passed);
-  Alcotest.(check (list string))
-    "missing key reported" [ "FAST_FAIR[jobs=2]" ] o.Bench_gate.missing;
-  (* metric absent on one side also fails *)
-  let no_metric = entries "{\"bench\":\"CCEH\",\"jobs\":2,\"other\":1.0}\n" in
-  let o2 =
-    Bench_gate.diff ~tolerance:10. ~baseline:(entries "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1.0}\n")
-      ~current:no_metric ()
-  in
-  check "absent metric fails the gate" true (not o2.Bench_gate.passed)
-
-let test_bench_gate_new_benches_ignored () =
-  let baseline = entries "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0}\n" in
-  let current =
-    entries
-      "{\"bench\":\"CCEH\",\"jobs\":2,\"ops_per_s\":1000.0}\n\
-       {\"bench\":\"NEW\",\"jobs\":2,\"ops_per_s\":1.0}\n"
-  in
-  let o = Bench_gate.diff ~tolerance:0. ~baseline ~current () in
-  check "benches without a baseline don't gate" true o.Bench_gate.passed;
-  check_int "only baseline entries judged" 1 (List.length o.Bench_gate.verdicts)
-
-let test_bench_gate_load_rejects_empty () =
-  let tmp = Filename.temp_file "yashme_bench" ".json" in
-  (match Bench_gate.load tmp with
-  | Error e -> check_str "path named once" (tmp ^ ":1: empty bench file") e
-  | Ok _ -> Alcotest.fail "empty bench file accepted");
-  Sys.remove tmp;
-  (match Bench_gate.load tmp with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing bench file accepted")
-
-(* ------------------------------------------------------------------ *)
 (* Sessions (Pm_corpus.Telemetry)                                       *)
 
 module Telemetry = Pm_corpus.Telemetry
@@ -686,19 +602,6 @@ let () =
             test_profile_rejects_empty_and_garbage;
           Alcotest.test_case "decodes surrogate pairs" `Quick
             test_profile_decodes_surrogate_pairs;
-        ] );
-      ( "bench-gate",
-        [
-          Alcotest.test_case "passes within tolerance" `Quick
-            test_bench_gate_passes_within_tolerance;
-          Alcotest.test_case "fails on regression" `Quick
-            test_bench_gate_fails_on_regression;
-          Alcotest.test_case "fails on missing bench" `Quick
-            test_bench_gate_fails_on_missing;
-          Alcotest.test_case "new benches ignored" `Quick
-            test_bench_gate_new_benches_ignored;
-          Alcotest.test_case "load rejects empty" `Quick
-            test_bench_gate_load_rejects_empty;
         ] );
       ( "session",
         [
