@@ -365,7 +365,7 @@ let ledger_run tel ~run_mode ~seed (p : Pm_harness.Program.t) o obs ex =
         Telemetry.outcome_entry tel ~mode:(mode_label run_mode) ~seed
           ~program:p.Pm_harness.Program.name o ex obs
       in
-      Pm_corpus.Ledger_store.append file e;
+      Observe.Ledger.append file e;
       Printf.printf "ledger: run %S appended to %s\n" e.Observe.Ledger.e_run file)
     tel.Telemetry.ledger
 
@@ -792,7 +792,7 @@ let runs_cmd =
            ~doc:"Run ledger (JSONL, appended by --ledger).")
   in
   let run file =
-    match Pm_corpus.Ledger_store.load file with
+    match Observe.Ledger.load file with
     | Error msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
@@ -862,22 +862,22 @@ let compare_cmd =
       ~doc:"Current run to judge against the baseline: ordinal or label."
   in
   let run file a b =
-    match Pm_corpus.Ledger_store.load file with
+    match Observe.Ledger.load file with
     | Error msg ->
         Printf.eprintf "%s\n" msg;
         exit 2
     | Ok entries -> (
         match
-          ( Pm_corpus.Ledger_store.find entries a,
-            Pm_corpus.Ledger_store.find entries b )
+          ( Observe.Ledger.find entries a,
+            Observe.Ledger.find entries b )
         with
         | Error msg, _ | _, Error msg ->
             Printf.eprintf "%s: %s\n" file msg;
             exit 2
         | Ok ea, Ok eb ->
-            let c = Pm_corpus.Ledger_store.compare_runs ~baseline:ea ~current:eb in
-            print_endline (Pm_corpus.Ledger_store.render ~a_label:a ~b_label:b c);
-            if not c.Pm_corpus.Ledger_store.cmp_passed then exit 1)
+            let c = Observe.Ledger.compare_runs ~baseline:ea ~current:eb in
+            print_endline (Observe.Ledger.render ~a_label:a ~b_label:b c);
+            if not c.Observe.Ledger.cmp_passed then exit 1)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1303,7 +1303,7 @@ let soak_cmd =
     Telemetry.write_outputs tel obs;
     Option.iter
       (fun file ->
-        Pm_corpus.Ledger_store.append file
+        Observe.Ledger.append file
           (Telemetry.soak_entry tel ~run:run_name
              ~variant:(Px86.Variant.label variant) ~seed ~jobs ~races:race_ws
              ~recovery_failures:rf_ws ~witnesses:(List.length ws) result obs);

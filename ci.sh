@@ -109,6 +109,21 @@ cmp "$cov1" "$cov4" || {
 }
 dune exec bin/yashme_cli.exe -- trace-lint "$cov1"
 
+echo "== telemetry blocks determinism (--metrics --coverage, --jobs 1 vs --jobs 4)"
+blocks="$work/blocks.txt"
+# The printed metrics and coverage blocks are views of one registry
+# merged across domains; they must not depend on the domain count.
+for mode in mc mc-recovery random; do
+  for j in 1 4; do
+    dune exec bin/yashme_cli.exe -- check-all --mode "$mode" --jobs "$j" \
+      --metrics --coverage --quiet > "${blocks}.$j"
+  done
+  cmp "${blocks}.1" "${blocks}.4" || {
+    echo "ci: check-all --mode $mode telemetry blocks differ between --jobs 1 and --jobs 4" >&2
+    exit 1
+  }
+done
+
 echo "== model-checking determinism (report + corpus, --jobs 1 vs --jobs 4)"
 mc_report="$work/mc-report.txt"
 mc_corpus="$work/mc-corpus.jsonl"

@@ -1,35 +1,30 @@
 module Clockvec = Yashme_util.Clockvec
 module Metrics = Observe.Metrics
-module Coverage = Observe.Coverage
 
 (* Exploration-effort counters (paper Tables 4-5: counts and costs).
    All of them accumulate per-scenario detector work, so their merged
-   totals are identical for every engine job count. *)
+   totals are identical for every engine job count.  The two hot paths
+   suspected of limiting scaling, clock-vector comparisons and prefix
+   expansions, also show as cost centers (the charge is the occurrence
+   count; wall time is attributed at phase granularity by the
+   executor).  Expansions and pruned checks also count per program
+   (crash-space coverage). *)
 let m_candidate_checks = Metrics.counter "detector/candidate_checks"
 let m_committed_checks = Metrics.counter "detector/committed_checks"
 let m_atomic_loads = Metrics.counter "detector/atomic_loads"
-let m_cv_comparisons = Metrics.counter "detector/cv_comparisons"
-let m_prefix_expansions = Metrics.counter "detector/prefix_expansions"
+
+let m_cv_comparisons =
+  Metrics.counter ~center:"detector/cv_compare" "detector/cv_comparisons"
+
+let m_prefix_expansions =
+  Metrics.counter ~center:"detector/prefix_expansion" ~per_program:true
+    "detector/prefix_expansions"
+
 let m_flush_records = Metrics.counter "detector/flush_records"
 let m_races_raised = Metrics.counter "detector/races_raised"
 let m_races_benign = Metrics.counter "detector/races_benign"
-let m_pruned_coherence = Metrics.counter "detector/pruned_coherence"
-let m_pruned_persisted = Metrics.counter "detector/pruned_persisted"
-
-(* Attribution cost centers for the two detector hot paths ROADMAP
-   names as scaling suspects: clock-vector comparisons and prefix
-   expansions.  Tick-only — the charge is the occurrence count; wall
-   time is attributed at phase granularity by the executor. *)
-let ct_cv_compare = Observe.Attribution.center "detector/cv_compare"
-let ct_prefix_expansion = Observe.Attribution.center "detector/prefix_expansion"
-
-let count_cv_comparison () =
-  Metrics.incr m_cv_comparisons;
-  Observe.Attribution.tick ct_cv_compare
-
-let count_prefix_expansion () =
-  Metrics.incr m_prefix_expansions;
-  Observe.Attribution.tick ct_prefix_expansion
+let m_pruned_coherence = Metrics.counter ~per_program:true "detector/pruned_coherence"
+let m_pruned_persisted = Metrics.counter ~per_program:true "detector/pruned_persisted"
 
 type mode = Prefix | Baseline
 
@@ -141,8 +136,7 @@ let load_atomic t ~exec ~store =
   | None -> ()
   | Some r ->
       Metrics.incr m_atomic_loads;
-      count_prefix_expansion ();
-      Coverage.prefix_expanded ();
+      Metrics.incr m_prefix_expansions;
       let line = Px86.Addr.line store.Px86.Event.addr in
       Exec_record.join_lastflush r ~line store.Px86.Event.cv;
       Exec_record.join_cvpre r store.Px86.Event.cv
@@ -161,7 +155,7 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
       let covered_by_coherence =
         t.dcoherence
         && begin
-             count_cv_comparison ();
+             Metrics.incr m_cv_comparisons;
              Clockvec.get store.Px86.Event.cv store.Px86.Event.tid
              <= Clockvec.get lastflush store.Px86.Event.tid
            end
@@ -172,7 +166,7 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
         | Prefix ->
             (* Only flushes inside the smallest consistent prefix are
                mandatory; any shorter prefix omits the others (5.1). *)
-            count_cv_comparison ();
+            Metrics.incr m_cv_comparisons;
             e.Exec_record.fe_lclk
             <= Clockvec.get (Exec_record.cvpre r) e.Exec_record.fe_tid
       in
@@ -185,7 +179,7 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
           (match t.dmode with
           | Baseline -> true
           | Prefix ->
-              count_cv_comparison ();
+              Metrics.incr m_cv_comparisons;
               store.Px86.Event.lclk
               <= Clockvec.get (Exec_record.cvpre r) store.Px86.Event.tid)
         else
@@ -194,7 +188,6 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
       if covered_by_coherence || persisted then begin
         Metrics.incr
           (if covered_by_coherence then m_pruned_coherence else m_pruned_persisted);
-        Coverage.pruned (if covered_by_coherence then `Coherence else `Persisted);
         None
       end
       else begin
@@ -217,8 +210,7 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
     end
   in
   if commit then begin
-    count_prefix_expansion ();
-    Coverage.prefix_expanded ();
+    Metrics.incr m_prefix_expansions;
     Exec_record.join_cvpre r store.Px86.Event.cv
   end;
   result

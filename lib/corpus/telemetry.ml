@@ -33,18 +33,17 @@ let with_session cfg f =
   | None -> Observe.Log.set_quiet cfg.quiet);
   if cfg.progress || cfg.progress_out <> None then
     Observe.Progress.start ~heartbeat:cfg.progress ?jsonl:cfg.progress_out ();
-  (* Show vs collect: a ledger entry needs metrics, coverage and
-     attribution collected for its digests and cost centers, but
-     printing their blocks stays gated on the explicit flags. *)
-  let collect shown = shown || cfg.ledger <> None in
-  let metrics = collect cfg.metrics
-  and coverage = collect (cfg.coverage || cfg.coverage_out <> None)
-  and attribution = collect (cfg.attribution || cfg.attribution_out <> None) in
-  if metrics then Observe.Metrics.enable ();
-  if attribution then Observe.Attribution.enable ();
-  if coverage then begin
-    Observe.Coverage.enable ();
-    Observe.Coverage.reset ()
+  (* Show vs collect: any flag that shows or writes metrics, coverage
+     or attribution, and a ledger entry (its digests and cost centers),
+     arms the one registry; each block still prints only under its own
+     flag. *)
+  let armed =
+    cfg.metrics || cfg.coverage || cfg.coverage_out <> None || cfg.attribution
+    || cfg.attribution_out <> None || cfg.ledger <> None
+  in
+  if armed then begin
+    Observe.Metrics.reset ();
+    Observe.Metrics.enable ()
   end;
   if cfg.trace_out <> None then Observe.Trace.start ();
   (* Closing never raises: it disarms everything, and hands back the
@@ -63,9 +62,7 @@ let with_session cfg f =
             Printf.printf "trace: %d event(s) written to %s\n"
               (Observe.Trace.event_count ()) file))
       cfg.trace_out;
-    if metrics then Observe.Metrics.disable ();
-    if attribution then Observe.Attribution.disable ();
-    if coverage then Observe.Coverage.disable ();
+    if armed then Observe.Metrics.disable ();
     List.rev !errors
   in
   let report (e, _) = Printf.eprintf "telemetry: %s\n%!" (Printexc.to_string e) in
@@ -87,23 +84,15 @@ let with_session cfg f =
 type observed = {
   o_metrics : (string * int) list;
   o_attribution : Observe.Attribution.row list;
-  o_gc_minor_words : int;
-  o_gc_major_words : int;
 }
 
 let observing f =
-  let metrics = Observe.Metrics.snapshot ()
-  and attribution = Observe.Attribution.snapshot ()
-  and gc = Gc.quick_stat () in
-  let v = f () in
-  let gc' = Gc.quick_stat () in
+  let v, cells = Observe.Metrics.window f in
   ( v,
     {
-      o_metrics = Observe.Metrics.diff metrics (Observe.Metrics.snapshot ());
-      o_attribution =
-        Observe.Attribution.diff attribution (Observe.Attribution.snapshot ());
-      o_gc_minor_words = int_of_float (gc'.Gc.minor_words -. gc.Gc.minor_words);
-      o_gc_major_words = int_of_float (gc'.Gc.major_words -. gc.Gc.major_words);
+      o_metrics =
+        List.filter (fun (_, n) -> n <> 0) (Observe.Metrics.counters cells);
+      o_attribution = Observe.Attribution.rows cells;
     } )
 
 let print_counters ~title counters =
@@ -237,16 +226,12 @@ let best_of ~repeats levels run =
 let scaling_level s =
   let st = s.s_outcome.Runner.o_stats in
   let center name field =
-    match
-      List.find_opt
-        (fun r -> r.Observe.Attribution.r_center = name)
-        s.s_observed.o_attribution
-    with
+    match Observe.Attribution.find name s.s_observed.o_attribution with
     | Some r -> field r
     | None -> 0
   in
-  let wall name = center name (fun r -> r.Observe.Attribution.r_wall_us)
-  and units name = center name (fun r -> r.Observe.Attribution.r_units) in
+  let wall name = center name (fun r -> r.Observe.Metrics.wall_us)
+  and units name = center name (fun r -> r.Observe.Metrics.units) in
   {
     Observe.Scaling.v_jobs = st.jobs;
     v_elapsed_s = st.elapsed_s;

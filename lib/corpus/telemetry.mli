@@ -7,8 +7,10 @@
     report, so reports are byte-identical with telemetry on or off. *)
 
 (** One field per telemetry flag.  [coverage_out] and [attribution_out]
-    also show their block; [ledger] collects metrics, coverage and
-    attribution without showing them. *)
+    also show their block.  Any of [metrics], [coverage],
+    [coverage_out], [attribution], [attribution_out] and [ledger] arms
+    the one registry ({!Observe.Metrics}); [ledger] collects without
+    showing. *)
 type config = {
   log_level : Observe.Log.level option;  (** wins over [quiet] *)
   quiet : bool;
@@ -33,13 +35,12 @@ val off : config
     reported on stderr, and re-raised only when [f] returned. *)
 val with_session : config -> (unit -> 'a) -> 'a
 
-(** What a window saw: the deltas of metrics, cost centers and GC
-    counters between its opening and its close. *)
+(** What a window saw: the metrics and cost centers of the work run
+    inside it ({!Observe.Metrics.window}). *)
 type observed = {
-  o_metrics : (string * int) list;  (** counter deltas *)
+  o_metrics : (string * int) list;
+      (** non-zero counter deltas; histogram maxima are the window's own *)
   o_attribution : Observe.Attribution.row list;  (** cost-center deltas *)
-  o_gc_minor_words : int;  (** process-wide, so wall-clock class *)
-  o_gc_major_words : int;
 }
 
 (** Run [f] inside a window. *)

@@ -68,6 +68,16 @@ let plan_index = function
   | Executor.Crash_at_end -> Some (-1)
   | Executor.Run_to_end | Executor.Crash_before_op _ -> None
 
+(* Crash-space coverage of each scenario's program (Observe.Coverage):
+   scenarios started, crash-plan indices scheduled and crash points
+   fired. *)
+let t_scenarios = Observe.Metrics.tally "coverage/scenarios"
+let s_plans = Observe.Metrics.set "coverage/plan_indices"
+let s_crashes = Observe.Metrics.set "coverage/crash_points"
+
+let mark_plan set plan =
+  match plan_index plan with Some i -> Observe.Metrics.mark set i | None -> ()
+
 (* Did the crash plan of this run actually fire?  [Crash_at_end]
    completes and then crashes; targeted plans that never fired leave a
    cleanly shut-down state with no crash. *)
@@ -113,32 +123,35 @@ type scenario_result = Completed of completed | Faulted of fault
 let m_faults = Observe.Metrics.counter "engine/faults"
 let m_recovery_failures = Observe.Metrics.counter "engine/recovery_failures"
 let m_cancelled = Observe.Metrics.counter "engine/cancelled"
-let m_oracle_violations = Observe.Metrics.counter "oracle/violations"
+let m_oracle_violations =
+  Observe.Metrics.counter ~per_program:true "oracle/violations"
 
 (* Worker-pool cost centers.  Counts and charged units are
    jobs-invariant (one queue-wait charge per claimed scenario, one work
    charge per scenario with the scenario's execution count as units);
-   wall clocks are scheduling-dependent and the GC word deltas are
-   volatile — [Gc.quick_stat] counters are flushed globally at minor
-   collections, so a per-domain delta absorbs allocation from whichever
-   domains happened to run concurrently. *)
-let ct_queue_wait = Observe.Attribution.center "engine/queue_wait"
-let ct_work = Observe.Attribution.center ~units:"execs" "engine/work"
+   wall clocks are scheduling-dependent and the GC words are volatile:
+   they are the worker domain's own allocation ([Gc.counters]), which
+   depends on the scenarios the worker ran and on when the collector
+   ran. *)
+let ct_queue_wait = Observe.Metrics.center "engine/queue_wait"
+let ct_work = Observe.Metrics.center ~units:"execs" "engine/work"
 
 let ct_gc_minor =
-  Observe.Attribution.center ~units:"words" ~volatile_units:true "gc/minor"
+  Observe.Metrics.center ~units:"words" ~volatile_units:true "gc/minor"
 
 let ct_gc_major =
-  Observe.Attribution.center ~units:"words" ~volatile_units:true "gc/major"
+  Observe.Metrics.center ~units:"words" ~volatile_units:true "gc/major"
 
 (* One charge per oracle observe phase, units = its operation count —
-   both jobs-invariant. *)
-let ct_oracle = Observe.Attribution.center ~units:"ops" "oracle/observe"
+   both jobs-invariant; the count is also the program's oracle-check
+   coverage. *)
+let ct_oracle =
+  Observe.Metrics.center ~units:"ops" ~per_program:true "oracle/observe"
 
 (* One charge per race merge, units = results merged — jobs-invariant;
    the wall clock is the serial post-batch cost the scaling analysis
    sets against lost parallel time. *)
-let ct_merge = Observe.Attribution.center ~units:"results" "engine/merge"
+let ct_merge = Observe.Metrics.center ~units:"results" "engine/merge"
 
 (* One scenario's bookkeeping while it runs: its detector, its execution
    and op counts, and the sandbox state — which phase is executing,
@@ -198,7 +211,7 @@ let finish rs ~base (pre : Executor.result) =
   let detector = rs.detector in
   let post_flush_points = ref None in
   let pre_fired = crash_fired ~plan:s.plan pre in
-  if pre_fired then Option.iter Observe.Coverage.crash_point (plan_index s.plan);
+  if pre_fired then mark_plan s_crashes s.plan;
   let chain_crashed =
     pre_fired
     && begin
@@ -215,7 +228,7 @@ let finish rs ~base (pre : Executor.result) =
          | _ ->
              let fired = crash_fired ~plan:s.post_plan r1 in
              if fired then begin
-               Option.iter Observe.Coverage.crash_point (plan_index s.post_plan);
+               mark_plan s_crashes s.post_plan;
                rs.phase <- Finding.Recovery 1;
                ignore
                  (tally rs
@@ -291,15 +304,9 @@ let finish rs ~base (pre : Executor.result) =
                   ~exec_id:(post_exec + 5) (fun () ->
                     snap := oc.oc_observe ())));
           observed := true;
-          Observe.Coverage.oracle_checked ();
-          if Observe.Attribution.is_enabled () then
-            Observe.Attribution.charge ct_oracle ~count:1 ~units:!o_ops ();
+          Observe.Metrics.charge ct_oracle ~units:!o_ops ~wall_us:0;
           let vs = oc.oc_check ~observed:!snap in
-          List.iter
-            (fun _ ->
-              Observe.Coverage.oracle_violation ();
-              Observe.Metrics.incr m_oracle_violations)
-            vs;
+          List.iter (fun _ -> Observe.Metrics.incr m_oracle_violations) vs;
           violations := vs)
   | (Some _ | None), _ -> ());
   {
@@ -323,14 +330,13 @@ let sandboxed rs body =
   let s = rs.s in
   let opts = s.Scenario.options in
   match
-    Observe.Coverage.with_program
+    Observe.Metrics.with_program
       ~variant:(Px86.Variant.label opts.Scenario.variant)
       s.Scenario.label
       (fun () ->
-        Observe.Coverage.scenario_started ();
-        Option.iter Observe.Coverage.plan_exercised (plan_index s.Scenario.plan);
-        Option.iter Observe.Coverage.plan_exercised
-          (plan_index s.Scenario.post_plan);
+        Observe.Metrics.incr t_scenarios;
+        mark_plan s_plans s.Scenario.plan;
+        mark_plan s_plans s.Scenario.post_plan;
         body ())
   with
   | c -> Completed c
@@ -583,7 +589,7 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
       ]
     s0.Scenario.label
     (fun () ->
-      Observe.Coverage.with_program
+      Observe.Metrics.with_program
         ~variant:(Px86.Variant.label opts.Scenario.variant)
         s0.Scenario.label shared_run;
       for k = 0 to len - 1 do
@@ -735,7 +741,7 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
       ~args:[ ("slot", string_of_int slot) ]
       "worker"
       (fun () ->
-        let att = Observe.Attribution.is_enabled () in
+        let att = Observe.Metrics.is_enabled () in
         let idle_since = ref (if att then Observe.Trace.now_us () else 0) in
         let gc_mark = ref None in
         (* Record scenario [i]'s result.  Work and GC are charged per
@@ -748,18 +754,15 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
               | Completed c -> (c.executions, c.wall_s)
               | Faulted f -> (f.f_executions, f.f_wall_s)
             in
-            Observe.Attribution.charge ct_work ~count:1 ~units:execs
-              ~wall_us:(int_of_float (wall *. 1e6))
-              ();
-            let g1 = Gc.quick_stat () in
+            Observe.Metrics.charge ct_work ~units:execs
+              ~wall_us:(int_of_float (wall *. 1e6));
+            let ((minor1, _, major1) as g1) = Gc.counters () in
             (match !gc_mark with
-            | Some g0 ->
-                Observe.Attribution.charge ct_gc_minor ~count:1
-                  ~units:(int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words))
-                  ();
-                Observe.Attribution.charge ct_gc_major ~count:1
-                  ~units:(int_of_float (g1.Gc.major_words -. g0.Gc.major_words))
-                  ()
+            | Some (minor0, _, major0) ->
+                Observe.Metrics.charge ct_gc_minor
+                  ~units:(int_of_float (minor1 -. minor0)) ~wall_us:0;
+                Observe.Metrics.charge ct_gc_major
+                  ~units:(int_of_float (major1 -. major0)) ~wall_us:0
             | None -> ());
             gc_mark := Some g1
           end;
@@ -780,10 +783,9 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
             let k = Atomic.fetch_and_add next 1 in
             if k < Array.length items then begin
               if att then begin
-                Observe.Attribution.charge ct_queue_wait ~count:1
-                  ~wall_us:(Observe.Trace.now_us () - !idle_since)
-                  ();
-                gc_mark := Some (Gc.quick_stat ())
+                Observe.Metrics.charge ct_queue_wait ~units:0
+                  ~wall_us:(Observe.Trace.now_us () - !idle_since);
+                gc_mark := Some (Gc.counters ())
               end;
               (match items.(k) with
               | Single i ->
@@ -866,7 +868,7 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
    {!Yashme.Race.merge_ordered} for why order matters).  Races observed
    before a fault are genuine evidence and are kept. *)
 let races ?(keep = fun (_ : completed) -> true) run =
-  let att = Observe.Attribution.is_enabled () in
+  let att = Observe.Metrics.is_enabled () in
   let w0 = if att then Observe.Trace.now_us () else 0 in
   let merged =
     Yashme.Race.merge_ordered
@@ -877,10 +879,8 @@ let races ?(keep = fun (_ : completed) -> true) run =
          run.results)
   in
   if att then
-    Observe.Attribution.charge ct_merge ~count:1
-      ~units:(List.length run.results)
-      ~wall_us:(Observe.Trace.now_us () - w0)
-      ();
+    Observe.Metrics.charge ct_merge ~units:(List.length run.results)
+      ~wall_us:(Observe.Trace.now_us () - w0);
   merged
 
 (* Faults of a run, in submission order — the list {!Report.dedup}

@@ -1,155 +1,63 @@
-(* Per-scenario cost attribution: where does exploration time go?
+(* The attribution view: where does exploration time go?
 
-   A [center] is a named cost bucket (snapshot copying, queue wait,
-   detector clock-vector comparisons, ...) holding three {!Sharded}
-   accumulators: an occurrence count, a charged-unit total (bytes, ops,
-   comparisons — whatever the center's [units] label says) and a
-   wall-clock total in microseconds.  Concurrent charges from engine
-   workers land on different shards; reads merge the shards.
+   A cost center is a registry cell ({!Metrics}) shown with three
+   columns: an occurrence count, a charged-unit total (bytes, ops,
+   comparisons — whatever the center's units label says) and a
+   wall-clock total in microseconds.
 
    The two-class column model is the crux.  Counts and charged units of
    deterministic work commute under addition, so their merged totals
    are identical for every --jobs count — that projection (rendered by
    [to_string ~timing:false] and exported by [fields]) is byte-stable
-   and CI-comparable.  Wall clocks are not, and neither are GC word
-   deltas: OCaml 5's [Gc.quick_stat] counters are flushed globally at
-   minor collections, so a delta taken on one domain absorbs other
-   domains' allocation.  Centers carrying such quantities declare
+   and CI-comparable.  Wall clocks are not, and neither are GC words:
+   a worker's allocation depends on which scenarios it ran and on
+   when the collector ran.  Centers carrying such quantities declare
    [volatile_units]; volatile columns render in the full table but are
-   excluded from the invariant projection and from ledger comparison.
+   excluded from the invariant projection and from ledger comparison. *)
 
-   Like {!Metrics}, everything is a no-op behind one [Atomic.get]
-   branch until [enable], and nothing here feeds back into the engine:
-   attribution on vs off never changes a race report. *)
+type row = Metrics.reading
 
-let enabled = Atomic.make false
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
-
-type center = {
-  a_name : string;
-  a_units_label : string; (* "" = the center charges no units *)
-  a_volatile_units : bool; (* units are wall-clock class (GC words) *)
-  a_counts : Sharded.counter;
-  a_units : Sharded.counter;
-  a_wall : Sharded.counter;
-}
-
-let registry_lock = Mutex.create ()
-let registry : (string, center) Hashtbl.t = Hashtbl.create 32
-
-(* Find-or-create, like {!Metrics.counter}: one name, one set of cells,
-   so instrumentation sites and tests share centers by name alone.
-   The first registration fixes the units label. *)
-let center ?(units = "") ?(volatile_units = false) name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some c -> c
-      | None ->
-          let c =
-            {
-              a_name = name;
-              a_units_label = units;
-              a_volatile_units = volatile_units;
-              a_counts = Sharded.counter ();
-              a_units = Sharded.counter ();
-              a_wall = Sharded.counter ();
-            }
-          in
-          Hashtbl.add registry name c;
-          c)
-
-let center_name c = c.a_name
-
-let charge c ?(count = 1) ?(units = 0) ?(wall_us = 0) () =
-  if Atomic.get enabled then begin
-    if count <> 0 then Sharded.add c.a_counts count;
-    if units <> 0 then Sharded.add c.a_units units;
-    if wall_us > 0 then Sharded.add c.a_wall wall_us
-  end
-
-let tick c = if Atomic.get enabled then Sharded.add c.a_counts 1
-
-(* ------------------------------------------------------------------ *)
-(* Merge-on-read rows                                                   *)
-
-type row = {
-  r_center : string;
-  r_units_label : string;
-  r_volatile_units : bool;
-  r_count : int;
-  r_units : int;
-  r_wall_us : int;
-}
-
-let row_of c =
-  {
-    r_center = c.a_name;
-    r_units_label = c.a_units_label;
-    r_volatile_units = c.a_volatile_units;
-    r_count = Sharded.sum c.a_counts;
-    r_units = Sharded.sum c.a_units;
-    r_wall_us = Sharded.sum c.a_wall;
-  }
-
-(* Registered-but-uncharged centers are dropped so the table only names
-   cost centers the run actually exercised (and stays deterministic
-   regardless of which modules happened to register centers). *)
-let live r = r.r_count <> 0 || r.r_units <> 0 || r.r_wall_us <> 0
-
-let snapshot () =
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.fold (fun _ c acc -> row_of c :: acc) registry [])
-  |> List.filter live
-  |> List.sort (fun a b -> compare a.r_center b.r_center)
-
-(* after - before per center, dropping all-zero deltas; centers absent
-   from [before] count as zero there. *)
-let diff before after =
+(* A counter that carries a cost-center name shows as that center, with
+   no charged units.  Centers with nothing charged are dropped, so the
+   table only names cost centers the run actually exercised. *)
+let rows readings =
   List.filter_map
-    (fun r ->
-      match List.find_opt (fun b -> b.r_center = r.r_center) before with
-      | None -> if live r then Some r else None
-      | Some b ->
-          let d =
-            {
-              r with
-              r_count = r.r_count - b.r_count;
-              r_units = r.r_units - b.r_units;
-              r_wall_us = r.r_wall_us - b.r_wall_us;
-            }
-          in
-          if live d then Some d else None)
-    after
+    (fun (r : row) ->
+      match r.kind with
+      | Metrics.Counter (Some name) ->
+          Some { r with name; kind = Metrics.Center { units_label = ""; volatile_units = false } }
+      | Metrics.Center _ -> Some r
+      | Metrics.Counter None | Metrics.Histogram | Metrics.Tally | Metrics.Set -> None)
+    readings
+  |> List.filter (fun (r : row) -> r.count <> 0 || r.units <> 0 || r.wall_us <> 0)
+  |> List.sort (fun (a : row) b -> compare a.name b.name)
 
-let reset () =
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.iter
-        (fun _ c ->
-          Sharded.zero c.a_counts;
-          Sharded.zero c.a_units;
-          Sharded.zero c.a_wall)
-        registry)
+let find name rows = List.find_opt (fun (r : row) -> r.name = name) rows
+
+let labels (r : row) =
+  match r.kind with
+  | Metrics.Center { units_label; volatile_units } -> (units_label, volatile_units)
+  | Metrics.Counter _ | Metrics.Histogram | Metrics.Tally | Metrics.Set -> ("", false)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
 
 let charged_cell ~timing r =
-  if r.r_units_label = "" then "-"
-  else if r.r_volatile_units && not timing then "-"
-  else Printf.sprintf "%d %s" r.r_units r.r_units_label
+  let units_label, volatile = labels r in
+  if units_label = "" then "-"
+  else if volatile && not timing then "-"
+  else Printf.sprintf "%d %s" r.units units_label
 
-let wall_cell r = Printf.sprintf "%.3fms" (float_of_int r.r_wall_us /. 1000.)
+let wall_cell (r : row) = Printf.sprintf "%.3fms" (float_of_int r.wall_us /. 1000.)
 
 (* [timing:false] is the jobs-invariant projection: the wall column is
    dropped and volatile charged units render as "-". *)
 let pp ?(timing = true) ppf rows =
   let cells =
     List.map
-      (fun r ->
+      (fun (r : row) ->
         let base =
-          [ r.r_center; string_of_int r.r_count; charged_cell ~timing r ]
+          [ r.name; string_of_int r.count; charged_cell ~timing r ]
         in
         if timing then base @ [ wall_cell r ] else base)
       rows
@@ -169,12 +77,13 @@ let to_string ?timing rows = Format.asprintf "%a" (pp ?timing) rows
 
 (* One flat JSONL object per center — only the invariant projection, so
    an --attribution-out file is byte-identical for every --jobs count. *)
-let fields r : (string * Yashme_util.Json.value) list =
+let fields (r : row) : (string * Yashme_util.Json.value) list =
+  let units_label, volatile = labels r in
   [
-    ("center", `S r.r_center);
-    ("count", `I r.r_count);
-    ("units", if r.r_volatile_units then `Null else `I r.r_units);
-    ("units_label", `S r.r_units_label);
+    ("center", `S r.name);
+    ("count", `I r.count);
+    ("units", if volatile then `Null else `I r.units);
+    ("units_label", `S units_label);
   ]
 
 (* Inverse of [fields], for re-rendering an --attribution-out file
@@ -192,13 +101,14 @@ let of_fields (fs : (string * Yashme_util.Json.value) list) =
         | Some `Null -> (0, true)
         | _ -> (0, false)
       in
+      let units_label = Option.value ~default:"" (str "units_label") in
       Ok
         {
-          r_center = center;
-          r_units_label = Option.value ~default:"" (str "units_label");
-          r_volatile_units = volatile;
-          r_count = count;
-          r_units = units;
-          r_wall_us = 0;
+          Metrics.name = center;
+          kind = Metrics.Center { units_label; volatile_units = volatile };
+          count;
+          units;
+          wall_us = 0;
+          max = 0;
         }
   | _ -> Error "not an attribution row (missing \"center\"/\"count\")"

@@ -1,65 +1,23 @@
-(** Per-scenario cost attribution: named cost centers with
-    domain-sharded count / charged-unit / wall-clock accumulators,
-    merged on read.
+(** The attribution view of the registry: named cost centers with
+    count, charged-unit and wall-clock columns.
 
+    A center is a {!Metrics.Center} cell, or a {!Metrics.Counter} that
+    carries a cost-center name (its count is the center's count).
     Counts and charged units of deterministic work are jobs-invariant
     (addition commutes across shards); wall clocks are not, and neither
-    are GC word deltas ([Gc.quick_stat] counters are flushed globally
-    at minor collections, so per-domain deltas absorb other domains'
-    allocation).  Centers carrying such quantities are registered with
+    are GC words.  Centers carrying such quantities are registered with
     [volatile_units]; the invariant projection ([to_string
     ~timing:false], {!fields}) excludes wall clocks and volatile units,
     and is what determinism tests and the run-ledger comparison gate
-    on.
+    on. *)
 
-    Disabled by default: every charge is a no-op behind a single
-    [Atomic.get] branch, and nothing here influences the exploration
-    being measured (attribution on vs off never changes a race
-    report). *)
+(** A row is the reading of a cost center: its [name] is the center's
+    name and its kind a {!Metrics.Center}. *)
+type row = Metrics.reading
 
-val enable : unit -> unit
-val disable : unit -> unit
-val is_enabled : unit -> bool
-
-type center
-
-(** Find-or-create the cost center registered under [name].  [units]
-    labels the charged-unit column (e.g. ["bytes"], ["ops"]; default
-    none); [volatile_units] marks the units as wall-clock class (GC
-    words), excluded from the invariant projection.  The first
-    registration of a name fixes its labels. *)
-val center : ?units:string -> ?volatile_units:bool -> string -> center
-
-val center_name : center -> string
-
-(** Charge the calling domain's shard: [count] occurrences (default 1),
-    [units] charged units and [wall_us] microseconds of wall clock.
-    No-op when disabled. *)
-val charge : center -> ?count:int -> ?units:int -> ?wall_us:int -> unit -> unit
-
-(** [charge c ()] minus the optional-argument plumbing: the cheapest
-    possible hot-path hook (one branch, one fetch-and-add). *)
-val tick : center -> unit
-
-type row = {
-  r_center : string;
-  r_units_label : string;
-  r_volatile_units : bool;
-  r_count : int;
-  r_units : int;
-  r_wall_us : int;
-}
-
-(** Merged rows of every center charged since the last {!reset},
-    sorted by center name; uncharged centers are dropped. *)
-val snapshot : unit -> row list
-
-(** [diff before after] is the per-center delta, dropping all-zero
-    rows; centers absent from [before] count as zero there. *)
-val diff : row list -> row list -> row list
-
-(** Zero every registered accumulator (the registry itself is kept). *)
-val reset : unit -> unit
+(** The cost centers among [readings], sorted by center name; centers
+    with nothing charged are dropped. *)
+val rows : Metrics.reading list -> row list
 
 (** The [\[attribution\]] cost-center table.  [timing] (default true)
     includes the wall column and volatile charged units; [~timing:false]
@@ -77,3 +35,6 @@ val fields : row -> (string * Yashme_util.Json.value) list
 (** Inverse of {!fields} (wall clocks are not serialized and read back
     as 0).  Errors on a field list that is not an attribution row. *)
 val of_fields : (string * Yashme_util.Json.value) list -> (row, string) result
+
+(** The row of one center, if charged. *)
+val find : string -> row list -> row option

@@ -1,70 +1,21 @@
-(** Crash-space coverage accounting.
+(** The coverage view of the registry: crash-space coverage per
+    (program, variant) bucket.
 
     Answers, per program, how much of the crash space a run actually
     explored: crash-plan indices exercised, crash points that actually
     fired, detector prefix expansions vs pruned checks (coherence /
     persisted), and distinct cache lines materialized by crashes.
 
-    Hooks attribute to the {e ambient program} of the calling domain —
-    set by the engine around each scenario with {!with_program} — and
-    accumulate into per-domain shards merged on read.  Every quantity
-    is a set union or a counter sum and each scenario executes exactly
-    once regardless of the pool size, so {!snapshot} (and everything
-    rendered from it) is byte-identical for every [--jobs] count.
-    Hooks fired with no ambient program (setup memoization, flush-point
-    probes) are dropped, keeping the totals scenario-attributed.
-
-    Disabled by default: each hook is a no-op behind a single
-    [Atomic.get] branch, and nothing here influences the exploration
-    being measured. *)
-
-val enable : unit -> unit
-val disable : unit -> unit
-val is_enabled : unit -> bool
-
-(** Drop all recorded coverage (the shards are kept). *)
-val reset : unit -> unit
-
-(** The variant label assumed when none is supplied; matches
-    [Px86.Variant.default_label] by convention (this module stays free
-    of px86 types). *)
-val default_variant : string
-
-(** [with_program p f] runs [f] with [p] as the calling domain's
-    ambient program, restoring the previous ambient on exit (also on
-    exceptions).  [variant] attributes the work to a persistency-model
-    variant (default {!default_variant}); coverage accumulates per
-    (program, variant) pair. *)
-val with_program : ?variant:string -> string -> (unit -> 'a) -> 'a
-
-(** {2 Accounting hooks} — no-ops when disabled or outside
-    {!with_program}. *)
-
-(** One scenario began executing. *)
-val scenario_started : unit -> unit
-
-(** A crash-plan index was scheduled ([-1] is crash-at-end). *)
-val plan_exercised : int -> unit
-
-(** The crash of plan index [i] actually fired. *)
-val crash_point : int -> unit
-
-(** The detector expanded a consistent prefix (cvpre join). *)
-val prefix_expanded : unit -> unit
-
-(** The detector pruned a candidate check. *)
-val pruned : [ `Coherence | `Persisted ] -> unit
-
-(** A crash materialization persisted cache line [line]. *)
-val line_materialized : int -> unit
-
-(** The invariant oracle checked one post-crash-recovery observation. *)
-val oracle_checked : unit -> unit
-
-(** The oracle reported one consistency violation. *)
-val oracle_violation : unit -> unit
-
-(** {2 Merge-on-read snapshots} *)
+    Each quantity is a per-program registry cell ({!Metrics}) that the
+    engine, the machine and the detector fill inside
+    {!Metrics.with_program}: the tally [coverage/scenarios], the sets
+    [coverage/plan_indices], [coverage/crash_points] and
+    [coverage/lines], and the counts of [detector/prefix_expansions],
+    [detector/pruned_coherence], [detector/pruned_persisted],
+    [oracle/observe] and [oracle/violations].  Every one is a set union
+    or a counter sum and each scenario executes exactly once regardless
+    of the pool size, so the rows (and everything rendered from them)
+    are byte-identical for every [--jobs] count. *)
 
 type stats = {
   program : string;
@@ -80,10 +31,11 @@ type stats = {
   oracle_violations : int;
 }
 
-(** Merged per-(program, variant) coverage, sorted by program then
-    variant label. *)
+(** One row per program bucket, sorted by program then variant label. *)
 val snapshot : unit -> stats list
 
+(** The current row of one program (variant default
+    {!Metrics.default_variant}). *)
 val find : ?variant:string -> string -> stats option
 
 (** Compact range rendering of a sorted index set (e.g. ["0-9,12,end"];

@@ -1,9 +1,7 @@
 (* The durable run ledger: one versioned manifest per detection run.
 
-   A ledger file is JSONL — one flat object per run, encoded/decoded by
-   the corpus codec (this module only builds and consumes the field
-   lists; [Pm_corpus.Ledger_store] owns the file I/O, because lib/corpus
-   depends on lib/observe and not the other way around).
+   A ledger file is JSONL — one flat object per run, through the one
+   JSON codec ({!Yashme_util.Json}).
 
    The schema is versioned ([v] = {!version}); a line written by a
    newer build is a positioned decode error, never a silent
@@ -14,6 +12,8 @@
      from regression gating,
    - everything else, which is deterministic for a fixed configuration:
      two identical-config runs must show zero deltas there. *)
+
+module Json = Yashme_util.Json
 
 let version = 1
 
@@ -288,9 +288,124 @@ let costs_of_rows rows =
   List.map
     (fun (r : Attribution.row) ->
       {
-        c_center = r.Attribution.r_center;
-        c_count = r.Attribution.r_count;
-        c_units = r.Attribution.r_units;
-        c_wall_us = r.Attribution.r_wall_us;
+        c_center = r.name;
+        c_count = r.count;
+        c_units = r.units;
+        c_wall_us = r.wall_us;
       })
     rows
+
+(* ------------------------------------------------------------------ *)
+(* The ledger file                                                      *)
+
+(* Crash-safe append: existing entries plus the new line are republished
+   under [path] by atomic rename ({!Yashme_util.Atomic_file}), so an
+   interrupted append can never truncate earlier runs.  Ledgers are
+   small (one line per run), so the copy is cheap. *)
+let append path e =
+  Yashme_util.Atomic_file.append_line path (Json.encode_obj (fields e))
+
+let load path =
+  Json.load_lines ~what:"ledger" path (fun l ->
+      Result.bind (Json.decode_obj l) of_fields)
+
+let find entries sel =
+  let n = List.length entries in
+  match int_of_string_opt sel with
+  | Some i ->
+      if i >= 1 && i <= n then Ok (List.nth entries (i - 1))
+      else
+        Error
+          (Printf.sprintf "run %d out of range (ledger has %d run%s)" i n
+             (if n = 1 then "" else "s"))
+  | None -> (
+      match List.filter (fun e -> e.e_run = sel) entries with
+      | [ e ] -> Ok e
+      | [] -> Error (Printf.sprintf "no run labelled %S in ledger" sel)
+      | l ->
+          Error
+            (Printf.sprintf "%d runs labelled %S; select by 1-based ordinal"
+               (List.length l) sel))
+
+type delta = {
+  d_field : string;
+  d_baseline : float;
+  d_current : float;
+  d_regressed : bool;
+}
+
+type comparison = {
+  cmp_changed : delta list;
+  cmp_timing : delta list;
+  cmp_mismatched : (string * string * string) list;
+  cmp_passed : bool;
+}
+
+let compare_runs ~baseline ~current =
+  let bn = numeric_fields baseline in
+  let cn = numeric_fields current in
+  (* Union of both sides' fields, baseline order first: a cost center
+     recorded by only one run must surface as a delta against 0, not
+     silently vanish. *)
+  let keys =
+    List.map fst bn
+    @ List.filter (fun k -> not (List.mem_assoc k bn)) (List.map fst cn)
+  in
+  let changed = ref [] and timing = ref [] in
+  List.iter
+    (fun k ->
+      let bv = Option.value ~default:0. (List.assoc_opt k bn) in
+      let cv = Option.value ~default:0. (List.assoc_opt k cn) in
+      if bv <> cv then begin
+        let d =
+          { d_field = k; d_baseline = bv; d_current = cv;
+            d_regressed = direction k = `Higher && cv < bv }
+        in
+        if timing_field k then timing := d :: !timing
+        else changed := d :: !changed
+      end)
+    keys;
+  let cmp_changed = List.rev !changed and cmp_timing = List.rev !timing in
+  let bs = string_fields baseline in
+  let cs = string_fields current in
+  let cmp_mismatched =
+    List.filter_map
+      (fun (k, a) ->
+        match List.assoc_opt k cs with
+        | Some b when b <> a -> Some (k, a, b)
+        | _ -> None)
+      bs
+  in
+  {
+    cmp_changed;
+    cmp_timing;
+    cmp_mismatched;
+    cmp_passed = cmp_changed = [] && cmp_mismatched = [];
+  }
+
+(* %g keeps integral counters integral ("3", not "3.0") while still
+   rendering real-valued timings, so the golden compare output is
+   stable and readable. *)
+let render ~a_label ~b_label c =
+  let lines = ref [] in
+  let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  add "ledger compare: %s (baseline) vs %s (current)" a_label b_label;
+  List.iter
+    (fun (f, a, b) -> add "  %s: %S != %S MISMATCH" f a b)
+    c.cmp_mismatched;
+  List.iter
+    (fun d ->
+      add "  %s: %g -> %g (%s)%s" d.d_field d.d_baseline d.d_current
+        (if d.d_baseline = 0. then "new"
+         else
+           Printf.sprintf "%+.1f%%"
+             ((d.d_current -. d.d_baseline) /. d.d_baseline *. 100.))
+        (if d.d_regressed then " REGRESSED" else " CHANGED"))
+    c.cmp_changed;
+  if c.cmp_changed = [] && c.cmp_mismatched = [] then
+    add "  no non-timing deltas";
+  List.iter
+    (fun d -> add "  [timing] %s: %g -> %g" d.d_field d.d_baseline d.d_current)
+    c.cmp_timing;
+  add "ledger compare: %s" (if c.cmp_passed then "PASS" else "FAIL");
+  String.concat "\n" (List.rev !lines)

@@ -1,9 +1,10 @@
 (** The durable run ledger: one versioned manifest per detection run.
 
-    This module owns the schema — entry record, flat-field encoding,
-    version gate, digests and the timing/identity field classification.
-    File I/O and run-to-run comparison live in [Pm_corpus.Ledger_store]
-    (lib/corpus depends on lib/observe, not the other way around). *)
+    The schema (entry record, flat-field encoding, version gate, digests,
+    timing/identity field classification), the file ({!Yashme_util.Json}
+    lines: one per run, appended by [--ledger FILE], re-read by
+    [yashme runs] / [yashme compare], linted by [yashme trace-lint]) and
+    the run-to-run comparison. *)
 
 (** Current schema version; lines carrying a newer [v] are decode
     errors, never silent misinterpretations. *)
@@ -78,13 +79,61 @@ val fields : entry -> (string * Yashme_util.Json.value) list
     version outside [1..{!version}].  [of_fields (fields e) = Ok e]. *)
 val of_fields : (string * Yashme_util.Json.value) list -> (entry, string) result
 
-(** Every numeric field (timing included; identity excluded), in
-    {!fields} order — the comparison substrate. *)
-val numeric_fields : entry -> (string * float) list
-
-(** Configuration/digest strings two comparable runs must agree on;
-    [run] is identity and excluded. *)
-val string_fields : entry -> (string * string) list
-
-(** Fold an {!Attribution.diff} into cost records. *)
+(** Fold attribution rows into cost records. *)
 val costs_of_rows : Attribution.row list -> cost list
+
+(** {1 The ledger file} *)
+
+(** Append one entry to [path] (created if absent), crash-safely: the
+    existing entries and the new line are written to a temporary that
+    atomically replaces [path], so an interrupted append never leaves
+    a truncated ledger. *)
+val append : string -> entry -> unit
+
+(** Read and decode a ledger file ({!Yashme_util.Json.load_lines}).
+    Never raises; errors are positioned (["PATH:N: ..."]).  An empty
+    file is an error (a ledger you can list must have at least one
+    run), and a line with a version newer than
+    {!version} is a positioned error, never a silent
+    misread. *)
+val load : string -> (entry list, string) result
+
+(** Select one run: a 1-based ordinal into the file ("2" = second
+    line), or a unique [e_run] label.  Ambiguous labels and
+    out-of-range ordinals are errors. *)
+val find :
+  entry list -> string -> (entry, string) result
+
+(** One numeric field that differs between two runs. *)
+type delta = {
+  d_field : string;
+  d_baseline : float;
+  d_current : float;
+  d_regressed : bool;
+      (** a {!direction} [`Higher] field dropped *)
+}
+
+type comparison = {
+  cmp_changed : delta list;
+      (** non-timing numeric fields whose values differ; every one
+          fails the compare, and a regressed one is flagged *)
+  cmp_timing : delta list;  (** timing-class deltas: informational *)
+  cmp_mismatched : (string * string * string) list;
+      (** (field, baseline, current) string-field disagreements —
+          comparing runs of different programs/variants/digests fails *)
+  cmp_passed : bool;
+      (** no non-timing numeric delta and no string mismatch *)
+}
+
+(** Compare two runs field by field.  The field set is the union of
+    both sides' numeric fields (a side missing a field contributes 0,
+    so a cost center present in only one run surfaces as a delta
+    rather than vanishing); unknown extra fields never error. *)
+val compare_runs :
+  baseline:entry -> current:entry -> comparison
+
+(** Deterministic rendering: string mismatches, changed fields with
+    their relative change ([new] when the baseline is 0; regressions
+    flagged), timing deltas, and a final ["ledger compare: PASS"]/[FAIL]
+    line. *)
+val render : a_label:string -> b_label:string -> comparison -> string

@@ -1,61 +1,111 @@
-(** Domain-safe counters and histograms.
+(** The one telemetry registry.
 
-    Cells are [Atomic.t]s sharded by domain id; reads merge the shards.
-    Because addition commutes, merged totals are independent of how work
-    was interleaved across domains — counters of deterministic work are
-    identical for every [--jobs] count.
+    A cell has a name and four domain-sharded columns: count, units,
+    wall clock (microseconds) and maximum, merged on read.  Merged
+    values of deterministic work are identical for every [--jobs]
+    count.  The metrics, attribution ({!Attribution}) and coverage
+    ({!Coverage}) outputs are views over the cells: a cell's kind says
+    which views show it.
 
-    The whole module is disabled by default: every write is a no-op
-    behind a single [Atomic.get] branch until {!enable} is called, and
-    nothing here influences the instrumented computation (metrics on vs
-    off must never change a race report). *)
+    One flag arms the whole registry.  Disabled (the default), every
+    hook is one [Atomic.get] branch and allocates nothing; enabled, a
+    hook other than {!mark} takes no lock, hashes nothing and allocates
+    nothing.  Telemetry on vs off never changes a race report. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool
 
-type counter
+(** Zero every cell and drop every program bucket. *)
+val reset : unit -> unit
 
-(** Find-or-create the counter registered under [name] (creation is
-    idempotent: one name, one set of cells). *)
-val counter : string -> counter
+type kind =
+  | Counter of string option
+      (** the metrics view; with [Some c], also the attribution view as
+          cost center [c] *)
+  | Histogram  (** the metrics view, as [name#count], [#max], [#sum] *)
+  | Center of { units_label : string; volatile_units : bool }
+      (** the attribution view; volatile units are wall-clock class *)
+  | Tally  (** program buckets only: a count *)
+  | Set  (** program buckets only: distinct integers *)
 
-val counter_name : counter -> string
+type cell
 
-(** Add 1 / [n] to the calling domain's shard.  No-op when disabled. *)
-val incr : counter -> unit
+(** Find-or-create the cell registered under [name]; the first
+    registration fixes its kind.  A [per_program] cell (default false)
+    also adds its count into the ambient program bucket. *)
+val counter : ?center:string -> ?per_program:bool -> string -> cell
 
-val add : counter -> int -> unit
+val histogram : string -> cell
+val center : ?units:string -> ?volatile_units:bool -> ?per_program:bool -> string -> cell
+val tally : string -> cell
+val set : string -> cell
+val name : cell -> string
 
-(** Merge-on-read total across all shards. *)
-val value : counter -> int
+(** {2 Hooks} — no-ops while disabled *)
 
-type histogram
+val incr : cell -> unit
+val add : cell -> int -> unit
 
-(** Find-or-create a power-of-two-bucketed histogram. *)
-val histogram : string -> histogram
+(** One occurrence, [units] charged units and [wall_us] of wall clock. *)
+val charge : cell -> units:int -> wall_us:int -> unit
 
-val histogram_name : histogram -> string
+(** One sample: count 1, units [v], maximum [v]. *)
+val observe : cell -> int -> unit
 
-(** Record one (non-negative) sample.  No-op when disabled. *)
-val observe : histogram -> int -> unit
+(** Add [i] to a {!Set} cell of the ambient program, under the set's
+    lock: sets record per-scenario and per-crash events only. *)
+val mark : cell -> int -> unit
 
-type hstats = { count : int; sum : int; max : int }
+(** {2 Program buckets} *)
 
-(** Merged sample statistics across all shards. *)
-val hstats : histogram -> hstats
+(** The variant label assumed when none is supplied; matches
+    [Px86.Variant.default_label] (this library stays free of px86). *)
+val default_variant : string
 
-(** Merged per-bucket sample counts; bucket [i] holds samples in
-    [2^(i-1), 2^i) (bucket 0 holds 0). *)
-val bucket_counts : histogram -> int array
+(** [with_program p f] runs [f] with the [(p, variant)] bucket as the
+    calling domain's ambient bucket, restoring the previous one on exit
+    (also on exceptions).  Hooks outside any [with_program] count in no
+    bucket.  While disabled, [f] just runs. *)
+val with_program : ?variant:string -> string -> (unit -> 'a) -> 'a
 
-(** Merged view of the whole registry, sorted by name.  Histograms
-    appear as [name#count] / [name#sum] / [name#max] entries. *)
+(** {2 Reads} *)
+
+type reading = {
+  name : string;
+  kind : kind;
+  count : int;
+  units : int;
+  wall_us : int;
+  max : int;
+}
+
+(** Merged readings of every cell, sorted by name. *)
+val cells : unit -> reading list
+
+(** [window f] runs [f] and returns what it added: count, units and wall
+    deltas and the maximum of [f]'s own samples, dropping unchanged
+    cells.  Windows nest; open and close them while no other domain
+    writes to the registry. *)
+val window : (unit -> 'a) -> 'a * reading list
+
+type bucket = {
+  program : string;
+  variant : string;
+  counts : (string * int) list;  (** per-program cell -> count *)
+  sets : (string * int list) list;  (** set cell -> sorted members *)
+}
+
+(** Buckets anything counted into, sorted by program then variant. *)
+val buckets : unit -> bucket list
+
+(** The metrics view, sorted by name: counters, and histograms as
+    [name#count] / [name#max] / [name#sum]. *)
+val counters : reading list -> (string * int) list
+
+(** [counters (cells ())]. *)
 val snapshot : unit -> (string * int) list
 
 (** [diff before after] is the per-name delta, dropping zero entries;
     names absent from [before] count as zero there. *)
 val diff : (string * int) list -> (string * int) list -> (string * int) list
-
-(** Zero every registered cell (the registry itself is kept). *)
-val reset : unit -> unit

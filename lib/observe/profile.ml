@@ -74,71 +74,18 @@ type lane = {
   l_busy_us : int;  (* summed duration of top-level spans *)
 }
 
-(* Parents-first ordering within a lane: ascending start, longer spans
-   first on ties (same rule {!Trace.events} exports with). *)
-let lane_sort evs =
-  List.stable_sort
-    (fun (a : Trace.event) (b : Trace.event) ->
-      match compare a.Trace.ts_us b.Trace.ts_us with
-      | 0 -> compare b.Trace.dur_us a.Trace.dur_us
-      | c -> c)
-    evs
-
-let group_lanes events =
-  let tbl : (int * int, Trace.event list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Trace.event) ->
-      let k = (e.Trace.pid, e.Trace.tid) in
-      Hashtbl.replace tbl k (e :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
-    events;
-  Hashtbl.fold (fun k evs acc -> (k, List.rev evs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-(* Stack scan of one lane's spans: a span whose interval is contained
-   in the stack top is its child; its duration is charged to the
-   parent's child-time, making parent self = dur - children.  Calls
-   [f ev ~self_us ~top_level] for every Complete span. *)
-let scan_lane evs f =
-  let spans =
-    lane_sort (List.filter (fun (e : Trace.event) -> e.Trace.ph = Trace.Complete) evs)
-  in
-  (* stack entries: (end_ts, child duration accumulator, event) *)
-  let stack = ref [] in
-  let pop (_, children, (ev : Trace.event)) =
-    f ev ~self_us:(max 0 (ev.Trace.dur_us - !children))
-      ~top_level:(!stack = [])
-  in
-  let rec unwind ts =
-    match !stack with
-    | (end_ts, _, _) :: rest when end_ts <= ts ->
-        let top = List.hd !stack in
-        stack := rest;
-        pop top;
-        unwind ts
-    | _ -> ()
-  in
-  List.iter
-    (fun (e : Trace.event) ->
-      unwind e.Trace.ts_us;
-      (match !stack with
-      | (_, children, _) :: _ -> children := !children + e.Trace.dur_us
-      | [] -> ());
-      stack := (e.Trace.ts_us + e.Trace.dur_us, ref 0, e) :: !stack)
-    spans;
-  unwind max_int
-
 let aggregate ~key events =
   let tbl : (string, int * int * int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (_, evs) ->
-      scan_lane evs (fun ev ~self_us ~top_level:_ ->
+      Trace.nest evs (fun ev ~self_us ~top_level:_ ->
           let k = key ev in
           let count, total, self =
             Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl k)
           in
           Hashtbl.replace tbl k
             (count + 1, total + ev.Trace.dur_us, self + self_us)))
-    (group_lanes events);
+    (Trace.lanes events);
   Hashtbl.fold
     (fun k (count, total, self) acc ->
       { r_key = k; r_count = count; r_total_us = total; r_self_us = self } :: acc)
@@ -166,8 +113,8 @@ let lanes events =
           | Trace.Instant -> incr instants
           | Trace.Complete -> incr spans)
         evs;
-      scan_lane evs (fun ev ~self_us:_ ~top_level ->
+      Trace.nest evs (fun ev ~self_us:_ ~top_level ->
           if top_level then busy := !busy + ev.Trace.dur_us);
       { l_pid = pid; l_tid = tid; l_spans = !spans; l_instants = !instants;
         l_busy_us = !busy })
-    (group_lanes events)
+    (Trace.lanes events)

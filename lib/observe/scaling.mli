@@ -10,7 +10,7 @@
     are scheduling-dependent and appear only in full rows. *)
 
 (** One observed jobs level: engine stats plus the cost-center window
-    ({!Attribution.diff}) around the run. *)
+    ({!Metrics.window}) around the run. *)
 type level = {
   v_jobs : int;
   v_elapsed_s : float;

@@ -91,19 +91,12 @@ let interval_total ivs = List.fold_left (fun s (a, b) -> s + (b - a)) 0 ivs
 
 let span_interval (e : Trace.event) = (e.Trace.ts_us, e.Trace.ts_us + e.Trace.dur_us)
 
-(* Spans not contained in any other span of the lane — the fallback
-   work cover for traces that never tagged a work category. *)
-let top_level spans =
-  List.filter
-    (fun (e : Trace.event) ->
-      let s, f = span_interval e in
-      not
-        (List.exists
-           (fun (o : Trace.event) ->
-             let os, odf = span_interval o in
-             o != e && os <= s && f <= odf && (os < s || f < odf))
-           spans))
-    spans
+(* The lane's top-level spans ({!Trace.nest}) — the fallback work cover
+   for traces that never tagged a work category. *)
+let top_level lane_spans =
+  let top = ref [] in
+  Trace.nest lane_spans (fun e ~self_us:_ ~top_level -> if top_level then top := e :: !top);
+  List.rev !top
 
 let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
   let spans =
@@ -112,18 +105,6 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
   match spans with
   | [] -> Error "empty trace: no complete spans to reconstruct lanes from"
   | _ ->
-      (* Group by lane; input order is irrelevant (events may arrive
-         out of order), every computation below is over interval
-         unions. *)
-      let lanes_tbl : (int * int, Trace.event list) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      List.iter
-        (fun (e : Trace.event) ->
-          let key = (e.Trace.pid, e.Trace.tid) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt lanes_tbl key) in
-          Hashtbl.replace lanes_tbl key (e :: prev))
-        spans;
       let window_start =
         List.fold_left (fun m e -> min m (fst (span_interval e))) max_int spans
       in
@@ -194,11 +175,9 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
           tl_gaps = gaps;
         }
       in
-      let lanes =
-        Hashtbl.fold (fun key evs acc -> lane_of key evs :: acc) lanes_tbl []
-        |> List.sort (fun a b ->
-               compare (a.tl_pid, a.tl_tid) (b.tl_pid, b.tl_tid))
-      in
+      (* Input order is irrelevant (events may arrive out of order):
+         every computation below is over interval unions. *)
+      let lanes = List.map (fun (key, evs) -> lane_of key evs) (Trace.lanes spans) in
       let busy_total = List.fold_left (fun s l -> s + l.tl_busy_us) 0 lanes in
       let critical = List.fold_left (fun m l -> max m l.tl_busy_us) 0 lanes in
       let straggler, tail =

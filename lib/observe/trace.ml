@@ -90,6 +90,10 @@ let instant ?(cat = "") ?pid ?tid ?(args = []) name =
     record { name; cat; ph = Instant; ts_us = now_us (); dur_us = 0; pid; tid; args }
   end
 
+(* Parents first: ascending start, longer spans first on ties. *)
+let parents_first a b =
+  match compare a.ts_us b.ts_us with 0 -> compare b.dur_us a.dur_us | c -> c
+
 (* Merged events, earliest first; at equal timestamps longer spans
    sort first so enclosing spans precede their children.  When both the
    timestamp and the duration tie (sub-microsecond spans), fall back to
@@ -104,13 +108,51 @@ let events () =
       [] shards
   in
   List.stable_sort
-    (fun (ia, a) (ib, b) ->
-      match compare a.ts_us b.ts_us with
-      | 0 -> (
-          match compare b.dur_us a.dur_us with 0 -> compare ia ib | c -> c)
-      | c -> c)
+    (fun (ia, a) (ib, b) -> match parents_first a b with 0 -> compare ia ib | c -> c)
     all
   |> List.map snd
+
+(* ------------------------------------------------------------------ *)
+(* Lanes                                                                *)
+
+(* Group by (pid, tid), lanes in key order, each lane parents first
+   (stable, so equal spans keep their input order). *)
+let lanes events =
+  let tbl : (int * int, event list) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun e ->
+      let k = (e.pid, e.tid) in
+      Hashtbl.replace tbl k (e :: Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+    events;
+  Hashtbl.fold (fun k evs acc -> (k, List.rev evs) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (k, evs) -> (k, List.stable_sort parents_first evs))
+
+(* Stack scan of one lane's spans, parents first: a span starting
+   before the stack top ends is its child, and its duration is charged
+   to the parent's child time, making parent self = dur - children. *)
+let nest lane f =
+  (* stack entries: (end_ts, child duration accumulator, event) *)
+  let stack = ref [] in
+  let rec unwind ts =
+    match !stack with
+    | ((end_ts, children, ev) :: rest) when end_ts <= ts ->
+        stack := rest;
+        f ev ~self_us:(max 0 (ev.dur_us - !children)) ~top_level:(rest = []);
+        unwind ts
+    | _ -> ()
+  in
+  List.iter
+    (fun e ->
+      if e.ph = Complete then begin
+        unwind e.ts_us;
+        (match !stack with
+        | (_, children, _) :: _ -> children := !children + e.dur_us
+        | [] -> ());
+        stack := (e.ts_us + e.dur_us, ref 0, e) :: !stack
+      end)
+    lane;
+  unwind max_int
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                         *)

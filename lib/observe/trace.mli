@@ -61,6 +61,18 @@ val events : unit -> event list
 
 val event_count : unit -> int
 
+(** Events grouped into (pid, tid) lanes, sorted by lane; each lane's
+    events parents first (ascending start, longer spans first on
+    ties). *)
+val lanes : event list -> ((int * int) * event list) list
+
+(** Walk one lane's Complete spans (in {!lanes} order), nesting them by
+    interval containment as the Chrome viewer draws them: [f ev ~self_us
+    ~top_level] is called once per span, where [self_us] is its
+    duration minus its direct children's and [top_level] says no span
+    encloses it. *)
+val nest : event list -> (event -> self_us:int -> top_level:bool -> unit) -> unit
+
 (** The Chrome trace-viewer document ({["{\"traceEvents\":[...]}"]}). *)
 val to_chrome_json : unit -> string
 

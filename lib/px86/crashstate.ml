@@ -17,7 +17,7 @@ let boot () =
     heap_break = Addr.line_size (* keep line 0 for runtime metadata *);
   }
 
-let ct_copy = Observe.Attribution.center ~units:"bytes" "px86/snapshot_copy"
+let ct_copy = Observe.Metrics.center ~units:"bytes" "px86/snapshot_copy"
 let m_copies = Observe.Metrics.counter "px86/snapshot_copies"
 let m_bytes = Observe.Metrics.counter "px86/snapshot_bytes"
 
@@ -36,9 +36,7 @@ let copy_cost t =
    they can enter a crash state), so sharing them between the copy and
    the original is safe even across domains. *)
 let copy t =
-  let observing =
-    Observe.Attribution.is_enabled () || Observe.Metrics.is_enabled ()
-  in
+  let observing = Observe.Metrics.is_enabled () in
   let t0 = if observing then Observe.Trace.now_us () else 0 in
   let c =
     {
@@ -53,8 +51,8 @@ let copy t =
     let bytes = copy_cost t in
     Observe.Metrics.incr m_copies;
     Observe.Metrics.add m_bytes bytes;
-    Observe.Attribution.charge ct_copy ~count:1 ~units:bytes
-      ~wall_us:(Observe.Trace.now_us () - t0) ()
+    Observe.Metrics.charge ct_copy ~units:bytes
+      ~wall_us:(Observe.Trace.now_us () - t0)
   end;
   c
 

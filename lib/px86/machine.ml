@@ -9,6 +9,7 @@ let m_fb_applies = Metrics.counter "px86/fb_applies"
 let m_nt_persists = Metrics.counter "px86/nt_persists"
 let m_crashes = Metrics.counter "px86/crash_materializations"
 let h_crash_lines = Metrics.histogram "px86/crash_lines"
+let s_lines = Metrics.set "coverage/lines"
 
 type sb_policy = Eager | Random_drain of float
 
@@ -422,7 +423,7 @@ let crash t ~strategy =
   let lines = Persistence.lines t.pers in
   Metrics.incr m_crashes;
   Metrics.observe h_crash_lines (List.length lines);
-  List.iter Observe.Coverage.line_materialized lines;
+  if Metrics.is_enabled () then List.iter (fun l -> Metrics.mark s_lines l) lines;
   let span_t0 =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in

@@ -45,11 +45,11 @@ let plan_of_label s =
    Engine).  Resolved once per [run], so the per-op cost when metrics
    are off is the single branch inside [Metrics.incr]. *)
 type phase_counters = {
-  pc_loads : Metrics.counter;
-  pc_stores : Metrics.counter;
-  pc_cas : Metrics.counter;
-  pc_flushes : Metrics.counter;
-  pc_fences : Metrics.counter;
+  pc_loads : Metrics.cell;
+  pc_stores : Metrics.cell;
+  pc_cas : Metrics.cell;
+  pc_flushes : Metrics.cell;
+  pc_fences : Metrics.cell;
 }
 
 let phase_counters phase =
@@ -69,9 +69,9 @@ let all_phase_counters =
    wall column is volatile by nature (see Observe.Attribution). *)
 let att_phase_centers =
   [|
-    Observe.Attribution.center ~units:"ops" "phase/setup";
-    Observe.Attribution.center ~units:"ops" "phase/pre";
-    Observe.Attribution.center ~units:"ops" "phase/post";
+    Metrics.center ~units:"ops" "phase/setup";
+    Metrics.center ~units:"ops" "phase/pre";
+    Metrics.center ~units:"ops" "phase/post";
   |]
 
 let phase_of_exec_id exec_id = if exec_id <= 0 then 0 else if exec_id = 1 then 1 else 2
@@ -514,7 +514,7 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
   let span_t0 =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
-  let att = Observe.Attribution.is_enabled () in
+  let att = Metrics.is_enabled () in
   let att_t0 = if att then Observe.Trace.now_us () else 0 in
   let rng = Rng.create seed in
   let observer =
@@ -596,11 +596,9 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
   in
   Metrics.observe h_ops st.ops;
   if att then
-    Observe.Attribution.charge att_phase_centers.(phase_of_exec_id exec_id)
-      ~count:1 ~units:st.ops
+    Metrics.charge att_phase_centers.(phase_of_exec_id exec_id) ~units:st.ops
       ~wall_us:
-        (Observe.Trace.now_us () - att_t0 - int_of_float (st.paused_s *. 1e6))
-      ();
+        (Observe.Trace.now_us () - att_t0 - int_of_float (st.paused_s *. 1e6));
   (match span_t0 with
   | Some ts ->
       Observe.Trace.complete ~cat:"executor"

@@ -553,6 +553,41 @@ let test_effect_round_trip_budget () =
   check_budget "my_tid round trip" ~max:20. !words;
   check "executor ran" true (!words > 0.)
 
+(* Telemetry hooks.  Disabled, every hook kind is one branch; enabled,
+   a per-program cell inside [with_program] adds to its shards without
+   building a key or a closure. *)
+let test_telemetry_hooks_allocate_nothing () =
+  let module Metrics = Observe.Metrics in
+  let counter = Metrics.counter ~per_program:true "test/hot_counter"
+  and center = Metrics.center ~units:"ops" ~per_program:true "test/hot_center"
+  and histogram = Metrics.histogram "test/hot_histogram"
+  and set = Metrics.set "test/hot_set" in
+  let hooks =
+    [
+      ("incr", fun _ -> Metrics.incr counter);
+      ("add", fun i -> Metrics.add counter i);
+      ("charge", fun i -> Metrics.charge center ~units:i ~wall_us:i);
+      ("observe", fun i -> Metrics.observe histogram i);
+      ("mark", fun i -> Metrics.mark set i);
+    ]
+  in
+  Metrics.disable ();
+  List.iter (fun (name, f) -> check_budget (name ^ ", disabled") ~max:0.01 (words_per f)) hooks;
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      Metrics.with_program "hot" (fun () ->
+          List.iter
+            (fun (name, f) -> check_budget (name ^ ", per-program") ~max:0.01 (words_per f))
+            (List.filter (fun (name, _) -> name <> "mark") hooks));
+      check "per-program cells counted" true
+        (List.exists
+           (fun (b : Metrics.bucket) -> b.program = "hot" && List.assoc "test/hot_counter" b.counts > 0)
+           (Metrics.buckets ())))
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -573,5 +608,6 @@ let () =
           Alcotest.test_case "load vs history" `Quick test_load_independent_of_history;
           Alcotest.test_case "store" `Quick test_store_budget;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;
+          Alcotest.test_case "telemetry hooks" `Quick test_telemetry_hooks_allocate_nothing;
         ] );
     ]

@@ -15,7 +15,6 @@ module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Json = Yashme_util.Json
-module Ledger_store = Pm_corpus.Ledger_store
 
 open Pm_runtime
 
@@ -42,12 +41,12 @@ let toy =
 
 (* Every test leaves the global observe state as it found it. *)
 let quiesce () =
-  Attribution.disable ();
-  Attribution.reset ();
   Metrics.disable ();
   Metrics.reset ();
   Log.set_quiet false;
   ignore (Progress.stop ())
+
+let attribution () = Attribution.rows (Metrics.cells ())
 
 (* The attribution table in its exported JSONL form: the byte string
    the jobs-invariance contract quantifies over. *)
@@ -59,99 +58,101 @@ let attribution_jsonl rows =
 
 let test_attribution_disabled_is_noop () =
   quiesce ();
-  let c = Attribution.center ~units:"ops" "test/noop" in
-  Attribution.charge c ~count:3 ~units:7 ~wall_us:11 ();
-  Attribution.tick c;
-  check_int "nothing recorded while disabled" 0
-    (List.length (Attribution.snapshot ()));
+  let c = Metrics.center ~units:"ops" "test/noop" in
+  Metrics.add c 3;
+  Metrics.charge c ~units:7 ~wall_us:11;
+  Metrics.incr c;
+  check_int "nothing recorded while disabled" 0 (List.length (attribution ()));
   quiesce ()
 
 let test_attribution_accumulates_and_merges () =
   quiesce ();
-  Attribution.enable ();
-  let c = Attribution.center ~units:"bytes" "test/merge" in
+  Metrics.enable ();
+  let c = Metrics.center ~units:"bytes" "test/merge" in
   (* charges from two domains land on different shards and sum on read *)
   let work () =
     for _ = 1 to 5 do
-      Attribution.charge c ~count:1 ~units:10 ~wall_us:2 ()
+      Metrics.charge c ~units:10 ~wall_us:2
     done
   in
   let d = Domain.spawn work in
   work ();
   Domain.join d;
-  (match Attribution.snapshot () with
+  (match attribution () with
   | [ r ] ->
-      check_str "center name" "test/merge" r.Attribution.r_center;
-      check_int "counts sum across domains" 10 r.Attribution.r_count;
-      check_int "units sum across domains" 100 r.Attribution.r_units;
-      check_int "wall sums across domains" 20 r.Attribution.r_wall_us
+      check_str "center name" "test/merge" r.name;
+      check_int "counts sum across domains" 10 r.count;
+      check_int "units sum across domains" 100 r.units;
+      check_int "wall sums across domains" 20 r.wall_us
   | rows -> Alcotest.failf "expected one row, got %d" (List.length rows));
   quiesce ()
 
 let test_attribution_diff_and_registry () =
   quiesce ();
-  Attribution.enable ();
+  Metrics.enable ();
   (* the registry is find-or-create: same name, same cells *)
-  let a = Attribution.center ~units:"ops" "test/diff" in
-  let a' = Attribution.center "test/diff" in
-  Attribution.charge a ~units:5 ();
-  Attribution.charge a' ~units:5 ();
-  let before = Attribution.snapshot () in
-  Attribution.charge a ~count:2 ~units:3 ();
-  let d = Attribution.diff before (Attribution.snapshot ()) in
-  (match d with
+  let a = Metrics.center ~units:"ops" "test/diff" in
+  let a' = Metrics.center "test/diff" in
+  Metrics.charge a ~units:5 ~wall_us:0;
+  Metrics.charge a' ~units:5 ~wall_us:0;
+  let (), d =
+    Metrics.window (fun () ->
+        Metrics.incr a;
+        Metrics.charge a ~units:3 ~wall_us:0)
+  in
+  (match Attribution.rows d with
   | [ r ] ->
-      check_int "diff count" 2 r.Attribution.r_count;
-      check_int "diff units" 3 r.Attribution.r_units
+      check_int "diff count" 2 r.count;
+      check_int "diff units" 3 r.units
   | rows -> Alcotest.failf "expected one delta row, got %d" (List.length rows));
   check "no-change diff is empty" true
-    (Attribution.diff before before = []);
+    (Attribution.rows (snd (Metrics.window ignore)) = []);
   quiesce ()
 
 let test_attribution_fields_roundtrip () =
+  let center units_label volatile_units = Metrics.Center { units_label; volatile_units } in
   let row =
     {
-      Attribution.r_center = "px86/snapshot_copy";
-      r_units_label = "bytes";
-      r_volatile_units = false;
-      r_count = 82;
-      r_units = 465760;
-      r_wall_us = 1234;
+      Metrics.name = "px86/snapshot_copy";
+      kind = center "bytes" false;
+      count = 82;
+      units = 465760;
+      wall_us = 1234;
+      max = 0;
     }
   in
   (match Attribution.of_fields (Attribution.fields row) with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      check_str "center" row.Attribution.r_center r.Attribution.r_center;
-      check_int "count" row.Attribution.r_count r.Attribution.r_count;
-      check_int "units" row.Attribution.r_units r.Attribution.r_units;
+      check_str "center" row.name r.name;
+      check_int "count" row.count r.count;
+      check_int "units" row.units r.units;
       (* wall clocks are deliberately not serialized *)
-      check_int "wall not serialized" 0 r.Attribution.r_wall_us);
+      check_int "wall not serialized" 0 r.wall_us);
   (* volatile units encode as null and decode back as volatile *)
-  let gc = { row with Attribution.r_center = "gc/minor";
-             r_units_label = "words"; r_volatile_units = true } in
+  let gc = { row with name = "gc/minor"; kind = center "words" true } in
   (match Attribution.of_fields (Attribution.fields gc) with
   | Error e -> Alcotest.fail e
   | Ok r ->
-      check "volatile flag survives" true r.Attribution.r_volatile_units;
-      check_int "volatile units drop to zero" 0 r.Attribution.r_units);
+      check "volatile flag survives" true (r.kind = center "words" true);
+      check_int "volatile units drop to zero" 0 r.units);
   match Attribution.of_fields [ ("bench", `S "CCEH") ] with
   | Ok _ -> Alcotest.fail "non-attribution row accepted"
   | Error _ -> ()
 
 let test_attribution_jobs_invariant () =
   quiesce ();
-  Attribution.enable ();
+  Metrics.enable ();
   ignore (Runner.model_check_outcome ~jobs:1 toy);
-  let r1 = Attribution.snapshot () in
-  Attribution.reset ();
+  let r1 = attribution () in
+  Metrics.reset ();
   ignore (Runner.model_check_outcome ~jobs:4 toy);
-  let r4 = Attribution.snapshot () in
+  let r4 = attribution () in
   check "toy charged something" true (r1 <> []);
   check "engine work recorded" true
-    (List.exists (fun r -> r.Attribution.r_center = "engine/work") r1);
+    (List.exists (fun (r : Attribution.row) -> r.name = "engine/work") r1);
   check "snapshot copying recorded" true
-    (List.exists (fun r -> r.Attribution.r_center = "px86/snapshot_copy") r1);
+    (List.exists (fun (r : Attribution.row) -> r.name = "px86/snapshot_copy") r1);
   check_str "invariant projection byte-identical for jobs=1 vs jobs=4"
     (Attribution.to_string ~timing:false r1)
     (Attribution.to_string ~timing:false r4);
@@ -164,12 +165,57 @@ let test_report_identical_with_attribution_on () =
   let plain =
     Report.to_string (Runner.model_check_outcome ~jobs:2 toy).Runner.o_report
   in
-  Attribution.enable ();
+  Metrics.enable ();
   let loud =
     Report.to_string (Runner.model_check_outcome ~jobs:2 toy).Runner.o_report
   in
   check_str "race report byte-identical with attribution on" plain loud;
   quiesce ()
+
+(* The per-scenario GC charge is the worker domain's own allocation.
+   Each run of [waits]'s pre-crash phase waits, allocating nothing,
+   while another domain allocates [target] words; the batch's gc/minor
+   units stay far below what that domain allocated. *)
+let test_gc_charge_is_per_domain () =
+  quiesce ();
+  let target = 10_000_000 in
+  let stop = Atomic.make false and words = Atomic.make 0 in
+  let allocator =
+    Domain.spawn (fun () ->
+        let w0 = Gc.minor_words () in
+        while not (Atomic.get stop) do
+          ignore (Sys.opaque_identity (Array.make 64 0));
+          Atomic.set words (int_of_float (Gc.minor_words () -. w0))
+        done)
+  in
+  let waits =
+    Program.make ~name:"waits"
+      ~setup:(fun () -> Pmem.set_root 0 (Pmem.alloc ~align:64 8))
+      ~pre:(fun () ->
+        Pmem.store (Pmem.get_root 0) 1L;
+        let w0 = Atomic.get words in
+        while Atomic.get words - w0 < target do
+          Domain.cpu_relax ()
+        done)
+      ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+      ()
+  in
+  Metrics.enable ();
+  let (), cells =
+    Metrics.window (fun () -> ignore (Runner.model_check_outcome ~jobs:1 waits))
+  in
+  Atomic.set stop true;
+  Domain.join allocator;
+  let allocated = Atomic.get words in
+  match Attribution.find "gc/minor" (Attribution.rows cells) with
+  | None -> Alcotest.fail "no gc/minor charge"
+  | Some r ->
+      check
+        (Printf.sprintf "gc/minor %d words, far below the other domain's %d"
+           r.units allocated)
+        true
+        (allocated >= target && r.units * 10 < allocated);
+      quiesce ()
 
 (* ------------------------------------------------------------------ *)
 (* Ledger schema                                                        *)
@@ -275,41 +321,41 @@ let with_temp_ledger f =
 
 let test_store_roundtrip_and_find () =
   with_temp_ledger (fun tmp ->
-      Ledger_store.append tmp entry;
-      Ledger_store.append tmp { entry with Ledger.e_run = "r2"; e_jobs = 4 };
-      match Ledger_store.load tmp with
+      Ledger.append tmp entry;
+      Ledger.append tmp { entry with Ledger.e_run = "r2"; e_jobs = 4 };
+      match Ledger.load tmp with
       | Error e -> Alcotest.fail e
       | Ok entries ->
           check_int "both runs load" 2 (List.length entries);
           check "first run survives append" true (List.hd entries = entry);
-          (match Ledger_store.find entries "2" with
+          (match Ledger.find entries "2" with
           | Ok e -> check_str "ordinal selects" "r2" e.Ledger.e_run
           | Error e -> Alcotest.fail e);
-          (match Ledger_store.find entries "r1" with
+          (match Ledger.find entries "r1" with
           | Ok e -> check_int "label selects" 2 e.Ledger.e_jobs
           | Error e -> Alcotest.fail e);
-          (match Ledger_store.find entries "9" with
+          (match Ledger.find entries "9" with
           | Ok _ -> Alcotest.fail "out-of-range ordinal accepted"
           | Error _ -> ());
-          match Ledger_store.find entries "nope" with
+          match Ledger.find entries "nope" with
           | Ok _ -> Alcotest.fail "unknown label accepted"
           | Error _ -> ())
 
 let test_store_positioned_errors () =
   with_temp_ledger (fun tmp ->
-      (match Ledger_store.load tmp with
+      (match Ledger.load tmp with
       | Ok _ -> Alcotest.fail "missing ledger accepted"
       | Error _ -> ());
       (* an empty ledger names its path exactly once *)
       Out_channel.with_open_bin tmp ignore;
-      (match Ledger_store.load tmp with
+      (match Ledger.load tmp with
       | Ok _ -> Alcotest.fail "empty ledger accepted"
       | Error e -> check_str "path named once" (tmp ^ ":1: empty ledger") e);
       (* a future-version first line is a positioned decode error *)
       let oc = open_out tmp in
       output_string oc "{\"v\":99,\"run\":\"future\"}\n";
       close_out oc;
-      (match Ledger_store.load tmp with
+      (match Ledger.load tmp with
       | Ok _ -> Alcotest.fail "future-version ledger accepted"
       | Error e ->
           check "error is positioned" true
@@ -319,7 +365,7 @@ let test_store_positioned_errors () =
       output_string oc (Json.encode_obj (Ledger.fields entry));
       output_string oc "\nnot json\n";
       close_out oc;
-      match Ledger_store.load tmp with
+      match Ledger.load tmp with
       | Ok _ -> Alcotest.fail "garbage second line accepted"
       | Error e ->
           check "second line positioned" true
@@ -335,16 +381,16 @@ let test_compare_identical_runs () =
     { entry with Ledger.e_run = "r2"; e_ts = 1754600100.5; e_elapsed_s = 0.07;
       e_cpu_s = 0.11 }
   in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current in
-  check "identical-config compare passes" true c.Ledger_store.cmp_passed;
-  check_int "no non-timing deltas" 0 (List.length c.Ledger_store.cmp_changed);
+  let c = Ledger.compare_runs ~baseline:entry ~current in
+  check "identical-config compare passes" true c.Ledger.cmp_passed;
+  check_int "no non-timing deltas" 0 (List.length c.Ledger.cmp_changed);
   check_int "no string mismatches" 0
-    (List.length c.Ledger_store.cmp_mismatched);
+    (List.length c.Ledger.cmp_mismatched);
   check "timing deltas are informational" true
     (List.for_all
-       (fun d -> not d.Ledger_store.d_regressed)
-       c.Ledger_store.cmp_timing);
-  let rendered = Ledger_store.render ~a_label:"r1" ~b_label:"r2" c in
+       (fun d -> not d.Ledger.d_regressed)
+       c.Ledger.cmp_timing);
+  let rendered = Ledger.render ~a_label:"r1" ~b_label:"r2" c in
   check "render reports a clean compare" true
     (Str.string_match (Str.regexp ".*no non-timing deltas.*") rendered 0
      || String.length rendered > 0);
@@ -355,57 +401,57 @@ let test_compare_identical_runs () =
 let test_compare_direction_aware () =
   (* losing a race finding is the regression the gate exists for *)
   let fewer = { entry with Ledger.e_run = "r2"; e_races = 1 } in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current:fewer in
-  check "lost race fails" true (not c.Ledger_store.cmp_passed);
-  (match c.Ledger_store.cmp_changed with
+  let c = Ledger.compare_runs ~baseline:entry ~current:fewer in
+  check "lost race fails" true (not c.Ledger.cmp_passed);
+  (match c.Ledger.cmp_changed with
   | [ d ] ->
-      check_str "races flagged" "races" d.Ledger_store.d_field;
-      check "flagged as regression" true d.Ledger_store.d_regressed
+      check_str "races flagged" "races" d.Ledger.d_field;
+      check "flagged as regression" true d.Ledger.d_regressed
   | l -> Alcotest.failf "expected one delta, got %d" (List.length l));
   (* gaining one is a change, not a regression *)
   let more = { entry with Ledger.e_run = "r2"; e_races = 3 } in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current:more in
+  let c = Ledger.compare_runs ~baseline:entry ~current:more in
   check "gained race is not a regression" true
     (List.for_all
-       (fun d -> not d.Ledger_store.d_regressed)
-       c.Ledger_store.cmp_changed);
+       (fun d -> not d.Ledger.d_regressed)
+       c.Ledger.cmp_changed);
   (* but still fails the zero-delta gate *)
   check "gained race still fails zero-delta gate" true
-    (not c.Ledger_store.cmp_passed);
+    (not c.Ledger.cmp_passed);
   (* a neutral config delta (jobs) is a change, never a regression *)
   let j4 = { entry with Ledger.e_run = "r2"; e_jobs = 4 } in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current:j4 in
+  let c = Ledger.compare_runs ~baseline:entry ~current:j4 in
   check "neutral delta flagged" true
-    (List.exists (fun d -> d.Ledger_store.d_field = "jobs")
-       c.Ledger_store.cmp_changed);
+    (List.exists (fun d -> d.Ledger.d_field = "jobs")
+       c.Ledger.cmp_changed);
   check "neutral delta never regresses" true
     (List.for_all
-       (fun d -> not d.Ledger_store.d_regressed)
-       c.Ledger_store.cmp_changed)
+       (fun d -> not d.Ledger.d_regressed)
+       c.Ledger.cmp_changed)
 
 let test_compare_mismatched_config () =
   let other =
     { entry with Ledger.e_run = "r2"; e_variant = "fence-nop";
       e_metrics_digest = "deadbeefdeadbeef" }
   in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current:other in
-  check "config mismatch fails" true (not c.Ledger_store.cmp_passed);
+  let c = Ledger.compare_runs ~baseline:entry ~current:other in
+  check "config mismatch fails" true (not c.Ledger.cmp_passed);
   Alcotest.(check (list string))
     "mismatched fields named" [ "variant"; "metrics_digest" ]
-    (List.map (fun (k, _, _) -> k) c.Ledger_store.cmp_mismatched)
+    (List.map (fun (k, _, _) -> k) c.Ledger.cmp_mismatched)
 
 let test_compare_one_sided_cost_center () =
   (* a center recorded by only one run surfaces as a delta against 0 *)
   let fewer_centers = { entry with Ledger.e_run = "r2"; e_cost = [
       List.hd entry.Ledger.e_cost ] } in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current:fewer_centers in
-  check "dropped center fails" true (not c.Ledger_store.cmp_passed);
+  let c = Ledger.compare_runs ~baseline:entry ~current:fewer_centers in
+  check "dropped center fails" true (not c.Ledger.cmp_passed);
   check "dropped center surfaces against zero" true
     (List.exists
        (fun d ->
-         d.Ledger_store.d_field = "cc:px86/snapshot_copy:units"
-         && d.Ledger_store.d_current = 0.)
-       c.Ledger_store.cmp_changed)
+         d.Ledger.d_field = "cc:px86/snapshot_copy:units"
+         && d.Ledger.d_current = 0.)
+       c.Ledger.cmp_changed)
 
 let test_compare_golden_render () =
   let current =
@@ -413,13 +459,13 @@ let test_compare_golden_render () =
       e_elapsed_s = entry.Ledger.e_elapsed_s; e_cpu_s = entry.Ledger.e_cpu_s;
       e_scenarios = 82; e_races = 1 }
   in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current in
+  let c = Ledger.compare_runs ~baseline:entry ~current in
   check_str "golden compare rendering"
     "ledger compare: r1 (baseline) vs r2 (current)\n\
     \  scenarios: 81 -> 82 (+1.2%) CHANGED\n\
     \  races: 2 -> 1 (-50.0%) REGRESSED\n\
      ledger compare: FAIL"
-    (Ledger_store.render ~a_label:"r1" ~b_label:"r2" c);
+    (Ledger.render ~a_label:"r1" ~b_label:"r2" c);
   (* a field the baseline holds at 0 (here, a cost center only the
      current run recorded) has no relative change *)
   let current =
@@ -430,12 +476,12 @@ let test_compare_golden_render () =
             c_wall_us = 0 };
           List.nth entry.Ledger.e_cost 1 ] }
   in
-  let c = Ledger_store.compare_runs ~baseline:entry ~current in
+  let c = Ledger.compare_runs ~baseline:entry ~current in
   check_str "golden render of a zero baseline"
     "ledger compare: r1 (baseline) vs r2 (current)\n\
     \  cc:oracle/observe:count: 0 -> 81 (new) CHANGED\n\
      ledger compare: FAIL"
-    (Ledger_store.render ~a_label:"r1" ~b_label:"r2" c)
+    (Ledger.render ~a_label:"r1" ~b_label:"r2" c)
 
 (* ------------------------------------------------------------------ *)
 (* Progress heartbeat vs log level                                      *)
@@ -507,6 +553,8 @@ let () =
             test_attribution_jobs_invariant;
           Alcotest.test_case "report identical with attribution on" `Quick
             test_report_identical_with_attribution_on;
+          Alcotest.test_case "gc charge is the domain's own" `Quick
+            test_gc_charge_is_per_domain;
         ] );
       ( "ledger",
         [

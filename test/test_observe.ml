@@ -45,12 +45,18 @@ let quiesce () =
 (* ------------------------------------------------------------------ *)
 (* Counters and histograms                                              *)
 
+(* The merged reading of one cell. *)
+let read c =
+  List.find (fun (r : Metrics.reading) -> r.name = Metrics.name c) (Metrics.cells ())
+
+let value c = (read c).count
+
 let test_counter_disabled_is_noop () =
   quiesce ();
   let c = Metrics.counter "test/disabled" in
   Metrics.incr c;
   Metrics.add c 41;
-  check_int "writes while disabled don't count" 0 (Metrics.value c)
+  check_int "writes while disabled don't count" 0 (value c)
 
 let test_counter_registration_idempotent () =
   quiesce ();
@@ -59,8 +65,8 @@ let test_counter_registration_idempotent () =
   let b = Metrics.counter "test/idem" in
   Metrics.incr a;
   Metrics.incr b;
-  check_int "same name, same cells" 2 (Metrics.value a);
-  check_str "name kept" "test/idem" (Metrics.counter_name b);
+  check_int "same name, same cells" 2 (value a);
+  check_str "name kept" "test/idem" (Metrics.name b);
   quiesce ()
 
 let test_counter_merge_across_domains () =
@@ -76,7 +82,7 @@ let test_counter_merge_across_domains () =
   let ds = List.init 4 (fun _ -> Domain.spawn worker) in
   List.iter Domain.join ds;
   check_int "4 domains x 10k increments merge exactly" (4 * per_domain)
-    (Metrics.value c);
+    (value c);
   quiesce ()
 
 let test_histogram_merge_across_domains () =
@@ -91,15 +97,10 @@ let test_histogram_merge_across_domains () =
   in
   let ds = List.init 4 (fun _ -> Domain.spawn worker) in
   List.iter Domain.join ds;
-  let s = Metrics.hstats h in
-  check_int "count" 400 s.Metrics.count;
-  check_int "sum" (4 * 5050) s.Metrics.sum;
-  check_int "max" 100 s.Metrics.max;
-  let buckets = Metrics.bucket_counts h in
-  check_int "bucket totals = count" 400
-    (Array.fold_left ( + ) 0 buckets);
-  (* bucket 1 holds the sample value 1, once per domain *)
-  check_int "smallest bucket" 4 buckets.(1);
+  let s = read h in
+  check_int "count" 400 s.count;
+  check_int "sum" (4 * 5050) s.units;
+  check_int "max" 100 s.max;
   quiesce ()
 
 let test_snapshot_diff () =
@@ -247,12 +248,10 @@ let test_histogram_zero_samples () =
   quiesce ();
   Metrics.enable ();
   let h = Metrics.histogram "test/empty_hist" in
-  let s = Metrics.hstats h in
-  check_int "zero-sample count" 0 s.Metrics.count;
-  check_int "zero-sample sum" 0 s.Metrics.sum;
-  check_int "zero-sample max" 0 s.Metrics.max;
-  check_int "zero-sample buckets all empty" 0
-    (Array.fold_left ( + ) 0 (Metrics.bucket_counts h));
+  let s = read h in
+  check_int "zero-sample count" 0 s.count;
+  check_int "zero-sample sum" 0 s.units;
+  check_int "zero-sample max" 0 s.max;
   (* a zero-observation histogram contributes nothing to a diff *)
   let before = Metrics.snapshot () in
   let d = Metrics.diff before (Metrics.snapshot ()) in
@@ -260,9 +259,31 @@ let test_histogram_zero_samples () =
     (List.exists (fun (name, _) -> name = "test/empty_hist#count") d);
   (* observing 0 is a sample, not a no-op *)
   Metrics.observe h 0;
-  let s = Metrics.hstats h in
-  check_int "sample of value 0 counted" 1 s.Metrics.count;
-  check_int "bucket 0 holds value 0" 1 (Metrics.bucket_counts h).(0);
+  let s = read h in
+  check_int "sample of value 0 counted" 1 s.count;
+  quiesce ()
+
+(* Each window reports the maximum of its own samples, also when windows
+   nest: an outer window around two windows in sequence, with samples 5
+   and 3, reports 5, 3 and 5; the process-wide maximum survives. *)
+let test_window_maxima () =
+  quiesce ();
+  Metrics.enable ();
+  let h = Metrics.histogram "test/window_max" in
+  Metrics.observe h 9;
+  let max_of cells = List.assoc "test/window_max#max" (Metrics.counters cells) in
+  let (first, second), outer =
+    Metrics.window (fun () ->
+        let (), a = Metrics.window (fun () -> Metrics.observe h 5) in
+        let (), b = Metrics.window (fun () -> Metrics.observe h 3) in
+        (a, b))
+  in
+  check_int "first window" 5 (max_of first);
+  check_int "second window" 3 (max_of second);
+  check_int "outer window" 5 (max_of outer);
+  check_int "whole-run maximum kept" 9 (read h).max;
+  check_int "window counts are deltas" 1
+    (List.assoc "test/window_max#count" (Metrics.counters second));
   quiesce ()
 
 (* Regression: empty/truncated trace files must lint as malformed with
@@ -402,6 +423,7 @@ let () =
             test_diff_absent_and_negative;
           Alcotest.test_case "zero-sample histograms" `Quick
             test_histogram_zero_samples;
+          Alcotest.test_case "window maxima" `Quick test_window_maxima;
         ] );
       ( "log",
         [ Alcotest.test_case "levels and aliases" `Quick test_log_levels ] );

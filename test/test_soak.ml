@@ -10,7 +10,6 @@ module Json = Yashme_util.Json
 module Corpus = Pm_corpus.Corpus
 module Witness = Pm_corpus.Witness
 module Soak_store = Pm_corpus.Soak_store
-module Ledger_store = Pm_corpus.Ledger_store
 module Progress = Observe.Progress
 
 let check = Alcotest.(check bool)
@@ -345,7 +344,7 @@ let test_ledger_truncated_line_guard () =
   (* Empty ledger file. *)
   let oc = open_out_bin tmp in
   close_out oc;
-  (match Ledger_store.load tmp with
+  (match Observe.Ledger.load tmp with
   | Ok _ -> Alcotest.fail "empty ledger must not load"
   | Error e ->
       check "empty-ledger error mentions emptiness" true
@@ -379,12 +378,12 @@ let test_ledger_truncated_line_guard () =
       e_cost = [];
     }
   in
-  Ledger_store.append tmp entry;
+  Observe.Ledger.append tmp entry;
   let line = Json.encode_obj (Observe.Ledger.fields entry) in
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 tmp in
   output_string oc (String.sub line 0 (String.length line / 2));
   close_out oc;
-  (match Ledger_store.load tmp with
+  (match Observe.Ledger.load tmp with
   | Ok _ -> Alcotest.fail "truncated ledger must not load"
   | Error e ->
       check "truncation reported at line 2" true

@@ -43,8 +43,6 @@ let toy =
 let quiesce () =
   Metrics.disable ();
   Metrics.reset ();
-  Coverage.disable ();
-  Coverage.reset ();
   ignore (Progress.stop ());
   Trace.stop ();
   Trace.clear ()
@@ -58,40 +56,53 @@ let coverage_jsonl () =
 (* ------------------------------------------------------------------ *)
 (* Coverage                                                             *)
 
+(* The per-program cells the coverage view reads (find-or-create: the
+   same cells the engine, the machine and the detector fill). *)
+let scenarios = Metrics.tally "coverage/scenarios"
+let plans = Metrics.set "coverage/plan_indices"
+let crashes = Metrics.set "coverage/crash_points"
+let lines = Metrics.set "coverage/lines"
+
+let expansions =
+  Metrics.counter ~center:"detector/prefix_expansion" ~per_program:true
+    "detector/prefix_expansions"
+
+let pruned_coherence = Metrics.counter ~per_program:true "detector/pruned_coherence"
+
 let test_coverage_disabled_is_noop () =
   quiesce ();
-  Coverage.with_program "p" (fun () ->
-      Coverage.scenario_started ();
-      Coverage.plan_exercised 0;
-      Coverage.crash_point 0);
+  Metrics.with_program "p" (fun () ->
+      Metrics.incr scenarios;
+      Metrics.mark plans 0;
+      Metrics.mark crashes 0);
   check_int "nothing recorded while disabled" 0
     (List.length (Coverage.snapshot ()));
   quiesce ()
 
 let test_coverage_requires_ambient_program () =
   quiesce ();
-  Coverage.enable ();
+  Metrics.enable ();
   (* outside with_program: dropped *)
-  Coverage.scenario_started ();
-  Coverage.plan_exercised 3;
-  Coverage.line_materialized 1;
+  Metrics.incr scenarios;
+  Metrics.mark plans 3;
+  Metrics.mark lines 1;
   check_int "hooks without ambient program are dropped" 0
     (List.length (Coverage.snapshot ()));
   quiesce ()
 
 let test_coverage_accumulates_and_merges () =
   quiesce ();
-  Coverage.enable ();
+  Metrics.enable ();
   (* Same program from two domains: counters sum, index sets union. *)
   let work lo =
-    Coverage.with_program "prog" (fun () ->
+    Metrics.with_program "prog" (fun () ->
         for i = lo to lo + 2 do
-          Coverage.scenario_started ();
-          Coverage.plan_exercised i;
-          Coverage.crash_point i;
-          Coverage.prefix_expanded ();
-          Coverage.pruned `Coherence;
-          Coverage.line_materialized (i mod 2)
+          Metrics.incr scenarios;
+          Metrics.mark plans i;
+          Metrics.mark crashes i;
+          Metrics.incr expansions;
+          Metrics.incr pruned_coherence;
+          Metrics.mark lines (i mod 2)
         done)
   in
   let d = Domain.spawn (fun () -> work 3) in
@@ -113,13 +124,13 @@ let test_coverage_accumulates_and_merges () =
 
 let test_coverage_ambient_restored_on_exception () =
   quiesce ();
-  Coverage.enable ();
+  Metrics.enable ();
   (try
-     Coverage.with_program "outer" (fun () ->
-         try Coverage.with_program "inner" (fun () -> failwith "boom")
+     Metrics.with_program "outer" (fun () ->
+         try Metrics.with_program "inner" (fun () -> failwith "boom")
          with Failure _ ->
            (* ambient must be back to "outer" here *)
-           Coverage.scenario_started ())
+           Metrics.incr scenarios)
    with Failure _ -> ());
   (match Coverage.find "outer" with
   | Some s -> check_int "attributed to restored ambient" 1 s.Coverage.scenarios
@@ -131,15 +142,15 @@ let test_coverage_ambient_restored_on_exception () =
    buckets, and the snapshot names each bucket's variant. *)
 let test_coverage_per_variant () =
   quiesce ();
-  Coverage.enable ();
-  Coverage.with_program "prog" (fun () -> Coverage.scenario_started ());
-  Coverage.with_program ~variant:"fence-nop" "prog" (fun () ->
-      Coverage.scenario_started ();
-      Coverage.scenario_started ());
+  Metrics.enable ();
+  Metrics.with_program "prog" (fun () -> Metrics.incr scenarios);
+  Metrics.with_program ~variant:"fence-nop" "prog" (fun () ->
+      Metrics.incr scenarios;
+      Metrics.incr scenarios);
   (match Coverage.find "prog" with
   | Some s ->
       check_int "default bucket isolated" 1 s.Coverage.scenarios;
-      check_str "default bucket label" Coverage.default_variant
+      check_str "default bucket label" Metrics.default_variant
         s.Coverage.variant
   | None -> Alcotest.fail "default bucket missing");
   (match Coverage.find ~variant:"fence-nop" "prog" with
@@ -162,10 +173,10 @@ let test_indices_label () =
 
 let test_coverage_jobs_invariant () =
   quiesce ();
-  Coverage.enable ();
+  Metrics.enable ();
   ignore (Runner.model_check_outcome ~jobs:1 toy);
   let j1 = coverage_jsonl () in
-  Coverage.reset ();
+  Metrics.reset ();
   ignore (Runner.model_check_outcome ~jobs:4 toy);
   let j4 = coverage_jsonl () in
   check "toy explored something" true (String.length j1 > 0);
@@ -174,7 +185,7 @@ let test_coverage_jobs_invariant () =
 
 let test_coverage_counts_match_engine () =
   quiesce ();
-  Coverage.enable ();
+  Metrics.enable ();
   let o = Runner.model_check_outcome ~jobs:2 toy in
   (match Coverage.find "toy" with
   | None -> Alcotest.fail "toy not in coverage snapshot"
@@ -204,7 +215,6 @@ let test_report_identical_with_telemetry_on () =
   in
   let tmp = Filename.temp_file "yashme_progress" ".jsonl" in
   Metrics.enable ();
-  Coverage.enable ();
   Progress.start ~heartbeat:false ~jsonl:tmp ();
   Trace.start ();
   let loud =
@@ -470,27 +480,25 @@ let test_session_unwritable_trace () =
   remove_dir d;
   quiesce ()
 
-(* --ledger collects metrics, coverage and attribution without showing
-   them; a show flag arms only its own collector; closing disarms all
-   three. *)
+(* Every flag that shows or collects metrics, coverage or attribution
+   (--ledger collects without showing) arms the one registry; closing
+   disarms it. *)
 let test_session_show_vs_collect () =
   quiesce ();
-  let armed () =
-    ( Metrics.is_enabled (),
-      Observe.Attribution.is_enabled (),
-      Coverage.is_enabled () )
-  in
-  let inside cfg = Telemetry.with_session cfg armed in
+  let inside cfg = Telemetry.with_session cfg Metrics.is_enabled in
   let quiet = { Telemetry.off with quiet = true } in
-  check "off arms nothing" true (inside quiet = (false, false, false));
-  check "a ledger arms all three" true
-    (inside { quiet with ledger = Some "unused.jsonl" } = (true, true, true));
-  check "coverage-out arms coverage" true
-    (inside { quiet with coverage_out = Some "unused.jsonl" }
-    = (false, false, true));
-  check "attribution arms attribution" true
-    (inside { quiet with attribution = true } = (false, true, false));
-  check "closing disarms" true (armed () = (false, false, false));
+  check "off arms nothing" false (inside quiet);
+  List.iter
+    (fun (flag, cfg) -> check (flag ^ " arms the registry") true (inside cfg))
+    [
+      ("--metrics", { quiet with metrics = true });
+      ("--coverage", { quiet with coverage = true });
+      ("--coverage-out", { quiet with coverage_out = Some "unused.jsonl" });
+      ("--attribution", { quiet with attribution = true });
+      ("--attribution-out", { quiet with attribution_out = Some "unused.jsonl" });
+      ("--ledger", { quiet with ledger = Some "unused.jsonl" });
+    ];
+  check "closing disarms" false (Metrics.is_enabled ());
   quiesce ()
 
 (* A window sees exactly the work run inside it. *)
