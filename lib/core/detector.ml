@@ -28,6 +28,20 @@ let m_pruned_persisted = Metrics.counter ~per_program:true "detector/pruned_pers
 
 type mode = Prefix | Baseline
 
+(* A post-crash check with every argument it was made with. *)
+type call =
+  | Load_atomic of { exec : int; store : Px86.Event.store }
+  | Load_non_atomic of {
+      exec : int;
+      store : Px86.Event.store;
+      load_addr : Px86.Addr.t;
+      load_size : int;
+      load_tid : int;
+      load_exec : int;
+      commit : bool;
+      benign : bool;
+    }
+
 type t = {
   dmode : mode;
   deadr : bool;
@@ -35,15 +49,25 @@ type t = {
   records : (int, Exec_record.t) Hashtbl.t;
   mutable current : Exec_record.t option;
   mutable reported : Race.t list;  (* newest first *)
+  mutable logging : bool;
+  mutable log : call list;  (* newest first *)
 }
 
 let create ?(mode = Prefix) ?(eadr = false) ?(coherence = true) () =
   { dmode = mode; deadr = eadr; dcoherence = coherence;
-    records = Hashtbl.create 4; current = None; reported = [] }
+    records = Hashtbl.create 4; current = None; reported = [];
+    logging = false; log = [] }
 
 let mode t = t.dmode
 let eadr t = t.deadr
+let coherence t = t.dcoherence
 let races t = List.rev t.reported
+
+let log_calls t =
+  t.logging <- true;
+  t.log <- []
+
+let logged t = List.rev t.log
 
 let begin_exec t ~id =
   let r = Exec_record.create ~id in
@@ -132,6 +156,7 @@ let observer t =
 let record_of t exec = Hashtbl.find_opt t.records exec
 
 let load_atomic t ~exec ~store =
+  if t.logging then t.log <- Load_atomic { exec; store } :: t.log;
   match record_of t exec with
   | None -> ()
   | Some r ->
@@ -143,6 +168,11 @@ let load_atomic t ~exec ~store =
 
 let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
     ~benign =
+  if t.logging then
+    t.log <-
+      Load_non_atomic
+        { exec; store; load_addr; load_size; load_tid; load_exec; commit; benign }
+      :: t.log;
   match record_of t exec with
   | None -> None
   | Some r ->
@@ -214,3 +244,12 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
     Exec_record.join_cvpre r store.Px86.Event.cv
   end;
   result
+
+let replay t = function
+  | Load_atomic { exec; store } ->
+      load_atomic t ~exec ~store;
+      None
+  | Load_non_atomic { exec; store; load_addr; load_size; load_tid; load_exec; commit; benign }
+    ->
+      load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
+        ~benign

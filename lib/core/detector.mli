@@ -30,6 +30,7 @@ type t
 val create : ?mode:mode -> ?eadr:bool -> ?coherence:bool -> unit -> t
 val mode : t -> mode
 val eadr : t -> bool
+val coherence : t -> bool
 
 (** Races reported so far, oldest first. *)
 val races : t -> Race.t list
@@ -69,3 +70,31 @@ val load_non_atomic :
   t -> exec:int -> store:Px86.Event.store -> load_addr:Px86.Addr.t ->
   load_size:int -> load_tid:int -> load_exec:int -> commit:bool -> benign:bool ->
   Race.t option
+
+(** {2 Recording and replaying post-crash checks}
+
+    A recovery's execution depends only on its crash state, program,
+    seed and options; the detector only watches it.  So the checks one
+    recovery makes can stand in for another run of the same recovery:
+    replayed through a second detector, against that detector's own
+    records, they yield that detector's own verdicts, races and
+    counters. *)
+
+(** One {!load_atomic} or {!load_non_atomic} call, with all its
+    arguments. *)
+type call
+
+(** Start logging this detector's {!load_atomic} and
+    {!load_non_atomic} calls, dropping any earlier log.  Not logging
+    (the default), a call pays one branch and allocates nothing for
+    the log. *)
+val log_calls : t -> unit
+
+(** The calls logged since {!log_calls}, oldest first. *)
+val logged : t -> call list
+
+(** Make a logged call again on this detector: the check runs against
+    this detector's records as they are now, counts what it counts and
+    reports (and returns) the race it finds.  A replayed call is not
+    logged again unless this detector is logging. *)
+val replay : t -> call -> Race.t option

@@ -123,6 +123,7 @@ type scenario_result = Completed of completed | Faulted of fault
 let m_faults = Observe.Metrics.counter "engine/faults"
 let m_recovery_failures = Observe.Metrics.counter "engine/recovery_failures"
 let m_cancelled = Observe.Metrics.counter "engine/cancelled"
+let m_recoveries_reused = Observe.Metrics.counter "engine/recoveries_reused"
 let m_oracle_violations =
   Observe.Metrics.counter ~per_program:true "oracle/violations"
 
@@ -200,11 +201,46 @@ let oracle_base rs inherited =
   | Some _, None -> Some None
   | None, _ -> None
 
+(* A recovery that ran and completed, recorded for the family members
+   that crash into the same state: the detector calls it made, and its
+   result carrying the crash state it started from (the state it left
+   is not kept; a one-crash chain never reads it). *)
+type recording = { calls : Yashme.Detector.call list; result : Executor.result }
+
+(* How a chain gets its first recovery: run it, run it and hand its
+   recording to [keep], or replay a recording in place of the run. *)
+type recovery = Run | Record of (recording -> unit) | Replay of recording
+
+let first_recovery rs ~recovery (pre : Executor.result) =
+  let s = rs.s in
+  let opts = s.Scenario.options in
+  let run () =
+    run_phase ~detector:rs.detector ~options:opts ~inherited:pre.Executor.state
+      ~plan:s.Scenario.post_plan ~seed:(opts.Scenario.seed + 1) ~exec_id:post_exec
+      s.Scenario.post
+  in
+  match recovery with
+  | Run -> run ()
+  | Record keep ->
+      Yashme.Detector.log_calls rs.detector;
+      let r = run () in
+      if r.Executor.outcome = Executor.Completed then
+        keep
+          {
+            calls = Yashme.Detector.logged rs.detector;
+            result = { r with Executor.state = pre.Executor.state };
+          };
+      r
+  | Replay rc ->
+      Observe.Metrics.incr m_recoveries_reused;
+      List.iter (fun c -> ignore (Yashme.Detector.replay rs.detector c)) rc.calls;
+      rc.result
+
 (* Everything after the pre-crash phase: the recovery chain, the
    oracle's observe phase and the completed record.  [pre] is the
    pre-crash result, already tallied — a scenario's own run or a shared
    run's materialization at this scenario's crash point. *)
-let finish rs ~base (pre : Executor.result) =
+let finish ?(recovery = Run) rs ~base (pre : Executor.result) =
   let open Scenario in
   let s = rs.s in
   let opts = s.options in
@@ -217,11 +253,7 @@ let finish rs ~base (pre : Executor.result) =
     && begin
          rs.crash_seen <- true;
          rs.phase <- Finding.Recovery 0;
-         let r1 =
-           tally rs
-             (run_phase ~detector ~options:opts ~inherited:pre.Executor.state
-                ~plan:s.post_plan ~seed:(opts.seed + 1) ~exec_id:post_exec s.post)
-         in
+         let r1 = tally rs (first_recovery rs ~recovery pre) in
          post_flush_points := Some r1.Executor.flush_points;
          match s.post_plan with
          | Executor.Run_to_end -> true
@@ -439,6 +471,7 @@ let same_family (a : Scenario.t) (b : Scenario.t) =
   && a.Scenario.setup == b.Scenario.setup
   && a.Scenario.options == b.Scenario.options
   && a.Scenario.pre == b.Scenario.pre
+  && a.Scenario.post == b.Scenario.post
 
 (* Members per chunk.  A constant, so the split — and with it every
    counter the shared runs move — is the same at every [jobs]. *)
@@ -484,14 +517,14 @@ let furthest a b =
    member's own pre-crash phase would have returned.  The member's
    detector reads the shared record; its post-crash joins are cleared
    before the shared run resumes. *)
-let serve_member rs ~record ~setup ~inherited pre =
+let serve_member ?recovery rs ~record ~setup ~inherited pre =
   Yashme.Detector.adopt rs.detector record;
   let r =
     sandboxed rs (fun () ->
         Option.iter (fun r -> ignore (tally rs r)) setup;
         let base = oracle_base rs inherited in
         rs.phase <- Finding.Pre_crash;
-        finish rs ~base (tally rs pre))
+        finish ?recovery rs ~base (tally rs pre))
   in
   Yashme.Exec_record.clear_joins record;
   r
@@ -509,7 +542,14 @@ let run_member ~record ?inherited s pre =
    [cancelled ()] is fail-fast's stop flag, checked before each member:
    a member left unserved once it is up is cancelled.
    A member's wall time runs from the previous member's end, so it
-   includes its share of the pre-crash run. *)
+   includes its share of the pre-crash run.
+
+   A one-crash member ([Run_to_end] post plan) served at a flush point
+   whose key equals that of the chunk's last recorded recovery crashes
+   into the state that recovery started from: it skips materializing
+   the state and replays the recording.  Keys only grow along the run,
+   so only the last recording is kept, and it is dropped once the key
+   moves. *)
 let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
   let member k = arr.(first + k) in
   let s0 = member 0 in
@@ -532,7 +572,7 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
     Yashme.Detector.create ~mode:opts.Scenario.mode ~eadr:opts.Scenario.eadr
       ~coherence:opts.Scenario.coherence ()
   in
-  let serve k ~setup ~inherited pre =
+  let serve ?recovery k ~setup ~inherited pre =
     if not (cancelled ()) then
       match Yashme.Detector.record shared ~id:pre_exec with
       | None -> ()
@@ -540,8 +580,11 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
           let rs = start ~t0:!clock (member k) in
           deliver k
             (member_span k (fun () ->
-                 serve_member rs ~record ~setup ~inherited pre))
+                 serve_member ?recovery rs ~record ~setup ~inherited pre))
   in
+  (* The key of the last recorded recovery's crash state, and the
+     recording. *)
+  let recorded = ref None in
   let shared_run () =
     match
       match s0.Scenario.setup with
@@ -553,12 +596,30 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
     with
     | exception _ -> () (* a setup fault: every member falls back *)
     | setup, inherited -> (
-        let at_flush_point n crash =
+        let at_flush_point n ~key ~ops crash =
+          (match !recorded with
+          | Some (k, _) when k <> key -> recorded := None
+          | Some _ | None -> ());
           let pre = lazy (crash ()) in
           for k = 0 to len - 1 do
-            match (member k).Scenario.plan with
-            | Executor.Crash_before_flush m when m = n && not served.(k) ->
-                serve k ~setup ~inherited (Lazy.force pre)
+            let s = member k in
+            match s.Scenario.plan with
+            | Executor.Crash_before_flush m when m = n && not served.(k) -> (
+                match (s.Scenario.post_plan, !recorded) with
+                | Executor.Run_to_end, Some (_, rc) ->
+                    serve k ~setup ~inherited ~recovery:(Replay rc)
+                      {
+                        Executor.outcome = Executor.Crashed;
+                        state = rc.result.Executor.state;
+                        ops;
+                        flush_points = n;
+                        crashed_at_op = Some ops;
+                      }
+                | Executor.Run_to_end, None ->
+                    serve k ~setup ~inherited
+                      ~recovery:(Record (fun rc -> recorded := Some (key, rc)))
+                      (Lazy.force pre)
+                | _ -> serve k ~setup ~inherited (Lazy.force pre))
             | _ -> ()
           done
         in

@@ -21,7 +21,7 @@
     differ only in where the pre-crash run crashes, so each would
     re-execute the same pre-crash prefix.  The engine instead groups a
     {e family} — a run of consecutive scenarios with the same label,
-    and physically the same [setup], [options] and [pre], whose plans
+    and physically the same [setup], [options], [pre] and [post], whose plans
     are [Crash_before_flush n] or [Crash_at_end] (any [post_plan]; no
     [Cut_random], no oracle context) — into {e chunks} of a fixed
     number of members.  A chunk is one work-queue entry.  Its worker
@@ -39,14 +39,40 @@
     resumes.  Members the shared run cannot serve — after a pre-crash
     fault, a budget divergence or a [Pmem.crash_now] — fall back to
     {!run_scenario}; once fail-fast's stop flag is up, unserved members
-    are cancelled like queued scenarios.  The chunk size is a constant, so
+    are cancelled like queued scenarios.
+
+    {b Reused recoveries.}  Within a chunk, a one-crash member
+    ([post_plan = Run_to_end]) runs its recovery only when its crash
+    state differs from the one the chunk's last recorded recovery
+    started from.  The executor passes the hook a key for the state a
+    crash would leave — the persistence generation
+    ({!Px86.Machine.generation}) and the heap break — and equal keys of
+    one run mean equal crash states.  A recovery that completes is
+    recorded: the detector calls it made ({!Yashme.Detector.log_calls})
+    and its execution, op and flush-point counts.  A later member with
+    the same key skips materializing its crash state and running its
+    recovery: its own detector replays the recorded calls
+    ({!Yashme.Detector.replay}) against the shared pre-crash record, so
+    it keeps its own races, verdicts, counters and {!completed} record.
+    This relies on {!Program.t}'s [post] contract: a recovery depends
+    only on its crash state, program, seed and options.  Only the last
+    key's recording is kept, and it is dropped once the key moves
+    (keys only grow along a run).  Faulted or diverged recoveries
+    record nothing; two-crash members, members served from the shared
+    run's final result and fallback members run their chains.  Each
+    replayed member counts once in [engine/recoveries_reused].
+
+    The chunk size is a constant and reuse never crosses a chunk, so
     every result, counter, coverage and attribution total is the same
     at every [jobs].  Counters of executed work count less: the
     [executor/pre/*] operation counters, [phase/pre], [px86/snapshot_copies],
-    [px86/crash_materializations] (one per flush point, not per member)
-    and [detector/flush_records].  A member's [wall_s] includes the
-    pre-crash run time its worker spent since the previous member it
-    served.
+    [px86/crash_materializations] (one per flush point, not per member,
+    and none for a reused recovery), [detector/flush_records], and for
+    reused recoveries the [executor/post/*] counters, [phase/post],
+    [executor/crashes], [executor/ops_per_exec] samples and the
+    [px86/crash_lines], [px86/fb_applies] and [px86/sb_evictions] work
+    of the recovery.  A member's [wall_s] includes the pre-crash run
+    time its worker spent since the previous member it served.
 
     {b Fault isolation.}  A misbehaving scenario never poisons the
     batch.  {!run_scenario} sandboxes every phase: an exception raised
@@ -122,7 +148,8 @@ val run_phase :
   ?detector:Yashme.Detector.t ->
   ?observer:Px86.Observer.t ->
   ?inherited:Px86.Crashstate.t ->
-  ?at_flush_point:(int -> (unit -> Pm_runtime.Executor.result) -> unit) ->
+  ?at_flush_point:
+    (int -> key:int * int -> ops:int -> (unit -> Pm_runtime.Executor.result) -> unit) ->
   options:Scenario.options ->
   plan:Pm_runtime.Executor.plan ->
   seed:int ->

@@ -7,10 +7,15 @@ type t = {
           before the crashy phase (e.g. creating the pool) *)
   pre : unit -> unit;  (** the pre-crash workload *)
   post : unit -> unit;
-      (** the post-crash recovery / reader.  Model checking may run it
-          while the pre-crash workload is suspended at a crash point
-          (see [Engine]), so it must not change volatile (OCaml-side)
-          state the workload reads; it may read such state freely *)
+      (** the post-crash recovery / reader.  Its run must depend only on
+          its crash state, program, seed and options: model checking
+          runs it while the pre-crash workload is suspended at a crash
+          point, and replays one recovery's detector calls for every
+          later crash point that leaves the same durable state (see
+          [Engine]).  So it must neither read volatile (OCaml-side)
+          state the workload writes nor change volatile state the
+          workload reads; state it needs, it rebuilds from persistent
+          memory on each run *)
   observe : (unit -> (string * string) list) option;
       (** optional state snapshot for the invariant oracle: read the
           recovered structure's observable fields as (name, value)

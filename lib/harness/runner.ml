@@ -77,11 +77,13 @@ let run_once_traced ?(options = default_options) ~plan (p : Program.t) =
     Engine.run_phase ~detector ?inherited ~observer:trace_observer ~options ~plan
       ~seed:options.seed ~exec_id:pre_exec p.Program.pre
   in
-  if Engine.crash_fired ~plan pre_result then
+  if Engine.crash_fired ~plan pre_result then begin
+    Yashme.Detector.log_calls detector;
     ignore
       (Engine.run_recovery ~detector ~options
          ~inherited:pre_result.Executor.state ~seed:(options.seed + 1)
-         ~exec_id:post_exec p.Program.post);
+         ~exec_id:post_exec p.Program.post)
+  end;
   (detector, trace)
 
 (* ------------------------------------------------------------------ *)

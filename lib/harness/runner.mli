@@ -61,7 +61,9 @@ val run_once :
   Yashme.Detector.t * Pm_runtime.Executor.result * Pm_runtime.Executor.result option
 
 (** Like {!run_once}, additionally recording the pre-crash execution's
-    commit trace, for rendering race witnesses with {!Witness.explain}. *)
+    commit trace and logging the recovery's detector calls
+    ({!Yashme.Detector.log_calls}), for rendering race witnesses with
+    {!Witness.explain}. *)
 val run_once_traced :
   ?options:options ->
   plan:Pm_runtime.Executor.plan ->

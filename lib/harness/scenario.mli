@@ -7,12 +7,12 @@
     never share mutable state (a {!Snapshot} is copied before use), so
     the {!Engine} is free to execute them in any order on any domain.
 
-    Scenarios built from the same [setup], [options] and [pre] values
-    (as {!of_program} does for every plan of one program) and crashing
-    at a flush point or at the end form a {e family}: the engine runs
-    their common pre-crash prefix once per chunk of members and serves
-    each member at its crash point, with results identical to running
-    each scenario on its own.  Build a batch's scenarios from shared
+    Scenarios built from the same [setup], [options], [pre] and [post]
+    values (as {!of_program} does for every plan of one program) and
+    crashing at a flush point or at the end form a {e family}: the
+    engine runs their common pre-crash prefix once per chunk of members
+    and serves each member at its crash point, with results identical
+    to running each scenario on its own.  Build a batch's scenarios from shared
     values to get this; copies of equal values run one by one. *)
 
 type options = {

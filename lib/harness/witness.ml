@@ -1,3 +1,37 @@
+module Clockvec = Yashme_util.Clockvec
+
+(* The CVpre the detector checked [race] against: the detector's logged
+   post-crash calls, replayed into a fresh detector over the cleared
+   record, up to the call that raises [race].  The replay runs to the
+   end, putting back the joins the recovery left, so the record ends as
+   it was found. *)
+let checked_cvpre ~detector ~record (race : Yashme.Race.t) =
+  match Yashme.Detector.logged detector with
+  | [] -> Yashme.Exec_record.cvpre record
+  | calls ->
+      let fresh =
+        Yashme.Detector.create ~mode:(Yashme.Detector.mode detector)
+          ~eadr:(Yashme.Detector.eadr detector)
+          ~coherence:(Yashme.Detector.coherence detector) ()
+      in
+      Yashme.Detector.adopt fresh record;
+      Yashme.Exec_record.clear_joins record;
+      let at_check = ref None in
+      List.iter
+        (fun call ->
+          let cvpre = Yashme.Exec_record.cvpre record in
+          match Yashme.Detector.replay fresh call with
+          | Some r when Option.is_none !at_check && r = race -> at_check := Some cvpre
+          | Some _ | None -> ())
+        calls;
+      Option.value !at_check ~default:(Yashme.Exec_record.cvpre record)
+
+let prefix_bound ~detector ~race:(r : Yashme.Race.t) =
+  Option.map
+    (fun record ->
+      Clockvec.join (checked_cvpre ~detector ~record r) r.Yashme.Race.store.Px86.Event.cv)
+    (Yashme.Detector.record detector ~id:r.Yashme.Race.store_exec)
+
 let explain ?(variant = Px86.Variant.default_label) ~trace ~detector
     ~race:(r : Yashme.Race.t) () =
   let buf = Buffer.create 256 in
@@ -8,15 +42,14 @@ let explain ?(variant = Px86.Variant.default_label) ~trace ~detector
   if variant <> Px86.Variant.default_label then
     Buffer.add_string buf (Printf.sprintf "\n  [variant %s]" variant);
   Buffer.add_string buf "\n  witness (E+ combined with E'):\n";
-  (match Yashme.Detector.record detector ~id:r.Yashme.Race.store_exec with
+  (match prefix_bound ~detector ~race:r with
   | None -> Buffer.add_string buf "    (pre-crash execution not recorded)\n"
-  | Some record ->
-      let cvpre = Yashme.Exec_record.cvpre record in
+  | Some cvpre ->
       let prefix = Px86.Trace.prefix trace ~cvpre in
       Buffer.add_string buf
         (Printf.sprintf
            "    consistent prefix CVpre = %s (%d of %d committed events)\n"
-           (Format.asprintf "%a" Yashme_util.Clockvec.pp cvpre)
+           (Format.asprintf "%a" Clockvec.pp cvpre)
            (List.length prefix)
            (List.length (Px86.Trace.entries trace)));
       List.iter

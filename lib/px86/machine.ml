@@ -85,6 +85,7 @@ let create ?inherited ~exec_id cfg =
 let exec_id t = t.exec_id
 let inherited t = t.inherited
 let persistence t = t.pers
+let generation t = Persistence.generation t.pers
 
 let rec thread_index order tid i =
   if i = Array.length order then -1

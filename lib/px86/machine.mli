@@ -112,3 +112,9 @@ val buffered_stores : t -> int
 
 (** The persistence domain (testing and candidate inspection). *)
 val persistence : t -> Persistence.t
+
+(** {!Persistence.generation} of the machine's persistence domain.
+    {!crash} reads only the inherited state, the persistence domain and
+    the cut, so two crashes of one machine at the same generation, with
+    the same strategy (not [Cut_random]), materialize equal states. *)
+val generation : t -> int

@@ -8,12 +8,20 @@ type t = {
   durable_nt : (int, unit) Hashtbl.t;  (* seq of individually durable stores *)
   mutable log : Event.store array;  (* [log.(0 .. committed - 1)]: commit order *)
   mutable committed : int;
+  mutable generation : int;  (* bumped by every change a crash can show *)
 }
 
 let create () =
-  { lines = Hashtbl.create 64; durable_nt = Hashtbl.create 16; log = [||]; committed = 0 }
+  { lines = Hashtbl.create 64; durable_nt = Hashtbl.create 16; log = [||]; committed = 0;
+    generation = 0 }
 
-let mark_durable t (s : Event.store) = Hashtbl.replace t.durable_nt s.Event.seq ()
+let generation t = t.generation
+let bump t = t.generation <- t.generation + 1
+
+let mark_durable t (s : Event.store) =
+  Hashtbl.replace t.durable_nt s.Event.seq ();
+  bump t
+
 let is_durable_nt t (s : Event.store) = Hashtbl.mem t.durable_nt s.Event.seq
 
 let get_line t line =
@@ -22,6 +30,7 @@ let get_line t line =
   | exception Not_found ->
       let ls = { stores = []; cut_lb = 0 } in
       Hashtbl.add t.lines line ls;
+      bump t;
       ls
 
 let append t (s : Event.store) =
@@ -35,6 +44,7 @@ let append t (s : Event.store) =
 
 let commit_store t (s : Event.store) =
   append t s;
+  bump t;
   (* A store may straddle a line boundary; register it on every line it
      touches so flushes of either line cover it. *)
   for line = Addr.line s.addr to Addr.line (s.addr + s.size - 1) do
@@ -49,7 +59,10 @@ let iter_committed t f =
 
 let flush_line t ~line ~seq =
   let ls = get_line t line in
-  if seq > ls.cut_lb then ls.cut_lb <- seq
+  if seq > ls.cut_lb then begin
+    ls.cut_lb <- seq;
+    bump t
+  end
 
 (* The newest-first history of a line. *)
 let history t line =

@@ -60,3 +60,9 @@ val mark_durable : t -> Event.store -> unit
 
 (** Whether a store is durable independent of its line's cut. *)
 val is_durable_nt : t -> Event.store -> bool
+
+(** A counter bumped by every change a crash can show: a store commit,
+    a new line entry, a raised lower bound and a store marked durable.
+    It only grows, so two moments of one run with the same generation
+    (and the same inherited state) crash into the same state. *)
+val generation : t -> int

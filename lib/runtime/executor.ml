@@ -144,7 +144,7 @@ type state = {
   max_ops : int option;  (** fuel: scheduled operations before [Diverged] *)
   mutable deadline : float option;
       (** absolute wall-clock cutoff, pushed back by [at_flush_point] time *)
-  at_flush_point : (int -> (unit -> result) -> unit) option;
+  at_flush_point : (int -> key:int * int -> ops:int -> (unit -> result) -> unit) option;
   mutable paused_s : float;  (** wall time spent inside [at_flush_point] *)
   pc : phase_counters;  (** this execution's phase counters *)
   mutable slots : slot array;
@@ -417,11 +417,17 @@ let do_crash st =
   teardown_threads st
 
 (* Offer flush point [st.flush_points] to the [at_flush_point] hook with
-   the result a [Crash_before_flush] run would return here.  The hook's
-   time is not the run's: the wall-clock budget is pushed back by it. *)
+   the key of the state a crash here leaves (what [crash_here] reads
+   that can change along the run: the persistence generation and the
+   heap break), the run's op count and the result a [Crash_before_flush]
+   run would return here.  The hook's time is not the run's: the
+   wall-clock budget is pushed back by it. *)
 let offer_flush_point st serve =
   let t0 = Unix.gettimeofday () in
-  serve st.flush_points (fun () ->
+  serve st.flush_points
+    ~key:(Machine.generation st.machine, st.heap_break)
+    ~ops:st.ops
+    (fun () ->
       {
         outcome = Crashed;
         state = crash_here st;

@@ -103,16 +103,22 @@ type result = {
       recorder), combined with the detector's
     @param at_flush_point serve other crash points from this run.
       Before each flush/fence operation the run's own plan does not
-      crash at, the executor calls [at_flush_point n crash], where [n]
-      is the operation's flush-point index.  [crash ()] materializes
-      (with {!Px86.Machine.crash} and the run's cut) the result a
+      crash at, the executor calls [at_flush_point n ~key ~ops crash],
+      where [n] is the operation's flush-point index and [ops] the
+      run's operation count so far.  [crash ()] materializes (with
+      {!Px86.Machine.crash} and the run's cut) the result a
       [Crash_before_flush n] run of the same program and seed would
-      return, and the run then goes on unchanged: materializing only
-      reads the machine.  Not called once a thread has raised (the run
-      is going to re-raise).  Time spent in the hook does not count
-      against [max_wall_s] or the run's [phase/*] attribution wall
-      time.  The engine uses it to share one pre-crash run across a
-      family of crash points (see [Pm_harness.Engine]) *)
+      return — [ops] and [n] are its [ops] and [flush_points] — and the
+      run then goes on unchanged: materializing only reads the machine.
+      [key] is [(Px86.Machine.generation, heap break)]: both only grow
+      along a run, and two flush points of one run with equal keys
+      materialize equal crash states (with a cut other than
+      [Cut_random]), so a hook may serve the later one from what it
+      did with the earlier one.  Not called once a thread has raised
+      (the run is going to re-raise).  Time spent in the hook does not
+      count against [max_wall_s] or the run's [phase/*] attribution
+      wall time.  The engine uses it to share one pre-crash run across
+      a family of crash points (see [Pm_harness.Engine]) *)
 val run :
   ?detector:Yashme.Detector.t ->
   ?inherited:Px86.Crashstate.t ->
@@ -126,7 +132,7 @@ val run :
   ?max_ops:int ->
   ?max_wall_s:float ->
   ?observer:Px86.Observer.t ->
-  ?at_flush_point:(int -> (unit -> result) -> unit) ->
+  ?at_flush_point:(int -> key:int * int -> ops:int -> (unit -> result) -> unit) ->
   exec_id:int ->
   (unit -> unit) ->
   result

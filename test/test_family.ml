@@ -1,8 +1,9 @@
 (* Tests for family execution: the engine runs consecutive scenarios
    that share a pre-crash prefix from one pre-crash run, serving each
-   crash point as the run passes it.  First the invariants that sharing
-   relies on, then a differential check of [Engine.run] against
-   [Engine.run_scenario] run one scenario at a time. *)
+   crash point as the run passes it, and replays a recorded recovery
+   for members whose crash state is unchanged.  First the invariants
+   that sharing relies on, then a differential check of [Engine.run]
+   against [Engine.run_scenario] run one scenario at a time. *)
 
 open Pm_runtime
 module Engine = Pm_harness.Engine
@@ -84,7 +85,7 @@ let test_pre_crash_joins_nothing () =
       let name = p.Program.name in
       let detector = Yashme.Detector.create () in
       let points = ref 0 in
-      let at_flush_point _ _ =
+      let at_flush_point _ ~key:_ ~ops:_ _ =
         incr points;
         check (name ^ ": no race before a crash point") true
           (Yashme.Detector.races detector = []);
@@ -129,7 +130,7 @@ let fig5a =
 let test_member_leaves_record () =
   let shared = Yashme.Detector.create () in
   let served = ref 0 and joined = ref 0 in
-  let at_flush_point n crash =
+  let at_flush_point n ~key:_ ~ops:_ crash =
     let record = pre_record shared in
     let before = fingerprint record in
     let pre = crash () in
@@ -162,6 +163,50 @@ let test_member_leaves_record () =
   check_int "every flush point served" (Runner.count_flush_points fig5a) !served;
   check "some member's recovery joined lastflush" true (!joined > 0)
 
+(* An allocation between two fences moves only the heap break: the
+   two fences' crash states differ in nothing else. *)
+let alloc_between_fences =
+  Program.make ~name:"alloc-between-fences"
+    ~pre:(fun () ->
+      let a = Pmem.alloc ~align:64 8 in
+      Pmem.set_root 0 a;
+      Pmem.store ~label:"a" a 1L;
+      Pmem.clflush a;
+      Pmem.sfence ();
+      ignore (Pmem.alloc ~align:64 64);
+      Pmem.mfence ();
+      Pmem.sfence ())
+    ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+    ()
+
+(* (d) The key the executor passes the hook stands for the crash state:
+   wherever a flush point's key equals the previous point's, the two
+   materialized states are equal. *)
+let test_key_stands_for_state () =
+  let equal_keys = ref 0 in
+  List.iter
+    (fun (p : Program.t) ->
+      let previous = ref None in
+      let at_flush_point n ~key ~ops:_ crash =
+        let state = fingerprint (crash ()).Executor.state in
+        (match !previous with
+        | Some (k, prev) when k = key ->
+            incr equal_keys;
+            check
+              (Printf.sprintf "%s: point %d has point %d's key and state" p.Program.name n
+                 (n - 1))
+              true (String.equal prev state)
+        | Some _ | None -> ());
+        previous := Some (key, state)
+      in
+      ignore
+        (Engine.run_phase ~detector:(Yashme.Detector.create ())
+           ?inherited:(setup_state p) ~at_flush_point ~options
+           ~plan:Executor.Crash_at_end ~seed:options.Scenario.seed
+           ~exec_id:Engine.pre_exec p.Program.pre))
+    (alloc_between_fences :: Registry.all);
+  check "some flush points share their predecessor's key" true (!equal_keys > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: Engine.run = Engine.run_scenario one at a time         *)
 
@@ -173,28 +218,75 @@ let first_mismatch expected actual =
   in
   go 0 (expected, actual)
 
+(* Run [f] on a fresh registry and read what must not depend on how a
+   batch ran: the detector counters but [detector/flush_records] (a
+   shared pre-crash run records its flushes once) and the coverage
+   view; plus [engine/recoveries_reused]. *)
+let observed f =
+  Observe.Metrics.reset ();
+  Observe.Metrics.enable ();
+  Fun.protect ~finally:Observe.Metrics.disable (fun () ->
+      let v = f () in
+      let counters = Observe.Metrics.snapshot () in
+      let detector =
+        List.filter
+          (fun (name, _) ->
+            String.starts_with ~prefix:"detector/" name
+            && name <> "detector/flush_records")
+          counters
+      in
+      let reused =
+        Option.value ~default:0 (List.assoc_opt "engine/recoveries_reused" counters)
+      in
+      (v, (detector, Observe.Coverage.snapshot ()), reused))
+
+(* The first counter whose value differs between two readings. *)
+let counter_mismatch expected actual =
+  List.find_opt
+    (fun name -> List.assoc_opt name expected <> List.assoc_opt name actual)
+    (List.sort_uniq compare (List.map fst expected @ List.map fst actual))
+
+(* Check [Engine.run] at jobs 1, 2 and 4 against [run_scenario] one at
+   a time: per-scenario signatures, detector counters and coverage.
+   Returns the signatures and the number of recoveries reused (the
+   same at every jobs). *)
 let check_batch name scenarios =
-  let expected =
-    List.map (fun s -> Engine.signature (Engine.run_scenario s)) scenarios
+  let expected, (counters, coverage), _ =
+    observed (fun () ->
+        List.map (fun s -> Engine.signature (Engine.run_scenario s)) scenarios)
   in
+  let reused = ref None in
   List.iter
     (fun jobs ->
-      let run = Engine.run ~jobs scenarios in
-      let actual = List.map Engine.signature run.Engine.results in
-      match first_mismatch expected actual with
+      let actual, (counters', coverage'), r =
+        observed (fun () ->
+            List.map Engine.signature (Engine.run ~jobs scenarios).Engine.results)
+      in
+      (match first_mismatch expected actual with
       | None -> ()
       | Some i ->
           Alcotest.failf
             "%s, jobs=%d: scenario %d of %d differs from run_scenario" name
-            jobs i (List.length scenarios))
+            jobs i (List.length scenarios));
+      (match counter_mismatch counters counters' with
+      | None -> ()
+      | Some counter ->
+          let value c = Option.fold ~none:"absent" ~some:string_of_int (List.assoc_opt counter c) in
+          Alcotest.failf "%s, jobs=%d: %s is %s under run_scenario, %s under run" name jobs
+            counter (value counters) (value counters'));
+      check (Printf.sprintf "%s, jobs=%d: coverage as run_scenario's" name jobs) true
+        (coverage = coverage');
+      match !reused with
+      | None -> reused := Some r
+      | Some r1 -> check_int (Printf.sprintf "%s, jobs=%d: reuse jobs-invariant" name jobs) r1 r)
     [ 1; 2; 4 ];
-  expected
+  (expected, Option.value ~default:0 !reused)
 
 (* Both waves of recovery model checking for every registry program:
    the probe wave (one scenario per crash point) and the grid (each
    crash point's recovery crashed at each of its own flush points). *)
 let test_registry_waves () =
-  let grids = ref 0 in
+  let grids = ref 0 and reused = ref 0 in
   List.iter
     (fun (p : Program.t) ->
       let setup = Engine.materialize_setup ~options p in
@@ -202,7 +294,8 @@ let test_registry_waves () =
       let wave1 =
         List.map (fun plan -> Scenario.of_program ~setup ~plan ~options p) plans
       in
-      let probes = check_batch (p.Program.name ^ " probe wave") wave1 in
+      let probes, r = check_batch (p.Program.name ^ " probe wave") wave1 in
+      reused := !reused + r;
       let grid =
         List.concat
           (List.map2
@@ -223,7 +316,8 @@ let test_registry_waves () =
       grids := !grids + List.length grid;
       ignore (check_batch (p.Program.name ^ " grid wave") grid))
     Registry.all;
-  check "some recovery has flush points to crash" true (!grids > 0)
+  check "some recovery has flush points to crash" true (!grids > 0);
+  check "some probe replayed a recorded recovery" true (!reused > 0)
 
 let raising =
   Program.make ~name:"raising"
@@ -312,7 +406,7 @@ let test_fault_batches () =
     @ oracle_family Demo.inconsistency
     @ oracle_family Pm_benchmarks.Memcached.program
   in
-  let sigs = check_batch "fault batch" batch in
+  let sigs, _ = check_batch "fault batch" batch in
   let faulted =
     List.filter (function Engine.Sig_faulted _ -> true | _ -> false) sigs
   in
@@ -379,6 +473,8 @@ let () =
             test_pre_crash_joins_nothing;
           Alcotest.test_case "serving a member restores the record" `Quick
             test_member_leaves_record;
+          Alcotest.test_case "equal keys, equal crash states" `Quick
+            test_key_stands_for_state;
         ] );
       ( "differential",
         [

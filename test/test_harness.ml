@@ -158,6 +158,45 @@ let test_witness_renders () =
         in
         contains 0)
 
+(* The witness shows the prefix the detector checked: for every race of
+   every registry program at every crash point, no flush the pre-crash
+   run recorded for the racing store lies inside the rendered E+ (a
+   flush inside it would have persisted the store in the prefix). *)
+let test_witness_prefix_excludes_flushes () =
+  let races = ref 0 in
+  List.iter
+    (fun (p : Program.t) ->
+      let points = Runner.count_flush_points p in
+      List.iter
+        (fun plan ->
+          let detector, _ = Runner.run_once_traced ~plan p in
+          List.iter
+            (fun (race : Yashme.Race.t) ->
+              incr races;
+              let store = race.Yashme.Race.store in
+              match
+                ( Yashme.Detector.record detector ~id:race.Yashme.Race.store_exec,
+                  Pm_harness.Witness.prefix_bound ~detector ~race )
+              with
+              | Some record, Some eplus ->
+                  List.iter
+                    (fun (fe : Yashme.Exec_record.flush_entry) ->
+                      if
+                        fe.Yashme.Exec_record.fe_lclk
+                        <= Yashme_util.Clockvec.get eplus fe.Yashme.Exec_record.fe_tid
+                      then
+                        Alcotest.failf "%s %s: a flush of seq %d lies inside E+ %s"
+                          p.Program.name (Executor.plan_label plan) store.Px86.Event.seq
+                          (Format.asprintf "%a" Yashme_util.Clockvec.pp eplus))
+                    (Yashme.Exec_record.flushes_of record store.Px86.Event.seq)
+              | None, _ | _, None ->
+                  Alcotest.failf "%s: the racing store's execution has no record"
+                    p.Program.name)
+            (Yashme.Detector.races detector))
+        (List.init points (fun n -> Executor.Crash_before_flush n) @ [ Executor.Crash_at_end ]))
+    Pm_benchmarks.Registry.all;
+  check "races checked" true (!races > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                               *)
 
@@ -304,6 +343,8 @@ let () =
           Alcotest.test_case "trace records commits" `Quick test_trace_records_commits;
           Alcotest.test_case "trace prefix filter" `Quick test_trace_prefix_filter;
           Alcotest.test_case "witness renders" `Quick test_witness_renders;
+          Alcotest.test_case "witness prefix holds no flush of the store" `Quick
+            test_witness_prefix_excludes_flushes;
         ] );
       ( "report",
         [

@@ -588,6 +588,35 @@ let test_telemetry_hooks_allocate_nothing () =
            (fun (b : Metrics.bucket) -> b.program = "hot" && List.assoc "test/hot_counter" b.counts > 0)
            (Metrics.buckets ())))
 
+(* Post-crash checks with no call log started: logging costs the
+   detector one branch and no allocation, so a pruned committed check
+   and an atomic load allocate what they did before the log existed
+   (the budgets, measured at that code: the [CVpre] and [lastflush]
+   clock-vector joins). *)
+let test_detector_checks_budget () =
+  let module Detector = Yashme.Detector in
+  let d = Detector.create () in
+  let record = Detector.begin_exec d ~id:1 in
+  let at lclk = Clockvec.set Clockvec.empty 0 lclk in
+  let plain = { (mk_store ~addr:64 ~size:8 1L) with Event.seq = 1; lclk = 1; cv = at 1 } in
+  let release =
+    { (mk_store ~addr:72 ~size:8 1L) with
+      Event.seq = 3; lclk = 5; cv = at 5; access = Access.Atomic Access.Release }
+  in
+  Yashme.Exec_record.set_store record plain;
+  Yashme.Exec_record.set_store record release;
+  Yashme.Exec_record.add_flush record ~seq:1 { Yashme.Exec_record.fe_tid = 0; fe_lclk = 2 };
+  Detector.load_atomic d ~exec:1 ~store:release;
+  check_budget "load_atomic" ~max:14.
+    (words_per (fun _ -> Detector.load_atomic d ~exec:1 ~store:release));
+  check_budget "pruned load_non_atomic" ~max:16.
+    (words_per (fun _ ->
+         ignore
+           (Sys.opaque_identity
+              (Detector.load_non_atomic d ~exec:1 ~store:plain ~load_addr:64 ~load_size:8
+                 ~load_tid:0 ~load_exec:2 ~commit:true ~benign:false))));
+  check "the check was pruned" true (Detector.races d = [])
+
 let () =
   Alcotest.run "hotpath"
     [
@@ -609,5 +638,6 @@ let () =
           Alcotest.test_case "store" `Quick test_store_budget;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;
           Alcotest.test_case "telemetry hooks" `Quick test_telemetry_hooks_allocate_nothing;
+          Alcotest.test_case "detector checks, no log" `Quick test_detector_checks_budget;
         ] );
     ]
