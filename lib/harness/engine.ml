@@ -201,23 +201,34 @@ let oracle_base rs inherited =
   | Some _, None -> Some None
   | None, _ -> None
 
-(* A recovery that ran and completed, recorded for the family members
-   that crash into the same state: the detector calls it made, and its
-   result carrying the crash state it started from (the state it left
-   is not kept; a one-crash chain never reads it). *)
+(* The detector calls a recovery made, and its result.  A recording of
+   a completed recovery, kept for the family members that crash into
+   the same state, carries in [result] the crash state the recovery
+   started from (the state it left is not kept: no family member runs
+   anything after a recovery it replays). *)
 type recording = { calls : Yashme.Detector.call list; result : Executor.result }
 
-(* How a chain gets its first recovery: run it, run it and hand its
-   recording to [keep], or replay a recording in place of the run. *)
-type recovery = Run | Record of (recording -> unit) | Replay of recording
+(* How a chain gets a recovery: run it, run it and hand its recording to
+   [keep], replay another member's recording in place of the run, or be
+   served by a shared run of that recovery, whose calls up to this
+   member's crash point and materialization there stand in for it. *)
+type recovery =
+  | Run
+  | Record of (recording -> unit)
+  | Replay of recording
+  | Served of recording
 
-let first_recovery rs ~recovery (pre : Executor.result) =
+let replay detector rc =
+  List.iter (fun c -> ignore (Yashme.Detector.replay detector c)) rc.calls;
+  rc.result
+
+(* Recovery [exec_id] of scenario [rs] from the crash that left [from],
+   under [plan]: both recoveries of a chain go through here. *)
+let recover rs ~recovery ~plan ~seed ~exec_id (from : Executor.result) =
   let s = rs.s in
-  let opts = s.Scenario.options in
   let run () =
-    run_phase ~detector:rs.detector ~options:opts ~inherited:pre.Executor.state
-      ~plan:s.Scenario.post_plan ~seed:(opts.Scenario.seed + 1) ~exec_id:post_exec
-      s.Scenario.post
+    run_phase ~detector:rs.detector ~options:s.Scenario.options
+      ~inherited:from.Executor.state ~plan ~seed ~exec_id s.Scenario.post
   in
   match recovery with
   | Run -> run ()
@@ -228,19 +239,20 @@ let first_recovery rs ~recovery (pre : Executor.result) =
         keep
           {
             calls = Yashme.Detector.logged rs.detector;
-            result = { r with Executor.state = pre.Executor.state };
+            result = { r with Executor.state = from.Executor.state };
           };
       r
   | Replay rc ->
       Observe.Metrics.incr m_recoveries_reused;
-      List.iter (fun c -> ignore (Yashme.Detector.replay rs.detector c)) rc.calls;
-      rc.result
+      replay rs.detector rc
+  | Served rc -> replay rs.detector rc
 
 (* Everything after the pre-crash phase: the recovery chain, the
    oracle's observe phase and the completed record.  [pre] is the
    pre-crash result, already tallied — a scenario's own run or a shared
-   run's materialization at this scenario's crash point. *)
-let finish ?(recovery = Run) rs ~base (pre : Executor.result) =
+   run's materialization at this scenario's crash point.  [first] and
+   [second] say how the chain gets its two recoveries. *)
+let finish ?(first = Run) ?(second = Run) rs ~base (pre : Executor.result) =
   let open Scenario in
   let s = rs.s in
   let opts = s.options in
@@ -253,7 +265,11 @@ let finish ?(recovery = Run) rs ~base (pre : Executor.result) =
     && begin
          rs.crash_seen <- true;
          rs.phase <- Finding.Recovery 0;
-         let r1 = tally rs (first_recovery rs ~recovery pre) in
+         let r1 =
+           tally rs
+             (recover rs ~recovery:first ~plan:s.post_plan ~seed:(opts.seed + 1)
+                ~exec_id:post_exec pre)
+         in
          post_flush_points := Some r1.Executor.flush_points;
          match s.post_plan with
          | Executor.Run_to_end -> true
@@ -264,9 +280,8 @@ let finish ?(recovery = Run) rs ~base (pre : Executor.result) =
                rs.phase <- Finding.Recovery 1;
                ignore
                  (tally rs
-                    (run_recovery ~detector ~options:opts
-                       ~inherited:r1.Executor.state ~seed:(opts.seed + 2)
-                       ~exec_id:(post_exec + 1) s.post))
+                    (recover rs ~recovery:second ~plan:Executor.Run_to_end
+                       ~seed:(opts.seed + 2) ~exec_id:(post_exec + 1) r1))
              end;
              fired
        end
@@ -502,64 +517,66 @@ let work_items (arr : Scenario.t array) =
   in
   Array.of_list (from 0 [])
 
-(* The furthest crash point of a chunk: [Crash_at_end] beyond every
-   flush point. *)
+(* The furthest of two crash points: [Crash_at_end] beyond every flush
+   point. *)
 let furthest a b =
   match (a, b) with
-  | Executor.Crash_at_end, _ | _, Executor.Crash_at_end -> Executor.Crash_at_end
-  | Executor.Crash_before_flush x, Executor.Crash_before_flush y ->
-      Executor.Crash_before_flush (max x y)
+  | Executor.Crash_at_end, _ -> a
+  | _, Executor.Crash_at_end -> b
+  | Executor.Crash_before_flush x, Executor.Crash_before_flush y -> if x >= y then a else b
   | _ -> invalid_arg "Engine.furthest: not a family plan"
 
-(* Serve family member [rs] from a shared pre-crash run: [record] is that
-   run's execution record, [setup] its setup run (if the family re-runs
-   its setup), [inherited] its setup state and [pre] the result the
-   member's own pre-crash phase would have returned.  The member's
-   detector reads the shared record; its post-crash joins are cleared
-   before the shared run resumes. *)
-let serve_member ?recovery rs ~record ~setup ~inherited pre =
-  Yashme.Detector.adopt rs.detector record;
+let furthest_of plan_of ks =
+  List.fold_left (fun acc k -> furthest acc (plan_of k)) (plan_of (List.hd ks)) ks
+
+let crashes_at n = function
+  | Executor.Crash_before_flush m -> m = n
+  | Executor.Run_to_end | Executor.Crash_at_end | Executor.Crash_before_op _ -> false
+
+(* The record a shared run's detector began for execution [id]: it
+   exists from the run's start on. *)
+let own_record detector ~id = Option.get (Yashme.Detector.record detector ~id)
+
+(* Serve family member [rs] from shared runs: [records] are their
+   execution records (the pre-crash run's, and for a two-crash member
+   its row's first recovery's), [setup] the setup run (if the family
+   re-runs its setup), [inherited] its setup state and [pre] the result
+   the member's own pre-crash phase would have returned.  The member's
+   detector reads the shared records; the joins its recoveries make are
+   cleared before the shared runs resume. *)
+let serve_member ?first ?second rs ~records ~setup ~inherited pre =
+  List.iter (Yashme.Detector.adopt rs.detector) records;
   let r =
     sandboxed rs (fun () ->
         Option.iter (fun r -> ignore (tally rs r)) setup;
         let base = oracle_base rs inherited in
         rs.phase <- Finding.Pre_crash;
-        finish ?recovery rs ~base (tally rs pre))
+        finish ?first ?second rs ~base (tally rs pre))
   in
-  Yashme.Exec_record.clear_joins record;
+  List.iter Yashme.Exec_record.clear_joins records;
   r
 
-let run_member ~record ?inherited s pre =
-  serve_member (start ~t0:(now ()) s) ~record ~setup:None ~inherited pre
+let run_member ~records ?inherited ?first s pre =
+  let first = Option.map (fun (calls, result) -> Served { calls; result }) first in
+  serve_member ?first (start ~t0:(now ()) s) ~records ~setup:None ~inherited pre
 
 (* Run the chunk of [len] family members from [arr.(first)] on the
-   calling domain.  One pre-crash run crashes where the furthest member
-   does, so its own result serves that member; every other member is
-   served at its flush point through the executor's [at_flush_point]
-   hook.  Members the shared run cannot serve — the run faulted, was
-   stopped by a budget or crashed early ([Pmem.crash_now]) — fall back
-   to [run_scenario_from].  [emit i r] records member [i]'s result;
-   [cancelled ()] is fail-fast's stop flag, checked before each member:
-   a member left unserved once it is up is cancelled.
-   A member's wall time runs from the previous member's end, so it
-   includes its share of the pre-crash run.
-
-   A one-crash member ([Run_to_end] post plan) served at a flush point
-   whose key equals that of the chunk's last recorded recovery crashes
-   into the state that recovery started from: it skips materializing
-   the state and replays the recording.  Keys only grow along the run,
-   so only the last recording is kept, and it is dropped once the key
-   moves. *)
+   calling domain.  One pre-crash run serves every member at its crash
+   point; the two-crash members crashing it at one point form a row,
+   and one first recovery from that crash state serves the row the same
+   way, one level down.  Members the shared runs cannot serve — a run
+   faulted, was stopped by a budget or crashed early ([Pmem.crash_now])
+   before their point — fall back to [run_scenario_from].  [emit i r]
+   records member [i]'s result; [cancelled ()] is fail-fast's stop
+   flag, checked before each member: a member left unserved once it is
+   up is cancelled.  A member's wall time runs from the previous
+   member's end, so it includes its share of the shared runs. *)
 let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
   let member k = arr.(first + k) in
+  let members = List.init len Fun.id in
+  let pre_plan k = (member k).Scenario.plan in
   let s0 = member 0 in
   let opts = s0.Scenario.options in
-  let last =
-    let rec go k acc =
-      if k = len then acc else go (k + 1) (furthest acc (member k).Scenario.plan)
-    in
-    go 1 s0.Scenario.plan
-  in
   let served = Array.make len false in
   let clock = ref (now ()) in
   let deliver k r =
@@ -568,23 +585,97 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
     clock := now ()
   in
   let member_span k f = scenario_span ~cat:"member" (first + k) (member k) f in
-  let shared =
+  let serve ?first ?second k ~records ~setup ~inherited pre =
+    if not (cancelled ()) then
+      let rs = start ~t0:!clock (member k) in
+      deliver k
+        (member_span k (fun () ->
+             serve_member ?first ?second rs ~records ~setup ~inherited pre))
+  in
+  let detector () =
     Yashme.Detector.create ~mode:opts.Scenario.mode ~eadr:opts.Scenario.eadr
       ~coherence:opts.Scenario.coherence ()
   in
-  let serve ?recovery k ~setup ~inherited pre =
-    if not (cancelled ()) then
-      match Yashme.Detector.record shared ~id:pre_exec with
-      | None -> ()
-      | Some record ->
-          let rs = start ~t0:!clock (member k) in
-          deliver k
-            (member_span k (fun () ->
-                 serve_member ?recovery rs ~record ~setup ~inherited pre))
+  (* Run a phase once for the members [ks], planned to crash where the
+     furthest of their crash points ([plan_of]) does, and serve them
+     from it: [serve here ~crash next] serves the unserved members
+     [here] that crash the phase at one point.  [crash] is the crash
+     result there, materialized at most once, and [next ()] gives one
+     member the recovery after that crash and the result it starts
+     from.
+
+     At a flush point, a member whose crash-state key equals that of
+     the last recorded recovery crashes into the state that recovery
+     started from: it skips materializing the state and replays the
+     recording.  Keys only grow along the run, so only the last
+     recording is kept, and it is dropped once the key moves.  The
+     members crashing where the run ends, and every unreached member of
+     a run that completed before its crash point, are served from its
+     result and run their recoveries.  A faulting run serves nobody
+     past its fault. *)
+  let share ~plan_of ks ~run serve =
+    let last = furthest_of plan_of ks in
+    let recorded = ref None in
+    let at_flush_point n ~key ~ops crash =
+      (match !recorded with
+      | Some (k, _) when k <> key -> recorded := None
+      | Some _ | None -> ());
+      match List.filter (fun k -> (not served.(k)) && crashes_at n (plan_of k)) ks with
+      | [] -> ()
+      | here ->
+          let crash = lazy (crash ()) in
+          serve here ~crash (fun () ->
+              match !recorded with
+              | Some (_, rc) ->
+                  ( Replay rc,
+                    {
+                      Executor.outcome = Executor.Crashed;
+                      state = rc.result.Executor.state;
+                      ops;
+                      flush_points = n;
+                      crashed_at_op = Some ops;
+                    } )
+              | None -> (Record (fun rc -> recorded := Some (key, rc)), Lazy.force crash))
+    in
+    match run ~plan:last ~at_flush_point with
+    | exception _ -> ()
+    | r -> (
+        let unfired =
+          r.Executor.outcome = Executor.Completed && last <> Executor.Crash_at_end
+        in
+        match List.filter (fun k -> (not served.(k)) && (unfired || plan_of k = last)) ks with
+        | [] -> ()
+        | here -> serve here ~crash:(Lazy.from_val r) (fun () -> (Run, r)))
   in
-  (* The key of the last recorded recovery's crash state, and the
-     recording. *)
-  let recorded = ref None in
+  let shared = detector () in
+  (* The row of two-crash members [ks] that crash the pre-crash run
+     where [pre] was materialized.  Its first recovery runs once, with a
+     fresh detector that logs its calls and adopts no record: the calls
+     find no pre-crash record there, so they check and count nothing.
+     A member replays the calls made up to its own crash point against
+     its view of the pre-crash record, and reads the row's record as its
+     first recovery's. *)
+  let row ks ~setup ~inherited (pre : Executor.result) =
+    let pre_record = own_record shared ~id:pre_exec in
+    let d = detector () in
+    Yashme.Detector.log_calls d;
+    share
+      ~plan_of:(fun k -> (member k).Scenario.post_plan)
+      ks
+      ~run:(fun ~plan ~at_flush_point ->
+        run_phase ~detector:d ~inherited:pre.Executor.state ~options:opts ~plan
+          ~seed:(opts.Scenario.seed + 1) ~exec_id:post_exec ~at_flush_point
+          s0.Scenario.post)
+      (fun here ~crash:_ next ->
+        let records = [ pre_record; own_record d ~id:post_exec ] in
+        let calls = Yashme.Detector.logged d in
+        List.iter
+          (fun k ->
+            let second, r1 = next () in
+            serve k ~first:(Served { calls; result = r1 }) ~second ~records ~setup
+              ~inherited pre)
+          here)
+  in
   let shared_run () =
     match
       match s0.Scenario.setup with
@@ -595,58 +686,43 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
           (Some r, Some r.Executor.state)
     with
     | exception _ -> () (* a setup fault: every member falls back *)
-    | setup, inherited -> (
-        let at_flush_point n ~key ~ops crash =
-          (match !recorded with
-          | Some (k, _) when k <> key -> recorded := None
-          | Some _ | None -> ());
-          let pre = lazy (crash ()) in
-          for k = 0 to len - 1 do
-            let s = member k in
-            match s.Scenario.plan with
-            | Executor.Crash_before_flush m when m = n && not served.(k) -> (
-                match (s.Scenario.post_plan, !recorded) with
-                | Executor.Run_to_end, Some (_, rc) ->
-                    serve k ~setup ~inherited ~recovery:(Replay rc)
-                      {
-                        Executor.outcome = Executor.Crashed;
-                        state = rc.result.Executor.state;
-                        ops;
-                        flush_points = n;
-                        crashed_at_op = Some ops;
-                      }
-                | Executor.Run_to_end, None ->
-                    serve k ~setup ~inherited
-                      ~recovery:(Record (fun rc -> recorded := Some (key, rc)))
-                      (Lazy.force pre)
-                | _ -> serve k ~setup ~inherited (Lazy.force pre))
-            | _ -> ()
-          done
-        in
-        match
-          run_phase ~detector:shared ?inherited ~options:opts ~plan:last
-            ~seed:opts.Scenario.seed ~exec_id:pre_exec ~at_flush_point
-            s0.Scenario.pre
-        with
-        | exception _ -> () (* a pre-crash fault: members past it fall back *)
-        | r ->
-            (* A run that completed before reaching its flush point is
-               also every unreached member's run. *)
-            let unfired =
-              r.Executor.outcome = Executor.Completed
-              && last <> Executor.Crash_at_end
+    | setup, inherited ->
+        share ~plan_of:pre_plan members
+          ~run:(fun ~plan ~at_flush_point ->
+            run_phase ~detector:shared ?inherited ~options:opts ~plan
+              ~seed:opts.Scenario.seed ~exec_id:pre_exec ~at_flush_point
+              s0.Scenario.pre)
+          (fun here ~crash next ->
+            let records = [ own_record shared ~id:pre_exec ] in
+            let one_crash, two_crash =
+              List.partition
+                (fun k -> (member k).Scenario.post_plan = Executor.Run_to_end)
+                here
             in
-            for k = 0 to len - 1 do
-              if (not served.(k)) && (unfired || (member k).Scenario.plan = last)
-              then serve k ~setup ~inherited r
-            done)
+            List.iter
+              (fun k ->
+                let first, pre = next () in
+                serve ~first k ~records ~setup ~inherited pre)
+              one_crash;
+            if two_crash <> [] then begin
+              (* A row needs the crash to have fired; a member whose
+                 crash did not fire has no recovery to share. *)
+              let pre = Lazy.force crash in
+              let rows, alone =
+                List.partition
+                  (fun k -> crash_fired ~plan:(pre_plan k) pre)
+                  two_crash
+              in
+              List.iter (fun k -> serve k ~records ~setup ~inherited pre) alone;
+              if rows <> [] then row rows ~setup ~inherited pre
+            end)
   in
   Observe.Span.with_ ~cat:"scenario"
     ~args:
       [
         ("index", string_of_int first);
         ("members", string_of_int len);
-        ("plan", Executor.plan_label last);
+        ("plan", Executor.plan_label (furthest_of pre_plan members));
       ]
     s0.Scenario.label
     (fun () ->

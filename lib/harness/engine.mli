@@ -31,7 +31,8 @@
     hook materializes the crash state with {!Px86.Machine.crash}, as
     that member's own crashing run would, and the member's recovery
     chain runs inline ({!run_member}; the chain code is
-    {!run_scenario}'s).  What members share is read-only: the setup
+    {!run_scenario}'s, and both recoveries of a chain go through one
+    recovery step).  What members share is read-only: the setup
     state (one {!Px86.Crashstate.copy} per chunk), the crash state of
     a flush point (runs never mutate their inherited state), and the
     pre-crash {!Yashme.Exec_record.t}, whose [lastflush]/[cvpre] joins
@@ -41,38 +42,72 @@
     {!run_scenario}; once fail-fast's stop flag is up, unserved members
     are cancelled like queued scenarios.
 
-    {b Reused recoveries.}  Within a chunk, a one-crash member
-    ([post_plan = Run_to_end]) runs its recovery only when its crash
-    state differs from the one the chunk's last recorded recovery
-    started from.  The executor passes the hook a key for the state a
-    crash would leave — the persistence generation
-    ({!Px86.Machine.generation}) and the heap break — and equal keys of
-    one run mean equal crash states.  A recovery that completes is
-    recorded: the detector calls it made ({!Yashme.Detector.log_calls})
-    and its execution, op and flush-point counts.  A later member with
-    the same key skips materializing its crash state and running its
-    recovery: its own detector replays the recorded calls
-    ({!Yashme.Detector.replay}) against the shared pre-crash record, so
-    it keeps its own races, verdicts, counters and {!completed} record.
-    This relies on {!Program.t}'s [post] contract: a recovery depends
-    only on its crash state, program, seed and options.  Only the last
-    key's recording is kept, and it is dropped once the key moves
-    (keys only grow along a run).  Faulted or diverged recoveries
-    record nothing; two-crash members, members served from the shared
-    run's final result and fallback members run their chains.  Each
-    replayed member counts once in [engine/recoveries_reused].
+    {b Shared recovery rows.}  A two-crash member crashes the pre-crash
+    run at [plan], then its first recovery at [post_plan =
+    Crash_before_flush m], and runs a second recovery.  The two-crash
+    members of a chunk that crash the pre-crash run at one point form a
+    {e row}.  Their first recoveries are the same run up to each
+    member's own point, so the row is served the way the chunk's
+    pre-crash run serves its members, one level down: one first
+    recovery runs from the shared crash state (seed + 1, exec id
+    {!post_exec}), planned to crash where the row's furthest member
+    does, with an [at_flush_point] hook and a fresh detector that logs
+    its calls.  That detector adopts no record, so the calls find no
+    pre-crash record: they check and count nothing.  At each member's
+    point, the member adopts the pre-crash record and the row's record,
+    replays the calls the row's recovery made so far (the calls its own
+    first recovery would make, in the same order, against the cleared
+    pre-crash record), takes the hook's materialization as its first
+    recovery's result, and runs its second recovery from that state.
+    The joins its recoveries make are cleared on both records
+    afterwards.  The row's furthest member, and the members beyond a
+    recovery that completed before their point, are served from the
+    run's result.  A member whose point the row's recovery never reaches
+    because it raised, was stopped by a budget or crashed itself falls
+    back to {!run_scenario}.  A chunk boundary splits a row into parts
+    that each run once.
 
-    The chunk size is a constant and reuse never crosses a chunk, so
+    {b Reused recoveries.}  Within a chunk, a member runs a recovery only
+    when its crash state differs from the one the last recorded recovery
+    of the same run started from.  This holds at both levels: for the
+    first recovery of a one-crash member ([post_plan = Run_to_end]),
+    keyed along the pre-crash run, and for the second recovery of a row
+    member, keyed along the row's recovery run.  The executor passes
+    the hook a key for the state a crash would leave — the persistence
+    generation ({!Px86.Machine.generation}) and the heap break — and
+    equal keys of one run mean equal crash states.  A recovery that
+    completes is recorded: the detector calls it made
+    ({!Yashme.Detector.log_calls}) and its execution, op and flush-point
+    counts.  A later member with the same key skips materializing its
+    crash state and running that recovery: its own detector replays the
+    recorded calls ({!Yashme.Detector.replay}) against its own view of
+    the shared records, so it keeps its own races, verdicts, counters
+    and {!completed} record.  This relies on {!Program.t}'s [post]
+    contract: a recovery depends only on its crash state, program, seed
+    and options.  Only the last key's recording of a run is kept, and
+    it is dropped once the key moves (keys only grow along a run);
+    nothing is kept across rows, so a worker holds at most one row run
+    and one recording per level.  Faulted, diverged or self-crashed
+    recoveries record nothing; members served from a run's final result
+    and fallback members run their recoveries.
+    [engine/recoveries_reused] counts a member once if it replayed a
+    recorded recovery; a row member's first recovery, served by the
+    row's run, is not counted there: row sharing shows as fewer
+    [phase/post] runs.
+
+    The chunk size is a constant and sharing never crosses a chunk, so
     every result, counter, coverage and attribution total is the same
     at every [jobs].  Counters of executed work count less: the
-    [executor/pre/*] operation counters, [phase/pre], [px86/snapshot_copies],
-    [px86/crash_materializations] (one per flush point, not per member,
-    and none for a reused recovery), [detector/flush_records], and for
-    reused recoveries the [executor/post/*] counters, [phase/post],
-    [executor/crashes], [executor/ops_per_exec] samples and the
+    [executor/pre/*] operation counters, [phase/pre],
+    [px86/snapshot_copies], [detector/flush_records] (a shared run
+    builds its record once), and for every recovery a row shares or a
+    member replays, the [executor/post/*] counters, [phase/post],
+    [executor/crashes], [executor/ops_per_exec] samples,
+    [px86/crash_materializations] (one per flush point served, not per
+    member, and none for a replayed recovery) and the
     [px86/crash_lines], [px86/fb_applies] and [px86/sb_evictions] work
-    of the recovery.  A member's [wall_s] includes the pre-crash run
-    time its worker spent since the previous member it served.
+    of the recovery.  A member's [wall_s] includes the shared-run time
+    its worker spent since the previous member it served.
 
     {b Fault isolation.}  A misbehaving scenario never poisons the
     batch.  {!run_scenario} sandboxes every phase: an exception raised
@@ -142,8 +177,8 @@ val materialize_setup : options:Scenario.options -> Program.t -> Scenario.setup
 
 (** Run one phase of a scenario.  All pre-crash, recovery and
     crashed-recovery executions go through this single code path,
-    including the budget options and a family's shared pre-crash run
-    ([at_flush_point], see {!Pm_runtime.Executor.run}). *)
+    including the budget options and a family's shared pre-crash and
+    recovery runs ([at_flush_point], see {!Pm_runtime.Executor.run}). *)
 val run_phase :
   ?detector:Yashme.Detector.t ->
   ?observer:Px86.Observer.t ->
@@ -188,8 +223,13 @@ type completed = {
           scenarios: the recovery crash fired too) *)
   diverged : bool;
       (** some phase was terminated by a [max_ops]/[max_wall_s] budget *)
-  executions : int;  (** executor runs, including a re-run setup *)
-  ops : int;  (** memory/flush operations executed across the chain *)
+  executions : int;
+      (** runs of the scenario's chain, including a re-run setup, as if
+          each ran on its own: a phase served by a shared run or a
+          replayed recovery counts although this scenario executed
+          nothing for it *)
+  ops : int;
+      (** memory/flush operations of those runs, counted the same way *)
   flush_points : int;  (** flush points of the pre-crash run *)
   post_flush_points : int option;
       (** flush points of the first recovery run, when it ran — the
@@ -225,19 +265,25 @@ type scenario_result = Completed of completed | Faulted of fault
     (none of their batches forms a family). *)
 val run_scenario : Scenario.t -> scenario_result
 
-(** Serve one family member from a shared pre-crash run: what {!run}
-    does for each member the shared run reaches.  [record] is the
-    shared run's pre-crash {!Yashme.Exec_record.t}, [inherited] the
-    setup state it started from, and [pre] the result the member's own
-    pre-crash phase would have returned (for [Crash_before_flush n],
-    the [at_flush_point] materialization at flush point [n]).  The
-    member's detector reads [record]; the [lastflush]/[cvpre] joins its
-    recovery makes are cleared before this returns, leaving [record]
-    exactly as it was.  For members without a setup run ([No_setup] or
-    [Snapshot]).  Never raises. *)
+(** Serve one family member from shared runs: what {!run} does for
+    each member a shared run reaches.  [records] are the shared runs'
+    {!Yashme.Exec_record.t}s: the pre-crash run's, and for a two-crash
+    member also its row's first recovery's.  [inherited] is the setup
+    state the pre-crash run started from, and [pre] the result the
+    member's own pre-crash phase would have returned (for
+    [Crash_before_flush n], the [at_flush_point] materialization at
+    flush point [n]).  [first], for a member of a row, stands in for
+    its first recovery: the detector calls the row's recovery made up
+    to the member's crash point ({!Yashme.Detector.logged}) and that
+    recovery's materialization there.  The member's detector reads
+    [records]; the [lastflush]/[cvpre] joins its recoveries make are
+    cleared before this returns, leaving each record exactly as it was.
+    For members without a setup run ([No_setup] or [Snapshot]).  Never
+    raises. *)
 val run_member :
-  record:Yashme.Exec_record.t ->
+  records:Yashme.Exec_record.t list ->
   ?inherited:Px86.Crashstate.t ->
+  ?first:Yashme.Detector.call list * Pm_runtime.Executor.result ->
   Scenario.t ->
   Pm_runtime.Executor.result ->
   scenario_result
