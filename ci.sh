@@ -390,6 +390,10 @@ echo "== repository benchmark floors (bench/perf, release profile)"
 # their first recovery and replaying unchanged second recoveries: a
 # build without the second-recovery replay (about 11.8k words per
 # scenario) and one without rows (about 14.1k) both fail its ceiling.
+# All four pairs were re-derived once crash states became shared,
+# line-indexed values: the build before that change (mc-suite 11.66k,
+# recovery-j2 8.50k, soak-read 20.0k, soak-write 25.1k words per
+# scenario) fails every ceiling.
 metric() {  # NAME FILE: one end-to-end metric from perf.exe's result line
   sed -nE "s/.*\"$1\": \{\"value\": ([^,}]*).*/\1/p" "$2"
 }
@@ -411,9 +415,9 @@ perf_gate() {  # WORKLOAD FLOOR_SCENARIOS_PER_S CEILING_WORDS_PER_SCENARIO
     exit 1
   }
 }
-perf_gate mc-suite 6070 12295
-perf_gate recovery-j2 20797 9011
-perf_gate soak-read 5111 21248
-perf_gate soak-write 4015 26653
+perf_gate mc-suite 10430 11079
+perf_gate recovery-j2 28940 7341
+perf_gate soak-read 8632 15440
+perf_gate soak-write 6330 19159
 
 echo "CI OK"

@@ -38,18 +38,12 @@ let preload s ws =
 let absorb s triples =
   List.iter
     (fun (name, sc, res) ->
-      let ex = Witness.of_pairs ~program:name [ (sc, res, Runner.Full) ] in
+      let ex =
+        Witness.of_pairs ~seen:s.sk_seen ~program:name [ (sc, res, Runner.Full) ]
+      in
       s.sk_raw <- s.sk_raw + ex.Witness.raw;
       s.sk_dups <- s.sk_dups + ex.Witness.duplicates;
-      List.iter
-        (fun w ->
-          let id = Witness.identity w in
-          if Hashtbl.mem s.sk_seen id then s.sk_dups <- s.sk_dups + 1
-          else begin
-            Hashtbl.add s.sk_seen id ();
-            s.sk_rev <- w :: s.sk_rev
-          end)
-        ex.Witness.witnesses)
+      s.sk_rev <- List.rev_append ex.Witness.witnesses s.sk_rev)
     triples
 
 let witnesses s = List.rev s.sk_rev

@@ -32,7 +32,8 @@ val preload : sink -> Witness.t list -> unit
 
 (** Absorb one soak round's [(program_name, scenario, result)] triples
     (the {!Pm_harness.Soak.run} [on_batch] feed), extracting witnesses
-    with {!Witness.of_pairs} and folding duplicates. *)
+    with {!Witness.of_pairs} against the sink's identities, so a
+    re-observation renders no summary. *)
 val absorb : sink -> (string * Pm_harness.Scenario.t * Pm_harness.Engine.scenario_result) list -> unit
 
 (** Witnesses in first-observation order. *)

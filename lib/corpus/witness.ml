@@ -34,8 +34,8 @@ type t = {
   summary : string;
 }
 
-let identity w =
-  Printf.sprintf "%s|%s|%s" (kind_label w.kind) w.program w.key
+let identity_of ~kind ~program ~key = String.concat "|" [ kind_label kind; program; key ]
+let identity w = identity_of ~kind:w.kind ~program:w.program ~key:w.key
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)
@@ -119,54 +119,49 @@ let scenario_of ~lookup w =
 
 type extraction = { witnesses : t list; raw : int; duplicates : int }
 
-let of_pairs ~program pairs =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 32 in
+let of_pairs ?(seen = Hashtbl.create 32) ~program pairs =
   let acc = ref [] in
   let raw = ref 0 in
   let dups = ref 0 in
-  let emit w =
+  (* The identity comes first: only a new one renders its summary. *)
+  let emit (s : Scenario.t) kind key summary =
     incr raw;
-    let id = identity w in
+    let id = identity_of ~kind ~program ~key in
     if Hashtbl.mem seen id then incr dups
     else begin
       Hashtbl.add seen id ();
-      acc := w :: !acc
+      acc :=
+        {
+          kind;
+          program;
+          key;
+          plan = s.Scenario.plan;
+          post_plan = s.Scenario.post_plan;
+          options = s.Scenario.options;
+          summary = summary ();
+        }
+        :: !acc
     end
-  in
-  let of_scenario (s : Scenario.t) kind key summary =
-    {
-      kind;
-      program;
-      key;
-      plan = s.Scenario.plan;
-      post_plan = s.Scenario.post_plan;
-      options = s.Scenario.options;
-      summary;
-    }
   in
   let races s rs =
     List.iter
       (fun (r : Yashme.Race.t) ->
-        emit
-          (of_scenario s Race (Yashme.Race.dedup_key r) (Yashme.Race.to_string r)))
+        emit s Race (Yashme.Race.dedup_key r) (fun () -> Yashme.Race.to_string r))
       rs
   in
   let consistencies (s : Scenario.t) (c : Engine.completed) =
     List.iter
       (fun (k, d) ->
-        let f =
-          {
-            Finding.c_label = c.Engine.label;
-            c_key = k;
-            c_detail = d;
-            c_plan = Executor.plan_label s.Scenario.plan;
-            c_post_plan = Executor.plan_label s.Scenario.post_plan;
-            c_seed = s.Scenario.options.Scenario.seed;
-          }
-        in
-        emit
-          (of_scenario s Consistency_violation k
-             (Finding.consistency_to_string f)))
+        emit s Consistency_violation k (fun () ->
+            Finding.consistency_to_string
+              {
+                Finding.c_label = c.Engine.label;
+                c_key = k;
+                c_detail = d;
+                c_plan = Executor.plan_label s.Scenario.plan;
+                c_post_plan = Executor.plan_label s.Scenario.post_plan;
+                c_seed = s.Scenario.options.Scenario.seed;
+              }))
       c.Engine.violations
   in
   List.iter
@@ -183,10 +178,9 @@ let of_pairs ~program pairs =
           | Runner.Full -> races s f.Engine.f_races
           | Runner.Faults_only -> ());
           if Finding.is_recovery_failure f.Engine.f_info then
-            emit
-              (of_scenario s Recovery_failure
-                 (Finding.recovery_failure_key f.Engine.f_info)
-                 (Finding.to_string f.Engine.f_info))
+            emit s Recovery_failure
+              (Finding.recovery_failure_key f.Engine.f_info)
+              (fun () -> Finding.to_string f.Engine.f_info)
       | Engine.Completed _, Runner.Faults_only -> ())
     pairs;
   { witnesses = List.rev !acc; raw = !raw; duplicates = !dups }

@@ -90,8 +90,14 @@ type extraction = {
     pairs.  [Full] pairs contribute race observations (and, for faulted
     scenarios, the recovery-failure fault); [Faults_only] pairs
     contribute only the fault — mirroring exactly what the report
-    kept. *)
+    kept.
+
+    [seen] holds the {!identity} of every witness already emitted
+    (default: none); an observation with one of them counts as a
+    duplicate, and each new identity is added.  A summary is rendered
+    only for a new identity. *)
 val of_pairs :
+  ?seen:(string, unit) Hashtbl.t ->
   program:string ->
   (Scenario.t * Engine.scenario_result * Runner.evidence) list ->
   extraction

@@ -1,52 +1,59 @@
+module Imap = Map.Make (Int)
+
 type origin = { store : Event.store; exec_id : int }
+
+type index = {
+  lines : origin array Imap.t;  (* line -> its byte writers, [none] if unwritten *)
+  cands : origin list Imap.t;  (* [key addr size] -> candidates, oldest first *)
+  written : int;  (* bytes with a writer *)
+  keys : int;  (* bindings of [cands] *)
+}
 
 type t = {
   exec_id : int;
   image : Memimage.t;
-  origins : (Addr.t, origin) Hashtbl.t;
-  cands : (Addr.t * int, origin list) Hashtbl.t;
+  index : index;
   mutable heap_break : int;
 }
+
+(* The writer of a never-written byte, compared physically and never
+   returned. *)
+let none =
+  {
+    store =
+      { Event.seq = -1; tid = -1; lclk = 0; cv = Yashme_util.Clockvec.empty; addr = -1;
+        size = 0; value = 0L; access = Access.Plain; nt = false; label = None };
+    exec_id = min_int;
+  }
+
+(* Stands for every line absent from the index; never written. *)
+let unwritten_line = Array.make Addr.line_size none
+
+let key addr size = (addr lsl 4) lor size
 
 let boot () =
   {
     exec_id = -1;
     image = Memimage.create ();
-    origins = Hashtbl.create 64;
-    cands = Hashtbl.create 64;
+    index = { lines = Imap.empty; cands = Imap.empty; written = 0; keys = 0 };
     heap_break = Addr.line_size (* keep line 0 for runtime metadata *);
   }
+
+let set_heap_break t hb = t.heap_break <- hb
 
 let ct_copy = Observe.Metrics.center ~units:"bytes" "px86/snapshot_copy"
 let m_copies = Observe.Metrics.counter "px86/snapshot_copies"
 let m_bytes = Observe.Metrics.counter "px86/snapshot_bytes"
 
-(* Size of what [copy] duplicates: the image's backing bytes plus a
-   fixed per-entry charge for the two index tables.  Both are
-   deterministic functions of the committed store history, so the
-   charge is jobs-invariant.  The 16-byte entry charge is nominal
-   (word-sized key + pointer), not a measured heap layout: the point is
-   a stable, comparable magnitude, not allocator truth. *)
-let copy_cost t =
-  Memimage.footprint t.image
-  + (16 * (Hashtbl.length t.origins + Hashtbl.length t.cands))
+(* The 16-byte charges are nominal (word-sized key + pointer), not a
+   measured heap layout: the point is a stable, comparable magnitude,
+   deterministic in the committed store history and so jobs-invariant. *)
+let copy_cost t = Memimage.footprint t.image + (16 * (t.index.written + t.index.keys))
 
-(* The [Event.store] records reachable through [origins]/[cands] are
-   frozen once committed (their [seq] is assigned at cache commit, before
-   they can enter a crash state), so sharing them between the copy and
-   the original is safe even across domains. *)
 let copy t =
   let observing = Observe.Metrics.is_enabled () in
   let t0 = if observing then Observe.Trace.now_us () else 0 in
-  let c =
-    {
-      exec_id = t.exec_id;
-      image = Memimage.copy t.image;
-      origins = Hashtbl.copy t.origins;
-      cands = Hashtbl.copy t.cands;
-      heap_break = t.heap_break;
-    }
-  in
+  let c = { t with image = Memimage.copy t.image } in
   if observing then begin
     let bytes = copy_cost t in
     Observe.Metrics.incr m_copies;
@@ -56,38 +63,114 @@ let copy t =
   end;
   c
 
-(* Newest writer among the bytes [addr + i .. addr + size - 1] and
-   whether they mix writers; [best] is reused while it stays newest. *)
-let rec scan_origins t ~addr ~size i best torn =
-  if i >= size then match best with None -> None | Some o -> Some (o, torn)
-  else
-    match Hashtbl.find t.origins (addr + i) with
-    | exception Not_found -> scan_origins t ~addr ~size (i + 1) best torn
-    | o -> (
-        match best with
-        | None -> scan_origins t ~addr ~size (i + 1) (Some o) torn
-        | Some b ->
-            let torn = torn || b.store != o.store in
-            let best = if o.store.Event.seq > b.store.Event.seq then Some o else best in
-            scan_origins t ~addr ~size (i + 1) best torn)
+let line_writers t line =
+  match Imap.find line t.index.lines with w -> w | exception Not_found -> unwritten_line
 
-let find_origin t ~addr ~size = scan_origins t ~addr ~size 0 None false
+(* Exec ids rise along a crash chain; [seq] restarts in each execution. *)
+let newer (a : origin) (b : origin) =
+  a.exec_id > b.exec_id || (a.exec_id = b.exec_id && a.store.Event.seq > b.store.Event.seq)
 
-let rec has_seq seq = function
+let find_origin t ~addr ~size =
+  let writers = ref (line_writers t (Addr.line addr)) in
+  let best = ref none and torn = ref false in
+  for b = addr to addr + size - 1 do
+    let i = b land (Addr.line_size - 1) in
+    if i = 0 && b > addr then writers := line_writers t (Addr.line b);
+    let o = !writers.(i) in
+    if o != none then
+      if !best == none then best := o
+      else if o.store != !best.store then begin
+        torn := true;
+        if newer o !best then best := o
+      end
+  done;
+  if !best == none then None else Some (!best, !torn)
+
+let rec has_store s = function
   | [] -> false
-  | o :: rest -> o.store.Event.seq = seq || has_seq seq rest
+  | (o : origin) :: rest -> o.store == s || has_store s rest
+
+let oldest_first a b = if newer a b then 1 else if newer b a then -1 else 0
 
 let find_candidates t ~addr ~size =
-  match Hashtbl.find t.cands (addr, size) with
+  match Imap.find (key addr size) t.index.cands with
   | cs -> cs
   | exception Not_found ->
-      (* Distinct byte origins, oldest first.  At most [size] (<= 8) of
+      (* Distinct byte writers, oldest first.  At most [size] (<= 8) of
          them, so a list membership test beats a table. *)
-      let acc = ref [] in
-      for i = 0 to size - 1 do
-        match Hashtbl.find t.origins (addr + i) with
-        | exception Not_found -> ()
-        | o ->
-            if not (has_seq o.store.Event.seq !acc) then acc := o :: !acc
+      let writers = ref (line_writers t (Addr.line addr)) and acc = ref [] in
+      for b = addr to addr + size - 1 do
+        let i = b land (Addr.line_size - 1) in
+        if i = 0 && b > addr then writers := line_writers t (Addr.line b);
+        let o = !writers.(i) in
+        if o != none && not (has_store o.store !acc) then acc := o :: !acc
       done;
-      List.sort (fun a b -> compare a.store.Event.seq b.store.Event.seq) !acc
+      List.sort oldest_first !acc
+
+let derive parent ~exec_id pers ~persisted =
+  let image = Memimage.copy parent.image in
+  let ix = parent.index in
+  (* The line arrays this crash writes: copies of the parent's, made at
+     the first write to each line. *)
+  let owned = ref Imap.empty and written = ref ix.written in
+  let own line =
+    match Imap.find line !owned with
+    | w -> w
+    | exception Not_found ->
+        let w = Array.copy (line_writers parent line) in
+        owned := Imap.add line w !owned;
+        w
+  in
+  let fresh = ref Imap.empty in
+  Persistence.iter_committed pers (fun (s : Event.store) ->
+      let addr = s.Event.addr and size = s.Event.size in
+      if persisted s then begin
+        Memimage.write image ~addr ~size ~value:s.Event.value;
+        let o = { store = s; exec_id } in
+        let w = ref (own (Addr.line addr)) in
+        for b = addr to addr + size - 1 do
+          let i = b land (Addr.line_size - 1) in
+          if i = 0 && b > addr then w := own (Addr.line b);
+          if !w.(i) == none then incr written;
+          !w.(i) <- o
+        done
+      end;
+      let k = key addr size in
+      if not (Imap.mem k !fresh) then begin
+        let this_exec =
+          List.map (fun s -> { store = s; exec_id }) (Persistence.candidates pers ~addr ~size)
+        in
+        let lb = Persistence.cut_lb pers (Addr.line addr) in
+        let merged =
+          if Persistence.latest_at_or_below pers ~addr ~size ~cut:lb <> None then this_exec
+          else find_candidates parent ~addr ~size @ this_exec
+        in
+        fresh := Imap.add k merged !fresh
+      end);
+  let added = Imap.fold (fun k _ n -> if Imap.mem k ix.cands then n else n + 1) !fresh 0 in
+  let take_new _ x _ = Some x in
+  {
+    exec_id;
+    image;
+    index =
+      {
+        lines = Imap.union take_new !owned ix.lines;
+        cands = Imap.union take_new !fresh ix.cands;
+        written = !written;
+        keys = ix.keys + added;
+      };
+    heap_break = parent.heap_break;
+  }
+
+let fold_origins f t acc =
+  Imap.fold
+    (fun line w acc ->
+      let acc = ref acc in
+      Array.iteri
+        (fun i o -> if o != none then acc := f ((line * Addr.line_size) + i) o !acc)
+        w;
+      !acc)
+    t.index.lines acc
+
+let fold_candidates f t acc =
+  Imap.fold (fun k cs acc -> f ~addr:(k lsr 4) ~size:(k land 15) cs acc) t.index.cands acc

@@ -2,48 +2,96 @@
     post-crash successor.
 
     A crash materializes, per cache line, one *cut* of the committed
-    store sequence (chosen by a {!cut_strategy}) into a concrete byte
-    image that drives post-crash control flow.  Independently of the
-    materialized cut, the state records for every stored-to location the
-    full set of {e candidate} stores a post-crash load could have read —
-    the detector checks all of them for persistency races, which is how
-    Yashme piggybacks on Jaaru's constraint-based execution enumeration
-    (paper, section 6, Implementation). *)
+    store sequence (chosen by the machine's cut strategy) into a
+    concrete byte image that drives post-crash control flow.
+    Independently of the materialized cut, the state records for every
+    stored-to location the full set of {e candidate} stores a post-crash
+    load could have read — the detector checks all of them for
+    persistency races, which is how Yashme piggybacks on Jaaru's
+    constraint-based execution enumeration (paper, section 6,
+    Implementation).
+
+    {2 Representation}
+
+    Besides the byte image, a state holds an immutable, line-indexed
+    {!index}:
+    - each cache line's 64 byte writers live in one array, and the
+      arrays live in an immutable map keyed by line number;
+    - candidate lists live in an immutable map keyed by
+      [addr lsl 4 lor size].
+
+    A state derived by a crash ({!derive}) shares its parent's index:
+    it copies only the line arrays its run persisted into and adds only
+    the keys its run stored to.  A line array is never written after
+    the state that owns it is returned, so states are shared read-only
+    across domains.  A load probes one map entry per line it touches. *)
 
 type origin = { store : Event.store; exec_id : int }
 
-type t = {
+(** The byte writers and candidate lists.  Immutable once its state is
+    returned. *)
+type index
+
+type t = private {
   exec_id : int;  (** execution that produced this state; -1 for boot *)
   image : Memimage.t;
-  origins : (Addr.t, origin) Hashtbl.t;  (** byte address -> writer *)
-  cands : (Addr.t * int, origin list) Hashtbl.t;
-      (** (addr, size) -> candidate stores, oldest first *)
+  index : index;
   mutable heap_break : int;  (** allocator high-water mark, persisted *)
 }
 
 (** The pristine pre-boot state: zero image, no origins. *)
 val boot : unit -> t
 
+(** [derive parent ~exec_id pers ~persisted] is the state a crash of
+    execution [exec_id], seeded from [parent], leaves behind: [parent]'s
+    image and index with every committed store of [pers] for which
+    [persisted] holds written over them in commit order, and one
+    candidate list per [(addr, size)] the execution stored to.  A
+    location whose line holds a durable covering store lists only this
+    execution's candidates; otherwise [parent]'s candidates come first.
+    [parent] is left unchanged.  The heap break is [parent]'s. *)
+val derive :
+  t -> exec_id:int -> Persistence.t -> persisted:(Event.store -> bool) -> t
+
+val set_heap_break : t -> int -> unit
+
 (** A snapshot that shares no mutable structure with [t]: the byte image
-    and both index tables are duplicated, so executions seeded from the
-    copy (possibly on another domain) can never mutate the original.
-    The immutable committed [Event.store] records are shared.
+    and the record are duplicated, so executions seeded from the copy
+    (possibly on another domain) can never mutate the original.  The
+    index is immutable and shared, as are the committed [Event.store]
+    records it reaches.
 
     Instrumented: when metrics or attribution are enabled, each copy
     charges {!copy_cost} bytes to the [px86/snapshot_copy] cost center
     and the [px86/snapshot_copies]/[px86/snapshot_bytes] counters. *)
 val copy : t -> t
 
-(** Bytes {!copy} duplicates: image backing bytes plus a nominal
-    16-byte charge per index-table entry.  Deterministic for a given
-    store history, hence jobs-invariant. *)
+(** Nominal bytes of a state: image backing bytes plus 16 per written
+    byte and 16 per candidate key.  The 16-byte charges are a stable
+    magnitude (a word-sized key and a pointer), not the index's heap
+    layout, and {!copy} no longer duplicates the index; the figure is
+    kept so snapshot counters stay comparable across versions.
+    Deterministic for a given store history, hence jobs-invariant. *)
 val copy_cost : t -> int
 
 (** Origin of a load of [[addr, addr+size)]: the newest writer among the
     bytes' origins, and whether the bytes mix several writers (a torn
-    read). [None] when no byte was ever written. *)
+    read).  Writers rank by execution id, then by commit order: ids rise
+    along a crash chain ({!Machine.create} checks), and [Event.seq]
+    restarts in every execution.  [None] when no byte was ever written;
+    that answer allocates nothing. *)
 val find_origin : t -> addr:Addr.t -> size:int -> (origin * bool) option
 
-(** Candidate stores for a load; falls back to the byte origins when no
-    exact (addr, size) entry exists. *)
+(** Candidate stores for a load, oldest first; falls back to the
+    distinct byte writers (by store identity, ranked as in
+    {!find_origin}) when no exact (addr, size) entry exists. *)
 val find_candidates : t -> addr:Addr.t -> size:int -> origin list
+
+(** [fold_origins f t acc] folds [f] over every written byte's address
+    and writer, in address order. *)
+val fold_origins : (Addr.t -> origin -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** [fold_candidates f t acc] folds [f] over every candidate key and its
+    list, in (addr, size) order. *)
+val fold_candidates :
+  (addr:Addr.t -> size:int -> origin list -> 'a -> 'a) -> t -> 'a -> 'a

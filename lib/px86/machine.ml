@@ -71,6 +71,9 @@ type read_source =
 
 let create ?inherited ~exec_id cfg =
   let inherited = match inherited with Some c -> c | None -> Crashstate.boot () in
+  (* Crash states rank byte writers by execution id (Crashstate.newer). *)
+  if exec_id <= inherited.Crashstate.exec_id then
+    invalid_arg "Machine.create: exec_id must exceed the inherited state's";
   {
     cfg;
     exec_id;
@@ -429,58 +432,15 @@ let crash t ~strategy =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
   (* Store-buffer contents are volatile and vanish: do NOT drain.  The
-     machine never writes the inherited image (stores go to [cache]), so
-     it is still the pristine pre-run state. *)
-  let image = Memimage.copy t.inherited.Crashstate.image in
-  let origins : (Addr.t, Crashstate.origin) Hashtbl.t =
-    Hashtbl.copy t.inherited.Crashstate.origins
-  in
-  let cands : (Addr.t * int, Crashstate.origin list) Hashtbl.t =
-    Hashtbl.copy t.inherited.Crashstate.cands
-  in
+     machine never writes the inherited state (stores go to [cache]), so
+     it is still the pristine pre-run state.  A store straddling two
+     lines persists with the cut of its first byte's line. *)
   let cuts = Hashtbl.create 16 in
   List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line)) lines;
-  (* Replay persisted stores in commit order to materialize the image.  A
-     store straddling two lines persists with the cut of its first byte's
-     line.  Also collect every (addr, size) stored to. *)
-  let keys : (Addr.t * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Persistence.iter_committed t.pers (fun (s : Event.store) ->
-      if
-        s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
-        || Persistence.is_durable_nt t.pers s
-      then begin
-        Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
-        let origin = { Crashstate.store = s; exec_id = t.exec_id } in
-        for i = 0 to s.Event.size - 1 do
-          Hashtbl.replace origins (s.Event.addr + i) origin
-        done
-      end;
-      Hashtbl.replace keys (s.Event.addr, s.Event.size) ());
-  (* Candidate sets, one per (addr, size) stored to. *)
-  Hashtbl.iter
-    (fun (addr, size) () ->
-      let this_exec =
-        Persistence.candidates t.pers ~addr ~size
-        |> List.map (fun s -> { Crashstate.store = s; exec_id = t.exec_id })
-      in
-      let lb = Persistence.cut_lb t.pers (Addr.line addr) in
-      let has_durable_base =
-        Persistence.latest_at_or_below t.pers ~addr ~size ~cut:lb <> None
-      in
-      let merged =
-        if has_durable_base then this_exec
-        else Crashstate.find_candidates t.inherited ~addr ~size @ this_exec
-      in
-      Hashtbl.replace cands (addr, size) merged)
-    keys;
   let cs =
-    {
-      Crashstate.exec_id = t.exec_id;
-      image;
-      origins;
-      cands;
-      heap_break = t.inherited.Crashstate.heap_break;
-    }
+    Crashstate.derive t.inherited ~exec_id:t.exec_id t.pers ~persisted:(fun s ->
+        s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
+        || Persistence.is_durable_nt t.pers s)
   in
   (match span_t0 with
   | Some ts ->

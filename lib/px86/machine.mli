@@ -42,6 +42,9 @@ type read_source =
           could have read (the detector checks all of them) *)
   | From_init  (** never-written memory (reads as zero) *)
 
+(** [exec_id] must exceed [inherited]'s ([Invalid_argument] otherwise):
+    a crash state ranks its byte writers by execution id, so ids rise
+    along a crash chain. *)
 val create : ?inherited:Crashstate.t -> exec_id:int -> config -> t
 
 val exec_id : t -> int

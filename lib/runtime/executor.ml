@@ -407,7 +407,7 @@ let rec teardown_threads st =
 let crash_here st =
   Metrics.incr m_crashes;
   let cs = Machine.crash st.machine ~strategy:st.cut in
-  cs.Px86.Crashstate.heap_break <- st.heap_break;
+  Px86.Crashstate.set_heap_break cs st.heap_break;
   cs
 
 let do_crash st =
@@ -584,7 +584,7 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
          as a crash cut (buffers lost), but report [Diverged] so the
          harness never mistakes this for a planned crash. *)
       let cs = Machine.crash machine ~strategy:cut in
-      cs.Px86.Crashstate.heap_break <- st.heap_break;
+      Px86.Crashstate.set_heap_break cs st.heap_break;
       (cs, Diverged)
     end
     else
@@ -597,7 +597,7 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
             | Run_to_end | Crash_before_op _ | Crash_before_flush _ ->
                 Machine.shutdown machine
           in
-          cs.Px86.Crashstate.heap_break <- st.heap_break;
+          Px86.Crashstate.set_heap_break cs st.heap_break;
           (cs, Completed)
   in
   Metrics.observe h_ops st.ops;

@@ -292,9 +292,9 @@ let test_key_stands_for_state () =
     ignore (run ~at_flush_point)
   in
   let holds (st : Px86.Crashstate.t) exec =
-    Hashtbl.fold
+    Px86.Crashstate.fold_origins
       (fun _ (o : Px86.Crashstate.origin) found -> found || o.Px86.Crashstate.exec_id = exec)
-      st.Px86.Crashstate.origins false
+      st false
   in
   List.iter
     (fun (p : Program.t) ->

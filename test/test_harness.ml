@@ -39,6 +39,28 @@ let test_model_check_toy () =
   Alcotest.(check (list string)) "only the racy field" [ "racy" ]
     (List.map (fun (f : Report.finding) -> f.Report.label) (Report.real r))
 
+(* A torn post-crash read spanning two executions.  Setup's [wide]
+   commits after 50 other stores (a high seq); pre's unflushed [half]
+   overwrites its upper bytes as pre's first store (seq 1).  The load
+   reads [half]'s bytes, so [half] is the store it races with. *)
+let torn_across_executions =
+  Program.make ~name:"torn-across-executions"
+    ~setup:(fun () ->
+      let a = Pmem.alloc ~align:64 64 in
+      for i = 1 to 50 do
+        Pmem.store (a + 16) (Int64.of_int i)
+      done;
+      Pmem.store ~label:"wide" a 1L;
+      Pmem.set_root 0 a)
+    ~pre:(fun () -> Pmem.store ~label:"half" ~size:4 (Pmem.get_root 0 + 4) 2L)
+    ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+    ()
+
+let test_torn_read_across_executions () =
+  Alcotest.(check (list string)) "the race is on half" [ "half" ]
+    (List.map (fun (f : Report.finding) -> f.Report.label)
+       (Report.real (Runner.model_check torn_across_executions)))
+
 let test_run_once_no_crash_no_post () =
   (* A targeted plan beyond the program's flush points never fires: no
      crash, no recovery, no races. *)
@@ -327,6 +349,8 @@ let () =
         [
           Alcotest.test_case "count flush points" `Quick test_count_flush_points;
           Alcotest.test_case "model check toy" `Quick test_model_check_toy;
+          Alcotest.test_case "torn read across executions" `Quick
+            test_torn_read_across_executions;
           Alcotest.test_case "plan misses -> no post" `Quick test_run_once_no_crash_no_post;
           Alcotest.test_case "random mode" `Quick test_random_mode_runs;
           Alcotest.test_case "random deterministic" `Quick test_random_mode_deterministic;

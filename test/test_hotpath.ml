@@ -3,9 +3,10 @@
 
    Each allocation-free structure of the px86 layer (the array-backed
    store buffer, the [Bytes]-accessor memory image, the in-place
-   persistence history, the commit-log crash materialization and the
-   lazily materialized thread clocks) is compared on random inputs with
-   a list- or byte-loop model written the obvious way.  The allocation
+   persistence history, the commit-log crash materialization into a
+   shared, line-indexed crash state and the lazily materialized thread
+   clocks) is compared on random inputs with a list-, byte-loop or
+   hash-table model written the obvious way.  The allocation
    tests then bound the minor words of the hottest operations, so that a
    per-operation copy -- such as rebuilding a line's store history on
    every load -- fails here instead of hiding in a benchmark. *)
@@ -235,10 +236,48 @@ let prop_persistence_history =
 (* ------------------------------------------------------------------ *)
 (* Crash materialization vs. the per-line replay                        *)
 
+(* The crash state written with hash tables: one writer per byte
+   address and one candidate list per (addr, size), each crash copying
+   both tables whole. *)
+type ref_state = {
+  r_image : Memimage.t;
+  r_origins : (Addr.t, Crashstate.origin) Hashtbl.t;
+  r_cands : (Addr.t * int, Crashstate.origin list) Hashtbl.t;
+}
+
+let ref_boot () =
+  { r_image = Memimage.create (); r_origins = Hashtbl.create 64; r_cands = Hashtbl.create 64 }
+
+(* Writers rank by execution, then by commit order. *)
+let origin_key (o : Crashstate.origin) = (o.Crashstate.exec_id, o.Crashstate.store.Event.seq)
+
+let ref_writers r ~addr ~size =
+  List.filter_map (fun i -> Hashtbl.find_opt r.r_origins (addr + i)) (List.init size Fun.id)
+
+let ref_find_origin r ~addr ~size =
+  match ref_writers r ~addr ~size with
+  | [] -> None
+  | w :: ws ->
+      let newest = List.fold_left (fun b o -> if origin_key o > origin_key b then o else b) w ws in
+      Some
+        (newest, List.exists (fun (o : Crashstate.origin) -> o.Crashstate.store != w.Crashstate.store) ws)
+
+let ref_find_candidates r ~addr ~size =
+  match Hashtbl.find_opt r.r_cands (addr, size) with
+  | Some cs -> cs
+  | None ->
+      List.fold_left
+        (fun acc (o : Crashstate.origin) ->
+          if List.exists (fun (x : Crashstate.origin) -> x.Crashstate.store == o.Crashstate.store) acc
+          then acc
+          else o :: acc)
+        [] (ref_writers r ~addr ~size)
+      |> List.sort (fun a b -> compare (origin_key a) (origin_key b))
+
 (* The materialization written per line: each line's cut, every store
    persisted by its first byte's line, replayed after a sort by seq, and
    one candidate set per (addr, size) stored to. *)
-let ref_crash m ~(inherited : Crashstate.t) ~exec_id ~strategy =
+let ref_crash m ~(inherited : ref_state) ~exec_id ~strategy =
   let pers = Machine.persistence m in
   let lines = Persistence.lines pers in
   let line_cut line =
@@ -252,9 +291,9 @@ let ref_crash m ~(inherited : Crashstate.t) ~exec_id ~strategy =
     | Machine.Cut_random rng -> Rng.pick rng (lb :: List.map (fun (s : Event.store) -> s.Event.seq) later)
   in
   let cuts = List.map (fun line -> (line, line_cut line)) lines in
-  let image = Memimage.copy inherited.Crashstate.image in
-  let origins = Hashtbl.copy inherited.Crashstate.origins in
-  let cands = Hashtbl.copy inherited.Crashstate.cands in
+  let image = Memimage.copy inherited.r_image in
+  let origins = Hashtbl.copy inherited.r_origins in
+  let cands = Hashtbl.copy inherited.r_cands in
   let mine line =
     List.filter
       (fun (s : Event.store) -> Addr.line s.Event.addr = line)
@@ -286,28 +325,47 @@ let ref_crash m ~(inherited : Crashstate.t) ~exec_id ~strategy =
           in
           Hashtbl.replace cands (addr, size)
             (if base <> None then this_exec
-             else Crashstate.find_candidates inherited ~addr ~size @ this_exec))
+             else ref_find_candidates inherited ~addr ~size @ this_exec))
         (mine line))
     lines;
-  (image, origins, cands)
+  { r_image = image; r_origins = origins; r_cands = cands }
 
-let origin_key (o : Crashstate.origin) = (o.Crashstate.exec_id, o.Crashstate.store.Event.seq)
+(* Every address a program below can touch, at every load size. *)
+let queries = List.concat_map (fun addr -> List.map (fun size -> (addr, size)) [ 1; 2; 4; 8 ]) (List.init 330 Fun.id)
+
+let answers find_origin find_candidates =
+  List.map
+    (fun (addr, size) ->
+      ( Option.map (fun (o, torn) -> (origin_key o, torn)) (find_origin ~addr ~size),
+        List.map origin_key (find_candidates ~addr ~size) ))
+    queries
+
+(* What a state shows through its read-only interface: its writers and
+   candidate keys by fold, and every load's origin and candidates. *)
+let view (cs : Crashstate.t) =
+  ( Crashstate.fold_origins (fun a o acc -> (a, origin_key o) :: acc) cs [],
+    Crashstate.fold_candidates (fun ~addr ~size cs acc -> ((addr, size), List.map origin_key cs) :: acc) cs [],
+    answers (Crashstate.find_origin cs) (Crashstate.find_candidates cs) )
 
 let sorted_bindings tbl f =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl [])
 
-let same_state (image, origins, cands) (cs : Crashstate.t) =
-  let n = max (Memimage.extent image) (Memimage.extent cs.Crashstate.image) in
-  Memimage.extent image = Memimage.extent cs.Crashstate.image
+let same_state r (cs : Crashstate.t) =
+  let origins, cands, loads = view cs in
+  let n = max (Memimage.extent r.r_image) (Memimage.extent cs.Crashstate.image) in
+  Memimage.extent r.r_image = Memimage.extent cs.Crashstate.image
   && List.for_all
-       (fun a -> Memimage.read image ~addr:a ~size:1 = Memimage.read cs.Crashstate.image ~addr:a ~size:1)
+       (fun a -> Memimage.read r.r_image ~addr:a ~size:1 = Memimage.read cs.Crashstate.image ~addr:a ~size:1)
        (List.init n Fun.id)
-  && sorted_bindings origins origin_key = sorted_bindings cs.Crashstate.origins origin_key
-  && sorted_bindings cands (List.map origin_key)
-     = sorted_bindings cs.Crashstate.cands (List.map origin_key)
+  && sorted_bindings r.r_origins origin_key = List.sort compare origins
+  && sorted_bindings r.r_cands (List.map origin_key) = List.sort compare cands
+  && answers (ref_find_origin r) (ref_find_candidates r) = loads
+  && Crashstate.copy_cost cs
+     = Memimage.footprint r.r_image + (16 * (Hashtbl.length r.r_origins + Hashtbl.length r.r_cands))
 
 type mop =
   | St of int * int * int * bool  (* tid, slot, size, release *)
+  | Nt of int * int * int  (* tid, slot, size: a movnt store *)
   | Ld of int * int * bool  (* tid, slot, acquire *)
   | Clwb of int * int
   | Clflush of int * int
@@ -325,6 +383,7 @@ let mop_gen =
       [
         (5, map (fun (((t, s), sz), r) -> St (t, s, sz, r))
              (pair (pair (pair tid slot) (oneofl [ 1; 2; 4; 8 ])) (map (fun n -> n = 0) (int_bound 4))));
+        (1, map (fun ((t, s), sz) -> Nt (t, s, sz)) (pair (pair tid slot) (oneofl [ 4; 8 ])));
         (4, map (fun ((t, s), a) -> Ld (t, s, a)) (pair (pair tid slot) bool));
         (2, map2 (fun t s -> Clwb (t, s)) tid slot);
         (1, map2 (fun t s -> Clflush (t, s)) tid slot);
@@ -341,6 +400,9 @@ let run_mops m mops =
           Machine.store m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
             ~access:(if release then Access.Atomic Access.Release else Access.Plain)
             ~label:None
+      | Nt (tid, slot, size) ->
+          Machine.store ~nt:true m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
+            ~access:Access.Plain ~label:None
       | Ld (tid, slot, acquire) ->
           ignore
             (Machine.load m ~tid ~addr:(slot_addr slot) ~size:8
@@ -367,30 +429,65 @@ let copy_strategy = function
   | Machine.Cut_random rng -> Machine.Cut_random (Rng.copy rng)
   | s -> s
 
+(* Three programs, a seed, a first cut strategy and a variant: the links
+   of a crash chain boot -> 1 -> 2 -> 3. *)
+let chain_arb =
+  QCheck.make
+    QCheck.Gen.(
+      pair
+        (triple (list_size (int_bound 40) mop_gen) (list_size (int_bound 40) mop_gen)
+           (list_size (int_bound 40) mop_gen))
+        (triple (int_bound 10_000) (int_bound 2) (int_bound (List.length Variant.builtins - 1))))
+
+let chain_machine ~seed ~v ?inherited exec_id =
+  let _, variant, _ = List.nth Variant.builtins v in
+  Machine.create ?inherited ~exec_id
+    { Machine.sb_policy = Machine.Random_drain 0.4; variant; rng = Rng.create (seed + exec_id);
+      observer = Observer.nop }
+
+(* Each link runs its program from the previous link's state, then
+   crashes with a strategy that rotates along the chain. *)
+let link_strategy ~seed ~k exec_id = strategy_of ((k + exec_id) mod 3) (seed + exec_id)
+
 let prop_crash_matches_reference =
-  QCheck.Test.make ~name:"crash materialization = per-line replay" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (pair (list_size (int_bound 40) mop_gen) (list_size (int_bound 40) mop_gen))
-           (triple (int_bound 10_000) (int_bound 2) (int_bound (List.length Variant.builtins - 1)))))
-    (fun ((first, second), (seed, k, v)) ->
-      let _, variant, _ = List.nth Variant.builtins v in
-      let machine ?inherited exec_id =
-        Machine.create ?inherited ~exec_id
-          { Machine.sb_policy = Machine.Random_drain 0.4; variant; rng = Rng.create (seed + exec_id);
-            observer = Observer.nop }
+  QCheck.Test.make ~name:"crash materialization = per-line replay, 3-state chains" ~count:150
+    chain_arb
+    (fun ((p1, p2, p3), (seed, k, v)) ->
+      let link (ok, cs, r) (exec_id, mops) =
+        let m = chain_machine ~seed ~v ~inherited:cs exec_id in
+        run_mops m mops;
+        let strategy = link_strategy ~seed ~k exec_id in
+        let expected = ref_crash m ~inherited:r ~exec_id ~strategy:(copy_strategy strategy) in
+        let crashed = Machine.crash m ~strategy in
+        let ok = ok && same_state expected crashed in
+        (* a clean shutdown drains and flushes, then persists every line *)
+        let shut = Machine.shutdown m in
+        ( ok && same_state (ref_crash m ~inherited:r ~exec_id ~strategy:Machine.Cut_all) shut,
+          crashed,
+          expected )
       in
-      let m1 = machine 1 in
-      run_mops m1 first;
-      let inherited = Machine.crash m1 ~strategy:(strategy_of k seed) in
-      let m2 = machine ~inherited 2 in
-      run_mops m2 second;
-      let strategy = strategy_of ((k + 1) mod 3) (seed + 1) in
-      let expected = ref_crash m2 ~inherited ~exec_id:2 ~strategy:(copy_strategy strategy) in
-      same_state expected (Machine.crash m2 ~strategy)
-      && same_state (ref_crash m2 ~inherited ~exec_id:2 ~strategy:Machine.Cut_all)
-           (Machine.shutdown m2))
+      let ok, _, _ =
+        List.fold_left link (true, Crashstate.boot (), ref_boot ()) [ (1, p1); (2, p2); (3, p3) ]
+      in
+      ok)
+
+(* A derived state shares its parent's index, so deriving must never
+   write what an ancestor can still read. *)
+let prop_derive_leaves_ancestors =
+  QCheck.Test.make ~name:"deriving a state leaves its ancestors' answers unchanged" ~count:150
+    chain_arb
+    (fun ((p1, p2, p3), (seed, k, v)) ->
+      let crash_from inherited exec_id mops =
+        let m = chain_machine ~seed ~v ~inherited exec_id in
+        run_mops m mops;
+        (m, Machine.crash m ~strategy:(link_strategy ~seed ~k exec_id))
+      in
+      let _, grandparent = crash_from (Crashstate.boot ()) 1 p1 in
+      let _, parent = crash_from grandparent 2 p2 in
+      let before = (view grandparent, view parent) in
+      let m, _ = crash_from parent 3 p3 in
+      ignore (Machine.shutdown m);
+      before = (view grandparent, view parent))
 
 (* ------------------------------------------------------------------ *)
 (* Lazy thread clocks vs. eager ticking                                 *)
@@ -432,6 +529,11 @@ let prop_lazy_clocks =
               Machine.store m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
                 ~access:(if release then Access.Atomic Access.Release else Access.Plain)
                 ~label:None
+          | Nt (tid, slot, size) ->
+              tick tid;
+              Hashtbl.replace issued (tid, clks.(tid)) cvs.(tid);
+              Machine.store ~nt:true m ~tid ~addr:(slot_addr slot) ~size
+                ~value:(Int64.of_int (i + 1)) ~access:Access.Plain ~label:None
           | Ld (tid, slot, acq) ->
               tick tid;
               let _, source =
@@ -537,6 +639,60 @@ let test_store_budget () =
            ~label:None;
          Machine.background m))
 
+(* A shut-down state with [bytes] written bytes: [bytes / 4] four-byte
+   stores from line 1 on. *)
+let inherited_with bytes =
+  let m = eager () in
+  for i = 0 to (bytes / 4) - 1 do
+    Machine.store m ~tid:0 ~addr:(64 + (4 * i)) ~size:4 ~value:(Int64.of_int i)
+      ~access:Access.Plain ~label:None;
+    Machine.background m
+  done;
+  Machine.shutdown m
+
+let from_inherited cs =
+  Machine.create ~inherited:cs ~exec_id:2
+    { Machine.sb_policy = Machine.Eager; variant = Variant.strict_tso; rng = Rng.create 1;
+      observer = Observer.nop }
+
+(* A load of never-written memory probes one line and allocates
+   nothing, whether or not the line holds other writers. *)
+let test_origin_miss_allocates_nothing () =
+  let cs = inherited_with 100 in
+  check_budget "find_origin, absent line" ~max:0.01
+    (words_per (fun i -> ignore (Sys.opaque_identity (Crashstate.find_origin cs ~addr:(4096 + (i land 63)) ~size:8))));
+  check_budget "find_origin, unwritten bytes of a written line" ~max:0.01
+    (words_per (fun _ -> ignore (Sys.opaque_identity (Crashstate.find_origin cs ~addr:168 ~size:8))))
+
+(* A load of inherited memory costs the same however much the state
+   holds: a line probe and a key probe, no table walk and no tuple key.
+   14 words: the origin answer, the read source and the result. *)
+let test_inherited_load_independent_of_state () =
+  let load_words bytes =
+    let m = from_inherited (inherited_with bytes) in
+    words_per (fun _ ->
+        ignore (Sys.opaque_identity (Machine.load m ~tid:0 ~addr:68 ~size:4 ~access:Access.Plain)))
+  in
+  let small = load_words 100 and large = load_words 10_000 in
+  check_budget "inherited load, 100 written bytes" ~max:14. small;
+  check_budget "inherited load, 10,000 written bytes" ~max:small large
+
+(* A crash copies the line arrays its run persisted into and adds the
+   keys its run stored to; what it inherited is shared.  Only the index
+   maps' logarithmic path copies grow with the inherited state. *)
+let test_crash_independent_of_inherited () =
+  let crash_words bytes =
+    let m = from_inherited (inherited_with bytes) in
+    for i = 0 to 7 do
+      Machine.store m ~tid:0 ~addr:(64 + (8 * i)) ~size:8 ~value:7L ~access:Access.Plain
+        ~label:None;
+      Machine.background m
+    done;
+    words_per ~n:2_000 (fun _ -> ignore (Sys.opaque_identity (Machine.crash m ~strategy:Machine.Cut_all)))
+  in
+  let small = crash_words 100 in
+  check_budget "crash, 10,000 inherited written bytes" ~max:(1.5 *. small) (crash_words 10_000)
+
 (* One Pmem operation through the executor: the effect, its continuation
    and the suspended-thread state, with no per-operation closures. *)
 let test_effect_round_trip_budget () =
@@ -627,6 +783,7 @@ let () =
             prop_memimage_matches_bytes;
             prop_persistence_history;
             prop_crash_matches_reference;
+            prop_derive_leaves_ancestors;
             prop_lazy_clocks;
           ] );
       ( "allocation",
@@ -636,6 +793,9 @@ let () =
           Alcotest.test_case "memory image" `Quick test_memimage_budget;
           Alcotest.test_case "load vs history" `Quick test_load_independent_of_history;
           Alcotest.test_case "store" `Quick test_store_budget;
+          Alcotest.test_case "origin miss" `Quick test_origin_miss_allocates_nothing;
+          Alcotest.test_case "inherited load vs state" `Quick test_inherited_load_independent_of_state;
+          Alcotest.test_case "crash vs inherited state" `Quick test_crash_independent_of_inherited;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;
           Alcotest.test_case "telemetry hooks" `Quick test_telemetry_hooks_allocate_nothing;
           Alcotest.test_case "detector checks, no log" `Quick test_detector_checks_budget;

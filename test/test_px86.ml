@@ -447,6 +447,39 @@ let test_machine_inherited_chain () =
   | Some (o, _) -> check_int "origin from exec 1" 1 o.Crashstate.exec_id
   | None -> Alcotest.fail "expected origin"
 
+(* A torn read spanning two executions: execution 0 commits 51 stores
+   (the 8-byte [wide] is seq 51), execution 1 overwrites bytes 4..7 with
+   its first store (seq 1).  The newest writer is execution 1's, though
+   its seq is lower: seq restarts in every execution. *)
+let test_find_origin_ranks_by_execution () =
+  let m0 = machine () in
+  for i = 1 to 50 do
+    store_d m0 ~tid:0 ~addr:16 ~size:8 ~value:(Int64.of_int i) ~access:Access.Plain
+  done;
+  Machine.store m0 ~tid:0 ~addr:0 ~size:8 ~value:1L ~access:Access.Plain ~label:(Some "wide");
+  Machine.background m0;
+  let cs0 = Machine.shutdown m0 in
+  let cfg =
+    { Machine.sb_policy = Machine.Eager; variant = Variant.strict_tso; rng = Rng.create 0;
+      observer = Observer.nop }
+  in
+  let m1 = Machine.create ~inherited:cs0 ~exec_id:1 cfg in
+  Machine.store m1 ~tid:0 ~addr:4 ~size:4 ~value:2L ~access:Access.Plain ~label:(Some "half");
+  Machine.background m1;
+  let cs1 = Machine.crash m1 ~strategy:Machine.Cut_all in
+  let label (o : Crashstate.origin) = Option.get o.Crashstate.store.Event.label in
+  (match Crashstate.find_origin cs1 ~addr:0 ~size:8 with
+  | Some (o, torn) ->
+      Alcotest.(check string) "newest writer is execution 1's" "half" (label o);
+      check "torn" true torn
+  | None -> Alcotest.fail "expected an origin");
+  (* no (2, 4) key: the fallback lists both writers once, oldest first *)
+  Alcotest.(check (list string)) "fallback candidates" [ "wide"; "half" ]
+    (List.map label (Crashstate.find_candidates cs1 ~addr:2 ~size:4));
+  Alcotest.check_raises "exec ids rise along a chain"
+    (Invalid_argument "Machine.create: exec_id must exceed the inherited state's") (fun () ->
+      ignore (Machine.create ~inherited:cs1 ~exec_id:1 cfg))
+
 let test_machine_acquire_joins_cv () =
   let m = machine () in
   store_d m ~tid:0 ~addr:0 ~size:8 ~value:1L ~access:(Access.Atomic Access.Release);
@@ -713,6 +746,8 @@ let () =
           Alcotest.test_case "crash candidates" `Quick test_machine_crash_candidates;
           Alcotest.test_case "shutdown concrete" `Quick test_machine_shutdown_concrete;
           Alcotest.test_case "inherited chain" `Quick test_machine_inherited_chain;
+          Alcotest.test_case "origin ranks by execution" `Quick
+            test_find_origin_ranks_by_execution;
           Alcotest.test_case "acquire joins cv" `Quick test_machine_acquire_joins_cv;
           Alcotest.test_case "nt durable after fence" `Quick
             test_machine_nt_store_durable_after_fence;
