@@ -41,9 +41,20 @@ let run_mode =
        & opt (enum [ ("mc", `Mc); ("random", `Random); ("mc-recovery", `Mc_recovery) ]) `Mc
        & info [ "mode" ] ~doc)
 
+(* An integer that is a usage error below [min], so a value that would
+   hang a run or misread as a result never starts one. *)
+let int_at_least min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min ->
+        Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+    | r -> r
+  in
+  Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
+
 let execs =
-  let doc = "Number of random executions in --mode random." in
-  Arg.(value & opt int 20 & info [ "execs" ] ~doc)
+  let doc = "Number of random executions in --mode random (at least 0)." in
+  Arg.(value & opt (int_at_least 0) 20 & info [ "execs" ] ~doc)
 
 let jobs =
   let doc = "Worker domains for the exploration engine.  Each crash plan is an \
@@ -234,9 +245,9 @@ module Telemetry = Pm_corpus.Telemetry
 
 (* The telemetry flags, folded into one run config.  [`Check] commands
    take all twelve; [`Soak] has no block flags (--metrics, --coverage,
-   --attribution); [`Log] takes only --quiet and --log-level. *)
+   --attribution). *)
 let telemetry_term shape =
-  let blocks = shape = `Check and files = shape <> `Log in
+  let blocks = shape = `Check in
   let pick present arg default = if present then arg else Term.const default in
   Term.(
     const
@@ -248,14 +259,10 @@ let telemetry_term shape =
     $ log_level_arg $ quiet_flag
     $ pick blocks metrics_flag false
     $ pick blocks coverage_flag false
-    $ pick files coverage_out None
+    $ coverage_out
     $ pick blocks attribution_flag false
-    $ pick files attribution_out None
-    $ pick files progress_flag false
-    $ pick files progress_out None
-    $ pick files trace_out None
-    $ pick files ledger_arg None
-    $ pick files run_label_arg None)
+    $ attribution_out $ progress_flag $ progress_out $ trace_out $ ledger_arg
+    $ run_label_arg)
 
 let mode_label = function
   | `Mc -> "mc"
@@ -509,17 +516,11 @@ let check_all_cmd =
 let trace_lint_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"File to validate: JSONL when the name ends in .jsonl, SVG \
-                 (timeline export) when it ends in .svg, Chrome trace JSON \
-                 otherwise.")
+           ~doc:"File to validate: JSONL when the name ends in .jsonl, \
+                 Chrome trace JSON otherwise.")
   in
   let run file =
-    let check =
-      if Filename.check_suffix file ".svg" then
-        Observe.Timeline.check_svg_file
-      else Observe.Trace.check_file
-    in
-    match check file with
+    match Observe.Trace.check_file file with
     | Ok () -> Printf.printf "%s: well-formed\n" file
     | Error msg ->
         Printf.eprintf "malformed trace: %s\n" msg;
@@ -531,8 +532,7 @@ let trace_lint_cmd =
   Cmd.v
     (Cmd.info "trace-lint"
        ~doc:"Validate a trace file emitted by --trace-out (JSON \
-             well-formedness), or an SVG timeline emitted by yashme scaling \
-             --svg (XML well-formedness)")
+             well-formedness)")
     Term.(const run $ file)
 
 let profile_cmd =
@@ -604,15 +604,7 @@ let profile_cmd =
                     string_of_int l.Observe.Profile.l_spans;
                     string_of_int l.Observe.Profile.l_instants;
                     fmt_us l.Observe.Profile.l_busy_us ])
-                (Observe.Profile.lanes events)));
-        (* The timeline reconstruction classifies the same lanes into
-           busy / queue-wait / idle; skipped silently for traces
-           without complete spans (e.g. instants-only logs). *)
-        (match Observe.Timeline.of_events events with
-        | Error _ -> ()
-        | Ok t ->
-            print_newline ();
-            print_endline (Observe.Timeline.to_string t))
+                (Observe.Profile.lanes events)))
   in
   Cmd.v
     (Cmd.info "profile"
@@ -620,171 +612,6 @@ let profile_cmd =
              hot-spot tables; with $(b,--attribution), render a cost-center \
              table from an attribution JSONL file")
     Term.(const run $ file $ top $ attribution)
-
-let scaling_cmd =
-  let progs =
-    Arg.(value & pos_all string [] & info [] ~docv:"BENCH"
-           ~doc:"Benchmark programs to sweep (default: CCEH, Fast_Fair and \
-                 Memcached).")
-  in
-  let jobs_list_arg =
-    let doc = "Comma-separated worker-domain counts to sweep, e.g. \
-               $(b,1,2,4).  The lowest level is the speedup reference." in
-    Arg.(value & opt string "1,2,4" & info [ "jobs-list" ] ~doc ~docv:"LIST")
-  in
-  let repeats_arg =
-    let doc = "Interleaved measurement passes per jobs level; the best \
-               elapsed per level wins (evens out warmup bias)." in
-    Arg.(value & opt int 1 & info [ "repeats" ] ~doc ~docv:"N")
-  in
-  let out_arg =
-    let doc = "Write one flat JSONL row per (program, jobs) level to $(docv): \
-               the jobs-invariant projection first, then the wall-clock \
-               class (speedup, efficiency, serial fraction, loss centers)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"FILE")
-  in
-  let projection_out_arg =
-    let doc = "Write only the jobs-invariant projection rows to $(docv).  \
-               Byte-identical for any $(b,--jobs-list) covering the same \
-               levels in any order — CI cmp(1)s two of these." in
-    Arg.(value & opt (some string) None
-           & info [ "projection-out" ] ~doc ~docv:"FILE")
-  in
-  let svg_arg =
-    let doc = "Write an SVG lane chart of the last program's top-jobs run to \
-               $(docv) (validate with $(b,yashme trace-lint))." in
-    Arg.(value & opt (some string) None & info [ "svg" ] ~doc ~docv:"FILE")
-  in
-  let timeline_flag =
-    let doc = "Print the per-domain timeline (ASCII lane chart plus the \
-               utilization/idle-gap table) of each program's top-jobs run." in
-    Arg.(value & flag & info [ "timeline" ] ~doc)
-  in
-  let run progs jobs_list repeats seed variant out projection_out svg_file
-      timeline tel =
-    let levels_asked =
-      match Telemetry.parse_levels jobs_list with
-      | Some levels -> levels
-      | None ->
-          Printf.eprintf "bad --jobs-list %S: need comma-separated integers >= 1\n"
-            jobs_list;
-          exit 2
-    in
-    let programs =
-      match progs with
-      | [] ->
-          [ Pm_benchmarks.Cceh.program; Pm_benchmarks.Fast_fair.program;
-            Pm_benchmarks.Memcached.program ]
-      | names ->
-          List.map
-            (fun name ->
-              match lookup name with
-              | Some p -> p
-              | None ->
-                  Printf.eprintf "unknown benchmark %S (see `yashme list')\n"
-                    name;
-                  exit 2)
-            names
-    in
-    let opts = { Pm_harness.Runner.default_options with seed; variant } in
-    let top = List.fold_left max 1 levels_asked in
-    let last_timeline = ref None in
-    let rows = ref [] and projection_rows = ref [] in
-    Telemetry.with_session { tel with Telemetry.attribution = true } (fun () ->
-        List.iter
-          (fun (p : Pm_harness.Program.t) ->
-            let name = p.Pm_harness.Program.name in
-            (* The top level of the first pass is traced for the
-               timeline artifacts. *)
-            let levels =
-              Telemetry.best_of ~repeats levels_asked (fun ~rep ~jobs ->
-                  let trace =
-                    rep = 1 && jobs = top && (timeline || svg_file <> None)
-                  in
-                  if trace then Observe.Trace.start ();
-                  let s = Telemetry.measure ~options:opts ~jobs p in
-                  if trace then begin
-                    Observe.Trace.stop ();
-                    let events = Observe.Trace.events () in
-                    Observe.Trace.clear ();
-                    match Observe.Timeline.of_events events with
-                    | Ok t ->
-                        last_timeline := Some (name, jobs, t);
-                        if timeline then begin
-                          Printf.printf "%s timeline (jobs=%d):\n" name jobs;
-                          print_endline (Observe.Timeline.ascii t);
-                          print_endline (Observe.Timeline.to_string t);
-                          print_newline ()
-                        end
-                    | Error msg ->
-                        Observe.Log.warn
-                          (Printf.sprintf "timeline reconstruction failed: %s"
-                             msg)
-                  end;
-                  s)
-              |> List.map Telemetry.scaling_level
-            in
-            (match Observe.Scaling.check ~program:name levels with
-            | Ok () -> ()
-            | Error msg ->
-                Printf.eprintf
-                  "%s: determinism violation across the sweep: %s\n" name msg;
-                exit 1);
-            match Observe.Scaling.analyze ~program:name levels with
-            | Error msg ->
-                Printf.eprintf "%s: %s\n" name msg;
-                exit 1
-            | Ok a ->
-                print_endline (Observe.Scaling.to_string a);
-                print_newline ();
-                List.iter
-                  (fun pair ->
-                    rows :=
-                      Yashme_util.Json.encode_obj
-                        (Observe.Scaling.fields ~program:name pair)
-                      :: !rows;
-                    projection_rows :=
-                      Yashme_util.Json.encode_obj
-                        (Observe.Scaling.fields ~timing:false ~program:name pair)
-                      :: !projection_rows)
-                  a.Observe.Scaling.a_levels)
-          programs);
-    let write_rows file lines what =
-      match file with
-      | None -> ()
-      | Some file ->
-          Yashme_util.Atomic_file.write file
-            (String.concat "" (List.rev_map (fun l -> l ^ "\n") lines));
-          Printf.printf "%s: %d row(s) written to %s\n" what
-            (List.length lines) file
-    in
-    write_rows out !rows "scaling";
-    write_rows projection_out !projection_rows "scaling projection";
-    match (svg_file, !last_timeline) with
-    | None, _ -> ()
-    | Some file, Some (name, jobs, t) ->
-        Yashme_util.Atomic_file.write file (Observe.Timeline.svg t);
-        Printf.printf "svg: %s timeline (jobs=%d) written to %s\n" name jobs
-          file
-    | Some _, None ->
-        Printf.eprintf "svg: no timeline was reconstructed\n";
-        exit 1
-  in
-  let term =
-    Term.(
-      const run $ progs $ jobs_list_arg $ repeats_arg $ seed $ variant_arg
-      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag
-      $ telemetry_term `Log)
-  in
-  Cmd.v
-    (Cmd.info "scaling"
-       ~doc:"Sweep the exploration engine across --jobs-list levels and \
-             report speedup, parallel efficiency, an Amdahl serial-fraction \
-             fit and a named decomposition of lost parallel time \
-             (queue-wait, snapshot copying, merge, GC); the race counts and \
-             all other non-timing fields are byte-identical at every level, \
-             and the sweep exits 1 if not")
-    term
 
 let runs_cmd =
   let file =
@@ -1117,14 +944,15 @@ let soak_cmd =
   in
   let fault_budget_arg =
     let doc = "Faulted scenarios tolerated per (stream x mix x distribution) \
-               combo before it is quarantined: the service logs the combo, \
-               stops scheduling it and keeps soaking the rest instead of \
-               aborting on a fault storm." in
-    Arg.(value & opt int 3 & info [ "fault-budget" ] ~doc ~docv:"N")
+               combo before it is quarantined (at least 1): the service logs \
+               the combo, stops scheduling it and keeps soaking the rest \
+               instead of aborting on a fault storm." in
+    Arg.(value & opt (int_at_least 1) 3 & info [ "fault-budget" ] ~doc ~docv:"N")
   in
   let ops_per_exec_arg =
-    let doc = "Randomized client operations streamed per failure scenario." in
-    Arg.(value & opt int 24 & info [ "ops-per-exec" ] ~doc ~docv:"N")
+    let doc = "Randomized client operations streamed per failure scenario \
+               (at least 1)." in
+    Arg.(value & opt (int_at_least 1) 24 & info [ "ops-per-exec" ] ~doc ~docv:"N")
   in
   let checkpoint_every_arg =
     let doc = "Rounds between periodic checkpoints (corpus + manifest, both \
@@ -1496,7 +1324,6 @@ let main =
   Cmd.group (Cmd.info "yashme" ~version:"1.0.0" ~doc)
     [ list_cmd; check_cmd; check_all_cmd; soak_cmd; tables_cmd; witness_cmd;
       variants_cmd; litmus_cmd; oracle_cmd; trace_lint_cmd; profile_cmd;
-      scaling_cmd; runs_cmd; compare_cmd; replay_cmd;
-      minimize_cmd; corpus_cmd ]
+      runs_cmd; compare_cmd; replay_cmd; minimize_cmd; corpus_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -3,12 +3,11 @@ module Metrics = Observe.Metrics
 
 (* Exploration-effort counters (paper Tables 4-5: counts and costs).
    All of them accumulate per-scenario detector work, so their merged
-   totals are identical for every engine job count.  The two hot paths
-   suspected of limiting scaling, clock-vector comparisons and prefix
-   expansions, also show as cost centers (the charge is the occurrence
-   count; wall time is attributed at phase granularity by the
-   executor).  Expansions and pruned checks also count per program
-   (crash-space coverage). *)
+   totals are identical for every engine job count.  The two hot paths,
+   clock-vector comparisons and prefix expansions, also show as cost
+   centers (the charge is the occurrence count; wall time is attributed
+   at phase granularity by the executor).  Expansions and pruned checks
+   also count per program (crash-space coverage). *)
 let m_candidate_checks = Metrics.counter "detector/candidate_checks"
 let m_committed_checks = Metrics.counter "detector/committed_checks"
 let m_atomic_loads = Metrics.counter "detector/atomic_loads"

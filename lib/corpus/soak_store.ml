@@ -195,13 +195,24 @@ let decode line =
   let str = Json.str fields
   and int = Json.int fields
   and flt = Json.float fields in
+  (* A resume runs what the manifest says: no stream would crash it, no
+     op per scenario would hang it, and a zero fault budget would
+     quarantine every combo. *)
+  let at_least min key =
+    let* n = int key in
+    if n >= min then Ok n
+    else Error (Printf.sprintf "field %S: %d is below the minimum %d" key n min)
+  in
   let* m_run = str "run" in
   let* streams = str "streams" in
+  let* () =
+    if streams = "" then Error "field \"streams\": no op stream" else Ok ()
+  in
   let* m_seed = int "seed" in
   let* m_variant = str "variant" in
   let* m_jobs = int "jobs" in
-  let* m_ops_per_exec = int "ops_per_exec" in
-  let* m_fault_budget = int "fault_budget" in
+  let* m_ops_per_exec = at_least 1 "ops_per_exec" in
+  let* m_fault_budget = at_least 1 "fault_budget" in
   let* m_max_ops = Json.int_opt fields "max_ops" in
   let* m_wall_s = Json.float_opt fields "wall_s" in
   let* m_checkpoint_every = int "checkpoint_every" in
@@ -228,8 +239,7 @@ let decode line =
   Ok
     {
       m_run;
-      m_streams =
-        (if streams = "" then [] else String.split_on_char ',' streams);
+      m_streams = String.split_on_char ',' streams;
       m_seed;
       m_variant;
       m_jobs;

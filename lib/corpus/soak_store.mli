@@ -77,7 +77,9 @@ type manifest = {
 val encode : manifest -> string
 
 (** Decode one manifest line: loud on malformed JSON, missing fields,
-    or a [manifest_version] outside [1..{!version}]. *)
+    a [manifest_version] outside [1..{!version}], or a configuration a
+    resume cannot run (no stream, [ops_per_exec] or [fault_budget]
+    below 1). *)
 val decode : string -> (manifest, string) result
 
 (** The fields two runs of the same seed must agree on: everything

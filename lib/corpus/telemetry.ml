@@ -1,7 +1,6 @@
 (* One run's telemetry, from start to finish: the session that arms and
-   disarms the observe layer, the window around a run, the blocks, files
-   and ledger entry built from it, and the jobs-level measurement behind
-   scaling. *)
+   disarms the observe layer, the window around a run, and the blocks,
+   files and ledger entry built from it. *)
 
 module Report = Pm_harness.Report
 module Runner = Pm_harness.Runner
@@ -194,71 +193,3 @@ let soak_entry cfg ~run ~variant ~seed ~jobs ~races ~recovery_failures
     e_ops = s.snap_ops; e_races = races; e_raw_races = s.snap_races;
     e_recovery_failures = recovery_failures; e_witnesses = witnesses;
     e_elapsed_s = r.r_elapsed_s }
-
-type sample = {
-  s_outcome : Runner.outcome;
-  s_extraction : Witness.extraction;
-  s_observed : observed;
-}
-
-let measure ?options ~jobs (p : Pm_harness.Program.t) =
-  let o, s_observed =
-    observing (fun () -> Runner.model_check_outcome ?options ~jobs p)
-  in
-  { s_outcome = o; s_observed;
-    s_extraction = Witness.of_outcome ~program:p.Pm_harness.Program.name o }
-
-let elapsed s = s.s_outcome.Runner.o_stats.Pm_harness.Engine.elapsed_s
-
-let best_of ~repeats levels run =
-  let best = Hashtbl.create 8 in
-  for rep = 1 to max 1 repeats do
-    List.iter
-      (fun jobs ->
-        let s = run ~rep ~jobs in
-        match Hashtbl.find_opt best jobs with
-        | Some prev when elapsed prev <= elapsed s -> ()
-        | Some _ | None -> Hashtbl.replace best jobs s)
-      levels
-  done;
-  List.map (Hashtbl.find best) levels
-
-let scaling_level s =
-  let st = s.s_outcome.Runner.o_stats in
-  let center name field =
-    match Observe.Attribution.find name s.s_observed.o_attribution with
-    | Some r -> field r
-    | None -> 0
-  in
-  let wall name = center name (fun r -> r.Observe.Metrics.wall_us)
-  and units name = center name (fun r -> r.Observe.Metrics.units) in
-  {
-    Observe.Scaling.v_jobs = st.jobs;
-    v_elapsed_s = st.elapsed_s;
-    v_cpu_s = st.cpu_s;
-    v_scenarios = st.scenarios;
-    v_completed = st.completed;
-    v_faulted = st.faulted;
-    v_executions = st.executions;
-    v_ops = st.ops;
-    v_races = List.length (Report.real s.s_outcome.Runner.o_report);
-    v_witnesses = List.length s.s_extraction.Witness.witnesses;
-    v_snapshot_bytes = units "px86/snapshot_copy";
-    v_queue_wait_us = wall "engine/queue_wait";
-    v_snapshot_us = wall "px86/snapshot_copy";
-    v_merge_us = wall "engine/merge";
-    v_gc_minor_words = units "gc/minor";
-    v_gc_major_words = units "gc/major";
-  }
-
-(* Empty tokens are skipped ("1,2," is [1; 2]); any other token that is
-   not an integer rejects the whole list. *)
-let parse_levels s =
-  let tokens =
-    List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
-  in
-  let levels = List.filter_map int_of_string_opt tokens in
-  if levels = [] || List.compare_lengths levels tokens <> 0
-     || List.exists (fun j -> j < 1) levels
-  then None
-  else Some (List.sort_uniq compare levels)

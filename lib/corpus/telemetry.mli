@@ -1,6 +1,6 @@
 (** One run's telemetry, from start to finish.
 
-    [check], [check-all], [soak] and [scaling] each run inside one
+    [check], [check-all] and [soak] each run inside one
     {!with_session}, configured by the CLI's telemetry flags.  Runs are
     observed through a window ({!observing}); the blocks, JSONL files
     and ledger entries are built from that observation, never from the
@@ -92,29 +92,3 @@ val soak_entry :
   Pm_harness.Soak.result ->
   observed ->
   Observe.Ledger.entry
-
-(** {1 Jobs levels} *)
-
-type sample = {
-  s_outcome : Pm_harness.Runner.outcome;
-  s_extraction : Witness.extraction;
-  s_observed : observed;
-}
-
-(** One model-checking run at [jobs], inside a window. *)
-val measure :
-  ?options:Pm_harness.Runner.options -> jobs:int -> Pm_harness.Program.t -> sample
-
-(** Interleaved best-of-[repeats]: each pass runs every level once
-    before any level repeats, so no level always runs on a cold or a
-    warm heap; the lowest elapsed per level wins.  Winners come back
-    in [levels] order. *)
-val best_of :
-  repeats:int -> int list -> (rep:int -> jobs:int -> sample) -> sample list
-
-val scaling_level : sample -> Observe.Scaling.level
-
-(** ["1,2,4"] as sorted distinct levels; empty tokens are skipped.
-    [None] if there is no level, a token is not an integer, or a level
-    is below 1. *)
-val parse_levels : string -> int list option

@@ -150,8 +150,8 @@ let ct_oracle =
   Observe.Metrics.center ~units:"ops" ~per_program:true "oracle/observe"
 
 (* One charge per race merge, units = results merged — jobs-invariant;
-   the wall clock is the serial post-batch cost the scaling analysis
-   sets against lost parallel time. *)
+   the wall clock is the serial post-batch cost, which no extra domain
+   shortens. *)
 let ct_merge = Observe.Metrics.center ~units:"results" "engine/merge"
 
 (* One scenario's bookkeeping while it runs: its detector, its execution

@@ -32,8 +32,6 @@ let rows readings =
   |> List.filter (fun (r : row) -> r.count <> 0 || r.units <> 0 || r.wall_us <> 0)
   |> List.sort (fun (a : row) b -> compare a.name b.name)
 
-let find name rows = List.find_opt (fun (r : row) -> r.name = name) rows
-
 let labels (r : row) =
   match r.kind with
   | Metrics.Center { units_label; volatile_units } -> (units_label, volatile_units)

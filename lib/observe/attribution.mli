@@ -35,6 +35,3 @@ val fields : row -> (string * Yashme_util.Json.value) list
 (** Inverse of {!fields} (wall clocks are not serialized and read back
     as 0).  Errors on a field list that is not an attribution row. *)
 val of_fields : (string * Yashme_util.Json.value) list -> (row, string) result
-
-(** The row of one center, if charged. *)
-val find : string -> row list -> row option

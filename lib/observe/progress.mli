@@ -34,7 +34,7 @@ val batch : int -> unit
 
 (** Record the worker-pool size for the final summary line.  The final
     JSONL emission then appends ["jobs"] and a ["per_domain"] label
-    ("slot:count" per worker lane) so soak/scaling runs are
+    ("slot:count" per worker lane) so multi-domain runs are
     attributable after the fact; throttled mid-run lines keep the
     historical shape. *)
 val set_jobs : int -> unit

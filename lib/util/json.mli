@@ -1,6 +1,6 @@
 (** The one JSON codec: a strict RFC 8259 parser plus the flat-record
     encoder every JSON artifact (witness corpora, ledgers, soak
-    manifests, bench rows, coverage/attribution/scaling exports, traces)
+    manifests, bench rows, coverage/attribution exports, traces)
     is written with.
 
     The encoder is deterministic (field order preserved, fixed number

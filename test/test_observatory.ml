@@ -140,25 +140,42 @@ let test_attribution_fields_roundtrip () =
   | Ok _ -> Alcotest.fail "non-attribution row accepted"
   | Error _ -> ()
 
-let test_attribution_jobs_invariant () =
+(* Runs [p] at jobs 1 and 4, checks that the two invariant projections
+   are byte-identical, and returns both reports and the jobs-1 rows. *)
+let jobs_invariant (p : Program.t) =
+  let name = p.Program.name in
   quiesce ();
   Metrics.enable ();
-  ignore (Runner.model_check_outcome ~jobs:1 toy);
+  let o1 = Runner.model_check_outcome ~jobs:1 p in
   let r1 = attribution () in
   Metrics.reset ();
-  ignore (Runner.model_check_outcome ~jobs:4 toy);
+  let o4 = Runner.model_check_outcome ~jobs:4 p in
   let r4 = attribution () in
-  check "toy charged something" true (r1 <> []);
-  check "engine work recorded" true
+  quiesce ();
+  check (name ^ " charged something") true (r1 <> []);
+  check (name ^ ": engine work recorded") true
     (List.exists (fun (r : Attribution.row) -> r.name = "engine/work") r1);
-  check "snapshot copying recorded" true
-    (List.exists (fun (r : Attribution.row) -> r.name = "px86/snapshot_copy") r1);
-  check_str "invariant projection byte-identical for jobs=1 vs jobs=4"
+  check_str (name ^ ": invariant projection byte-identical for jobs=1 vs jobs=4")
     (Attribution.to_string ~timing:false r1)
     (Attribution.to_string ~timing:false r4);
-  check_str "exported JSONL byte-identical for jobs=1 vs jobs=4"
+  check_str (name ^ ": exported JSONL byte-identical for jobs=1 vs jobs=4")
     (attribution_jsonl r1) (attribution_jsonl r4);
-  quiesce ()
+  (o1.Runner.o_report, o4.Runner.o_report, r1)
+
+let test_attribution_jobs_invariant () =
+  let _, _, toy_rows = jobs_invariant toy in
+  check "snapshot copying recorded" true
+    (List.exists
+       (fun (r : Attribution.row) -> r.name = "px86/snapshot_copy")
+       toy_rows)
+
+(* End to end on a Registry program that raises races: the report and
+   the cost-center projection are byte-identical at jobs 1 and 4. *)
+let test_engine_jobs_identity () =
+  let report1, report4, _ = jobs_invariant Pm_benchmarks.Memcached.program in
+  check_str "report byte-identical for jobs=1 vs jobs=4"
+    (Report.to_string report1) (Report.to_string report4);
+  check "Memcached raises races" true (Report.real report1 <> [])
 
 let test_report_identical_with_attribution_on () =
   quiesce ();
@@ -207,7 +224,11 @@ let test_gc_charge_is_per_domain () =
   Atomic.set stop true;
   Domain.join allocator;
   let allocated = Atomic.get words in
-  match Attribution.find "gc/minor" (Attribution.rows cells) with
+  match
+    List.find_opt
+      (fun (r : Attribution.row) -> r.name = "gc/minor")
+      (Attribution.rows cells)
+  with
   | None -> Alcotest.fail "no gc/minor charge"
   | Some r ->
       check
@@ -555,6 +576,11 @@ let () =
             test_report_identical_with_attribution_on;
           Alcotest.test_case "gc charge is the domain's own" `Quick
             test_gc_charge_is_per_domain;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "jobs 1v4 projection byte-identity" `Quick
+            test_engine_jobs_identity;
         ] );
       ( "ledger",
         [

@@ -266,26 +266,30 @@ let test_manifest_rejects_newer_version () =
       check "error names the version gate" true
         (Str.string_match (Str.regexp ".*newer.*") e 0)
 
-(* The version gate has a floor as well as a ceiling: a manifest can
-   never claim a version before the first one. *)
-let test_manifest_rejects_version_zero () =
+(* Loads the fixture with the field [before] replaced by [after]; the
+   load must fail with an error at line 1 that starts with [expected]. *)
+let check_load_rejects ~before ~after expected =
   let line =
-    Str.replace_first
-      (Str.regexp_string
-         (Printf.sprintf "\"manifest_version\":%d" Soak_store.version))
-      "\"manifest_version\":0"
+    Str.replace_first (Str.regexp_string before) after
       (Soak_store.encode manifest_fixture)
   in
+  check ("fixture holds " ^ before) true (line <> Soak_store.encode manifest_fixture);
   let tmp = Filename.temp_file "yashme_soak_manifest" ".jsonl" in
   Out_channel.with_open_bin tmp (fun oc -> output_string oc (line ^ "\n"));
   let r = Soak_store.load tmp in
   Sys.remove tmp;
   match r with
-  | Ok _ -> Alcotest.fail "manifest_version 0 must not decode"
+  | Ok _ -> Alcotest.failf "a manifest with %s must not load" after
   | Error e ->
-      check "positioned version error" true
-        (Str.string_match
-           (Str.regexp (Str.quote tmp ^ ":1: manifest_version 0 is older")) e 0)
+      check ("positioned error for " ^ after) true
+        (Str.string_match (Str.regexp (Str.quote (tmp ^ ":1: " ^ expected))) e 0)
+
+(* The version gate has a floor as well as a ceiling: a manifest can
+   never claim a version before the first one. *)
+let test_manifest_rejects_version_zero () =
+  check_load_rejects
+    ~before:(Printf.sprintf "\"manifest_version\":%d" Soak_store.version)
+    ~after:"\"manifest_version\":0" "manifest_version 0 is older"
 
 let test_manifest_file_guards () =
   (* Missing file: a positioned error, not an exception. *)
@@ -304,7 +308,18 @@ let test_manifest_file_guards () =
   (match Soak_store.load tmp with
   | Ok m -> check "saved manifest loads back" true (m = manifest_fixture)
   | Error e -> Alcotest.fail e);
-  Sys.remove tmp
+  Sys.remove tmp;
+  (* A configuration a resume cannot run: no stream raised out of
+     [Soak.run], no op per scenario hung it, and a zero fault budget
+     quarantined every combo. *)
+  check_load_rejects ~before:"\"streams\":\"memcached,redis,cceh\""
+    ~after:"\"streams\":\"\"" "field \"streams\": no op stream";
+  check_load_rejects ~before:"\"ops_per_exec\":24" ~after:"\"ops_per_exec\":0"
+    "field \"ops_per_exec\": 0 is below the minimum 1";
+  check_load_rejects ~before:"\"ops_per_exec\":24" ~after:"\"ops_per_exec\":-2"
+    "field \"ops_per_exec\": -2 is below the minimum 1";
+  check_load_rejects ~before:"\"fault_budget\":3" ~after:"\"fault_budget\":0"
+    "field \"fault_budget\": 0 is below the minimum 1"
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safety guards on loaded formats                                *)

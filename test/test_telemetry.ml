@@ -516,51 +516,24 @@ let test_window_observes_run () =
         ((snd (Telemetry.observing ignore)).Telemetry.o_metrics = []));
   quiesce ()
 
-(* Best-of-N visits every level once per pass, in order, and keeps one
-   winner per level. *)
-let test_best_of_interleaves () =
-  quiesce ();
-  let calls = ref [] in
-  let best =
-    Telemetry.best_of ~repeats:2 [ 1; 2 ] (fun ~rep ~jobs ->
-        calls := (rep, jobs) :: !calls;
-        Telemetry.measure ~jobs toy)
-  in
-  check "interleaved passes" true
-    (List.rev !calls = [ (1, 1); (1, 2); (2, 1); (2, 2) ]);
-  check "one winner per level, in order" true
-    (List.map
-       (fun s -> s.Telemetry.s_outcome.Runner.o_stats.Engine.jobs)
-       best
-    = [ 1; 2 ]);
-  quiesce ()
-
-let test_parse_levels () =
-  let p = Telemetry.parse_levels in
-  check "sorted, distinct" true (p "4,1,1" = Some [ 1; 4 ]);
-  check "blanks and empty tokens" true (p " 2 , 1," = Some [ 1; 2 ]);
-  check "nothing parses" true (p "x" = None);
-  check "one token is not an integer" true (p "1,x" = None);
-  check "empty" true (p "" = None);
-  check "below one" true (p "0,2" = None)
-
 (* The one ledger builder: run label defaults to the program, the
    digests and cost centers come from the window. *)
 let test_outcome_entry () =
   quiesce ();
-  let s =
+  let o, obs =
     Telemetry.with_session
       { Telemetry.off with metrics = true; attribution = true }
-      (fun () -> Telemetry.measure ~jobs:1 toy)
+      (fun () ->
+        Telemetry.observing (fun () -> Runner.model_check_outcome ~jobs:1 toy))
   in
+  let ex = Pm_corpus.Witness.of_outcome ~program:"toy" o in
   let entry cfg =
-    Telemetry.outcome_entry cfg ~mode:"mc" ~seed:42 ~program:"toy"
-      s.Telemetry.s_outcome s.Telemetry.s_extraction s.Telemetry.s_observed
+    Telemetry.outcome_entry cfg ~mode:"mc" ~seed:42 ~program:"toy" o ex obs
   in
   let e = entry Telemetry.off in
   check_str "run defaults to the program" "toy" e.Observe.Ledger.e_run;
   check_str "metrics digest from the window"
-    (Observe.Ledger.digest_counters s.Telemetry.s_observed.Telemetry.o_metrics)
+    (Observe.Ledger.digest_counters obs.Telemetry.o_metrics)
     e.Observe.Ledger.e_metrics_digest;
   check "cost centers from the window" true (e.Observe.Ledger.e_cost <> []);
   check_str "--run-label wins" "nightly"
@@ -620,8 +593,6 @@ let () =
           Alcotest.test_case "show vs collect" `Quick test_session_show_vs_collect;
           Alcotest.test_case "window observes a run" `Quick
             test_window_observes_run;
-          Alcotest.test_case "best-of interleaves" `Quick test_best_of_interleaves;
-          Alcotest.test_case "parse levels" `Quick test_parse_levels;
           Alcotest.test_case "outcome entry" `Quick test_outcome_entry;
         ] );
     ]
