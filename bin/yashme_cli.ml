@@ -52,6 +52,17 @@ let int_at_least min =
   in
   Arg.conv ~docv:"INT" (parse, Arg.conv_printer Arg.int)
 
+(* A float that is a usage error unless it exceeds [bound]: a budget
+   that ends every run at once. *)
+let float_above bound =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x > bound) ->
+        Error (`Msg (Printf.sprintf "%g is not above %g" x bound))
+    | r -> r
+  in
+  Arg.conv ~docv:"FLOAT" (parse, Arg.conv_printer Arg.float)
+
 let execs =
   let doc = "Number of random executions in --mode random (at least 0)." in
   Arg.(value & opt (int_at_least 0) 20 & info [ "execs" ] ~doc)
@@ -168,16 +179,16 @@ let progress_out =
 
 let max_ops_arg =
   let doc = "Fuel budget: terminate any execution phase after $(docv) scheduled \
-             operations and mark the scenario diverged.  Deterministic — the \
-             same budget trips at the same operation on every run and every \
-             --jobs count." in
-  Arg.(value & opt (some int) None & info [ "max-ops" ] ~doc ~docv:"N")
+             operations (at least 1) and mark the scenario diverged.  \
+             Deterministic — the same budget trips at the same operation on \
+             every run and every --jobs count." in
+  Arg.(value & opt (some (int_at_least 1)) None & info [ "max-ops" ] ~doc ~docv:"N")
 
 let timeout_arg =
-  let doc = "Wall-clock budget per execution phase, in seconds.  A \
+  let doc = "Wall-clock budget per execution phase, in seconds (above 0).  A \
              nondeterministic last-resort valve: prefer --max-ops when \
              reports must stay reproducible." in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~doc ~docv:"SECONDS")
+  Arg.(value & opt (some (float_above 0.)) None & info [ "timeout" ] ~doc ~docv:"SECONDS")
 
 let corpus_out =
   let doc = "Write every distinct race / recovery-failure witness found during \
@@ -930,17 +941,17 @@ let soak_cmd =
   in
   let soak_max_ops =
     let doc = "Total client-op budget: stop the service (soak_ok) once \
-               $(docv) randomized client operations have been streamed.  \
-               Deterministic: the same budget stops at the same round on \
-               every run and every --jobs count." in
-    Arg.(value & opt (some int) None & info [ "max-ops" ] ~doc ~docv:"N")
+               $(docv) randomized client operations have been streamed (at \
+               least 1).  Deterministic: the same budget stops at the same \
+               round on every run and every --jobs count." in
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "max-ops" ] ~doc ~docv:"N")
   in
   let wall_s_arg =
-    let doc = "Wall-clock budget for this invocation, in seconds, checked at \
-               round boundaries.  Stopping is still clean (soak_ok) but the \
-               stop point is nondeterministic; prefer --max-ops when runs \
-               must be comparable." in
-    Arg.(value & opt (some float) None & info [ "wall-s" ] ~doc ~docv:"SECONDS")
+    let doc = "Wall-clock budget for this invocation, in seconds (above 0), \
+               checked at round boundaries.  Stopping is still clean \
+               (soak_ok) but the stop point is nondeterministic; prefer \
+               --max-ops when runs must be comparable." in
+    Arg.(value & opt (some (float_above 0.)) None & info [ "wall-s" ] ~doc ~docv:"SECONDS")
   in
   let fault_budget_arg =
     let doc = "Faulted scenarios tolerated per (stream x mix x distribution) \
@@ -956,9 +967,9 @@ let soak_cmd =
   in
   let checkpoint_every_arg =
     let doc = "Rounds between periodic checkpoints (corpus + manifest, both \
-               written crash-safely via tmp + atomic rename); 0 disables \
-               periodic checkpoints (the final flush still happens)." in
-    Arg.(value & opt int 10 & info [ "checkpoint-every" ] ~doc ~docv:"ROUNDS")
+               written crash-safely via tmp + atomic rename; at least 0); 0 \
+               disables periodic checkpoints (the final flush still happens)." in
+    Arg.(value & opt (int_at_least 0) 10 & info [ "checkpoint-every" ] ~doc ~docv:"ROUNDS")
   in
   let manifest_arg =
     let doc = "Write the versioned run manifest to $(docv) (one flat JSON \
@@ -976,10 +987,10 @@ let soak_cmd =
     Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"MANIFEST")
   in
   let stop_after_arg =
-    let doc = "Cooperatively stop after $(docv) rounds of this invocation, as \
-               if SIGINT had arrived (flushes a final checkpoint with \
-               soak_ok=false).  For tests and CI resume exercises." in
-    Arg.(value & opt (some int) None & info [ "stop-after" ] ~doc ~docv:"ROUNDS")
+    let doc = "Cooperatively stop after $(docv) rounds of this invocation (at \
+               least 1), as if SIGINT had arrived (flushes a final checkpoint \
+               with soak_ok=false).  For tests and CI resume exercises." in
+    Arg.(value & opt (some (int_at_least 1)) None & info [ "stop-after" ] ~doc ~docv:"ROUNDS")
   in
   let stream_names streams =
     List.map (fun s -> s.Pm_harness.Soak.os_name) streams

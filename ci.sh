@@ -377,7 +377,11 @@ echo "== repository benchmark floors (bench/perf, release profile)"
 # All four pairs were re-derived once crash states became shared,
 # line-indexed values: the build before that change (mc-suite 11.66k,
 # recovery-j2 8.50k, soak-read 20.0k, soak-write 25.1k words per
-# scenario) fails every ceiling.
+# scenario) fails every ceiling.  They were re-derived again once
+# one-thread runs started calling the executor directly and image
+# copies shrank to the written extent: the build before that (mc-suite
+# 10.45k, recovery-j2 6.93k, soak-read 14.56k, soak-write 18.05k words
+# per scenario) fails every ceiling.
 metric() {  # NAME FILE: one end-to-end metric from perf.exe's result line
   sed -nE "s/.*\"$1\": \{\"value\": ([^,}]*).*/\1/p" "$2"
 }
@@ -399,9 +403,9 @@ perf_gate() {  # WORKLOAD FLOOR_SCENARIOS_PER_S CEILING_WORDS_PER_SCENARIO
     exit 1
   }
 }
-perf_gate mc-suite 10430 11079
-perf_gate recovery-j2 28940 7341
-perf_gate soak-read 8632 15440
-perf_gate soak-write 6330 19159
+perf_gate mc-suite 10955 9731
+perf_gate recovery-j2 26367 6259
+perf_gate soak-read 10021 11262
+perf_gate soak-write 7742 14661
 
 echo "CI OK"

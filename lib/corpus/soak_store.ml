@@ -196,12 +196,15 @@ let decode line =
   and int = Json.int fields
   and flt = Json.float fields in
   (* A resume runs what the manifest says: no stream would crash it, no
-     op per scenario would hang it, and a zero fault budget would
-     quarantine every combo. *)
+     op per scenario would hang it, a zero fault budget would quarantine
+     every combo, and a budget below one op or second would end it at
+     once; the CLI rejects the same values. *)
+  let below key n min =
+    Error (Printf.sprintf "field %S: %d is below the minimum %d" key n min)
+  in
   let at_least min key =
     let* n = int key in
-    if n >= min then Ok n
-    else Error (Printf.sprintf "field %S: %d is below the minimum %d" key n min)
+    if n >= min then Ok n else below key n min
   in
   let* m_run = str "run" in
   let* streams = str "streams" in
@@ -213,9 +216,18 @@ let decode line =
   let* m_jobs = int "jobs" in
   let* m_ops_per_exec = at_least 1 "ops_per_exec" in
   let* m_fault_budget = at_least 1 "fault_budget" in
-  let* m_max_ops = Json.int_opt fields "max_ops" in
-  let* m_wall_s = Json.float_opt fields "wall_s" in
-  let* m_checkpoint_every = int "checkpoint_every" in
+  let* m_max_ops =
+    let* n = Json.int_opt fields "max_ops" in
+    match n with Some n when n < 1 -> below "max_ops" n 1 | _ -> Ok n
+  in
+  let* m_wall_s =
+    let* w = Json.float_opt fields "wall_s" in
+    match w with
+    | Some w when not (w > 0.) ->
+        Error (Printf.sprintf "field \"wall_s\": %g is not above 0" w)
+    | _ -> Ok w
+  in
+  let* m_checkpoint_every = at_least 0 "checkpoint_every" in
   let* m_corpus = str "corpus" in
   let* snap_next_round = int "next_round" in
   let* snap_scenarios = int "scenarios" in

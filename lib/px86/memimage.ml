@@ -1,17 +1,24 @@
-type t = { mutable data : Bytes.t; mutable extent : int }
+(* [data] holds the written extent rounded up to a cache line, and grows
+   by doubling; bytes past it read as zero.  [capacity] is the nominal
+   size the image reports as its footprint: 4,096 bytes, doubled (or
+   raised to the write's end) when a write passes it. *)
+type t = { mutable data : Bytes.t; mutable extent : int; mutable capacity : int }
 
 let initial_capacity = 4096
 
-let create () = { data = Bytes.make initial_capacity '\000'; extent = 0 }
+let create () = { data = Bytes.empty; extent = 0; capacity = initial_capacity }
 
-let copy t = { data = Bytes.copy t.data; extent = t.extent }
+let round_to_line n = (n + Addr.line_size - 1) land lnot (Addr.line_size - 1)
+
+let copy t =
+  { data = Bytes.sub t.data 0 (round_to_line t.extent); extent = t.extent; capacity = t.capacity }
 
 let ensure t upto =
-  let cap = Bytes.length t.data in
-  if upto > cap then begin
-    let cap' = max upto (cap * 2) in
-    let data' = Bytes.make cap' '\000' in
-    Bytes.blit t.data 0 data' 0 cap;
+  if upto > t.capacity then t.capacity <- max upto (t.capacity * 2);
+  let len = Bytes.length t.data in
+  if upto > len then begin
+    let data' = Bytes.make (max (round_to_line upto) (len * 2)) '\000' in
+    Bytes.blit t.data 0 data' 0 len;
     t.data <- data'
   end
 
@@ -34,7 +41,8 @@ let read_bytes t ~addr ~size =
 let read t ~addr ~size =
   check_size size;
   if addr < 0 then invalid_arg "Memimage.read: negative address";
-  if addr + size > Bytes.length t.data then read_bytes t ~addr ~size
+  let len = Bytes.length t.data in
+  if addr + size > len then if addr >= len then 0L else read_bytes t ~addr ~size
   else
     match size with
     | 8 -> Bytes.get_int64_le t.data addr
@@ -74,4 +82,4 @@ let blit_line ~src ~dst line =
 
 let extent t = t.extent
 
-let footprint t = Bytes.length t.data
+let footprint t = t.capacity

@@ -7,6 +7,10 @@
 type t
 
 val create : unit -> t
+
+(** An image that shares no bytes with [t]: it duplicates [t]'s written
+    extent rounded up to a cache line, not its {!footprint}, so a copy
+    costs at most the extent. *)
 val copy : t -> t
 
 (** [read t ~addr ~size] reads [size] bytes (1..8) little-endian. *)
@@ -21,8 +25,9 @@ val blit_line : src:t -> dst:t -> int -> unit
 (** Highest written address + 1 (0 for a fresh image). *)
 val extent : t -> int
 
-(** Allocated backing bytes (>= {!extent}; capacity doubles
-    deterministically from a fixed initial size, so two equal write
-    sequences have equal footprints).  What {!copy} duplicates — the
-    snapshot-cost accounting unit. *)
+(** Nominal capacity in bytes (>= {!extent}): 4,096, doubled — or raised
+    to the write's end, if that is more — whenever a write passes it, so
+    two equal write sequences have equal footprints.  The snapshot-cost
+    accounting unit.  The backing bytes follow the extent instead, so
+    {!copy} duplicates less than this. *)
 val footprint : t -> int

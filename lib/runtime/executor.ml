@@ -3,7 +3,9 @@ module Machine = Px86.Machine
 module Metrics = Observe.Metrics
 
 exception Crash_signal
-(** Raised into suspended threads when the machine crashes. *)
+(** Raised into a run's threads when the machine crashes or the run
+    diverges: into suspended threads by the teardown, and by every
+    direct call from then on. *)
 
 type plan =
   | Run_to_end
@@ -161,6 +163,9 @@ type state = {
   mutable crash_state : Px86.Crashstate.t option;
   mutable crashed_at_op : int option;
   mutable error : (exn * Printexc.raw_backtrace) option;
+  mutable escaped : (exn * Printexc.raw_backtrace) option;
+      (** raised by [at_flush_point] inside a direct call: re-raised
+          once the thread has unwound *)
 }
 
 let set_state st tid s = st.slots.(tid).tstate <- s
@@ -480,6 +485,60 @@ let should_crash st kind =
       | Crash_before_op n -> st.ops = n
       | Crash_before_flush n -> kind = Op_flushpt && st.flush_points = n)
 
+(* The crash-plan check, the [at_flush_point] offer and the counts of
+   a step about to run an operation of [kind]; false when the step
+   crashed the run instead. *)
+let admit st kind =
+  if should_crash st kind then begin
+    do_crash st;
+    false
+  end
+  else begin
+    (match (kind, st.at_flush_point) with
+    | Op_flushpt, Some serve when st.error = None -> offer_flush_point st serve
+    | (Op_mem | Op_flushpt | Op_meta | Op_crash_req), _ -> ());
+    st.fuel_used <- st.fuel_used + 1;
+    (match kind with
+    | Op_mem -> st.ops <- st.ops + 1
+    | Op_flushpt ->
+        st.ops <- st.ops + 1;
+        st.flush_points <- st.flush_points + 1
+    | Op_meta | Op_crash_req -> ());
+    true
+  end
+
+(* An operation of the run's only thread, called in that thread: what
+   one [sched_loop] iteration does for it, in the loop's order, starting
+   with the previous iteration's trailing [background].  A crash or a
+   divergence raises [Crash_signal] into the thread, as the loop's
+   teardown does, and so does every later operation.  An exception of
+   the [at_flush_point] hook is kept for [sched_loop] to re-raise once
+   the thread has unwound, so the program never sees it. *)
+let direct : type a. state -> a Effect.t -> a =
+ fun st eff ->
+  if st.crashed || st.diverged || st.escaped <> None then raise Crash_signal
+  else if st.next_tid > 1 then Effect.perform eff
+  else
+    match eff with
+    | Pmem.Spawn_e _ | Pmem.Join_e _ -> Effect.perform eff
+    | _ ->
+        Machine.background st.machine;
+        (match budget_exhausted st with
+        | Some budget ->
+            do_diverge st ~budget;
+            raise Crash_signal
+        | None -> ());
+        (match st.sched with
+        | Random_sched -> ignore (Rng.int st.rng 1)
+        | Round_robin -> ());
+        st.rr_cursor <- 1;
+        match admit st (kind_of eff) with
+        | true -> execute st 0 eff
+        | false -> raise Crash_signal
+        | exception e ->
+            st.escaped <- Some (e, Printexc.get_raw_backtrace ());
+            raise Crash_signal
+
 let sched_loop st =
   let continue_loop = ref true in
   while !continue_loop do
@@ -490,24 +549,14 @@ let sched_loop st =
     | -1 -> continue_loop := false
     | tid ->
         let ts = get_state st tid in
-        let kind = kind_of_state ts in
-        if should_crash st kind then do_crash st
-        else begin
-          (match (kind, st.at_flush_point) with
-          | Op_flushpt, Some serve when st.error = None ->
-              offer_flush_point st serve
-          | (Op_mem | Op_flushpt | Op_meta | Op_crash_req), _ -> ());
-          st.fuel_used <- st.fuel_used + 1;
-          (match kind with
-          | Op_mem -> st.ops <- st.ops + 1
-          | Op_flushpt ->
-              st.ops <- st.ops + 1;
-              st.flush_points <- st.flush_points + 1
-          | Op_meta | Op_crash_req -> ());
+        if admit st (kind_of_state ts) then begin
           (* Mark running before resuming so a re-suspend can overwrite. *)
           set_state st tid Done;
           resume st tid ts;
-          if not st.crashed then Machine.background st.machine
+          (match st.escaped with
+          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+          | None -> ());
+          if not (st.crashed || st.diverged) then Machine.background st.machine
         end
   done
 
@@ -571,10 +620,19 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
       crash_state = None;
       crashed_at_op = None;
       error = None;
+      escaped = None;
     }
   in
   ignore (add_thread st (Fresh fn));
-  sched_loop st;
+  let outer = Domain.DLS.get Pmem.current in
+  Domain.DLS.set Pmem.current
+    (Some { Pmem.dispatch = (fun (type a) (eff : a Effect.t) : a -> direct st eff) });
+  (match sched_loop st with
+  | () -> Domain.DLS.set Pmem.current outer
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Domain.DLS.set Pmem.current outer;
+      Printexc.raise_with_backtrace e bt);
   (match st.error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());

@@ -7,11 +7,26 @@
     feeds post-crash loads to the Yashme algorithms, checking {e every}
     candidate store a load could have read.
 
+    {b Dispatch.}  While a run has one thread, each {!Pmem} operation of
+    that thread is a direct call that does what one scheduling step does
+    for it, in the same order: the previous step's background drain,
+    the budget check, the scheduler's draw, the crash-plan check, the
+    [at_flush_point] offer, the counts and the execution.  [spawn] and
+    [join] perform their effect, and from the first spawn on every
+    operation is an effect the scheduling loop takes.  Both paths give
+    the same results, draws and hook calls; the run's thread count, not
+    an option, selects the path.
+
     {b Domain safety (re-entrancy audit).}  [run] allocates every piece
     of mutable state it touches — scheduler tables, RNG, machine,
     effect-handler continuations — inside the call, so concurrent [run]s
     on separate domains never share structure, {e provided} their inputs
-    are unshared:
+    are unshared.  The one per-domain value it writes is the domain's
+    current-run slot ({!Pmem.current}): [run] sets it to itself and
+    restores the previous value on every exit, a raise included, so a
+    run nested inside another (the engine runs recoveries inside the
+    [at_flush_point] hook) hands the slot back to the outer run, and
+    runs on separate domains never see each other's:
     - a run never mutates its [inherited] crash state (image bytes,
       origins and candidates are the same afterwards), so runs on one
       domain may take the same state one after another; concurrent
@@ -115,7 +130,8 @@ type result = {
       materialize equal crash states (with a cut other than
       [Cut_random]), so a hook may serve the later one from what it
       did with the earlier one.  Not called once a thread has raised
-      (the run is going to re-raise).  Time spent in the hook does not
+      (the run is going to re-raise).  An exception the hook raises
+      escapes [run]; the program never sees it.  Time spent in the hook does not
       count against [max_wall_s] or the run's [phase/*] attribution
       wall time.  The engine uses it to share one pre-crash run across
       a family of crash points (see [Pm_harness.Engine]) *)

@@ -35,29 +35,39 @@ type _ Effect.t +=
   | Validating_e : bool -> unit Effect.t
   | My_tid_e : int Effect.t
 
+type dispatch = { dispatch : 'a. 'a Effect.t -> 'a }
+
+let current : dispatch option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let perform : type a. a Effect.t -> a =
+ fun eff ->
+  match Domain.DLS.get current with
+  | Some d -> d.dispatch eff
+  | None -> Effect.perform eff
+
 let access_of = function
   | None -> Px86.Access.Plain
   | Some o -> Px86.Access.Atomic o
 
 let store ?label ?(size = 8) ?atomic ?(nt = false) addr value =
-  Effect.perform
+  perform
     (Store_e
        { s_addr = addr; s_size = size; s_value = value; s_access = access_of atomic;
          s_nt = nt; s_label = label })
 
 let load ?(size = 8) ?atomic addr =
-  Effect.perform (Load_e { l_addr = addr; l_size = size; l_access = access_of atomic })
+  perform (Load_e { l_addr = addr; l_size = size; l_access = access_of atomic })
 
 let cas ?label ?(size = 8) addr ~expected ~desired =
-  Effect.perform
+  perform
     (Cas_e
        { c_addr = addr; c_size = size; c_expected = expected; c_desired = desired;
          c_label = label })
 
-let clflush addr = Effect.perform (Flush_e { f_addr = addr; f_kind = Px86.Event.Clflush })
-let clwb addr = Effect.perform (Flush_e { f_addr = addr; f_kind = Px86.Event.Clwb })
-let sfence () = Effect.perform (Fence_e Px86.Event.Sfence)
-let mfence () = Effect.perform (Fence_e Px86.Event.Mfence)
+let clflush addr = perform (Flush_e { f_addr = addr; f_kind = Px86.Event.Clflush })
+let clwb addr = perform (Flush_e { f_addr = addr; f_kind = Px86.Event.Clwb })
+let sfence () = perform (Fence_e Px86.Event.Sfence)
+let mfence () = perform (Fence_e Px86.Event.Mfence)
 
 let flush_range addr len =
   if len > 0 then
@@ -133,7 +143,7 @@ let memcpy_nt_persist ?label addr s =
   go 0;
   sfence ()
 
-let alloc ?(align = 8) size = Effect.perform (Alloc_e (size, align))
+let alloc ?(align = 8) size = perform (Alloc_e (size, align))
 
 let root_addr slot =
   if slot < 0 || slot > 7 then invalid_arg "Pmem root slot must be in 0..7";
@@ -147,24 +157,24 @@ let set_root slot addr =
 let get_root slot =
   Int64.to_int (load ~atomic:Px86.Access.Seq_cst (root_addr slot))
 
-let spawn fn = Effect.perform (Spawn_e fn)
-let join tid = Effect.perform (Join_e tid)
-let yield () = Effect.perform Yield_e
-let my_tid () = Effect.perform My_tid_e
+let spawn fn = perform (Spawn_e fn)
+let join tid = perform (Join_e tid)
+let yield () = perform Yield_e
+let my_tid () = perform My_tid_e
 
 let crash_now () =
-  Effect.perform Crash_now_e;
+  perform Crash_now_e;
   (* The executor never resumes past a crash. *)
   assert false
 
 let validating f =
-  Effect.perform (Validating_e true);
+  perform (Validating_e true);
   match f () with
   | v ->
-      Effect.perform (Validating_e false);
+      perform (Validating_e false);
       v
   | exception e ->
-      Effect.perform (Validating_e false);
+      perform (Validating_e false);
       raise e
 
 let store_int ?label ?size ?atomic addr v = store ?label ?size ?atomic addr (Int64.of_int v)

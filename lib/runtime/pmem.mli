@@ -1,10 +1,17 @@
 (** The persistent-memory programming API.
 
     Benchmarks and applications are ordinary OCaml functions that call
-    these operations; each call performs an OCaml effect that the
-    {!Executor} intercepts and replays on the simulated Px86 machine.
-    This plays the role of the paper's LLVM instrumentation: every load,
-    store, flush and fence is observed by the infrastructure.
+    these operations; each call hands one operation to the {!Executor},
+    which replays it on the simulated Px86 machine.  This plays the role
+    of the paper's LLVM instrumentation: every load, store, flush and
+    fence is observed by the infrastructure.
+
+    A call goes to the execution running on this domain ({!current}).
+    While that execution has one thread, the call is a direct function
+    call into it; once it has spawned a thread, and for {!spawn} and
+    {!join} always, the call performs an OCaml effect that the
+    executor's scheduler intercepts.  Both paths count, schedule and
+    execute an operation identically.
 
     All operations must run inside {!Executor.run}; calling them outside
     raises [Effect.Unhandled]. *)
@@ -127,3 +134,13 @@ type _ Effect.t +=
   | Crash_now_e : unit Effect.t
   | Validating_e : bool -> unit Effect.t
   | My_tid_e : int Effect.t
+
+(** {1 Direct dispatch (installed by the executor)} *)
+
+(** How an execution takes an operation performed on its domain. *)
+type dispatch = { dispatch : 'a. 'a Effect.t -> 'a }
+
+(** The execution running on this domain, if any: {!Executor.run} sets
+    it for the run's extent and restores the previous value on exit.
+    With [None], every operation performs its effect. *)
+val current : dispatch option Domain.DLS.key

@@ -6,8 +6,10 @@
    persistence history, the commit-log crash materialization into a
    shared, line-indexed crash state and the lazily materialized thread
    clocks) is compared on random inputs with a list-, byte-loop or
-   hash-table model written the obvious way.  The allocation
-   tests then bound the minor words of the hottest operations, so that a
+   hash-table model written the obvious way, and the executor's direct
+   dispatch of a one-thread run's operations with its effect dispatch,
+   on random programs.  The allocation tests then bound the minor words
+   of the hottest operations and of a run's fixed cost, so that a
    per-operation copy -- such as rebuilding a line's store history on
    every load -- fails here instead of hiding in a benchmark. *)
 
@@ -163,28 +165,58 @@ let addr_gen =
         (1, int_bound 12_000);
       ])
 
+(* An image and its copy each against their own byte array: a write to
+   either must leave the other unchanged, and the footprint must follow
+   the nominal doubling rule (4,096 bytes, doubled or raised to the
+   write's end when a write passes it) whatever the backing bytes hold. *)
+type mi_action = Write of bool * int * int * int64  (* to the copy?, addr, size, value *) | Copy
+
+let mi_action_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun (((c, a), s), v) -> Write (c, a, s, v))
+               (pair (pair (pair bool addr_gen) (int_range 1 8)) (map Int64.of_int int)));
+        (1, return Copy);
+      ])
+
 let prop_memimage_matches_bytes =
   QCheck.Test.make ~name:"memory image = byte-array model" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         list_size (int_bound 50)
-           (triple addr_gen (int_range 1 8) (map Int64.of_int int))))
-    (fun writes ->
-      let img = Memimage.create () and mem = Bytes.make ref_size '\000' in
-      let extent = ref 0 in
+    (QCheck.make QCheck.Gen.(list_size (int_bound 50) mi_action_gen))
+    (fun actions ->
+      let side () = (Memimage.create (), Bytes.make ref_size '\000', ref 0, ref 4096) in
+      let orig = ref (side ()) and copy = ref (side ()) in
+      let reads_match (img, mem, _, _) addr size =
+        List.for_all
+          (fun (a, s) ->
+            a < 0 || a + s > ref_size || Memimage.read img ~addr:a ~size:s = ref_read mem ~addr:a ~size:s)
+          [ (addr, size); (addr - 3, 8); (addr + 1, 4); (addr, 2); (addr + 5, 1); (addr - 1, 7) ]
+      in
+      let shape_matches (img, _, extent, capacity) =
+        Memimage.extent img = !extent && Memimage.footprint img = !capacity
+      in
       List.for_all
-        (fun (addr, size, value) ->
-          Memimage.write img ~addr ~size ~value;
-          ref_write mem ~addr ~size ~value;
-          extent := max !extent (addr + size);
-          (* Read back at every size around the write, including past the
-             backing bytes (reads as zero). *)
-          List.for_all
-            (fun (a, s) ->
-              a < 0 || a + s > ref_size || Memimage.read img ~addr:a ~size:s = ref_read mem ~addr:a ~size:s)
-            [ (addr, size); (addr - 3, 8); (addr + 1, 4); (addr, 2); (addr + 5, 1); (addr - 1, 7) ]
-          && Memimage.extent img = !extent)
-        writes)
+        (function
+          | Copy ->
+              let img, mem, extent, capacity = !orig in
+              copy := (Memimage.copy img, Bytes.copy mem, ref !extent, ref !capacity);
+              shape_matches !copy
+          | Write (to_copy, addr, size, value) ->
+              let ((img, mem, extent, capacity) as target) = if to_copy then !copy else !orig in
+              Memimage.write img ~addr ~size ~value;
+              ref_write mem ~addr ~size ~value;
+              extent := max !extent (addr + size);
+              if addr + size > !capacity then capacity := max (addr + size) (2 * !capacity);
+              (* Read back at every size around the write, in both images,
+                 including past the backing bytes (reads as zero). *)
+              reads_match !orig addr size && reads_match !copy addr size && shape_matches target)
+        actions
+      && List.for_all
+           (fun (img, mem, _, _) ->
+             List.for_all
+               (fun a -> Memimage.read img ~addr:a ~size:1 = ref_read mem ~addr:a ~size:1)
+               (List.init ref_size Fun.id))
+           [ !orig; !copy ])
 
 (* ------------------------------------------------------------------ *)
 (* Persistence history vs. filters over line_stores                     *)
@@ -568,6 +600,259 @@ let prop_lazy_clocks =
            !recorded)
 
 (* ------------------------------------------------------------------ *)
+(* Direct dispatch vs. effect dispatch                                  *)
+
+module Executor = Pm_runtime.Executor
+module Pmem = Pm_runtime.Pmem
+
+(* A program of one thread; [P_spawn] bodies run in their own thread,
+   joined when the spawning program ends. *)
+type pop =
+  | P_load of int * bool  (* slot, acquire *)
+  | P_store of int * int * int * int64  (* slot, size, 0 plain / 1 release / 2 movnt, value *)
+  | P_cas of int
+  | P_flush of int * bool  (* slot, clflush (else clwb) *)
+  | P_fence of bool  (* mfence (else sfence) *)
+  | P_alloc of int
+  | P_validating of pop list
+  | P_my_tid
+  | P_yield
+  | P_crash_now
+  | P_raise  (* [Pmem.alloc 0] raises Invalid_argument *)
+  | P_catch of pop list  (* the body under a handler for Invalid_argument *)
+  | P_spawn of pop list
+
+let rec pp_pop = function
+  | P_load (s, a) -> Printf.sprintf "load %d%s" s (if a then " acq" else "")
+  | P_store (s, z, k, v) -> Printf.sprintf "store%s %d/%d=%Ld" [| ""; " rel"; " nt" |].(k) s z v
+  | P_cas s -> Printf.sprintf "cas %d" s
+  | P_flush (s, c) -> Printf.sprintf "%s %d" (if c then "clflush" else "clwb") s
+  | P_fence m -> if m then "mfence" else "sfence"
+  | P_alloc n -> Printf.sprintf "alloc %d" n
+  | P_validating b -> "validating [" ^ pp_pops b ^ "]"
+  | P_my_tid -> "my_tid"
+  | P_yield -> "yield"
+  | P_crash_now -> "crash_now"
+  | P_raise -> "raise"
+  | P_catch b -> "catch [" ^ pp_pops b ^ "]"
+  | P_spawn b -> "spawn [" ^ pp_pops b ^ "]"
+
+and pp_pops ops = String.concat "; " (List.map pp_pop ops)
+
+let rec pops_gen depth =
+  QCheck.Gen.(
+    let slot = int_bound 23 in
+    let nested k f = (k, map f (pops_gen (depth - 1))) in
+    list_size (int_bound (if depth = 2 then 24 else 6))
+      (frequency
+         ([
+            (16, map2 (fun s a -> P_load (s, a)) slot bool);
+            ( 14,
+              map (fun (((s, z), k), v) -> P_store (s, z, k, Int64.of_int v))
+                (pair (pair (pair slot (oneofl [ 1; 2; 4; 8 ])) (int_bound 2)) (int_bound 1000)) );
+            (2, map (fun s -> P_cas s) slot);
+            (6, map2 (fun s c -> P_flush (s, c)) slot bool);
+            (6, map (fun m -> P_fence m) bool);
+            (2, map (fun n -> P_alloc n) (int_range 1 40));
+            (2, return P_my_tid);
+            (2, return P_yield);
+            (1, return P_crash_now);
+            (1, return P_raise);
+          ]
+         @ (if depth > 0 then [ nested 2 (fun b -> P_validating b); nested 2 (fun b -> P_catch b) ]
+            else [])
+         @ if depth = 2 then [ nested 3 (fun b -> P_spawn b) ] else [])))
+
+let dslot_addr slot = 64 + (slot * 8)
+
+(* Runs a program, logging what it observes.  The effect side clears the
+   domain's dispatch slot first, so every operation performs its effect
+   and the scheduler loop takes it, as before direct dispatch. *)
+let rec interp ~log ~spawned ops =
+  List.iter
+    (function
+      | P_load (s, acq) ->
+          let atomic = if acq then Some Access.Acquire else None in
+          log (Int64.to_string (Pmem.load ?atomic (dslot_addr s)))
+      | P_store (s, size, k, v) ->
+          let label = Printf.sprintf "s%d" s in
+          if k = 0 then Pmem.store ~label ~size (dslot_addr s) v
+          else if k = 1 then Pmem.store ~label ~size ~atomic:Access.Release (dslot_addr s) v
+          else Pmem.store ~label ~size ~nt:true (dslot_addr s) v
+      | P_cas s -> log (string_of_bool (Pmem.cas (dslot_addr s) ~expected:0L ~desired:7L))
+      | P_flush (s, c) -> if c then Pmem.clflush (dslot_addr s) else Pmem.clwb (dslot_addr s)
+      | P_fence m -> if m then Pmem.mfence () else Pmem.sfence ()
+      | P_alloc n -> log (string_of_int (Pmem.alloc n))
+      | P_validating b -> Pmem.validating (fun () -> interp ~log ~spawned b)
+      | P_my_tid -> log ("tid " ^ string_of_int (Pmem.my_tid ()))
+      | P_yield -> Pmem.yield ()
+      | P_crash_now -> Pmem.crash_now ()
+      | P_raise -> ignore (Pmem.alloc 0)
+      | P_catch b -> (
+          try interp ~log ~spawned b with Invalid_argument m -> log ("caught " ^ m))
+      | P_spawn b ->
+          let tid = Pmem.spawn (fun () -> interp ~log ~spawned b) in
+          spawned := tid :: !spawned;
+          log ("spawned " ^ string_of_int tid))
+    ops
+
+let program ~effects ~log ops () =
+  if effects then Domain.DLS.set Pmem.current None;
+  let spawned = ref [] in
+  interp ~log ~spawned ops;
+  List.iter Pmem.join (List.rev !spawned)
+
+let show_state (cs : Crashstate.t) =
+  let img = cs.Crashstate.image in
+  Printf.sprintf "exec %d break %d image [%s] origins [%s] candidates [%s]" cs.Crashstate.exec_id
+    cs.Crashstate.heap_break
+    (String.init (Memimage.extent img) (fun a ->
+         Char.chr (Int64.to_int (Memimage.read img ~addr:a ~size:1))))
+    (String.concat ","
+       (Crashstate.fold_origins
+          (fun a o acc ->
+            Printf.sprintf "%d:%d.%d" a o.Crashstate.exec_id o.Crashstate.store.Event.seq :: acc)
+          cs []))
+    (String.concat ","
+       (Crashstate.fold_candidates
+          (fun ~addr ~size os acc ->
+            Printf.sprintf "%d/%d:%s" addr size
+              (String.concat "+"
+                 (List.map
+                    (fun (o : Crashstate.origin) ->
+                      Printf.sprintf "%d.%d" o.Crashstate.exec_id o.Crashstate.store.Event.seq)
+                    os))
+            :: acc)
+          cs []))
+
+let show_result (r : Executor.result) =
+  Printf.sprintf "%s ops %d flush points %d crashed at %s; %s"
+    (Executor.outcome_label r.Executor.outcome)
+    r.Executor.ops r.Executor.flush_points
+    (match r.Executor.crashed_at_op with Some n -> string_of_int n | None -> "-")
+    (show_state r.Executor.state)
+
+exception Hook_escape of int
+
+type dcfg = {
+  random_sched : bool;
+  random_drain : bool;
+  plan : int * int;  (* kind, index *)
+  max_ops : int option;
+  dseed : int;
+  cut : int;
+  hook : bool;
+  hook_raise : int option;  (* the flush point whose offer raises *)
+}
+
+let pp_dcfg c =
+  Printf.sprintf "sched %s drain %s plan %d/%d max_ops %s seed %d cut %d hook %b raise %s"
+    (if c.random_sched then "random" else "rr")
+    (if c.random_drain then "random" else "eager")
+    (fst c.plan) (snd c.plan)
+    (match c.max_ops with Some n -> string_of_int n | None -> "-")
+    c.dseed c.cut c.hook
+    (match c.hook_raise with Some n -> string_of_int n | None -> "-")
+
+let dcfg_gen =
+  QCheck.Gen.(
+    map
+      (fun ((rs, rd, (pk, pn)), (mo, seed, cut), (hook, hr)) ->
+        {
+          random_sched = rs;
+          random_drain = rd;
+          plan = (pk, pn);
+          max_ops = mo;
+          dseed = seed;
+          cut;
+          hook;
+          hook_raise = hr;
+        })
+      (triple
+         (triple bool bool (pair (int_bound 3) (int_bound 25)))
+         (triple (opt (int_range 1 40)) (int_bound 10_000) (int_bound 2))
+         (pair (frequency [ (1, return false); (3, return true) ]) (opt (int_bound 12)))))
+
+(* A pre-crash run and a recovery from its state, both with one
+   detector, and at every offered flush point the [at_flush_point]
+   hook: it logs the offer, materializes every other crash state and
+   recovers from it in a nested run, whose failures it catches. *)
+let dispatch_run ~effects cfg (pre, post) =
+  let lines = ref [] in
+  let log l = lines := l :: !lines in
+  let d = Yashme.Detector.create () in
+  let plan =
+    match cfg.plan with
+    | 0, _ -> Executor.Run_to_end
+    | 1, _ -> Executor.Crash_at_end
+    | 2, n -> Executor.Crash_before_op n
+    | _, n -> Executor.Crash_before_flush n
+  in
+  let cut () =
+    match cfg.cut with
+    | 0 -> Machine.Cut_all
+    | 1 -> Machine.Cut_lowerbound
+    | _ -> Machine.Cut_random (Rng.create cfg.dseed)
+  in
+  let hook exec_id n ~key:(generation, break) ~ops crash =
+    log (Printf.sprintf "offer %d key %d,%d ops %d" n generation break ops);
+    if cfg.hook_raise = Some n then raise (Hook_escape n);
+    if n mod 2 = 0 then begin
+      let r = crash () in
+      log ("materialized " ^ show_result r);
+      let recovery () =
+        List.iter (fun s -> log (Int64.to_string (Pmem.load (dslot_addr s)))) [ 0; 3; 9 ];
+        if n mod 3 = 0 then failwith "recovery fault";
+        Pmem.store ~label:"r" (dslot_addr 1) 5L;
+        Pmem.clflush (dslot_addr 1)
+      in
+      match
+        Executor.run ~inherited:r.Executor.state ~exec_id:(exec_id + 1)
+          ~plan:(if n mod 4 = 0 then Executor.Crash_before_op 2 else Executor.Run_to_end)
+          (fun () ->
+            if effects then Domain.DLS.set Pmem.current None;
+            recovery ())
+      with
+      | r -> log ("nested " ^ show_result r)
+      | exception Failure m -> log ("nested raised " ^ m)
+    end
+  in
+  let phase ?inherited exec_id ops =
+    let r =
+      Executor.run ~detector:d ?inherited ~plan
+        ~sb_policy:(if cfg.random_drain then Machine.Random_drain 0.5 else Machine.Eager)
+        ~cut:(cut ())
+        ~sched:(if cfg.random_sched then Executor.Random_sched else Executor.Round_robin)
+        ~seed:cfg.dseed ?max_ops:cfg.max_ops
+        ?at_flush_point:(if cfg.hook then Some (hook exec_id) else None)
+        ~exec_id (program ~effects ~log ops)
+    in
+    log ("result " ^ show_result r);
+    r
+  in
+  (match phase ~inherited:(phase 1 pre).Executor.state 2 post with
+  | _ -> ()
+  | exception e -> log ("raised " ^ Printexc.to_string e));
+  (match Domain.DLS.get Pmem.current with
+  | None -> ()
+  | Some _ -> log "dispatch slot left set");
+  List.iter (fun race -> log ("race " ^ Yashme.Race.to_string race)) (Yashme.Detector.races d);
+  List.rev !lines
+
+let prop_direct_dispatch =
+  QCheck.Test.make ~name:"direct dispatch = effect dispatch" ~count:400
+    (QCheck.make
+       ~print:(fun (c, (pre, post)) ->
+         Printf.sprintf "%s\npre: %s\npost: %s" (pp_dcfg c) (pp_pops pre) (pp_pops post))
+       QCheck.Gen.(pair dcfg_gen (pair (pops_gen 2) (pops_gen 2))))
+    (fun (cfg, progs) ->
+      let direct = dispatch_run ~effects:false cfg progs in
+      let effect = dispatch_run ~effects:true cfg progs in
+      direct = effect
+      || QCheck.Test.fail_reportf "direct:\n%s\n\neffect:\n%s" (String.concat "\n" direct)
+           (String.concat "\n" effect))
+
+(* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                   *)
 
 (* Minor words per call of [f], after one warm-up call. *)
@@ -693,21 +978,79 @@ let test_crash_independent_of_inherited () =
   let small = crash_words 100 in
   check_budget "crash, 10,000 inherited written bytes" ~max:(1.5 *. small) (crash_words 10_000)
 
-(* One Pmem operation through the executor: the effect, its continuation
-   and the suspended-thread state, with no per-operation closures. *)
-let test_effect_round_trip_budget () =
+(* [n] [Pmem.my_tid] calls in thread 0, after [prefix ()], under a fuel
+   budget of [max_ops]: the minor words per call, and whether the loop
+   finished.  A call costs one unit of fuel, so a budget that cannot
+   cover the loop proves the calls went through the executor. *)
+let my_tid_loop ~prefix ~max_ops n =
+  let words = ref 0. and finished = ref false in
+  let r =
+    Executor.run ~max_ops ~exec_id:0 (fun () ->
+        prefix ();
+        ignore (Pmem.my_tid ());
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Pmem.my_tid ()))
+        done;
+        words := (Gc.minor_words () -. w0) /. float n;
+        finished := true)
+  in
+  (!words, !finished, r.Executor.outcome)
+
+let check_my_tid_loop name ~prefix ~max_words =
   let n = 20_000 in
-  let words = ref 0. in
-  ignore
-    (Pm_runtime.Executor.run ~exec_id:0 (fun () ->
-         ignore (Pm_runtime.Pmem.my_tid ());
-         let w0 = Gc.minor_words () in
-         for _ = 1 to n do
-           ignore (Sys.opaque_identity (Pm_runtime.Pmem.my_tid ()))
-         done;
-         words := (Gc.minor_words () -. w0) /. float n));
-  check_budget "my_tid round trip" ~max:20. !words;
-  check "executor ran" true (!words > 0.)
+  let words, finished, outcome = my_tid_loop ~prefix ~max_ops:(n + 10) n in
+  check (name ^ ": loop completed") true (finished && outcome = Executor.Completed);
+  check_budget name ~max:max_words words;
+  let _, finished, outcome = my_tid_loop ~prefix ~max_ops:n n in
+  check (name ^ ": each call spent fuel") true
+    ((not finished) && outcome = Executor.Diverged)
+
+(* A Pmem operation of a run's only thread is a direct call: nothing
+   suspends, so nothing is allocated. *)
+let test_direct_dispatch_budget () =
+  check_my_tid_loop "my_tid, direct" ~prefix:ignore ~max_words:1.
+
+(* Once the run has spawned a thread, an operation is an effect round
+   trip: the effect, its continuation and the suspended-thread state,
+   with no per-operation closures. *)
+let test_effect_round_trip_budget () =
+  check_my_tid_loop "my_tid round trip, effect"
+    ~prefix:(fun () -> Pmem.join (Pmem.spawn ignore))
+    ~max_words:20.
+
+(* Words a call of [f] allocates, minor and directly major, after one
+   warm-up call. *)
+let all_words_per ?(n = 2_000) f =
+  f ();
+  let s0 = Gc.quick_stat () and m0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let s1 = Gc.quick_stat () in
+  let direct_major (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+  let major = direct_major s1 -. direct_major s0 in
+  ((Gc.minor_words () -. m0) /. float n, major /. float n)
+
+(* What a run costs before its first operation and after its last: an
+   empty run from a state of 100 written bytes copies that state's
+   image twice (into its machine, and into the state it leaves), each
+   copy as large as the image's extent.  The budget is half of the
+   4,096-byte copies' 1,388 words, none of them in the major heap: a
+   block allocated there directly is over 256 words, so a word per run
+   on average leaves room only for the heap's own one-off growth. *)
+let test_run_fixed_cost () =
+  let cs = inherited_with 100 in
+  let minor, major =
+    all_words_per (fun () ->
+        ignore (Sys.opaque_identity (Executor.run ~inherited:cs ~exec_id:2 ignore)))
+  in
+  check_budget "empty run, allocated directly in the major heap" ~max:1. major;
+  check_budget "empty run" ~max:694. (minor +. major);
+  let minor, major = all_words_per (fun () -> ignore (Sys.opaque_identity (Crashstate.copy cs))) in
+  check_budget "Crashstate.copy"
+    ~max:(float (Memimage.extent cs.Crashstate.image / 8) +. 24.)
+    (minor +. major)
 
 (* Telemetry hooks.  Disabled, every hook kind is one branch; enabled,
    a per-program cell inside [with_program] adds to its shards without
@@ -785,6 +1128,7 @@ let () =
             prop_crash_matches_reference;
             prop_derive_leaves_ancestors;
             prop_lazy_clocks;
+            prop_direct_dispatch;
           ] );
       ( "allocation",
         [
@@ -797,6 +1141,8 @@ let () =
           Alcotest.test_case "inherited load vs state" `Quick test_inherited_load_independent_of_state;
           Alcotest.test_case "crash vs inherited state" `Quick test_crash_independent_of_inherited;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;
+          Alcotest.test_case "direct dispatch" `Quick test_direct_dispatch_budget;
+          Alcotest.test_case "run fixed cost" `Quick test_run_fixed_cost;
           Alcotest.test_case "telemetry hooks" `Quick test_telemetry_hooks_allocate_nothing;
           Alcotest.test_case "detector checks, no log" `Quick test_detector_checks_budget;
         ] );

@@ -243,6 +243,21 @@ let test_exception_propagates () =
   Alcotest.check_raises "user exception escapes" (Failure "boom") (fun () ->
       ignore (run (fun () -> failwith "boom")))
 
+(* An operation outside every run has no executor to go to, before any
+   run, after one and after one that raised: a run hands the domain's
+   dispatch slot back on every exit. *)
+let test_outside_a_run () =
+  let outside what =
+    match Pmem.my_tid () with
+    | _ -> Alcotest.failf "my_tid %s returned" what
+    | exception Effect.Unhandled _ -> ()
+  in
+  outside "before any run";
+  ignore (run ignore);
+  outside "after a run";
+  (try ignore (run (fun () -> ignore (Pmem.alloc 0))) with Invalid_argument _ -> ());
+  outside "after a run that raised"
+
 let test_heap_break_persists () =
   let r1 = run ~plan:Executor.Crash_at_end (fun () -> ignore (Pmem.alloc 1000)) in
   let overlap = ref true in
@@ -298,6 +313,7 @@ let () =
           Alcotest.test_case "teardown" `Quick test_crash_tears_down_threads;
           Alcotest.test_case "op counting" `Quick test_ops_counted;
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
+          Alcotest.test_case "operations outside a run" `Quick test_outside_a_run;
           Alcotest.test_case "heap break persists" `Quick test_heap_break_persists;
           Alcotest.test_case "validating nesting" `Quick test_validating_nesting;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;

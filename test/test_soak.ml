@@ -319,7 +319,19 @@ let test_manifest_file_guards () =
   check_load_rejects ~before:"\"ops_per_exec\":24" ~after:"\"ops_per_exec\":-2"
     "field \"ops_per_exec\": -2 is below the minimum 1";
   check_load_rejects ~before:"\"fault_budget\":3" ~after:"\"fault_budget\":0"
-    "field \"fault_budget\": 0 is below the minimum 1"
+    "field \"fault_budget\": 0 is below the minimum 1";
+  (* Budgets that would end the resumed run at once, and a negative
+     checkpoint period. *)
+  check_load_rejects ~before:"\"max_ops\":null" ~after:"\"max_ops\":0"
+    "field \"max_ops\": 0 is below the minimum 1";
+  check_load_rejects ~before:"\"max_ops\":null" ~after:"\"max_ops\":-5"
+    "field \"max_ops\": -5 is below the minimum 1";
+  check_load_rejects ~before:"\"wall_s\":3600" ~after:"\"wall_s\":0"
+    "field \"wall_s\": 0 is not above 0";
+  check_load_rejects ~before:"\"wall_s\":3600" ~after:"\"wall_s\":-1.5"
+    "field \"wall_s\": -1.5 is not above 0";
+  check_load_rejects ~before:"\"checkpoint_every\":10" ~after:"\"checkpoint_every\":-1"
+    "field \"checkpoint_every\": -1 is below the minimum 0"
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safety guards on loaded formats                                *)
