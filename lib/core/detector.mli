@@ -41,7 +41,9 @@ val begin_exec : t -> id:int -> Exec_record.t
 
 (** The record of a (begun) execution.  Executions never registered are
     treated as trusted boot data: loads from their stores are never
-    race-checked. *)
+    race-checked.  A detector holds one record per execution id, in a
+    short list (a scenario registers at most three): a check finds its
+    record by scanning it, with no hashing and no option. *)
 val record : t -> id:int -> Exec_record.t option
 
 (** Make a record begun by another detector visible to this one's
@@ -57,19 +59,21 @@ val observer : t -> Px86.Observer.t
 
 (** Figure 9, [Load_Atomic]: a post-crash load observed an atomic
     (release) store of execution [exec].  Updates [lastflush] for the
-    store's cache line and [CVpre]. *)
+    store's cache line and [CVpre], in place. *)
 val load_atomic : t -> exec:int -> store:Px86.Event.store -> unit
 
 (** Figure 9, [Load_NonAtomic]: check one pre-crash store a post-crash
     load reads (or could read) from.  [commit] is true for the store the
     execution actually read — only committed reads advance [CVpre].
-    Reports (and returns) a race when the store is neither covered by
+    Reports a race (see {!races}) when the store is neither covered by
     coherence ([lastflush]) nor flushed within the consistent prefix
-    (prefix mode) / flushed at all before the crash (baseline mode). *)
+    (prefix mode) / flushed at all before the crash (baseline mode).
+    The check reads single clock components and the store's flush list
+    in place: it allocates only the race it reports (and its list
+    cell), and raises nothing. *)
 val load_non_atomic :
   t -> exec:int -> store:Px86.Event.store -> load_addr:Px86.Addr.t ->
-  load_size:int -> load_tid:int -> load_exec:int -> commit:bool -> benign:bool ->
-  Race.t option
+  load_size:int -> load_tid:int -> load_exec:int -> commit:bool -> benign:bool -> unit
 
 (** {2 Recording and replaying post-crash checks}
 
@@ -80,9 +84,12 @@ val load_non_atomic :
     records, they yield that detector's own verdicts, races and
     counters. *)
 
-(** One {!load_atomic} or {!load_non_atomic} call, with all its
-    arguments. *)
-type call
+(** The {!load_atomic} and {!load_non_atomic} calls a detector logged,
+    with all their arguments, oldest first.  A log is a growable buffer
+    of each call's fields (its ints in one flat array, its store in
+    another); a [log] value is frozen: the detector's later calls never
+    change the calls it holds. *)
+type log
 
 (** Start logging this detector's {!load_atomic} and
     {!load_non_atomic} calls, dropping any earlier log.  Not logging
@@ -90,11 +97,19 @@ type call
     the log. *)
 val log_calls : t -> unit
 
-(** The calls logged since {!log_calls}, oldest first. *)
-val logged : t -> call list
+(** The calls logged since {!log_calls}. *)
+val logged : t -> log
 
-(** Make a logged call again on this detector: the check runs against
-    this detector's records as they are now, counts what it counts and
-    reports (and returns) the race it finds.  A replayed call is not
-    logged again unless this detector is logging. *)
-val replay : t -> call -> Race.t option
+(** The number of calls in a log. *)
+val log_length : log -> int
+
+(** Make every call of a log again on this detector, oldest first: each
+    check runs against this detector's records as they are now, counts
+    what it counts and reports the race it finds.  A replayed call is
+    not logged again unless this detector is logging. *)
+val replay : t -> log -> unit
+
+(** [replay_call t log i] makes call [i] (from 0) of [log] again, as
+    {!replay} does, and returns the race it reported, if any.  Raises
+    [Invalid_argument] unless [0 <= i < log_length log]. *)
+val replay_call : t -> log -> int -> Race.t option

@@ -10,7 +10,23 @@
       atomic stores (cache coherence, Figure 5(a)),
     - [cvpre]: the clock vector bounding the smallest pre-crash prefix
       consistent with everything the post-crash execution has observed
-      (the key to prefix-based expansion, section 5.1). *)
+      (the key to prefix-based expansion, section 5.1).
+
+    {2 Layout}
+
+    Every table is a flat array: [storemap] and [lastflush] are indexed
+    by cache line, [flushmap] by commit sequence number.  The lines and
+    seqs are those of the execution's committed stores, which its
+    machine wrote into its image and numbered; so the arrays are bounded
+    by the image's extent and the run's commit count, and grow by
+    doubling.  A line's [storemap] entry lists the latest store to each
+    of its addresses.  [cvpre] and each line's [lastflush] are
+    accumulators ({!Yashme_util.Clockvec.join_into}), joined in place.
+
+    A post-crash check reads single components ({!lastflush_at},
+    {!cvpre_at}, {!flushes_of}) and allocates nothing.  {!lastflush}
+    and {!cvpre} return snapshots: fresh clock vectors that later joins
+    do not change, so a caller may keep one across joins. *)
 
 type flush_entry = {
   fe_tid : int;  (** thread that performed the flush (or its fence) *)
@@ -25,21 +41,44 @@ val id : t -> int
 (** Latest committed store to [addr], if any. *)
 val store_at : t -> Px86.Addr.t -> Px86.Event.store option
 
-(** Record a committed store (detector-side [storemap] update). *)
+(** Record a committed store (detector-side [storemap] update).  Raises
+    [Invalid_argument] if its address is negative. *)
 val set_store : t -> Px86.Event.store -> unit
 
 (** Addresses on [line] present in the storemap. *)
 val line_addrs : t -> int -> Px86.Addr.t list
 
-(** Flush entries recorded for the store with commit number [seq]. *)
+(** [iter_line_stores t line f] applies [f] to the latest store to each
+    address on [line]. *)
+val iter_line_stores : t -> int -> (Px86.Event.store -> unit) -> unit
+
+(** Flush entries recorded for the store with commit number [seq],
+    newest first. *)
 val flushes_of : t -> int -> flush_entry list
 
+(** Record a flush of the store with commit number [seq] (a committed
+    store of this execution).  Raises [Invalid_argument] if [seq] is
+    negative. *)
 val add_flush : t -> seq:int -> flush_entry -> unit
 
+(** A snapshot of [line]'s [lastflush]. *)
 val lastflush : t -> line:int -> Yashme_util.Clockvec.t
+
+(** Component [tid] of [line]'s [lastflush]. *)
+val lastflush_at : t -> line:int -> int -> int
+
+(** Join a clock vector into [line]'s [lastflush], in place.  [line] is
+    the line of a committed store; raises [Invalid_argument] if it is
+    negative. *)
 val join_lastflush : t -> line:int -> Yashme_util.Clockvec.t -> unit
 
+(** A snapshot of [cvpre]. *)
 val cvpre : t -> Yashme_util.Clockvec.t
+
+(** Component [tid] of [cvpre]. *)
+val cvpre_at : t -> int -> int
+
+(** Join a clock vector into [cvpre], in place. *)
 val join_cvpre : t -> Yashme_util.Clockvec.t -> unit
 
 (** {2 Sharing a pre-crash record}
@@ -50,9 +89,12 @@ val join_cvpre : t -> Yashme_util.Clockvec.t -> unit
     serve several recoveries in turn, provided each recovery's joins
     are cleared before the next one starts. *)
 
-(** No post-crash load has joined into [lastflush] or [cvpre]. *)
+(** Every component of [lastflush] and [cvpre] is zero: no post-crash
+    load has joined a clock into them since the record was created or
+    last cleared. *)
 val joins_empty : t -> bool
 
-(** Drop every [lastflush] and [cvpre] join, returning the record to
-    the state its pre-crash run left it in. *)
+(** Zero every [lastflush] and [cvpre] join in place, returning the
+    record to the state its pre-crash run left it in.  Snapshots taken
+    before do not change. *)
 val clear_joins : t -> unit

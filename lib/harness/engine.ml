@@ -206,7 +206,7 @@ let oracle_base rs inherited =
    the same state, carries in [result] the crash state the recovery
    started from (the state it left is not kept: no family member runs
    anything after a recovery it replays). *)
-type recording = { calls : Yashme.Detector.call list; result : Executor.result }
+type recording = { calls : Yashme.Detector.log; result : Executor.result }
 
 (* How a chain gets a recovery: run it, run it and hand its recording to
    [keep], replay another member's recording in place of the run, or be
@@ -219,7 +219,7 @@ type recovery =
   | Served of recording
 
 let replay detector rc =
-  List.iter (fun c -> ignore (Yashme.Detector.replay detector c)) rc.calls;
+  Yashme.Detector.replay detector rc.calls;
   rc.result
 
 (* Recovery [exec_id] of scenario [rs] from the crash that left [from],

@@ -283,7 +283,7 @@ val run_scenario : Scenario.t -> scenario_result
 val run_member :
   records:Yashme.Exec_record.t list ->
   ?inherited:Px86.Crashstate.t ->
-  ?first:Yashme.Detector.call list * Pm_runtime.Executor.result ->
+  ?first:Yashme.Detector.log * Pm_runtime.Executor.result ->
   Scenario.t ->
   Pm_runtime.Executor.result ->
   scenario_result

@@ -6,25 +6,25 @@ module Clockvec = Yashme_util.Clockvec
    end, putting back the joins the recovery left, so the record ends as
    it was found. *)
 let checked_cvpre ~detector ~record (race : Yashme.Race.t) =
-  match Yashme.Detector.logged detector with
-  | [] -> Yashme.Exec_record.cvpre record
-  | calls ->
-      let fresh =
-        Yashme.Detector.create ~mode:(Yashme.Detector.mode detector)
-          ~eadr:(Yashme.Detector.eadr detector)
-          ~coherence:(Yashme.Detector.coherence detector) ()
-      in
-      Yashme.Detector.adopt fresh record;
-      Yashme.Exec_record.clear_joins record;
-      let at_check = ref None in
-      List.iter
-        (fun call ->
-          let cvpre = Yashme.Exec_record.cvpre record in
-          match Yashme.Detector.replay fresh call with
-          | Some r when Option.is_none !at_check && r = race -> at_check := Some cvpre
-          | Some _ | None -> ())
-        calls;
-      Option.value !at_check ~default:(Yashme.Exec_record.cvpre record)
+  let log = Yashme.Detector.logged detector in
+  if Yashme.Detector.log_length log = 0 then Yashme.Exec_record.cvpre record
+  else begin
+    let fresh =
+      Yashme.Detector.create ~mode:(Yashme.Detector.mode detector)
+        ~eadr:(Yashme.Detector.eadr detector)
+        ~coherence:(Yashme.Detector.coherence detector) ()
+    in
+    Yashme.Detector.adopt fresh record;
+    Yashme.Exec_record.clear_joins record;
+    let at_check = ref None in
+    for i = 0 to Yashme.Detector.log_length log - 1 do
+      let cvpre = Yashme.Exec_record.cvpre record in
+      match Yashme.Detector.replay_call fresh log i with
+      | Some r when Option.is_none !at_check && r = race -> at_check := Some cvpre
+      | Some _ | None -> ()
+    done;
+    Option.value !at_check ~default:(Yashme.Exec_record.cvpre record)
+  end
 
 let prefix_bound ~detector ~race:(r : Yashme.Race.t) =
   Option.map

@@ -192,29 +192,25 @@ let check_origin st d ~tid ~addr ~size ~benign ~commit (o : Px86.Crashstate.orig
   if commit && Px86.Access.is_release store.Px86.Event.access then
     Yashme.Detector.load_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
   else
-    ignore
-      (Yashme.Detector.load_non_atomic d ~exec:o.Px86.Crashstate.exec_id ~store
-         ~load_addr:addr ~load_size:size ~load_tid:tid ~load_exec:st.exec_id ~commit
-         ~benign)
+    Yashme.Detector.load_non_atomic d ~exec:o.Px86.Crashstate.exec_id ~store ~load_addr:addr
+      ~load_size:size ~load_tid:tid ~load_exec:st.exec_id ~commit ~benign
+
+(* Candidate stores the load could have read in some consistent
+   execution are all checked (paper §6, random mode); only the
+   committed read advances CVpre / lastflush. *)
+let rec check_candidates st d ~tid ~addr ~size ~benign origin = function
+  | [] -> ()
+  | c :: rest ->
+      if not (same_origin c origin) then
+        check_origin st d ~tid ~addr ~size ~benign ~commit:false c;
+      check_candidates st d ~tid ~addr ~size ~benign origin rest
 
 let check_crash_read st ~tid ~addr ~size source =
   match st.detector, source with
   | None, _ -> ()
   | Some d, Machine.From_crash (origin, cands) ->
       let benign = st.slots.(tid).validating > 0 in
-      (* Candidate stores the load could have read in some consistent
-         execution are all checked (paper §6, random mode); only the
-         committed read advances CVpre / lastflush. *)
-      if st.check_candidates then begin
-        let rec candidates = function
-          | [] -> ()
-          | c :: rest ->
-              if not (same_origin c origin) then
-                check_origin st d ~tid ~addr ~size ~benign ~commit:false c;
-              candidates rest
-        in
-        candidates cands
-      end;
+      if st.check_candidates then check_candidates st d ~tid ~addr ~size ~benign origin cands;
       check_origin st d ~tid ~addr ~size ~benign ~commit:true origin
   | Some _, (Machine.From_buffer _ | Machine.From_cache _ | Machine.From_init) -> ()
 

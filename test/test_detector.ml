@@ -408,6 +408,235 @@ let test_exec_record_clocks () =
   check "other line empty" true
     (Clockvec.equal (Exec_record.lastflush r ~line:5) Clockvec.empty)
 
+(* [Witness.checked_cvpre] keeps [CVpre] values across later joins:
+   a snapshot must not follow the accumulator it was read from, and
+   clearing leaves it as well. *)
+let test_snapshot_survives_joins () =
+  let r = Exec_record.create ~id:0 in
+  Exec_record.set_store r (mk_store ~tid:1 ~lclk:2 ~addr:64 ());
+  Exec_record.join_cvpre r (Clockvec.of_list [ (1, 2) ]);
+  Exec_record.join_lastflush r ~line:1 (Clockvec.of_list [ (1, 2) ]);
+  let cvpre = Exec_record.cvpre r and lastflush = Exec_record.lastflush r ~line:1 in
+  let expected = Clockvec.of_list [ (1, 2) ] in
+  Exec_record.join_cvpre r (Clockvec.of_list [ (0, 4); (1, 3) ]);
+  Exec_record.join_lastflush r ~line:1 (Clockvec.of_list [ (0, 4); (1, 3) ]);
+  check "cvpre snapshot unchanged by a join" true (Clockvec.equal cvpre expected);
+  check "lastflush snapshot unchanged by a join" true (Clockvec.equal lastflush expected);
+  check_int "the record joined" 4 (Exec_record.cvpre_at r 0);
+  Exec_record.clear_joins r;
+  check "cvpre snapshot unchanged by clearing" true (Clockvec.equal cvpre expected);
+  check "cleared" true
+    (Exec_record.joins_empty r && Clockvec.equal (Exec_record.cvpre r) Clockvec.empty)
+
+(* A log handed out is frozen: the calls its detector makes later, in
+   a new log or the same one, leave it as it was. *)
+let test_log_frozen () =
+  let d = Detector.create () in
+  let r = Detector.begin_exec d ~id:0 in
+  let racy = mk_store ~addr:64 ~seq:1 () and other = mk_store ~addr:128 ~seq:2 () in
+  Exec_record.set_store r racy;
+  Exec_record.set_store r other;
+  let check_load store =
+    Detector.load_non_atomic d ~exec:0 ~store ~load_addr:store.Px86.Event.addr ~load_size:8
+      ~load_tid:0 ~load_exec:1 ~commit:true ~benign:false
+  in
+  Detector.log_calls d;
+  check_load racy;
+  let first = Detector.logged d in
+  check_load other;
+  Detector.log_calls d;
+  for _ = 1 to 40 do
+    check_load other
+  done;
+  check_int "one call" 1 (Detector.log_length first);
+  let fresh = Detector.create () in
+  Detector.adopt fresh r;
+  Detector.replay fresh first;
+  Alcotest.(check (list int)) "the first call's race" [ 64 ]
+    (List.map (fun (race : Race.t) -> race.Race.load_addr) (Detector.races fresh))
+
+(* ------------------------------------------------------------------ *)
+(* Differential: the flat-array detector against the reference model   *)
+
+module Ref = Detector_reference
+
+(* A clock as (tid, clock) pairs over tids 0-3, built in both
+   representations. *)
+let both l = (Clockvec.of_list l, Ref.Clockvec.of_list l)
+
+let clock_gen = QCheck.Gen.(list_size (int_bound 3) (pair (int_bound 3) (int_bound 6)))
+
+(* The stores of one pre-crash execution: [seq] from 1, addresses over
+   three cache lines, a thread's own clock component at its [lclk]. *)
+let exec_stores_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 10)
+      (map3
+         (fun (slot, tid, lclk) cv access -> (slot, tid, lclk, cv, access))
+         (triple (int_bound 23) (int_bound 3) (int_range 1 6))
+         clock_gen
+         (oneofl
+            [ Px86.Access.Plain; Px86.Access.Plain; Px86.Access.Atomic Px86.Access.Release;
+              Px86.Access.Atomic Px86.Access.Relaxed ])))
+
+type pre_event =
+  | Flush of int * int * int * (int * int) list  (* line, tid, lclk, clock *)
+  | Applied of int * (int * int) list * int * int  (* line, clock, fence tid, lclk *)
+  | Nt of int * int * int  (* store index, fence tid, lclk *)
+
+let pre_event_gen =
+  QCheck.Gen.(
+    let line = int_range 1 3 and tid = int_bound 3 and clk = int_bound 6 in
+    frequency
+      [
+        (3, map3 (fun (l, t) c cv -> Flush (l, t, c, cv)) (pair line tid) clk clock_gen);
+        (2, map3 (fun l cv (t, c) -> Applied (l, cv, t, c)) line clock_gen (pair tid clk));
+        (1, map3 (fun i t c -> Nt (i, t, c)) (int_bound 9) tid clk);
+      ])
+
+(* A post-crash call: atomic or not, the execution (0, 1, or 9, which
+   is never registered), a store index, commit, benign, load tid. *)
+let post_call_gen =
+  QCheck.Gen.(
+    map3
+      (fun (atomic, exec) (i, commit) (benign, tid) -> (atomic, exec, i, commit, benign, tid))
+      (pair (frequency [ (1, return true); (3, return false) ]) (oneofl [ 0; 0; 1; 9 ]))
+      (pair (int_bound 9) bool)
+      (pair (frequency [ (1, return true); (4, return false) ]) (int_bound 3)))
+
+let scenario_gen =
+  QCheck.Gen.(
+    pair
+      (triple (oneofl [ Detector.Prefix; Detector.Baseline ]) bool bool)
+      (pair
+         (list_repeat 2 (pair exec_stores_gen (list_size (int_bound 8) pre_event_gen)))
+         (list_size (int_bound 30) post_call_gen)))
+
+let detector_counters diff =
+  List.filter
+    (fun (name, _) -> String.length name > 9 && String.sub name 0 9 = "detector/"
+                      && not (String.contains name '#'))
+    diff
+
+let differential ((mode, eadr, coherence), (execs, calls)) =
+  let d = Detector.create ~mode ~eadr ~coherence () in
+  let rd = Ref.Detector.create ~mode ~eadr ~coherence () in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let before = Observe.Metrics.snapshot () in
+  (* Pre-crash runs 0 and 1: stores and flushes through the observer. *)
+  let stores =
+    List.mapi
+      (fun exec (specs, events) ->
+        let r = Detector.begin_exec d ~id:exec and rr = Ref.Detector.begin_exec rd ~id:exec in
+        let obs = Detector.observer d in
+        let stores =
+          Array.of_list
+            (List.mapi
+               (fun i (slot, tid, lclk, cv, access) ->
+                 let cv, rcv = both ((tid, lclk) :: List.filter (fun (t, _) -> t <> tid) cv) in
+                 let s =
+                   { Px86.Event.seq = i + 1; tid; lclk; cv; addr = 64 + (slot * 8); size = 8;
+                     value = 0L; access; nt = false;
+                     label = Some (Printf.sprintf "e%d.%d" exec i) }
+                 in
+                 obs.Px86.Observer.on_store_commit s;
+                 Ref.Exec_record.set_store rr s;
+                 (s, rcv))
+               specs)
+        in
+        let fence ktid klclk = { Px86.Event.ktid; klclk; kcv = Clockvec.empty; kkind = Px86.Event.Sfence } in
+        let flush line ftid flclk fcv =
+          { Px86.Event.fseq = 0; ftid; flclk; fcv; faddr = line * 64; kind = Px86.Event.Clflush }
+        in
+        List.iter
+          (function
+            | Flush (line, tid, lclk, cv) ->
+                let cv, rcv = both cv in
+                obs.Px86.Observer.on_clflush_commit (flush line tid lclk cv);
+                Ref.Detector.note_flush rd rr ~line ~flush_cv:rcv
+                  ~entry:{ Exec_record.fe_tid = tid; fe_lclk = lclk }
+            | Applied (line, cv, tid, lclk) ->
+                let cv, rcv = both cv in
+                obs.Px86.Observer.on_flush_applied (flush line 0 0 cv) ~fence:(fence tid lclk);
+                Ref.Detector.note_flush rd rr ~line ~flush_cv:rcv
+                  ~entry:{ Exec_record.fe_tid = tid; fe_lclk = lclk }
+            | Nt (i, tid, lclk) when i < Array.length stores ->
+                let s, _ = stores.(i) in
+                obs.Px86.Observer.on_nt_persisted s ~fence:(fence tid lclk);
+                Ref.Exec_record.add_flush rr ~seq:s.Px86.Event.seq
+                  { Exec_record.fe_tid = tid; fe_lclk = lclk }
+            | Nt _ -> ())
+          events;
+        Array.iteri
+          (fun i _ ->
+            expect (Exec_record.flushes_of r (i + 1) = Ref.Exec_record.flushes_of rr (i + 1)))
+          stores;
+        (r, rr, stores))
+      execs
+  in
+  let records = Array.of_list stores in
+  let same_clocks () =
+    Array.iter
+      (fun (r, rr, _) ->
+        expect
+          (Clockvec.to_list (Exec_record.cvpre r)
+          = Ref.Clockvec.to_list (Ref.Exec_record.cvpre rr));
+        for line = 0 to 4 do
+          expect
+            (Clockvec.to_list (Exec_record.lastflush r ~line)
+            = Ref.Clockvec.to_list (Ref.Exec_record.lastflush rr ~line))
+        done)
+      records
+  in
+  (* The post-crash calls, logged. *)
+  Detector.log_calls d;
+  List.iter
+    (fun (atomic, exec, i, commit, benign, load_tid) ->
+      let _, _, stores = records.(if exec = 1 then 1 else 0) in
+      let s, rcv = stores.(i mod Array.length stores) in
+      if atomic then begin
+        Detector.load_atomic d ~exec ~store:s;
+        Ref.Detector.load_atomic rd ~exec ~store:s ~cv:rcv
+      end
+      else begin
+        let n = List.length (Detector.races d) in
+        Detector.load_non_atomic d ~exec ~store:s ~load_addr:s.Px86.Event.addr ~load_size:8
+          ~load_tid ~load_exec:2 ~commit ~benign;
+        let expected =
+          Ref.Detector.load_non_atomic rd ~exec ~store:s ~cv:rcv ~load_addr:s.Px86.Event.addr
+            ~load_size:8 ~load_tid ~load_exec:2 ~commit ~benign
+        in
+        expect (Option.is_some expected = (List.length (Detector.races d) = n + 1))
+      end;
+      expect (Detector.races d = Ref.Detector.races rd);
+      same_clocks ())
+    calls;
+  expect
+    (detector_counters (Observe.Metrics.diff before (Observe.Metrics.snapshot ()))
+    = List.filter (fun (_, v) -> v <> 0) (Ref.Detector.counter_list rd.Ref.Detector.counts));
+  (* The log, replayed into a fresh detector over the cleared records,
+     finds the same races and leaves the same joins. *)
+  let log = Detector.logged d in
+  expect (Detector.log_length log = List.length calls);
+  let fresh = Detector.create ~mode ~eadr ~coherence () in
+  Array.iter
+    (fun (r, _, _) ->
+      Exec_record.clear_joins r;
+      expect (Exec_record.joins_empty r);
+      Detector.adopt fresh r)
+    records;
+  Detector.replay fresh log;
+  expect (Detector.races fresh = Detector.races d);
+  same_clocks ();
+  !ok
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"flat-array detector = map/hashtable reference" ~count:400
+    (QCheck.make scenario_gen) (fun sc ->
+      Observe.Metrics.enable ();
+      Fun.protect ~finally:Observe.Metrics.disable (fun () -> differential sc))
+
 let test_race_rendering () =
   let race =
     { Race.store = mk_store ~addr:0 (); store_exec = 0; load_addr = 0; load_size = 8;
@@ -616,6 +845,8 @@ let () =
           Alcotest.test_case "flushmap" `Quick test_exec_record_flushmap;
           Alcotest.test_case "clocks" `Quick test_exec_record_clocks;
           Alcotest.test_case "race rendering" `Quick test_race_rendering;
+          Alcotest.test_case "snapshots survive joins" `Quick test_snapshot_survives_joins;
+          Alcotest.test_case "a log is frozen" `Quick test_log_frozen;
         ] );
       ( "exhaustive",
         [ Alcotest.test_case "op-level crash sweep" `Quick test_exhaustive_op_crashes ] );
@@ -626,5 +857,6 @@ let () =
             prop_baseline_subset_of_prefix;
             prop_races_only_on_plain;
             prop_fully_flushed_baseline_clean;
+            prop_matches_reference;
           ] );
     ]

@@ -362,6 +362,74 @@ let test_fail_fast () =
   check_int "both queued scenarios cancelled" 2
     (Option.value ~default:0 (List.assoc_opt "engine/cancelled" diff))
 
+(* ------------------------------------------------------------------ *)
+(* Footprint: what results and records retain                           *)
+
+(* [n] lines of flushed stores, then one unflushed store that the
+   recovery reads: one race, whatever [n]. *)
+let wide n =
+  Program.make ~name:"wide"
+    ~pre:(fun () ->
+      let a = Pmem.alloc ~align:64 (64 * (n + 1)) in
+      Pmem.set_root 0 a;
+      for i = 1 to n do
+        Pmem.store ~label:"flushed" (a + (64 * i)) (Int64.of_int i);
+        Pmem.clflush (a + (64 * i))
+      done;
+      Pmem.mfence ();
+      Pmem.store ~label:"racy" a 1L)
+    ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+    ()
+
+(* A completed result keeps its races, and through them their stores,
+   but nothing of the detector's records: its size does not grow with
+   theirs. *)
+let test_result_footprint () =
+  let words n =
+    match
+      Engine.run_scenario
+        (Scenario.of_program ~setup:Scenario.No_setup ~plan:Executor.Crash_at_end
+           ~options:Runner.default_options
+           (wide n))
+    with
+    | Engine.Completed c ->
+        check_int (Printf.sprintf "%d lines: one race" n) 1 (List.length c.Engine.races);
+        Obj.reachable_words (Obj.repr (Engine.Completed c))
+    | Engine.Faulted _ -> Alcotest.fail "the scenario faulted"
+  in
+  check_int "result words, 4 lines vs 4,000" (words 4) (words 4_000)
+
+(* A record is bounded by its run: the stores it keeps and its tables
+   stay within a fixed multiple of the run's commits plus the lines its
+   stores span, on a soak stream of 2,000 client ops per program. *)
+let test_record_footprint () =
+  let bucket = List.hd Pm_harness.Soak.default_buckets in
+  List.iter
+    (fun (stream : Pm_harness.Soak.op_stream) ->
+      let p = Pm_harness.Soak.program ~stream ~bucket ~ops:2_000 ~seed:7 in
+      let commits = ref 0 and top_line = ref 0 in
+      let observer =
+        { Px86.Observer.nop with
+          on_store_commit =
+            (fun s ->
+              incr commits;
+              top_line := max !top_line (Px86.Addr.line s.Px86.Event.addr)) }
+      in
+      let d = Yashme.Detector.create () in
+      let setup =
+        Option.map
+          (fun f -> (Executor.run ~exec_id:Engine.setup_exec f).Executor.state)
+          p.Program.setup
+      in
+      ignore (Executor.run ~detector:d ?inherited:setup ~observer ~exec_id:Engine.pre_exec p.Program.pre);
+      let record = Option.get (Yashme.Detector.record d ~id:Engine.pre_exec) in
+      let bound = 40 * (!commits + !top_line + 1) in
+      let words = Obj.reachable_words (Obj.repr record) in
+      if words > bound then
+        Alcotest.failf "%s: record of %d words, over %d (%d commits, top line %d)"
+          stream.Pm_harness.Soak.os_name words bound !commits !top_line)
+    Registry.soak_streams
+
 let () =
   Alcotest.run "engine"
     [
@@ -405,5 +473,10 @@ let () =
             test_recovery_failure_witness;
           Alcotest.test_case "fail-fast cancels and re-raises" `Quick
             test_fail_fast;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "results keep no record" `Quick test_result_footprint;
+          Alcotest.test_case "records bounded by their run" `Quick test_record_footprint;
         ] );
     ]

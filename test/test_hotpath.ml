@@ -265,6 +265,79 @@ let prop_persistence_history =
                [ 1; 2; 4; 8 ])
            (List.init 260 Fun.id))
 
+(* Line states kept by line in an array, with far flushed lines aside,
+   against a line-keyed table: histories, cuts, the line list and the
+   generation, with flushes of lines before, after and far past any
+   store to them. *)
+type pers_op = Commit of int * int | Flush_line of int * int | Durable
+
+let prop_persistence_lines =
+  QCheck.Test.make ~name:"persistence line states = line-keyed table" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 60)
+           (frequency
+              [
+                (4, map2 (fun a n -> Commit (a, n)) (int_bound 1_400) (int_range 1 8));
+                ( 2,
+                  map2
+                    (fun l back -> Flush_line (l, back))
+                    (frequency [ (4, int_bound 30); (1, int_range 1_000 1_003) ])
+                    (int_bound 5) );
+                (1, return Durable);
+              ])))
+    (fun ops ->
+      let p = Persistence.create () in
+      let model = Hashtbl.create 16 and bumps = ref 0 and seq = ref 0 and last = ref None in
+      let state line =
+        match Hashtbl.find_opt model line with
+        | Some st -> st
+        | None ->
+            let st = (ref [], ref 0) in
+            Hashtbl.add model line st;
+            incr bumps;
+            st
+      in
+      List.iter
+        (function
+          | Commit (addr, size) ->
+              incr seq;
+              let s = mk_store ~addr ~size (Int64.of_int !seq) in
+              s.Event.seq <- !seq;
+              Persistence.commit_store p s;
+              incr bumps;
+              last := Some s;
+              for line = Addr.line addr to Addr.line (addr + size - 1) do
+                let stores, _ = state line in
+                stores := s :: !stores
+              done
+          | Flush_line (line, back) ->
+              Persistence.flush_line p ~line ~seq:(!seq - back);
+              let _, cut = state line in
+              if !seq - back > !cut then begin
+                cut := !seq - back;
+                incr bumps
+              end
+          | Durable ->
+              Option.iter
+                (fun s ->
+                  Persistence.mark_durable p s;
+                  incr bumps)
+                !last)
+        ops;
+      let lines = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) model []) in
+      Persistence.lines p = lines
+      && Persistence.generation p = !bumps
+      && List.for_all
+           (fun line ->
+             let stores, cut =
+               match Hashtbl.find_opt model line with
+               | Some (stores, cut) -> (!stores, !cut)
+               | None -> ([], 0)
+             in
+             Persistence.history p line = stores && Persistence.cut_lb p line = cut)
+           (List.init 40 Fun.id @ [ 1_000; 1_001; 1_002; 1_003; max_int; -1 ]))
+
 (* ------------------------------------------------------------------ *)
 (* Crash materialization vs. the per-line replay                        *)
 
@@ -1087,13 +1160,14 @@ let test_telemetry_hooks_allocate_nothing () =
            (fun (b : Metrics.bucket) -> b.program = "hot" && List.assoc "test/hot_counter" b.counts > 0)
            (Metrics.buckets ())))
 
-(* Post-crash checks with no call log started: logging costs the
-   detector one branch and no allocation, so a pruned committed check
-   and an atomic load allocate what they did before the log existed
-   (the budgets, measured at that code: the [CVpre] and [lastflush]
-   clock-vector joins). *)
-let test_detector_checks_budget () =
-  let module Detector = Yashme.Detector in
+(* Post-crash checks.  A check reads single clock components and the
+   store's flush list in place and joins [CVpre] and [lastflush] in
+   place. *)
+module Detector = Yashme.Detector
+
+(* A detector whose record 1 holds a flushed plain store at 64, an
+   atomic release store at 72 and an unflushed plain store at 128. *)
+let detector_fixture () =
   let d = Detector.create () in
   let record = Detector.begin_exec d ~id:1 in
   let at lclk = Clockvec.set Clockvec.empty 0 lclk in
@@ -1102,19 +1176,42 @@ let test_detector_checks_budget () =
     { (mk_store ~addr:72 ~size:8 1L) with
       Event.seq = 3; lclk = 5; cv = at 5; access = Access.Atomic Access.Release }
   in
+  let unflushed = { (mk_store ~addr:128 ~size:8 1L) with Event.seq = 4; lclk = 6; cv = at 6 } in
   Yashme.Exec_record.set_store record plain;
   Yashme.Exec_record.set_store record release;
+  Yashme.Exec_record.set_store record unflushed;
   Yashme.Exec_record.add_flush record ~seq:1 { Yashme.Exec_record.fe_tid = 0; fe_lclk = 2 };
   Detector.load_atomic d ~exec:1 ~store:release;
-  check_budget "load_atomic" ~max:14.
+  let pruned _ =
+    Detector.load_non_atomic d ~exec:1 ~store:plain ~load_addr:64 ~load_size:8 ~load_tid:0
+      ~load_exec:2 ~commit:true ~benign:false
+  in
+  (d, release, unflushed, pruned)
+
+(* With no call log started, a pruned check and an atomic load allocate
+   nothing, and a check that raises a race allocates the race and its
+   list cell (9 + 3 words). *)
+let test_detector_checks_budget () =
+  let d, release, unflushed, pruned = detector_fixture () in
+  check_budget "load_atomic" ~max:0.
     (words_per (fun _ -> Detector.load_atomic d ~exec:1 ~store:release));
-  check_budget "pruned load_non_atomic" ~max:16.
-    (words_per (fun _ ->
-         ignore
-           (Sys.opaque_identity
-              (Detector.load_non_atomic d ~exec:1 ~store:plain ~load_addr:64 ~load_size:8
-                 ~load_tid:0 ~load_exec:2 ~commit:true ~benign:false))));
-  check "the check was pruned" true (Detector.races d = [])
+  check_budget "pruned load_non_atomic" ~max:0. (words_per pruned);
+  check "the check was pruned" true (Detector.races d = []);
+  check_budget "load_non_atomic raising a race" ~max:12.
+    (words_per ~n:2_000 (fun _ ->
+         Detector.load_non_atomic d ~exec:1 ~store:unflushed ~load_addr:128 ~load_size:8
+           ~load_tid:0 ~load_exec:2 ~commit:false ~benign:false));
+  check "each raised a race" true (List.length (Detector.races d) = 2_001)
+
+(* A logged call appends its fields to the log's flat buffers: 5 ints
+   and a store, doubled as the log grows, so at most 12 words a call on
+   average (minor and major), none of them a block of its own. *)
+let test_logged_check_budget () =
+  let d, _, _, pruned = detector_fixture () in
+  Detector.log_calls d;
+  let minor, major = all_words_per ~n:3_000 (fun () -> pruned 0) in
+  check_budget "logged call" ~max:12. (minor +. major);
+  check "every call logged" true (Detector.log_length (Detector.logged d) = 3_001)
 
 let () =
   Alcotest.run "hotpath"
@@ -1125,6 +1222,7 @@ let () =
             prop_sb_matches_list_model;
             prop_memimage_matches_bytes;
             prop_persistence_history;
+            prop_persistence_lines;
             prop_crash_matches_reference;
             prop_derive_leaves_ancestors;
             prop_lazy_clocks;
@@ -1145,5 +1243,6 @@ let () =
           Alcotest.test_case "run fixed cost" `Quick test_run_fixed_cost;
           Alcotest.test_case "telemetry hooks" `Quick test_telemetry_hooks_allocate_nothing;
           Alcotest.test_case "detector checks, no log" `Quick test_detector_checks_budget;
+          Alcotest.test_case "detector checks, logged" `Quick test_logged_check_budget;
         ] );
     ]

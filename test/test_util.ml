@@ -27,6 +27,12 @@ let test_set_negative () =
   Alcotest.check_raises "negative clock" (Invalid_argument "Clockvec.set: negative clock")
     (fun () -> ignore (Clockvec.set Clockvec.empty 0 (-1)))
 
+let test_set_negative_tid () =
+  Alcotest.check_raises "negative thread id"
+    (Invalid_argument "Clockvec.set: negative thread id")
+    (fun () -> ignore (Clockvec.set Clockvec.empty (-1) 1));
+  check_int "get of a negative tid" 0 (Clockvec.get (Clockvec.of_list [ (0, 2) ]) (-1))
+
 let test_tick () =
   let cv = Clockvec.tick (Clockvec.tick Clockvec.empty 1) 1 in
   check_int "tick twice" 2 (Clockvec.get cv 1)
@@ -98,6 +104,111 @@ let prop_tick_increases =
   QCheck.Test.make ~name:"tick strictly increases" ~count:200
     (QCheck.pair cv_arb QCheck.(int_bound 4)) (fun (a, tid) ->
       Clockvec.lt a (Clockvec.tick a tid))
+
+(* Vectors built the way the machine and the detector build them: sets
+   (to zero too) and joins, over tids 0-3. *)
+type cv_op = Set of int * int | Join_with of (int * int) list
+
+let cv_op_gen =
+  QCheck.Gen.(
+    let tid = int_bound 3 and clk = int_bound 4 in
+    frequency
+      [
+        (3, map2 (fun t c -> Set (t, c)) tid clk);
+        (1, map (fun l -> Join_with l) (list_size (int_bound 3) (pair tid clk)));
+      ])
+
+let build ops =
+  List.fold_left
+    (fun cv -> function
+      | Set (tid, clk) -> Clockvec.set cv tid clk
+      | Join_with l -> Clockvec.join cv (Clockvec.of_list l))
+    Clockvec.empty ops
+
+let ops_arb = QCheck.make QCheck.Gen.(list_size (int_bound 8) cv_op_gen)
+
+(* Races carry store clocks and are compared structurally (the engine's
+   signatures, witness replay, bench/perf's traced replay): a vector
+   must have one representation. *)
+let prop_canonical =
+  QCheck.Test.make ~name:"equal iff compare = 0, equal hashes" ~count:1000
+    (QCheck.pair ops_arb ops_arb) (fun (a, b) ->
+      let a = build a and b = build b in
+      Clockvec.equal a b = (compare a b = 0)
+      && ((not (Clockvec.equal a b)) || Hashtbl.hash a = Hashtbl.hash b))
+
+module Ref_cv = Detector_reference.Clockvec
+
+(* A pool of four vectors run through random operations in both the
+   array representation and the map-based reference model. *)
+type pool_op =
+  | P_set of int * int * int
+  | P_tick of int * int
+  | P_join of int * int * int
+  | P_leq of int * int
+  | P_get of int * int
+
+let pool_op_gen =
+  QCheck.Gen.(
+    let slot = int_bound 3 and tid = int_bound 3 in
+    oneof
+      [
+        map3 (fun i t c -> P_set (i, t, c)) slot tid (int_bound 5);
+        map2 (fun i t -> P_tick (i, t)) slot tid;
+        map3 (fun i j k -> P_join (i, j, k)) slot slot slot;
+        map2 (fun i j -> P_leq (i, j)) slot slot;
+        map2 (fun i t -> P_get (i, t)) slot (int_range (-1) 5);
+      ])
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"array clocks = map-based reference" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_bound 40) pool_op_gen))
+    (fun ops ->
+      let cvs = Array.make 4 Clockvec.empty and refs = Array.make 4 Ref_cv.empty in
+      let same i = Clockvec.to_list cvs.(i) = Ref_cv.to_list refs.(i) in
+      List.for_all
+        (fun op ->
+          (match op with
+          | P_set (i, tid, clk) ->
+              cvs.(i) <- Clockvec.set cvs.(i) tid clk;
+              refs.(i) <- Ref_cv.set refs.(i) tid clk;
+              true
+          | P_tick (i, tid) ->
+              cvs.(i) <- Clockvec.tick cvs.(i) tid;
+              refs.(i) <- Ref_cv.tick refs.(i) tid;
+              true
+          | P_join (i, j, k) ->
+              cvs.(k) <- Clockvec.join cvs.(i) cvs.(j);
+              refs.(k) <- Ref_cv.join refs.(i) refs.(j);
+              true
+          | P_leq (i, j) -> Clockvec.leq cvs.(i) cvs.(j) = Ref_cv.leq refs.(i) refs.(j)
+          | P_get (i, tid) -> Clockvec.get cvs.(i) tid = Ref_cv.get refs.(i) tid)
+          && List.for_all same [ 0; 1; 2; 3 ]
+          && Clockvec.equal cvs.(0) cvs.(1) = Ref_cv.equal refs.(0) refs.(1))
+        ops)
+
+(* An accumulator joined in place reads back as the join of everything
+   joined into it; a frozen copy does not follow later joins. *)
+let prop_accumulator =
+  QCheck.Test.make ~name:"join_into = join, freeze is a snapshot" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_bound 6) (list_size (int_bound 8) cv_op_gen)))
+    (fun vecs ->
+      let vecs = List.map build vecs in
+      let acc = Array.make 6 0 in
+      let joined = ref Clockvec.empty and ok = ref true in
+      List.iter
+        (fun cv ->
+          let before = Clockvec.freeze acc ~off:2 ~len:4 in
+          let expected = !joined in
+          Clockvec.join_into acc ~off:2 cv;
+          joined := Clockvec.join !joined cv;
+          ok :=
+            !ok
+            && Clockvec.equal before expected
+            && Clockvec.equal (Clockvec.freeze acc ~off:2 ~len:4) !joined
+            && acc.(0) = 0 && acc.(1) = 0)
+        vecs;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
@@ -188,6 +299,7 @@ let () =
           Alcotest.test_case "orders" `Quick test_orders;
           Alcotest.test_case "to_list sorted" `Quick test_to_list_sorted;
           Alcotest.test_case "pp" `Quick test_pp;
+          Alcotest.test_case "negative tid" `Quick test_set_negative_tid;
         ] );
       ( "clockvec-properties",
         List.map QCheck_alcotest.to_alcotest
@@ -198,6 +310,9 @@ let () =
             prop_join_upper_bound;
             prop_leq_antisymmetric;
             prop_tick_increases;
+            prop_canonical;
+            prop_matches_reference;
+            prop_accumulator;
           ] );
       ( "rng",
         [
