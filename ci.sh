@@ -408,4 +408,20 @@ perf_gate recovery-j2 26367 6259
 perf_gate soak-read 10021 11262
 perf_gate soak-write 7742 14661
 
+echo "== traced soak-read run (bench/perf --trace 1)"
+# The traced run keeps every result of one soak pass alive and replays
+# each twice, each time with a fresh detector, so whatever a result or
+# a detector retains is multiplied here first.  It must exit 0 and
+# report "correct": true.
+traced="$work/perf-soak-read-traced.json"
+status=0
+bash bench/perf/run.sh --workload soak-read --seed 42 --seconds 4 --trace 1 \
+  > "$traced.full" || status=$?
+tail -n 1 "$traced.full" > "$traced"
+[ "$status" -eq 0 ] && grep -q '"correct": true' "$traced" || {
+  echo "ci: traced bench/perf soak-read run exited $status or was not correct" >&2
+  cat "$traced" >&2
+  exit 1
+}
+
 echo "CI OK"

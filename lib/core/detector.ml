@@ -257,17 +257,21 @@ let check_non_atomic t r ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec
   end;
   raced
 
-let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
-    ~benign =
+(* [load_non_atomic], telling whether it reported a race. *)
+let non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit ~benign =
   if t.logging then
     append t
       ~flags:((if commit then f_commit else 0) lor if benign then f_benign else 0)
       ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec;
   let r = record_of exec t.records in
-  if r != unregistered then
-    ignore
-      (check_non_atomic t r ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
-         ~benign)
+  r != unregistered
+  && check_non_atomic t r ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
+       ~benign
+
+let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
+    ~benign =
+  ignore
+    (non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit ~benign)
 
 (* Call [i] of [log], made again: whether it reported a race. *)
 let replay_at t log i =
@@ -277,20 +281,10 @@ let replay_at t log i =
     load_atomic t ~exec ~store;
     false
   end
-  else begin
-    let load_addr = log.ints.(b + 1)
-    and load_size = log.ints.(b + 2)
-    and load_exec = log.ints.(b + 3)
-    and load_tid = packed asr tid_shift
-    and commit = packed land f_commit <> 0
-    and benign = packed land f_benign <> 0 in
-    if t.logging then
-      append t ~flags:(packed land 7) ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec;
-    let r = record_of exec t.records in
-    r != unregistered
-    && check_non_atomic t r ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~commit
-         ~benign
-  end
+  else
+    non_atomic t ~exec ~store ~load_addr:log.ints.(b + 1) ~load_size:log.ints.(b + 2)
+      ~load_tid:(packed asr tid_shift) ~load_exec:log.ints.(b + 3)
+      ~commit:(packed land f_commit <> 0) ~benign:(packed land f_benign <> 0)
 
 let replay t log =
   for i = 0 to log.n - 1 do

@@ -40,43 +40,34 @@ let find t line =
   else if Hashtbl.length t.far > 0 && Hashtbl.mem t.far line then Hashtbl.find t.far line
   else absent
 
-let fresh t =
-  bump t;
-  { stores = []; cut_lb = 0 }
+(* [by_line] grown to hold [line], taking over the [far] lines it now
+   covers. *)
+let cover t line =
+  let by_line = Array.make (max (line + 1) (2 * Array.length t.by_line)) absent in
+  Array.blit t.by_line 0 by_line 0 (Array.length t.by_line);
+  t.by_line <- by_line;
+  if Hashtbl.length t.far > 0 then
+    Hashtbl.filter_map_inplace
+      (fun l ls ->
+        if l < Array.length by_line then begin
+          by_line.(l) <- ls;
+          None
+        end
+        else Some ls)
+      t.far
 
 (* [line]'s state, made if it has none; [by_line] covers [line] first
    when [grow]. *)
 let get_line t ~grow line =
-  if grow && line >= Array.length t.by_line then begin
-    let by_line = Array.make (max (line + 1) (2 * Array.length t.by_line)) absent in
-    Array.blit t.by_line 0 by_line 0 (Array.length t.by_line);
-    t.by_line <- by_line;
-    if Hashtbl.length t.far > 0 then
-      Hashtbl.filter_map_inplace
-        (fun l ls ->
-          if l < Array.length by_line then begin
-            by_line.(l) <- ls;
-            None
-          end
-          else Some ls)
-        t.far
-  end;
-  if line >= 0 && line < Array.length t.by_line then begin
-    let ls = t.by_line.(line) in
-    if ls != absent then ls
-    else begin
-      let ls = fresh t in
-      t.by_line.(line) <- ls;
+  if grow && line >= Array.length t.by_line then cover t line;
+  match find t line with
+  | ls when ls != absent -> ls
+  | _ ->
+      let ls = { stores = []; cut_lb = 0 } in
+      if line >= 0 && line < Array.length t.by_line then t.by_line.(line) <- ls
+      else Hashtbl.replace t.far line ls;
+      bump t;
       ls
-    end
-  end
-  else
-    match find t line with
-    | ls when ls != absent -> ls
-    | _ ->
-        let ls = fresh t in
-        Hashtbl.replace t.far line ls;
-        ls
 
 let append t (s : Event.store) =
   if t.committed = Array.length t.log then begin
