@@ -19,9 +19,16 @@
     seqs are those of the execution's committed stores, which its
     machine wrote into its image and numbered; so the arrays are bounded
     by the image's extent and the run's commit count, and grow by
-    doubling.  A line's [storemap] entry lists the latest store to each
-    of its addresses.  [cvpre] and each line's [lastflush] are
-    accumulators ({!Yashme_util.Clockvec.join_into}), joined in place.
+    doubling.  No array is indexed by a raw id, an address or a
+    sentinel: a lookup out of range reads as absent.  A line's
+    [storemap] entry lists the latest store to each of its addresses.
+
+    [cvpre] and each line's [lastflush] are accumulators
+    ({!Yashme_util.Clockvec.join_into}): runs of one component per
+    thread id, as wide as the widest clock of a store the record holds.
+    A post-crash load joins one of those clocks, so the join fits in
+    place, and {!clear_joins} zeroes them in place: a cleared record is
+    the record its pre-crash run left, word for word.
 
     A post-crash check reads single components ({!lastflush_at},
     {!cvpre_at}, {!flushes_of}) and allocates nothing.  {!lastflush}
