@@ -73,7 +73,7 @@ let table3 () =
   let rows =
     List.concat_map
       (fun p ->
-        let r = Runner.model_check p in
+        let r = (Runner.model_check_outcome p).Runner.o_report in
         List.map
           (fun (f : Report.finding) ->
             incr n;
@@ -96,9 +96,7 @@ let table4 () =
   let group name programs =
     let findings =
       List.concat_map
-        (fun p ->
-          let r = Runner.random_mode ~execs p in
-          Report.real r)
+        (fun p -> Report.real (Runner.random_mode_outcome ~execs p).Runner.o_report)
         programs
     in
     let labels =

@@ -7,7 +7,8 @@
    yashme replay CORPUS                 re-run recorded witnesses (regression gate)
    yashme minimize CORPUS               ddmin-shrink recorded witnesses
    yashme corpus merge|stats            manage witness corpora
-   yashme profile TRACE                 hot-spot tables from a recorded trace
+   yashme profile FILE                  render an --attribution-out cost-center table
+   yashme trace-lint FILE               check a JSONL file yashme wrote
    yashme runs LEDGER                   list runs recorded with --ledger
    yashme compare LEDGER A B            diff two ledger runs (counter deltas)
    yashme variants                      list persistency-model variants
@@ -121,14 +122,6 @@ let metrics_flag =
              pruned.  Totals are identical for every --jobs count." in
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
-let trace_out =
-  let doc = "Record a trace of the run and write it to $(docv): Chrome \
-             about://tracing JSON (open in chrome://tracing or Perfetto), or \
-             JSONL when $(docv) ends in .jsonl.  Spans cover engine workers, \
-             scenarios, executions and crash materializations, laned per \
-             worker domain." in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
-
 let quiet_flag =
   let doc = "Suppress warnings (e.g. the Cut_random fallback to --jobs 1).  \
              Alias for $(b,--log-level off)." in
@@ -146,8 +139,7 @@ let log_level_conv =
 
 let log_level_arg =
   let doc = "Stderr logging threshold: $(b,off), $(b,warn) (default), \
-             $(b,info) or $(b,debug).  Takes precedence over --quiet; the \
-             trace mirror of log messages is unaffected." in
+             $(b,info) or $(b,debug).  Takes precedence over --quiet." in
   Arg.(value & opt (some log_level_conv) None & info [ "log-level" ] ~doc ~docv:"LEVEL")
 
 let coverage_flag =
@@ -234,7 +226,7 @@ let attribution_out =
              (counts and deterministic charged units; no wall clocks) to \
              $(docv) as JSONL, one flat object per center.  Byte-identical \
              for every --jobs count.  Implies --attribution.  Render it \
-             later with $(b,yashme profile --attribution)." in
+             later with $(b,yashme profile)." in
   Arg.(value & opt (some string) None & info [ "attribution-out" ] ~doc ~docv:"FILE")
 
 let ledger_arg =
@@ -255,7 +247,7 @@ let run_label_arg =
 module Telemetry = Pm_corpus.Telemetry
 
 (* The telemetry flags, folded into one run config.  [`Check] commands
-   take all twelve; [`Soak] has no block flags (--metrics, --coverage,
+   take all eleven; [`Soak] has no block flags (--metrics, --coverage,
    --attribution). *)
 let telemetry_term shape =
   let blocks = shape = `Check in
@@ -263,16 +255,16 @@ let telemetry_term shape =
   Term.(
     const
       (fun log_level quiet metrics coverage coverage_out attribution
-           attribution_out progress progress_out trace_out ledger run_label ->
+           attribution_out progress progress_out ledger run_label ->
         { Telemetry.log_level; quiet; metrics; coverage;
           coverage_out; attribution; attribution_out; progress; progress_out;
-          trace_out; ledger; run_label })
+          ledger; run_label })
     $ log_level_arg $ quiet_flag
     $ pick blocks metrics_flag false
     $ pick blocks coverage_flag false
     $ coverage_out
     $ pick blocks attribution_flag false
-    $ attribution_out $ progress_flag $ progress_out $ trace_out $ ledger_arg
+    $ attribution_out $ progress_flag $ progress_out $ ledger_arg
     $ run_label_arg)
 
 let mode_label = function
@@ -527,42 +519,28 @@ let check_all_cmd =
 let trace_lint_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"File to validate: JSONL when the name ends in .jsonl, \
-                 Chrome trace JSON otherwise.")
+           ~doc:"JSONL file to validate.")
   in
   let run file =
-    match Observe.Trace.check_file file with
-    | Ok () -> Printf.printf "%s: well-formed\n" file
+    match Yashme_util.Json.load_lines ~what:"JSONL file" file Yashme_util.Json.parse with
+    | Ok _ -> Printf.printf "%s: well-formed\n" file
     | Error msg ->
-        Printf.eprintf "malformed trace: %s\n" msg;
-        exit 1
-    | exception Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
+        Printf.eprintf "malformed JSONL: %s\n" msg;
         exit 1
   in
   Cmd.v
     (Cmd.info "trace-lint"
-       ~doc:"Validate a trace file emitted by --trace-out (JSON \
-             well-formedness)")
+       ~doc:"Validate a JSONL file yashme writes (progress stream, corpus, \
+             coverage, attribution, ledger, soak manifest): every non-blank \
+             line must be one JSON value")
     Term.(const run $ file)
 
 let profile_cmd =
   let file =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE"
-           ~doc:"Trace file written by --trace-out (JSONL when the name ends \
-                 in .jsonl, Chrome trace JSON otherwise).")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
+           ~doc:"Cost-attribution JSONL file written by --attribution-out.")
   in
-  let top =
-    let doc = "Rows per hot-spot table." in
-    Arg.(value & opt int 15 & info [ "top" ] ~doc ~docv:"N")
-  in
-  let attribution =
-    let doc = "Treat $(docv) as a cost-attribution JSONL file (written by \
-               $(b,--attribution-out)) and render its jobs-invariant \
-               cost-center table instead of trace hot-spots." in
-    Arg.(value & flag & info [ "attribution" ] ~doc)
-  in
-  let run_attribution file =
+  let run file =
     match
       Yashme_util.Json.load_lines ~what:"attribution file" file (fun l ->
           Result.bind (Yashme_util.Json.decode_obj l) Observe.Attribution.of_fields)
@@ -572,57 +550,11 @@ let profile_cmd =
         exit 1
     | Ok rows -> print_endline (Observe.Attribution.to_string ~timing:false rows)
   in
-  let run file top attribution =
-    if attribution then run_attribution file
-    else
-    match Observe.Profile.parse_file file with
-    | Error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    | Ok events ->
-        let fmt_us us = Printf.sprintf "%.3fms" (float_of_int us /. 1000.) in
-        let take n l = List.filteri (fun i _ -> i < n) l in
-        let rows_of rows =
-          List.map
-            (fun (r : Observe.Profile.row) ->
-              [ r.Observe.Profile.r_key;
-                string_of_int r.Observe.Profile.r_count;
-                fmt_us r.Observe.Profile.r_total_us;
-                fmt_us r.Observe.Profile.r_self_us ])
-            (take top rows)
-        in
-        Printf.printf "%s: %d event(s)\n\n" file (List.length events);
-        print_endline "hot spots by span name (self time, descending):";
-        print_endline
-          (Yashme_util.Pretty.table
-             ~header:[ "span"; "count"; "total"; "self" ]
-             (rows_of (Observe.Profile.by_name events)));
-        print_newline ();
-        print_endline "by category:";
-        print_endline
-          (Yashme_util.Pretty.table
-             ~header:[ "category"; "count"; "total"; "self" ]
-             (rows_of (Observe.Profile.by_cat events)));
-        print_newline ();
-        print_endline "lanes (pid/tid = engine worker slots):";
-        print_endline
-          (Yashme_util.Pretty.table
-             ~header:[ "pid"; "tid"; "spans"; "instants"; "busy" ]
-             (List.map
-                (fun (l : Observe.Profile.lane) ->
-                  [ string_of_int l.Observe.Profile.l_pid;
-                    string_of_int l.Observe.Profile.l_tid;
-                    string_of_int l.Observe.Profile.l_spans;
-                    string_of_int l.Observe.Profile.l_instants;
-                    fmt_us l.Observe.Profile.l_busy_us ])
-                (Observe.Profile.lanes events)))
-  in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Aggregate a recorded trace into per-phase/per-lane self-time \
-             hot-spot tables; with $(b,--attribution), render a cost-center \
-             table from an attribution JSONL file")
-    Term.(const run $ file $ top $ attribution)
+       ~doc:"Render the jobs-invariant cost-center table of an attribution \
+             JSONL file")
+    Term.(const run $ file)
 
 let runs_cmd =
   let file =

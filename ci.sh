@@ -28,11 +28,11 @@ dune runtest
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-echo "== observability smoke (check --metrics --trace-out + trace-lint)"
-trace="$work/trace.json"
+echo "== observability smoke (check --metrics --attribution-out + trace-lint)"
+att="$work/att.jsonl"
 dune exec bin/yashme_cli.exe -- check CCEH --jobs 2 --metrics \
-  --trace-out "$trace" --quiet >/dev/null
-dune exec bin/yashme_cli.exe -- trace-lint "$trace"
+  --attribution-out "$att" --quiet >/dev/null
+dune exec bin/yashme_cli.exe -- trace-lint "$att"
 
 echo "== fault-injection smoke (budgets + recovery-failure witnesses)"
 # demo-diverge spins forever without a budget; under --max-ops the run
@@ -162,15 +162,13 @@ vb=$(dune exec bin/yashme_cli.exe -- check CCEH --jobs 2 --quiet \
   exit 1
 }
 
-echo "== profile smoke (trace -> hot-spot and lane tables)"
-out=$(dune exec bin/yashme_cli.exe -- profile "$trace" --top 5)
-for table in "hot spots by span name" "lanes (pid/tid"; do
-  echo "$out" | grep -qF "$table" || {
-    echo "ci: profile output lacks its '$table' table" >&2
-    echo "$out" >&2
-    exit 1
-  }
-done
+echo "== profile smoke (attribution file -> cost-center table)"
+out=$(dune exec bin/yashme_cli.exe -- profile "$att")
+echo "$out" | grep -q "cost center *count *charged" || {
+  echo "ci: profile output lacks its cost-center table header" >&2
+  echo "$out" >&2
+  exit 1
+}
 
 echo "== observatory smoke (--attribution invariance + ledger runs/compare)"
 att1="$work/att1.jsonl"
@@ -201,7 +199,6 @@ dune exec bin/yashme_cli.exe -- check CCEH --jobs 2 --quiet \
 dune exec bin/yashme_cli.exe -- runs "$ledger" >/dev/null
 dune exec bin/yashme_cli.exe -- trace-lint "$ledger"
 dune exec bin/yashme_cli.exe -- compare "$ledger" 1 2
-dune exec bin/yashme_cli.exe -- profile "$att1" --attribution >/dev/null
 
 echo "== soak smoke (budgets + checkpoint/resume + quarantine)"
 soak_m1="$work/soak-m1.jsonl"
@@ -338,16 +335,15 @@ dune exec bench/main.exe -- --throughput-only >/dev/null 2>&1 || status=$?
   exit 1
 }
 
-echo "== fail-fast run closes its telemetry (progress + trace, no temporaries)"
+echo "== fail-fast run closes its telemetry (progress, no temporaries)"
 ff_dir="$work/failfast"
 mkdir "$ff_dir"
 # demo-faulty-recovery's fault re-raises under --fail-fast (exit 125);
-# the session must still commit the progress stream and write the
-# trace on the way out, leaving no *.tmp.* file behind.
+# the session must still commit the progress stream on the way out,
+# leaving no *.tmp.* file behind.
 status=0
 dune exec bin/yashme_cli.exe -- check demo-faulty-recovery --fail-fast \
-  --progress-out "$ff_dir/progress.jsonl" --trace-out "$ff_dir/trace.json" \
-  --quiet >/dev/null 2>&1 || status=$?
+  --progress-out "$ff_dir/progress.jsonl" --quiet >/dev/null 2>&1 || status=$?
 [ "$status" -eq 125 ] || {
   echo "ci: fail-fast run exited $status, expected 125" >&2
   exit 1
@@ -358,7 +354,6 @@ if ls "$ff_dir" | grep -q '\.tmp\.'; then
   exit 1
 fi
 dune exec bin/yashme_cli.exe -- trace-lint "$ff_dir/progress.jsonl"
-dune exec bin/yashme_cli.exe -- trace-lint "$ff_dir/trace.json"
 
 echo "== repository benchmark floors (bench/perf, release profile)"
 # Last, because run.sh rebuilds the tree in the release profile.  Each

@@ -7,7 +7,9 @@
 let () =
   print_endline "Model-checking CCEH: crash before every flush/fence of the";
   print_endline "insert workload, recovery after each crash...\n";
-  let report = Pm_harness.Runner.model_check Pm_benchmarks.Cceh.program in
+  let report =
+    (Pm_harness.Runner.model_check_outcome Pm_benchmarks.Cceh.program).o_report
+  in
   print_endline (Pm_harness.Report.to_string report);
   print_newline ();
 

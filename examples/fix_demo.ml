@@ -39,7 +39,7 @@ let slot_protocol ~fixed () =
 
 let () =
   let report fixed =
-    let r = Pm_harness.Runner.model_check (slot_protocol ~fixed ()) in
+    let r = (Pm_harness.Runner.model_check_outcome (slot_protocol ~fixed ())).o_report in
     Printf.printf "%-16s -> %d race(s)%s\n"
       (if fixed then "with atomic fix" else "as shipped")
       (List.length (Pm_harness.Report.real r))

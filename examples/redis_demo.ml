@@ -35,7 +35,9 @@ let () =
 
   (* Random-mode detection across several executions. *)
   print_endline "\nrandom-mode detection (20 executions):";
-  let report = Pm_harness.Runner.random_mode ~execs:20 Pm_benchmarks.Redis.program in
+  let report =
+    (Pm_harness.Runner.random_mode_outcome ~execs:20 Pm_benchmarks.Redis.program).o_report
+  in
   print_endline (Pm_harness.Report.to_string report);
   print_endline "\nRedis reads are checksum-validated, so most findings are";
   print_endline "benign; the real finding (when a crash lands inside a";

@@ -111,7 +111,7 @@ let () =
   print_endline "wal-queue functional session: ok";
 
   (* Crash-test it. *)
-  let report = Pm_harness.Runner.model_check program in
+  let report = (Pm_harness.Runner.model_check_outcome program).o_report in
   print_endline (Pm_harness.Report.to_string report);
   print_endline "\nthe data path (records + head/tail) is clean: payloads are";
   print_endline "persisted before atomic publication and validated by checksum.";

@@ -23,7 +23,7 @@ type case = {
   c_name : string;
   c_program : Program.t;
   c_options : Runner.options;  (* variant field overridden per column *)
-  c_recovery : bool;  (** drive with [model_check_recovery] (two-crash) *)
+  c_recovery : bool;  (** drive with [model_check_recovery_outcome] (two-crash) *)
   c_doc : string;
 }
 
@@ -230,11 +230,12 @@ let variants = List.map (fun (_, v, _) -> v) Variant.builtins
 
 let run_case ?(jobs = 1) ~variant case =
   let options = { case.c_options with Runner.variant } in
-  let report =
+  let o =
     if case.c_recovery then
-      Runner.model_check_recovery ~options ~jobs case.c_program
-    else Runner.model_check ~options ~jobs case.c_program
+      Runner.model_check_recovery_outcome ~options ~jobs case.c_program
+    else Runner.model_check_outcome ~options ~jobs case.c_program
   in
+  let report = o.Runner.o_report in
   {
     races =
       List.map

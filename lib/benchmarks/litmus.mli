@@ -14,7 +14,7 @@ type case = {
       (** base options (store-buffer policy, seed); the matrix driver
           overrides the [variant] field per column *)
   c_recovery : bool;
-      (** drive with [model_check_recovery] (two-crash scenarios) *)
+      (** drive with [model_check_recovery_outcome] (two-crash scenarios) *)
   c_doc : string;  (** one-line program summary *)
 }
 

@@ -15,7 +15,6 @@ type config = {
   attribution_out : string option;
   progress : bool;
   progress_out : string option;
-  trace_out : string option;
   ledger : string option;
   run_label : string option;
 }
@@ -23,8 +22,7 @@ type config = {
 let off =
   { log_level = None; quiet = false; metrics = false; coverage = false;
     coverage_out = None; attribution = false; attribution_out = None;
-    progress = false; progress_out = None; trace_out = None; ledger = None;
-    run_label = None }
+    progress = false; progress_out = None; ledger = None; run_label = None }
 
 let with_session cfg f =
   (match cfg.log_level with
@@ -44,41 +42,31 @@ let with_session cfg f =
     Observe.Metrics.reset ();
     Observe.Metrics.enable ()
   end;
-  if cfg.trace_out <> None then Observe.Trace.start ();
-  (* Closing never raises: it disarms everything, and hands back the
-     write errors it caught, oldest first. *)
+  (* Closing never raises: it commits the progress stream, disarms the
+     registry, and hands back the commit's error, if any. *)
   let close () =
-    let errors = ref [] in
-    let attempt g =
-      try g () with e -> errors := (e, Printexc.get_raw_backtrace ()) :: !errors
+    let error =
+      match Observe.Progress.stop () with
+      | _ -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
     in
-    attempt (fun () -> ignore (Observe.Progress.stop ()));
-    Option.iter
-      (fun file ->
-        Observe.Trace.stop ();
-        attempt (fun () ->
-            Observe.Trace.write file;
-            Printf.printf "trace: %d event(s) written to %s\n"
-              (Observe.Trace.event_count ()) file))
-      cfg.trace_out;
     if armed then Observe.Metrics.disable ();
-    List.rev !errors
+    error
   in
-  let report (e, _) = Printf.eprintf "telemetry: %s\n%!" (Printexc.to_string e) in
-  (* The body's exception wins; a write error is re-raised only when
+  (* The body's exception wins; a commit error is re-raised only when
      the body returned, so it reaches the top level as it would have
      without the session. *)
   match f () with
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      List.iter report (close ());
+      Option.iter
+        (fun (e, _) -> Printf.eprintf "telemetry: %s\n%!" (Printexc.to_string e))
+        (close ());
       Printexc.raise_with_backtrace e bt
   | v -> (
       match close () with
-      | [] -> v
-      | (e, bt) :: rest ->
-          List.iter report rest;
-          Printexc.raise_with_backtrace e bt)
+      | None -> v
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt)
 
 type observed = {
   o_metrics : (string * int) list;

@@ -21,7 +21,6 @@ type config = {
   attribution_out : string option;
   progress : bool;
   progress_out : string option;
-  trace_out : string option;
   ledger : string option;
   run_label : string option;
 }
@@ -30,9 +29,9 @@ type config = {
 val off : config
 
 (** Arm what the config asks for; run [f]; then stop progress
-    (committing [--progress-out]), write [--trace-out] and disarm, also
-    when [f] raises.  A failed write never masks [f]'s exception: it is
-    reported on stderr, and re-raised only when [f] returned. *)
+    (committing [--progress-out]) and disarm, also when [f] raises.  A
+    failed commit never masks [f]'s exception: it is reported on
+    stderr, and re-raised only when [f] returned. *)
 val with_session : config -> (unit -> 'a) -> 'a
 
 (** What a window saw: the metrics and cost centers of the work run

@@ -404,18 +404,6 @@ let sandboxed rs body =
       Observe.Metrics.incr m_faults;
       if Finding.is_recovery_failure info then
         Observe.Metrics.incr m_recovery_failures;
-      if Observe.Trace.recording () then
-        Observe.Trace.instant ~cat:"engine" "fault"
-          ~args:
-            [
-              ("label", s.Scenario.label);
-              ("phase", Finding.phase_label rs.phase);
-              ("plan", info.Finding.plan);
-              ("exn", info.Finding.exn_text);
-              ( "kind",
-                if Finding.is_recovery_failure info then "recovery_failure"
-                else "fault" );
-            ];
       Faulted
         {
           f_info = info;
@@ -449,19 +437,6 @@ let run_scenario_from ~t0 (s : Scenario.t) =
       finish rs ~base pre)
 
 let run_scenario s = run_scenario_from ~t0:(now ()) s
-
-(* The trace span of scenario [i]: cat ["scenario"] for a scenario run
-   on its own, ["member"] for one served inside a family chunk (whose
-   own span carries the ["scenario"] cat). *)
-let scenario_span ~cat i (s : Scenario.t) f =
-  Observe.Span.with_ ~cat
-    ~args:
-      [
-        ("index", string_of_int i);
-        ("label", s.Scenario.label);
-        ("plan", Executor.plan_label s.Scenario.plan);
-      ]
-    s.Scenario.label f
 
 (* ------------------------------------------------------------------ *)
 (* Families: one pre-crash run serves many crash points                 *)
@@ -584,13 +559,10 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
     emit (first + k) r;
     clock := now ()
   in
-  let member_span k f = scenario_span ~cat:"member" (first + k) (member k) f in
   let serve ?first ?second k ~records ~setup ~inherited pre =
     if not (cancelled ()) then
       let rs = start ~t0:!clock (member k) in
-      deliver k
-        (member_span k (fun () ->
-             serve_member ?first ?second rs ~records ~setup ~inherited pre))
+      deliver k (serve_member ?first ?second rs ~records ~setup ~inherited pre)
   in
   let detector () =
     Yashme.Detector.create ~mode:opts.Scenario.mode ~eadr:opts.Scenario.eadr
@@ -717,23 +689,13 @@ let run_chunk ~emit ~cancelled (arr : Scenario.t array) ~first ~len =
               if rows <> [] then row rows ~setup ~inherited pre
             end)
   in
-  Observe.Span.with_ ~cat:"scenario"
-    ~args:
-      [
-        ("index", string_of_int first);
-        ("members", string_of_int len);
-        ("plan", Executor.plan_label (furthest_of pre_plan members));
-      ]
-    s0.Scenario.label
-    (fun () ->
-      Observe.Metrics.with_program
-        ~variant:(Px86.Variant.label opts.Scenario.variant)
-        s0.Scenario.label shared_run;
-      for k = 0 to len - 1 do
-        if (not served.(k)) && not (cancelled ()) then
-          deliver k
-            (member_span k (fun () -> run_scenario_from ~t0:!clock (member k)))
-      done)
+  Observe.Metrics.with_program
+    ~variant:(Px86.Variant.label opts.Scenario.variant)
+    s0.Scenario.label shared_run;
+  for k = 0 to len - 1 do
+    if (not served.(k)) && not (cancelled ()) then
+      deliver k (run_scenario_from ~t0:!clock (member k))
+  done
 
 (* ------------------------------------------------------------------ *)
 (* The worker pool                                                      *)
@@ -868,103 +830,79 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
   let cancelled () = fail_fast && Atomic.get stop in
   (* Workers claim the next unstarted work item; each result lands in
      its scenario's slot, so the merge below is in submission order no
-     matter which domain finished first.  Each worker owns trace lane
-     (pid 0, tid = slot): scenario spans land in their worker's lane,
-     making per-domain utilization and queue idle time visible in the
-     Chrome viewer. *)
+     matter which domain finished first. *)
   let worker slot =
-    Observe.Trace.set_context ~pid:0 ~tid:slot;
-    Observe.Span.with_ ~cat:"engine"
-      ~args:[ ("slot", string_of_int slot) ]
-      "worker"
-      (fun () ->
-        let att = Observe.Metrics.is_enabled () in
-        let idle_since = ref (if att then Observe.Trace.now_us () else 0) in
-        let gc_mark = ref None in
-        (* Record scenario [i]'s result.  Work and GC are charged per
-           scenario: the GC delta runs from the previous result of this
-           worker (or the claim), like the scenario's wall time. *)
-        let emit i r =
-          if att then begin
-            let execs, wall =
-              match r with
-              | Completed c -> (c.executions, c.wall_s)
-              | Faulted f -> (f.f_executions, f.f_wall_s)
-            in
-            Observe.Metrics.charge ct_work ~units:execs
-              ~wall_us:(int_of_float (wall *. 1e6));
-            let ((minor1, _, major1) as g1) = Gc.counters () in
-            (match !gc_mark with
-            | Some (minor0, _, major0) ->
-                Observe.Metrics.charge ct_gc_minor
-                  ~units:(int_of_float (minor1 -. minor0)) ~wall_us:0;
-                Observe.Metrics.charge ct_gc_major
-                  ~units:(int_of_float (major1 -. major0)) ~wall_us:0
-            | None -> ());
-            gc_mark := Some g1
-          end;
-          out.(i) <- Some r;
-          (match r with
-          | Completed c ->
-              Observe.Progress.tick ~lane:slot ~races:(List.length c.races)
-                ~faulted:false ()
-          | Faulted f ->
-              Observe.Progress.tick ~lane:slot ~races:(List.length f.f_races)
-                ~faulted:true ());
+    let att = Observe.Metrics.is_enabled () in
+    let idle_since = ref (if att then Observe.Metrics.now_us () else 0) in
+    let gc_mark = ref None in
+    (* Record scenario [i]'s result.  Work and GC are charged per
+       scenario: the GC delta runs from the previous result of this
+       worker (or the claim), like the scenario's wall time. *)
+    let emit i r =
+      if att then begin
+        let execs, wall =
           match r with
-          | Faulted _ when fail_fast -> Atomic.set stop true
-          | Faulted _ | Completed _ -> ()
+          | Completed c -> (c.executions, c.wall_s)
+          | Faulted f -> (f.f_executions, f.f_wall_s)
         in
-        let rec loop () =
-          if not (Atomic.get stop) then begin
-            let k = Atomic.fetch_and_add next 1 in
-            if k < Array.length items then begin
-              if att then begin
-                Observe.Metrics.charge ct_queue_wait ~units:0
-                  ~wall_us:(Observe.Trace.now_us () - !idle_since);
-                gc_mark := Some (Gc.counters ())
-              end;
-              (match items.(k) with
-              | Single i ->
-                  emit i
-                    (scenario_span ~cat:"scenario" i arr.(i) (fun () ->
-                         run_scenario arr.(i)))
-              | Chunk { first; len } -> run_chunk ~emit ~cancelled arr ~first ~len);
-              if att then idle_since := Observe.Trace.now_us ();
-              loop ()
-            end
-          end
-        in
-        loop ());
-    Observe.Trace.clear_context ()
+        Observe.Metrics.charge ct_work ~units:execs
+          ~wall_us:(int_of_float (wall *. 1e6));
+        let ((minor1, _, major1) as g1) = Gc.counters () in
+        (match !gc_mark with
+        | Some (minor0, _, major0) ->
+            Observe.Metrics.charge ct_gc_minor
+              ~units:(int_of_float (minor1 -. minor0)) ~wall_us:0;
+            Observe.Metrics.charge ct_gc_major
+              ~units:(int_of_float (major1 -. major0)) ~wall_us:0
+        | None -> ());
+        gc_mark := Some g1
+      end;
+      out.(i) <- Some r;
+      (match r with
+      | Completed c ->
+          Observe.Progress.tick ~lane:slot ~races:(List.length c.races)
+            ~faulted:false ()
+      | Faulted f ->
+          Observe.Progress.tick ~lane:slot ~races:(List.length f.f_races)
+            ~faulted:true ());
+      match r with
+      | Faulted _ when fail_fast -> Atomic.set stop true
+      | Faulted _ | Completed _ -> ()
+    in
+    let rec loop () =
+      if not (Atomic.get stop) then begin
+        let k = Atomic.fetch_and_add next 1 in
+        if k < Array.length items then begin
+          if att then begin
+            Observe.Metrics.charge ct_queue_wait ~units:0
+              ~wall_us:(Observe.Metrics.now_us () - !idle_since);
+            gc_mark := Some (Gc.counters ())
+          end;
+          (match items.(k) with
+          | Single i -> emit i (run_scenario arr.(i))
+          | Chunk { first; len } -> run_chunk ~emit ~cancelled arr ~first ~len);
+          if att then idle_since := Observe.Metrics.now_us ();
+          loop ()
+        end
+      end
+    in
+    loop ()
   in
-  Observe.Span.with_ ~cat:"engine"
-    ~args:[ ("jobs", string_of_int jobs); ("scenarios", string_of_int n) ]
-    "batch"
-    (fun () ->
-      if jobs = 1 then worker 0
-      else begin
-        let helpers =
-          List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-        in
-        worker 0;
-        List.iter Domain.join helpers
-      end);
+  if jobs = 1 then worker 0
+  else begin
+    let helpers =
+      List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+    in
+    worker 0;
+    List.iter Domain.join helpers
+  end;
   let cancelled = ref 0 in
-  Array.iteri
-    (fun i slot ->
-      match slot with
+  Array.iter
+    (function
       | Some _ -> ()
       | None ->
           incr cancelled;
-          Observe.Metrics.incr m_cancelled;
-          if Observe.Trace.recording () then
-            Observe.Trace.instant ~cat:"engine" "cancelled"
-              ~args:
-                [
-                  ("index", string_of_int i);
-                  ("label", arr.(i).Scenario.label);
-                ])
+          Observe.Metrics.incr m_cancelled)
     out;
   if fail_fast then begin
     (* Re-raise the earliest-submitted recorded fault with its original
@@ -1006,7 +944,7 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
    before a fault are genuine evidence and are kept. *)
 let races ?(keep = fun (_ : completed) -> true) run =
   let att = Observe.Metrics.is_enabled () in
-  let w0 = if att then Observe.Trace.now_us () else 0 in
+  let w0 = if att then Observe.Metrics.now_us () else 0 in
   let merged =
     Yashme.Race.merge_ordered
       (List.map
@@ -1017,7 +955,7 @@ let races ?(keep = fun (_ : completed) -> true) run =
   in
   if att then
     Observe.Metrics.charge ct_merge ~units:(List.length run.results)
-      ~wall_us:(Observe.Trace.now_us () - w0);
+      ~wall_us:(Observe.Metrics.now_us () - w0);
   merged
 
 (* Faults of a run, in submission order — the list {!Report.dedup}

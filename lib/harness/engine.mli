@@ -138,19 +138,13 @@
     [jobs = 1], with a warning through {!Observe.Log} when a higher job
     count was requested.
 
-    Observability: when the {!Observe.Trace} sink is recording, the
-    engine emits a [batch] span plus per-worker [worker] spans (trace
-    lane pid 0, tid = worker slot) containing one [scenario] span per
-    work item — a scenario, tagged with submission index, label and
-    crash plan, or a family chunk holding one [member]-category span
-    per member;
-    executor and machine sub-spans inherit the worker's lane.  Faults
-    raise [fault] instants in the faulting worker's lane, divergences
-    raise [diverged] instants (executor), cancelled queue entries raise
-    [cancelled] instants; counters [engine/faults],
+    Observability: counters [engine/faults],
     [engine/recovery_failures], [engine/cancelled] and
-    [executor/divergences] accumulate in {!Observe.Metrics}.  Metrics
-    are merged outside the race-report path and never affect it.
+    [executor/divergences] accumulate in {!Observe.Metrics}, and the
+    cost centers [engine/queue_wait], [engine/work], [engine/merge],
+    [gc/minor] and [gc/major] charge each worker's idle time, each
+    scenario's work and GC words and each merge.  Metrics are merged
+    outside the race-report path and never affect it.
 
     When {!Observe.Coverage} is enabled, each scenario runs under its
     label as the ambient coverage program, accounting crash-plan
@@ -364,8 +358,7 @@ type run_result = { results : scenario_result list; stats : stats }
     flag that workers check before claiming the next queue entry and
     before serving each family member;
     remaining entries are cancelled (visible as [engine/cancelled]
-    counter ticks and [cancelled] trace instants, since the result
-    record never materializes) and the earliest-submitted recorded
+    counter ticks, since the result record never materializes) and the earliest-submitted recorded
     fault's exception is re-raised with its original backtrace once all
     workers have drained. *)
 val run : ?jobs:int -> ?fail_fast:bool -> Scenario.t list -> run_result

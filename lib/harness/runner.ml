@@ -22,29 +22,25 @@ let post_exec = Engine.post_exec
 
 let run_setup = Engine.run_setup
 
-let count_flush_points ?(options = default_options) (p : Program.t) =
-  let inherited = run_setup options p in
-  let r =
-    Engine.run_phase ?inherited ~options ~plan:Executor.Run_to_end
-      ~seed:options.seed ~exec_id:pre_exec p.Program.pre
-  in
-  r.Executor.flush_points
+(* The setup state a scenario of [setup] starts from: a memoized
+   snapshot is re-hydrated instead of re-running the setup. *)
+let hydrate ~options setup (p : Program.t) =
+  match setup with
+  | Scenario.No_setup -> None
+  | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
+  | Scenario.Run_setup _ -> run_setup options p
 
-(* Flush-point count against an already materialized setup (the engine
-   drivers' variant of {!count_flush_points}; same result, but a
-   memoized snapshot is re-hydrated instead of re-running the setup). *)
-let count_points ~options ~setup (p : Program.t) =
-  let inherited =
-    match setup with
-    | Scenario.No_setup -> None
-    | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
-    | Scenario.Run_setup _ -> run_setup options p
-  in
-  let r =
-    Engine.run_phase ?inherited ~options ~plan:Executor.Run_to_end
-      ~seed:options.seed ~exec_id:pre_exec p.Program.pre
-  in
-  r.Executor.flush_points
+(* The flush points of the pre-crash phase run on [inherited]. *)
+let flush_points ~options ?inherited (p : Program.t) =
+  (Engine.run_phase ?inherited ~options ~plan:Executor.Run_to_end
+     ~seed:options.seed ~exec_id:pre_exec p.Program.pre)
+    .Executor.flush_points
+
+let count_flush_points ?(options = default_options) p =
+  flush_points ~options ?inherited:(run_setup options p) p
+
+let count_points ~options ~setup p =
+  flush_points ~options ?inherited:(hydrate ~options setup p) p
 
 let run_once ?(options = default_options) ~plan (p : Program.t) =
   let inherited = run_setup options p in
@@ -110,12 +106,7 @@ let prepare_oracle ?(options = default_options) ?invariants (p : Program.t) =
   | None -> None
   | Some observe ->
       let setup = Engine.materialize_setup ~options p in
-      let hydrate () =
-        match setup with
-        | Scenario.No_setup -> None
-        | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
-        | Scenario.Run_setup _ -> run_setup options p
-      in
+      let hydrate () = hydrate ~options setup p in
       let observe_on st =
         let out = ref [] in
         ignore
@@ -317,29 +308,6 @@ let model_check_outcome ?(options = default_options) ?(jobs = 1)
         o_pairs = pairs;
       }
 
-let model_check_run ?options ?jobs ?fail_fast ?oracle p =
-  let o = model_check_outcome ?options ?jobs ?fail_fast ?oracle p in
-  (o.o_report, o.o_stats)
-
-let model_check ?options ?jobs ?fail_fast p =
-  fst (model_check_run ?options ?jobs ?fail_fast p)
-
-(* Reference sequential implementation (the pre-engine plan loop); the
-   determinism suite checks the engine against it at every job count. *)
-let model_check_seq ?(options = default_options) (p : Program.t) =
-  let points = count_flush_points ~options p in
-  let plans = model_check_plans points in
-  let races =
-    List.concat_map
-      (fun plan ->
-        let detector, _, _ = run_once ~options ~plan p in
-        Yashme.Detector.races detector)
-      plans
-  in
-  Report.dedup ~program:p.Program.name
-    ~variant:(Px86.Variant.label options.variant)
-    ~executions:(List.length plans) races
-
 (* ------------------------------------------------------------------ *)
 (* Recovery model checking: two-crash failure scenarios (section 6).    *)
 
@@ -434,68 +402,6 @@ let model_check_recovery_outcome ?(options = default_options) ?(jobs = 1)
         o_pairs = probe_pairs @ grid_pairs;
       }
 
-let model_check_recovery_run ?options ?jobs ?fail_fast ?oracle p =
-  let o = model_check_recovery_outcome ?options ?jobs ?fail_fast ?oracle p in
-  (o.o_report, o.o_stats)
-
-let model_check_recovery ?options ?jobs ?fail_fast p =
-  fst (model_check_recovery_run ?options ?jobs ?fail_fast p)
-
-let model_check_recovery_seq ?(options = default_options) (p : Program.t) =
-  let pre_points = count_flush_points ~options p in
-  let pre_plans = model_check_plans pre_points in
-  let races = ref [] in
-  let executions = ref 0 in
-  List.iter
-    (fun pre_plan ->
-      (* Count the recovery's own flush points for this pre-crash state. *)
-      let inherited = run_setup options p in
-      let probe_detector = Yashme.Detector.create ~mode:options.mode () in
-      let pre_result =
-        Engine.run_phase ~detector:probe_detector ?inherited ~options
-          ~plan:pre_plan ~seed:options.seed ~exec_id:pre_exec p.Program.pre
-      in
-      if Engine.crash_fired ~plan:pre_plan pre_result then begin
-        let post_probe =
-          Engine.run_recovery ~detector:probe_detector ~options
-            ~inherited:pre_result.Executor.state ~seed:(options.seed + 1)
-            ~exec_id:post_exec p.Program.post
-        in
-        let post_points = post_probe.Executor.flush_points in
-        (* Now re-run with a crash inside the recovery at each point,
-           followed by a second recovery. *)
-        List.iter
-          (fun post_n ->
-            let inherited = run_setup options p in
-            let detector =
-              Yashme.Detector.create ~mode:options.mode ~eadr:options.eadr
-                ~coherence:options.coherence ()
-            in
-            let r1 =
-              Engine.run_phase ~detector ?inherited ~options ~plan:pre_plan
-                ~seed:options.seed ~exec_id:pre_exec p.Program.pre
-            in
-            let r2 =
-              Engine.run_phase ~detector ~inherited:r1.Executor.state ~options
-                ~plan:(Executor.Crash_before_flush post_n)
-                ~seed:(options.seed + 1) ~exec_id:post_exec p.Program.post
-            in
-            if r2.Executor.outcome = Executor.Crashed then begin
-              let _ =
-                Engine.run_recovery ~detector ~options
-                  ~inherited:r2.Executor.state ~seed:(options.seed + 2)
-                  ~exec_id:(post_exec + 1) p.Program.post
-              in
-              incr executions;
-              races := Yashme.Detector.races detector @ !races
-            end)
-          (List.init post_points (fun n -> n))
-      end)
-    pre_plans;
-  Report.dedup ~program:(p.Program.name ^ "+recovery")
-    ~variant:(Px86.Variant.label options.variant)
-    ~executions:!executions !races
-
 (* ------------------------------------------------------------------ *)
 (* Random mode                                                          *)
 
@@ -555,62 +461,25 @@ let random_mode_outcome ?(options = default_options) ?(jobs = 1)
         o_pairs = pairs;
       }
 
-let random_mode_run ?options ?jobs ?fail_fast ?oracle ~execs p =
-  let o = random_mode_outcome ?options ?jobs ?fail_fast ?oracle ~execs p in
-  (o.o_report, o.o_stats)
-
-let random_mode ?options ?jobs ?fail_fast ~execs p =
-  fst (random_mode_run ?options ?jobs ?fail_fast ~execs p)
-
-let random_mode_seq ?(options = default_options) ~execs (p : Program.t) =
-  let options = { options with seed = program_seed p options.seed } in
-  let rng = Rng.create options.seed in
-  let points = max 1 (count_flush_points ~options p) in
-  let races =
-    List.concat_map
-      (fun i ->
-        let seed = options.seed + (7919 * (i + 1)) in
-        let options = { options with seed; sched = Executor.Random_sched } in
-        let plan = random_plan rng points in
-        let detector, _, _ = run_once ~options ~plan p in
-        Yashme.Detector.races detector)
-      (List.init execs (fun i -> i))
-  in
-  Report.dedup ~program:p.Program.name
-    ~variant:(Px86.Variant.label options.variant)
-    ~executions:execs races
-
 let single_random ?(options = default_options) (p : Program.t) =
-  random_mode ~options ~execs:1 p
-
-(* ------------------------------------------------------------------ *)
-(* Timing                                                               *)
+  (random_mode_outcome ~options ~execs:1 p).o_report
 
 (* Wall-clock, not [Sys.time]: CPU time misreports parallel runs and
    undercounts anything that blocks. *)
-let time_run f =
-  let t0 = Unix.gettimeofday () in
-  let _ = f () in
-  Unix.gettimeofday () -. t0
-
-let time_with_detector ?(options = default_options) (p : Program.t) =
-  time_run (fun () -> single_random ~options p)
-
 let time_without_detector ?(options = default_options) (p : Program.t) =
-  time_run (fun () ->
-      let options = { options with seed = program_seed p options.seed } in
-      let rng = Rng.create options.seed in
-      let points = max 1 (count_flush_points ~options p) in
-      let plan = random_plan rng points in
-      let inherited = run_setup options p in
-      let options = { options with sched = Executor.Random_sched } in
-      let pre_result =
-        Engine.run_phase ?inherited ~options ~plan
-          ~seed:(options.seed + 7919)
-          ~exec_id:pre_exec p.Program.pre
-      in
-      if pre_result.Executor.outcome = Executor.Crashed then
-        ignore
-          (Engine.run_recovery ~options ~inherited:pre_result.Executor.state
-             ~seed:(options.seed + 7920)
-             ~exec_id:post_exec p.Program.post))
+  let t0 = Unix.gettimeofday () in
+  let options = { options with seed = program_seed p options.seed } in
+  let rng = Rng.create options.seed in
+  let points = max 1 (count_flush_points ~options p) in
+  let plan = random_plan rng points in
+  let inherited = run_setup options p in
+  let options = { options with sched = Executor.Random_sched } in
+  let pre_result =
+    Engine.run_phase ?inherited ~options ~plan ~seed:(options.seed + 7919)
+      ~exec_id:pre_exec p.Program.pre
+  in
+  if pre_result.Executor.outcome = Executor.Crashed then
+    ignore
+      (Engine.run_recovery ~options ~inherited:pre_result.Executor.state
+         ~seed:(options.seed + 7920) ~exec_id:post_exec p.Program.post);
+  Unix.gettimeofday () -. t0

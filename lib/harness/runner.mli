@@ -1,22 +1,22 @@
 (** The two operating modes of Yashme (paper, section 4):
 
-    - {!model_check} systematically injects a crash before every flush
-      and fence operation of the pre-crash workload (plus one crash at
-      program end) and runs recovery after each — suitable for the PM
-      index benchmarks;
-    - {!random_mode} runs [execs] randomized executions (random thread
-      schedules and a crash before a random fence) — used for the larger
-      PMDK / Memcached / Redis programs.
+    - {!model_check_outcome} systematically injects a crash before every
+      flush and fence operation of the pre-crash workload (plus one
+      crash at program end) and runs recovery after each — suitable for
+      the PM index benchmarks; {!model_check_recovery_outcome} also
+      crashes each recovery (two-crash scenarios);
+    - {!random_mode_outcome} runs [execs] randomized executions (random
+      thread schedules and a crash before a random fence) — used for the
+      larger PMDK / Memcached / Redis programs.
 
     Both run every post-crash load through the detector, checking all
     candidate stores.
 
-    Since the engine refactor, both modes are thin strategy drivers
-    over {!Engine}: they enumerate the crash plans, build one
-    {!Scenario.t} per plan against a memoized setup snapshot, and hand
-    the batch to the engine's domain pool.  [jobs] (default 1) selects
-    the number of worker domains; the deduplicated report is identical
-    for every job count.
+    Both modes are thin strategy drivers over {!Engine}: they enumerate
+    the crash plans, build one {!Scenario.t} per plan against a
+    memoized setup snapshot, and hand the batch to the engine's domain
+    pool.  [jobs] (default 1) selects the number of worker domains; the
+    deduplicated report is identical for every job count.
 
     {b Fault isolation.}  The engine sandboxes every scenario phase, so
     a raising or budget-exceeding scenario never takes down the driver:
@@ -107,9 +107,8 @@ val oracle_invariant_labels : oracle_prep -> string list
     The corpus subsystem needs more than the deduplicated report: to
     serialize a race witness it must know {e which scenario} (crash
     plan, seed, options) first produced each race key.  Each driver
-    therefore has an [_outcome] variant returning the report, the
-    engine statistics {e and} the submission-ordered scenario/result
-    pairs behind them.  Every pair carries an {!evidence} tag mirroring
+    therefore returns the report, the engine statistics {e and} the
+    submission-ordered scenario/result pairs behind them.  Every pair carries an {!evidence} tag mirroring
     exactly what the report kept: [Full] pairs contribute races and
     faults, [Faults_only] pairs only faults (the recovery driver's
     probe wave, and grid scenarios whose chain did not fully crash —
@@ -133,6 +132,10 @@ val model_check_outcome :
   Program.t ->
   outcome
 
+(** Two-crash failure scenarios (section 6's execution stack): for every
+    pre-crash point, also crash the {e recovery} before each of its own
+    flush points and run a second recovery — the only way to find
+    persistency races in recovery code. *)
 val model_check_recovery_outcome :
   ?options:options ->
   ?jobs:int ->
@@ -150,78 +153,11 @@ val random_mode_outcome :
   Program.t ->
   outcome
 
-(** Consistency findings of an outcome's [Full] pairs, in submission
-    order — what {!Report.dedup} received and the corpus extractor
-    emits. *)
-val consistencies_of_pairs :
-  (Scenario.t * Engine.scenario_result * evidence) list ->
-  Finding.consistency list
-
-val model_check :
-  ?options:options -> ?jobs:int -> ?fail_fast:bool -> Program.t -> Report.t
-
-(** {!model_check} plus the engine's batch statistics. *)
-val model_check_run :
-  ?options:options ->
-  ?jobs:int ->
-  ?fail_fast:bool ->
-  ?oracle:bool ->
-  Program.t ->
-  Report.t * Engine.stats
-
-(** Two-crash failure scenarios (section 6's execution stack): for every
-    pre-crash point, also crash the {e recovery} before each of its own
-    flush points and run a second recovery — the only way to find
-    persistency races in recovery code. *)
-val model_check_recovery :
-  ?options:options -> ?jobs:int -> ?fail_fast:bool -> Program.t -> Report.t
-
-val model_check_recovery_run :
-  ?options:options ->
-  ?jobs:int ->
-  ?fail_fast:bool ->
-  ?oracle:bool ->
-  Program.t ->
-  Report.t * Engine.stats
-
-val random_mode :
-  ?options:options ->
-  ?jobs:int ->
-  ?fail_fast:bool ->
-  execs:int ->
-  Program.t ->
-  Report.t
-
-val random_mode_run :
-  ?options:options ->
-  ?jobs:int ->
-  ?fail_fast:bool ->
-  ?oracle:bool ->
-  execs:int ->
-  Program.t ->
-  Report.t * Engine.stats
-
-(** Reference sequential implementations (the pre-engine plan loops).
-    The determinism suite asserts the engine reproduces their reports
-    exactly at every job count; they also remain the simplest oracle
-    for debugging the engine itself. *)
-
-val model_check_seq : ?options:options -> Program.t -> Report.t
-val model_check_recovery_seq : ?options:options -> Program.t -> Report.t
-val random_mode_seq : ?options:options -> execs:int -> Program.t -> Report.t
-
-(** [single_random ~seed] is one random-mode execution pair, the
-    experiment Table 5 reports ("a single randomly generated
-    execution"). *)
+(** [single_random] is one random-mode execution pair, the experiment
+    Table 5 reports ("a single randomly generated execution"). *)
 val single_random : ?options:options -> Program.t -> Report.t
-
-(** Wall-clock seconds spent in [f ()]. *)
-val time_run : (unit -> 'a) -> float
 
 (** Run one random execution pair without any detector, measuring the
     bare infrastructure (the paper's "Jaaru time" column).  Returns
     wall-clock seconds. *)
 val time_without_detector : ?options:options -> Program.t -> float
-
-(** Wall-clock seconds for [single_random] (the "Yashme time" column). *)
-val time_with_detector : ?options:options -> Program.t -> float

@@ -1,9 +1,5 @@
 (* Leveled logging surfaced through the observe layer: printed to
-   stderr when at or above the current threshold, and mirrored into
-   the trace (as Instant events in the "log" category) whenever the
-   sink is recording — regardless of the threshold, so a trace file is
-   self-describing about degradations like the Cut_random jobs-to-1
-   fallback even in a quiet run. *)
+   stderr when at or above the current threshold. *)
 
 type level = Off | Warn | Info | Debug
 
@@ -40,7 +36,6 @@ let set_quiet q = if q then set_level Off else set_level Warn
 let quiet () = Atomic.get threshold < int_of_level Warn
 
 let emit lvl name msg =
-  Trace.instant ~cat:"log" ~args:[ ("message", msg) ] name;
   if Atomic.get threshold >= int_of_level lvl then
     Printf.eprintf "yashme: %s: %s\n%!" name msg
 

@@ -1,9 +1,7 @@
 (** Leveled logging routed through the observe layer.
 
     Messages at or above the current threshold print to stderr as
-    ["yashme: <level>: <msg>"]; every message is also mirrored into
-    the {!Trace} sink (Instant, category ["log"]) when it is
-    recording, regardless of the threshold. *)
+    ["yashme: <level>: <msg>"]. *)
 
 type level = Off | Warn | Info | Debug
 

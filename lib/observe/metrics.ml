@@ -147,6 +147,8 @@ let charge c ~units ~wall_us =
     if wall_us > 0 then Sharded.add c.c_wall wall_us
   end
 
+let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
+
 let rec raise_max cell v =
   let m = Atomic.get cell in
   if v > m && not (Atomic.compare_and_set cell m v) then raise_max cell v

@@ -47,8 +47,14 @@ val name : cell -> string
 val incr : cell -> unit
 val add : cell -> int -> unit
 
-(** One occurrence, [units] charged units and [wall_us] of wall clock. *)
+(** One occurrence, [units] charged units and [wall_us] of wall clock;
+    a negative [wall_us] charges none. *)
 val charge : cell -> units:int -> wall_us:int -> unit
+
+(** The wall clock in microseconds, for [wall_us] deltas: a plain
+    reading with no shared state, so a clock step can make a delta
+    negative. *)
+val now_us : unit -> int
 
 (** One sample: count 1, units [v], maximum [v]. *)
 val observe : cell -> int -> unit

@@ -4,7 +4,7 @@
    finished scenario; this module turns the ticks into a throttled
    heartbeat on stderr and, optionally, a machine-readable JSONL
    stream (one flat object per emission, accepted by
-   [Trace.check_file]).
+   [yashme trace-lint]).
 
    Progress is wall-clock by nature (rate, ETA), so it is kept
    strictly out of the deterministic report path: nothing here is read

@@ -1,5 +1,5 @@
 (** Per-domain cells, merged on read: the one sharding scheme behind
-    {!Metrics}, {!Attribution}, {!Coverage} and {!Trace}.
+    {!Metrics}, {!Attribution} and {!Coverage}.
 
     The calling domain writes the cell its id maps to
     ([Domain.self () land (shards - 1)]), so writers on different
@@ -8,13 +8,10 @@
 
 type 'a t
 
-val make : (unit -> 'a) -> 'a t
-
 (** The calling domain's cell. *)
 val local : 'a t -> 'a
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val iter : ('a -> unit) -> 'a t -> unit
 
 (** Integer counters. *)
 type counter = int Atomic.t t

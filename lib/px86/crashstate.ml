@@ -52,14 +52,14 @@ let copy_cost t = Memimage.footprint t.image + (16 * (t.index.written + t.index.
 
 let copy t =
   let observing = Observe.Metrics.is_enabled () in
-  let t0 = if observing then Observe.Trace.now_us () else 0 in
+  let t0 = if observing then Observe.Metrics.now_us () else 0 in
   let c = { t with image = Memimage.copy t.image } in
   if observing then begin
     let bytes = copy_cost t in
     Observe.Metrics.incr m_copies;
     Observe.Metrics.add m_bytes bytes;
     Observe.Metrics.charge ct_copy ~units:bytes
-      ~wall_us:(Observe.Trace.now_us () - t0)
+      ~wall_us:(Observe.Metrics.now_us () - t0)
   end;
   c
 

@@ -3,11 +3,13 @@ module Rng = Yashme_util.Rng
 module Metrics = Observe.Metrics
 
 (* Storage-system effort counters: store-buffer drains, flush-buffer
-   applies, write-combining persists and crash materializations. *)
+   applies, write-combining persists and crash materializations, the
+   last also a cost center charged with its wall time. *)
 let m_sb_evictions = Metrics.counter "px86/sb_evictions"
 let m_fb_applies = Metrics.counter "px86/fb_applies"
 let m_nt_persists = Metrics.counter "px86/nt_persists"
-let m_crashes = Metrics.counter "px86/crash_materializations"
+let m_crashes =
+  Metrics.counter ~center:"px86/crash_materialize" "px86/crash_materializations"
 let h_crash_lines = Metrics.histogram "px86/crash_lines"
 let s_lines = Metrics.set "coverage/lines"
 
@@ -424,13 +426,11 @@ let rec drain_everything t =
       drain_everything t
 
 let crash t ~strategy =
+  let observing = Metrics.is_enabled () in
+  let t0 = if observing then Metrics.now_us () else 0 in
   let lines = Persistence.lines t.pers in
-  Metrics.incr m_crashes;
   Metrics.observe h_crash_lines (List.length lines);
-  if Metrics.is_enabled () then List.iter (fun l -> Metrics.mark s_lines l) lines;
-  let span_t0 =
-    if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
-  in
+  if observing then List.iter (fun l -> Metrics.mark s_lines l) lines;
   (* Store-buffer contents are volatile and vanish: do NOT drain.  The
      machine never writes the inherited state (stores go to [cache]), so
      it is still the pristine pre-run state.  A store straddling two
@@ -442,14 +442,8 @@ let crash t ~strategy =
         s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
         || Persistence.is_durable_nt t.pers s)
   in
-  (match span_t0 with
-  | Some ts ->
-      Observe.Trace.complete ~cat:"px86"
-        ~args:[ ("exec_id", string_of_int t.exec_id) ]
-        ~ts_us:ts
-        ~dur_us:(Observe.Trace.now_us () - ts)
-        "crash_materialize"
-  | None -> ());
+  if observing then
+    Metrics.charge m_crashes ~units:0 ~wall_us:(Metrics.now_us () - t0);
   cs
 
 let shutdown t =

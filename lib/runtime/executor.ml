@@ -77,7 +77,6 @@ let att_phase_centers =
   |]
 
 let phase_of_exec_id exec_id = if exec_id <= 0 then 0 else if exec_id = 1 then 1 else 2
-let phase_name exec_id = [| "setup"; "pre"; "post" |].(phase_of_exec_id exec_id)
 
 let m_crashes = Metrics.counter "executor/crashes"
 let m_divergences = Metrics.counter "executor/divergences"
@@ -444,32 +443,23 @@ let offer_flush_point st serve =
    not a simulated power failure — the phase is killed and the scenario
    chain stops here — but the durable state is still materialized (as a
    crash cut) so callers can inspect what the runaway left behind. *)
-let do_diverge st ~budget =
+let do_diverge st =
   Metrics.incr m_divergences;
   st.diverged <- true;
-  if Observe.Trace.recording () then
-    Observe.Trace.instant ~cat:"executor" "diverged"
-      ~args:
-        [
-          ("phase", phase_name st.exec_id);
-          ("plan", plan_label st.plan);
-          ("budget", budget);
-          ("ops", string_of_int st.ops);
-        ];
   teardown_threads st
 
-(* Which budget, if any, is exhausted?  Fuel counts every scheduled
+(* Is a budget exhausted?  Fuel counts every scheduled
    operation (meta ops included, so a yield-spin cannot dodge it) and
    is deterministic; the wall-clock budget is a last-resort valve and
    inherently run-dependent.  Budgets trip at scheduling points only: a
    loop with no [Pmem] operation in its body cannot be preempted. *)
 let budget_exhausted st =
   match st.max_ops with
-  | Some m when st.fuel_used >= m -> Some "max_ops"
+  | Some m when st.fuel_used >= m -> true
   | Some _ | None -> (
       match st.deadline with
-      | Some d when Unix.gettimeofday () >= d -> Some "max_wall_s"
-      | Some _ | None -> None)
+      | Some d -> Unix.gettimeofday () >= d
+      | None -> false)
 
 let should_crash st kind =
   match kind with
@@ -519,11 +509,10 @@ let direct : type a. state -> a Effect.t -> a =
     | Pmem.Spawn_e _ | Pmem.Join_e _ -> Effect.perform eff
     | _ ->
         Machine.background st.machine;
-        (match budget_exhausted st with
-        | Some budget ->
-            do_diverge st ~budget;
-            raise Crash_signal
-        | None -> ());
+        if budget_exhausted st then begin
+          do_diverge st;
+          raise Crash_signal
+        end;
         (match st.sched with
         | Random_sched -> ignore (Rng.int st.rng 1)
         | Round_robin -> ());
@@ -538,9 +527,7 @@ let direct : type a. state -> a Effect.t -> a =
 let sched_loop st =
   let continue_loop = ref true in
   while !continue_loop do
-    (match budget_exhausted st with
-    | Some budget when not (st.crashed || st.diverged) -> do_diverge st ~budget
-    | Some _ | None -> ());
+    if budget_exhausted st && not (st.crashed || st.diverged) then do_diverge st;
     match pick_next st with
     | -1 -> continue_loop := false
     | tid ->
@@ -562,11 +549,8 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
     ?(variant = Px86.Variant.strict_tso) ?(cut = Machine.Cut_all)
     ?(sched = Round_robin) ?(seed = 0) ?(check_candidates = true) ?max_ops
     ?max_wall_s ?observer:extra ?at_flush_point ~exec_id fn =
-  let span_t0 =
-    if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
-  in
   let att = Metrics.is_enabled () in
-  let att_t0 = if att then Observe.Trace.now_us () else 0 in
+  let att_t0 = if att then Metrics.now_us () else 0 in
   let rng = Rng.create seed in
   let observer =
     match detector with
@@ -658,21 +642,6 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
   if att then
     Metrics.charge att_phase_centers.(phase_of_exec_id exec_id) ~units:st.ops
       ~wall_us:
-        (Observe.Trace.now_us () - att_t0 - int_of_float (st.paused_s *. 1e6));
-  (match span_t0 with
-  | Some ts ->
-      Observe.Trace.complete ~cat:"executor"
-        ~args:
-          [
-            ("phase", phase_name exec_id);
-            ("exec_id", string_of_int exec_id);
-            ("plan", plan_label plan);
-            ("ops", string_of_int st.ops);
-            ("outcome", outcome_label outcome);
-          ]
-        ~ts_us:ts
-        ~dur_us:(Observe.Trace.now_us () - ts)
-        "exec"
-  | None -> ());
+        (Metrics.now_us () - att_t0 - int_of_float (st.paused_s *. 1e6));
   { outcome; state; ops = st.ops; flush_points = st.flush_points;
     crashed_at_op = st.crashed_at_op }

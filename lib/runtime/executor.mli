@@ -49,18 +49,13 @@ type plan =
       (** crash immediately before the n-th flush/fence operation — the
           model-checking mode's systematic crash points (paper, §6) *)
 
-(** Stable rendering of a plan for trace events, logs and serialized
+(** Stable rendering of a plan for logs, findings and serialized
     witnesses. *)
 val plan_label : plan -> string
 
 (** Inverse of {!plan_label} ([None] on unrecognized input); the
     witness corpus round-trips crash plans through this pair. *)
 val plan_of_label : string -> plan option
-
-(** The phase name a scenario execution id maps to ("setup", "pre" or
-    "post") — the tag used by the per-phase executor counters and the
-    [exec] trace spans. *)
-val phase_name : int -> string
 
 type sched_policy =
   | Round_robin

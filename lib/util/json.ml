@@ -276,17 +276,11 @@ let read path =
   | data -> Ok data
   | exception Sys_error e -> Error e
 
-let empty path what = Error (Printf.sprintf "%s:1: empty %s" path what)
-
-let load ~what path =
-  match read path with
-  | Error e -> Error e
-  | Ok data when String.trim data = "" -> empty path what
-  | Ok data -> Result.map_error (Printf.sprintf "%s: %s" path) (parse data)
-
 let load_lines ~what path decode =
   let rec loop lineno acc = function
-    | [] -> if acc = [] then empty path what else Ok (List.rev acc)
+    | [] ->
+        if acc = [] then Error (Printf.sprintf "%s:1: empty %s" path what)
+        else Ok (List.rev acc)
     | l :: rest when String.trim l = "" -> loop (lineno + 1) acc rest
     | l :: rest -> (
         match decode l with

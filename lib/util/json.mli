@@ -32,13 +32,10 @@ val decode_obj : string -> ((string * value) list, string) result
 
 (** {2 Files}
 
-    Neither loader raises: an unreadable file is an [Error] with the
+    The loader never raises: an unreadable file is an [Error] with the
     system message (which names the path), and every other error is
-    positioned as [PATH:LINE: ...] or [PATH: offset N: ...].  A file
-    holding only whitespace is [PATH:1: empty WHAT]. *)
-
-(** Read and {!parse} a whole-file document. *)
-val load : what:string -> string -> (t, string) result
+    positioned as [PATH:LINE: ...].  A file holding only whitespace is
+    [PATH:1: empty WHAT]. *)
 
 (** Decode every non-blank line of a JSONL file, in order; line
     numbers count blank lines too. *)

@@ -14,8 +14,10 @@ let in_sim fn =
   let r = Executor.run ~exec_id:0 fn in
   assert (r.Executor.outcome = Executor.Completed)
 
+let model_check ?options p = (Runner.model_check_outcome ?options p).Runner.o_report
+
 let real_labels p =
-  let r = Runner.model_check p in
+  let r = model_check p in
   List.map (fun (f : Report.finding) -> f.Report.label) (Report.real r)
 
 (* ------------------------------------------------------------------ *)
@@ -487,7 +489,7 @@ let test_cceh_multithreaded_detection () =
       ()
   in
   let opts = { Runner.default_options with sched = Executor.Random_sched } in
-  let r = Runner.model_check ~options:opts program in
+  let r = model_check ~options:opts program in
   Alcotest.(check (list string)) "both CCEH races under concurrency"
     [ "key in Pair struct in pair.h"; "value in Pair struct in pair.h" ]
     (List.map (fun (f : Report.finding) -> f.Report.label) (Report.real r))
@@ -571,7 +573,7 @@ let test_table4_memcached () =
     (real_labels Memcached.program)
 
 let test_checksum_findings_are_benign () =
-  let r = Runner.model_check Pmdk_btree.program in
+  let r = model_check Pmdk_btree.program in
   List.iter
     (fun (f : Report.finding) ->
       if f.Report.label = Pmdk_ulog.label_data || f.Report.label = Pmdk_ulog.label_checksum
@@ -605,12 +607,12 @@ let test_litmus_strict_tso_is_default () =
   List.iter
     (fun (case : Litmus.case) ->
       let run options =
-        let r =
+        let o =
           if case.Litmus.c_recovery then
-            Runner.model_check_recovery ~options case.Litmus.c_program
-          else Runner.model_check ~options case.Litmus.c_program
+            Runner.model_check_recovery_outcome ~options case.Litmus.c_program
+          else Runner.model_check_outcome ~options case.Litmus.c_program
         in
-        Report.to_string r
+        Report.to_string o.Runner.o_report
       in
       Alcotest.(check string)
         (case.Litmus.c_name ^ " bytes")

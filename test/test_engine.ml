@@ -1,7 +1,7 @@
 (* Tests for the domain-parallel exploration engine: the determinism
-   contract (engine at any job count == legacy sequential loops), the
-   memoized setup snapshot (never mutated by scenario runs) and the
-   Crashstate snapshot API. *)
+   contract (engine at any job count == the reference sequential loops
+   of [Runner_reference]), the memoized setup snapshot (never mutated
+   by scenario runs) and the Crashstate snapshot API. *)
 
 open Pm_runtime
 module Runner = Pm_harness.Runner
@@ -32,16 +32,21 @@ let toy =
       ignore (Pmem.load ~atomic:Px86.Access.Acquire (a + 8)))
     ()
 
+let model_check ?options ?jobs p = (Runner.model_check_outcome ?options ?jobs p).Runner.o_report
+
+let random_mode ?options ?jobs ~execs p =
+  (Runner.random_mode_outcome ?options ?jobs ~execs p).Runner.o_report
+
 (* ------------------------------------------------------------------ *)
-(* Determinism suite: engine jobs=1, jobs=4 and the legacy sequential
-   path must produce identical dedup'd race reports. *)
+(* Determinism suite: engine jobs=1, jobs=4 and the reference
+   sequential path must produce identical dedup'd race reports. *)
 
 let test_model_check_determinism () =
   List.iter
     (fun (p : Program.t) ->
-      let seq = Report.to_string (Runner.model_check_seq p) in
-      let j1 = Report.to_string (Runner.model_check ~jobs:1 p) in
-      let j4 = Report.to_string (Runner.model_check ~jobs:4 p) in
+      let seq = Report.to_string (Runner_reference.model_check p) in
+      let j1 = Report.to_string (model_check ~jobs:1 p) in
+      let j4 = Report.to_string (model_check ~jobs:4 p) in
       check_str (p.Program.name ^ ": jobs=1 == seq") seq j1;
       check_str (p.Program.name ^ ": jobs=4 == seq") seq j4)
     Registry.all
@@ -49,9 +54,10 @@ let test_model_check_determinism () =
 let test_recovery_mc_determinism () =
   List.iter
     (fun (p : Program.t) ->
-      let seq = Report.to_string (Runner.model_check_recovery_seq p) in
-      let j1 = Report.to_string (Runner.model_check_recovery ~jobs:1 p) in
-      let j4 = Report.to_string (Runner.model_check_recovery ~jobs:4 p) in
+      let seq = Report.to_string (Runner_reference.model_check_recovery p) in
+      let recovery jobs = (Runner.model_check_recovery_outcome ~jobs p).Runner.o_report in
+      let j1 = Report.to_string (recovery 1) in
+      let j4 = Report.to_string (recovery 4) in
       check_str (p.Program.name ^ ": jobs=1 == seq") seq j1;
       check_str (p.Program.name ^ ": jobs=4 == seq") seq j4)
     [ toy; Pm_benchmarks.Cceh.program ]
@@ -59,9 +65,9 @@ let test_recovery_mc_determinism () =
 let test_random_mode_determinism () =
   List.iter
     (fun (p : Program.t) ->
-      let seq = Report.to_string (Runner.random_mode_seq ~execs:5 p) in
-      let j1 = Report.to_string (Runner.random_mode ~jobs:1 ~execs:5 p) in
-      let j4 = Report.to_string (Runner.random_mode ~jobs:4 ~execs:5 p) in
+      let seq = Report.to_string (Runner_reference.random_mode ~execs:5 p) in
+      let j1 = Report.to_string (random_mode ~jobs:1 ~execs:5 p) in
+      let j4 = Report.to_string (random_mode ~jobs:4 ~execs:5 p) in
       check_str (p.Program.name ^ ": jobs=1 == seq") seq j1;
       check_str (p.Program.name ^ ": jobs=4 == seq") seq j4)
     [ Pm_benchmarks.Memcached.program; Pm_benchmarks.Redis.program;
@@ -74,26 +80,47 @@ let test_random_mode_repeatable () =
   List.iter
     (fun (p : Program.t) ->
       let options = { Runner.default_options with seed = 7 } in
-      let r1 = Report.to_string (Runner.random_mode ~options ~execs:5 p) in
-      let r2 = Report.to_string (Runner.random_mode ~options ~execs:5 p) in
+      let r1 = Report.to_string (random_mode ~options ~execs:5 p) in
+      let r2 = Report.to_string (random_mode ~options ~execs:5 p) in
       check_str (p.Program.name ^ ": fixed seed, byte-identical reruns") r1 r2)
     [ Pm_benchmarks.Memcached.program; Pm_benchmarks.Redis.program ]
 
 (* Oversubscription and degenerate job counts must not change anything
    (jobs is clamped to the batch size and to >= 1). *)
 let test_job_count_clamping () =
-  let seq = Report.to_string (Runner.model_check_seq toy) in
+  let seq = Report.to_string (Runner_reference.model_check toy) in
   List.iter
     (fun jobs ->
       check_str
         (Printf.sprintf "jobs=%d" jobs)
         seq
-        (Report.to_string (Runner.model_check ~jobs toy)))
+        (Report.to_string (model_check ~jobs toy)))
     [ 0; 2; 16 ]
+
+(* What [f] writes to stderr, read back from a temporary file that
+   stands in for file descriptor 2 while [f] runs. *)
+let capture_stderr f =
+  let tmp = Filename.temp_file "yashme-stderr" ".txt" in
+  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin tmp In_channel.input_all in
+  Sys.remove tmp;
+  (v, text)
 
 (* A Cut_random strategy embeds a shared mutable Rng: the engine must
    refuse to parallelize it (and still complete) — and say so, loudly:
-   the fallback emits a warning through the observe layer rather than
+   the fallback warns on stderr through the observe layer rather than
    degrading silently. *)
 let test_cut_random_forces_sequential () =
   let options =
@@ -105,32 +132,14 @@ let test_cut_random_forces_sequential () =
         ~plan:Executor.Crash_at_end ~options toy ]
   in
   check "not parallel safe" false (Scenario.parallel_safe (List.hd scenarios));
-  Observe.Log.set_quiet true;
-  Observe.Trace.clear ();
-  Observe.Trace.start ();
-  let run = Engine.run ~jobs:4 scenarios in
-  Observe.Trace.stop ();
   Observe.Log.set_quiet false;
+  let run, err = capture_stderr (fun () -> Engine.run ~jobs:4 scenarios) in
   check_int "forced to one domain" 1 run.Engine.stats.Engine.jobs;
-  let warned =
-    List.exists
-      (fun (e : Observe.Trace.event) ->
-        e.Observe.Trace.name = "warning" && e.Observe.Trace.cat = "log")
-      (Observe.Trace.events ())
-  in
-  check "degradation warned through the observe layer" true warned;
-  Observe.Trace.clear ();
+  check "degradation warned on stderr" true
+    (Str.string_match (Str.regexp "yashme: warning: Cut_random") err 0);
   (* jobs=1 was granted, not clamped: no warning. *)
-  Observe.Trace.start ();
-  ignore (Engine.run ~jobs:1 scenarios);
-  Observe.Trace.stop ();
-  let warned_j1 =
-    List.exists
-      (fun (e : Observe.Trace.event) -> e.Observe.Trace.name = "warning")
-      (Observe.Trace.events ())
-  in
-  check "no warning when jobs=1 was requested" false warned_j1;
-  Observe.Trace.clear ()
+  let _, err_j1 = capture_stderr (fun () -> Engine.run ~jobs:1 scenarios) in
+  check_str "no warning when jobs=1 was requested" "" err_j1
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot semantics                                                   *)
@@ -191,7 +200,9 @@ let test_crashstate_copy_independent () =
 (* Stats                                                                *)
 
 let test_engine_stats () =
-  let report, stats = Runner.model_check_run ~jobs:2 toy in
+  let { Runner.o_report = report; o_stats = stats; _ } =
+    Runner.model_check_outcome ~jobs:2 toy
+  in
   check_int "one scenario per crash point" report.Report.executions
     stats.Engine.scenarios;
   check "explored executions counted" true
@@ -202,7 +213,7 @@ let test_engine_stats () =
   check_int "domains clamped to batch" 2 stats.Engine.jobs;
   (* The timing-free projection is what determinism comparisons use:
      repeated runs agree on it even though cpu_s/elapsed_s differ. *)
-  let _, stats' = Runner.model_check_run ~jobs:2 toy in
+  let stats' = (Runner.model_check_outcome ~jobs:2 toy).Runner.o_stats in
   check "structural stats reproducible" true
     (Engine.structural stats = Engine.structural stats')
 
@@ -321,8 +332,8 @@ let test_fuel_exhaustion_diverges () =
 
 let test_recovery_failure_witness () =
   let p = Demo.faulty_recovery in
-  let r1 = Runner.model_check ~jobs:1 p in
-  let r4 = Runner.model_check ~jobs:4 p in
+  let r1 = model_check ~jobs:1 p in
+  let r4 = model_check ~jobs:4 p in
   check_str "recovery-failure report byte-identical jobs=1 vs jobs=4"
     (Report.to_string r1) (Report.to_string r4);
   check "recovery failure found" true (r1.Report.recovery_failures <> []);

@@ -29,12 +29,16 @@ let toy =
       ignore (Pmem.load ~atomic:Px86.Access.Acquire (a + 8)))
     ()
 
+let model_check ?options p = (Runner.model_check_outcome ?options p).Runner.o_report
+let model_check_recovery p = (Runner.model_check_recovery_outcome p).Runner.o_report
+let random_mode ~execs p = (Runner.random_mode_outcome ~execs p).Runner.o_report
+
 let test_count_flush_points () =
   (* pre has exactly clflush + mfence. *)
   check_int "two flush points" 2 (Runner.count_flush_points toy)
 
 let test_model_check_toy () =
-  let r = Runner.model_check toy in
+  let r = model_check toy in
   check_int "3 executions (2 points + at-end)" 3 r.Report.executions;
   Alcotest.(check (list string)) "only the racy field" [ "racy" ]
     (List.map (fun (f : Report.finding) -> f.Report.label) (Report.real r))
@@ -59,7 +63,7 @@ let torn_across_executions =
 let test_torn_read_across_executions () =
   Alcotest.(check (list string)) "the race is on half" [ "half" ]
     (List.map (fun (f : Report.finding) -> f.Report.label)
-       (Report.real (Runner.model_check torn_across_executions)))
+       (Report.real (model_check torn_across_executions)))
 
 let test_run_once_no_crash_no_post () =
   (* A targeted plan beyond the program's flush points never fires: no
@@ -70,21 +74,21 @@ let test_run_once_no_crash_no_post () =
   check_int "no races" 0 (List.length (Yashme.Detector.races d))
 
 let test_random_mode_runs () =
-  let r = Runner.random_mode ~execs:5 toy in
+  let r = random_mode ~execs:5 toy in
   check_int "five executions" 5 r.Report.executions;
   check "finds the race eventually" true
     (List.exists (fun (f : Report.finding) -> f.Report.label = "racy") r.Report.findings)
 
 let test_random_mode_deterministic () =
-  let a = Runner.random_mode ~execs:3 toy in
-  let b = Runner.random_mode ~execs:3 toy in
+  let a = random_mode ~execs:3 toy in
+  let b = random_mode ~execs:3 toy in
   check_int "same raw count" a.Report.raw_races b.Report.raw_races
 
 let test_baseline_leq_prefix_on_suite () =
   let opts mode = { Runner.default_options with mode } in
   let p = Pm_benchmarks.Cceh.program in
-  let rp = Runner.model_check ~options:(opts Yashme.Detector.Prefix) p in
-  let rb = Runner.model_check ~options:(opts Yashme.Detector.Baseline) p in
+  let rp = model_check ~options:(opts Yashme.Detector.Prefix) p in
+  let rb = model_check ~options:(opts Yashme.Detector.Baseline) p in
   check "baseline finds no more than prefix" true
     (List.length (Report.real rb) <= List.length (Report.real rp))
 
@@ -115,8 +119,8 @@ let test_recovery_race_needs_two_crashes () =
   let labels r =
     List.map (fun (f : Report.finding) -> f.Report.label) (Report.real r)
   in
-  let single = labels (Runner.model_check buggy_recovery) in
-  let double = labels (Runner.model_check_recovery buggy_recovery) in
+  let single = labels (model_check buggy_recovery) in
+  let double = labels (model_check_recovery buggy_recovery) in
   check "single-crash misses the recovery race" false
     (List.mem "repair-marker" single);
   check "two-crash finds it" true (List.mem "repair-marker" double);
@@ -125,8 +129,8 @@ let test_recovery_race_needs_two_crashes () =
 let test_recovery_mc_on_clean_recovery () =
   (* The toy program's recovery only reads — it has no flush points, so
      there are no two-crash scenarios to explore and nothing to report
-     (single-crash findings come from [model_check]). *)
-  let r = Runner.model_check_recovery toy in
+     (single-crash findings come from [model_check_outcome]). *)
+  let r = model_check_recovery toy in
   check_int "no crashy-recovery executions" 0 r.Report.executions;
   check_int "no findings" 0 (List.length r.Report.findings)
 

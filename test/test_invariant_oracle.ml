@@ -77,7 +77,7 @@ let test_demo_oracle_only () =
 (* With the oracle off the same run reports nothing at all, and its
    rendering carries no trace of the oracle subsystem. *)
 let test_demo_oracle_off_silent () =
-  let r = Runner.model_check demo in
+  let r = (Runner.model_check_outcome demo).Runner.o_report in
   check_strs "no races" [] (Report.keys r);
   check_strs "no consistency violations" [] (Report.consistency_keys r);
   let text = Report.to_string r in
@@ -94,9 +94,8 @@ let test_no_observe_hook_is_identity () =
   let p = Option.get (lookup "litmus-publish-flag") in
   check "litmus program has no observe hook" true
     (Runner.prepare_oracle p = None);
-  let off = Report.to_string (Runner.model_check p) in
-  let on, _ = Runner.model_check_run ~oracle:true p in
-  check_str "oracle-on bytes unchanged" off (Report.to_string on)
+  let run oracle = Report.to_string (Runner.model_check_outcome ~oracle p).Runner.o_report in
+  check_str "oracle-on bytes unchanged" (run false) (run true)
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across job counts                                        *)

@@ -1,11 +1,9 @@
 (* Tests for the observe layer: domain-safe counter/histogram merging,
-   span nesting, trace export well-formedness, and the determinism
-   contract (metrics/tracing on vs off never changes a race report;
-   detector counters are identical for every job count). *)
+   the JSON checks behind trace-lint, log levels, and the determinism
+   contract (metrics on vs off never changes a race report; detector
+   counters are identical for every job count). *)
 
 module Metrics = Observe.Metrics
-module Trace = Observe.Trace
-module Span = Observe.Span
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
@@ -34,13 +32,13 @@ let toy =
       ignore (Pmem.load ~atomic:Px86.Access.Acquire (a + 8)))
     ()
 
+let model_check ~jobs p = (Runner.model_check_outcome ~jobs p).Runner.o_report
+
 (* Every test leaves the global observe state as it found it:
-   disabled, not recording, counters zeroed. *)
+   disabled, counters zeroed. *)
 let quiesce () =
   Metrics.disable ();
-  Metrics.reset ();
-  Trace.stop ();
-  Trace.clear ()
+  Metrics.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Counters and histograms                                              *)
@@ -117,68 +115,7 @@ let test_snapshot_diff () =
   quiesce ()
 
 (* ------------------------------------------------------------------ *)
-(* Spans and trace export                                               *)
-
-let find_event name events =
-  match List.find_opt (fun (e : Trace.event) -> e.Trace.name = name) events with
-  | Some e -> e
-  | None -> Alcotest.failf "event %S not recorded" name
-
-let test_span_nesting () =
-  quiesce ();
-  Trace.start ();
-  let r =
-    Span.with_ ~cat:"test" "outer" (fun () ->
-        Span.with_ ~cat:"test" "inner" (fun () -> 42))
-  in
-  Trace.stop ();
-  check_int "span returns the body's value" 42 r;
-  let events = Trace.events () in
-  let outer = find_event "outer" events in
-  let inner = find_event "inner" events in
-  check "inner starts within outer" true (inner.Trace.ts_us >= outer.Trace.ts_us);
-  check "inner ends within outer" true
-    (inner.Trace.ts_us + inner.Trace.dur_us
-    <= outer.Trace.ts_us + outer.Trace.dur_us);
-  check "same lane" true
-    (inner.Trace.tid = outer.Trace.tid && inner.Trace.pid = outer.Trace.pid);
-  check "parents sort before children" true
-    (let rec precedes = function
-       | (e : Trace.event) :: rest ->
-           if e.Trace.name = "outer" then true
-           else if e.Trace.name = "inner" then false
-           else precedes rest
-       | [] -> false
-     in
-     precedes events);
-  quiesce ()
-
-let test_span_off_costs_nothing () =
-  quiesce ();
-  check_int "no recording, no events" 0
-    (Span.with_ "unrecorded" (fun () -> Trace.event_count ()));
-  quiesce ()
-
-let test_chrome_json_well_formed () =
-  quiesce ();
-  Trace.start ();
-  (* Args exercising every escape path of the emitter. *)
-  Trace.instant ~cat:"test"
-    ~args:[ ("tricky", "quote\" backslash\\ newline\n tab\t control\x01") ]
-    "escape me";
-  Span.with_ ~cat:"test" "span" (fun () -> ());
-  Trace.stop ();
-  (match Json.parse (Trace.to_chrome_json ()) with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "chrome json rejected: %s" msg);
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Ok (`O _) -> ()
-      | Ok _ -> Alcotest.failf "jsonl line is not an object: %s" line
-      | Error msg -> Alcotest.failf "jsonl line rejected: %s" msg)
-    (List.filter (( <> ) "") (String.split_on_char '\n' (Trace.to_jsonl ())));
-  quiesce ()
+(* JSON checks behind trace-lint                                        *)
 
 let test_check_json_rejects_malformed () =
   List.iter
@@ -199,28 +136,6 @@ let test_check_json_rejects_malformed () =
       | Error msg -> Alcotest.failf "rejected valid JSON %S: %s" s msg)
     [ "{}"; "[]"; "null"; "-1.5e3"; "{\"a\":[1,true,\"x\\u0041\"]}";
       " [ -0 , 0.5E+2 , \"\\ud83d\\ude00\" ] " ]
-
-let test_write_and_lint_roundtrip () =
-  quiesce ();
-  Trace.start ();
-  Span.with_ ~cat:"test" ~args:[ ("k", "v") ] "roundtrip" (fun () -> ());
-  Trace.stop ();
-  let json = Filename.temp_file "yashme-trace" ".json" in
-  let jsonl = Filename.temp_file "yashme-trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove json;
-      Sys.remove jsonl)
-    (fun () ->
-      Trace.write json;
-      Trace.write jsonl;
-      (match Trace.check_file json with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s: %s" json msg);
-      match Trace.check_file jsonl with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s: %s" jsonl msg);
-  quiesce ()
 
 (* Edge cases of the snapshot/diff algebra. *)
 
@@ -286,40 +201,34 @@ let test_window_maxima () =
     (List.assoc "test/window_max#count" (Metrics.counters second));
   quiesce ()
 
-(* Regression: empty/truncated trace files must lint as malformed with
-   an error positioned in the file, for both formats.  (A JSONL file of
-   zero lines used to lint vacuously clean.) *)
+(* Regression: empty/truncated JSONL files must lint as malformed with
+   an error positioned in the file.  (A JSONL file of zero lines used
+   to lint vacuously clean.) *)
 let test_trace_lint_rejects_empty_and_truncated () =
   let starts_with prefix s =
     String.length s >= String.length prefix
     && String.sub s 0 (String.length prefix) = prefix
   in
   List.iter
-    (fun (suffix, content) ->
-      let tmp = Filename.temp_file "yashme-lint" suffix in
+    (fun content ->
+      let tmp = Filename.temp_file "yashme-lint" ".jsonl" in
       Fun.protect
         ~finally:(fun () -> Sys.remove tmp)
         (fun () ->
           let oc = open_out tmp in
           output_string oc content;
           close_out oc;
-          match Trace.check_file tmp with
-          | Ok () ->
-              Alcotest.failf "accepted %s file with %d byte(s)" suffix
-                (String.length content)
-          | Error msg ->
-              check ("positioned error for " ^ suffix) true
-                (starts_with (tmp ^ ":") msg)))
+          match Json.load_lines ~what:"JSONL file" tmp Json.parse with
+          | Ok _ ->
+              Alcotest.failf "accepted a file with %d byte(s)" (String.length content)
+          | Error msg -> check "positioned error" true (starts_with (tmp ^ ":") msg)))
     [
-      (".json", "");
-      (".jsonl", "");
-      (".json", "  \n \t ");
-      (".jsonl", "\n\n");
-      (* truncated mid-event: a crash while writing must not lint *)
-      (".json", "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\"");
-      (".jsonl", "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"y\",");
+      "";
+      "\n\n";
+      (* truncated mid-line: a crash while writing must not lint *)
+      "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"y\",";
       (* a lone surrogate is not a character *)
-      (".jsonl", "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"\\ud800\"}\n");
+      "{\"name\":\"x\",\"ph\":\"X\"}\n{\"name\":\"\\ud800\"}\n";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -352,23 +261,7 @@ let test_log_levels () =
           ("verbose", None);
         ];
       check_str "to_string roundtrip" "info"
-        (Observe.Log.level_to_string Observe.Log.Info);
-      (* the trace mirror fires regardless of the stderr threshold *)
-      Observe.Log.set_level Observe.Log.Off;
-      Trace.start ();
-      Observe.Log.warn "suppressed on stderr";
-      Observe.Log.info "also mirrored";
-      Observe.Log.debug "this too";
-      Trace.stop ();
-      let logged name =
-        List.exists
-          (fun (e : Trace.event) ->
-            e.Trace.name = name && e.Trace.cat = "log")
-          (Trace.events ())
-      in
-      check "warning mirrored while Off" true (logged "warning");
-      check "info mirrored while Off" true (logged "info");
-      check "debug mirrored while Off" true (logged "debug"));
+        (Observe.Log.level_to_string Observe.Log.Info));
   quiesce ()
 
 (* ------------------------------------------------------------------ *)
@@ -376,14 +269,13 @@ let test_log_levels () =
 
 let test_report_identical_with_observability_on () =
   quiesce ();
-  let off = Report.to_string (Runner.model_check ~jobs:2 toy) in
+  let off = Report.to_string (model_check ~jobs:2 toy) in
   Metrics.enable ();
-  Trace.start ();
-  let on = Report.to_string (Runner.model_check ~jobs:2 toy) in
-  Trace.stop ();
+  let on = Report.to_string (model_check ~jobs:2 toy) in
   Metrics.disable ();
-  check_str "race report byte-identical with metrics+trace on" off on;
-  check "a parallel run actually recorded spans" true (Trace.event_count () > 0);
+  check_str "race report byte-identical with metrics on" off on;
+  check "a parallel run actually counted" true
+    (List.exists (fun (_, v) -> v > 0) (Metrics.snapshot ()));
   quiesce ()
 
 let detector_counters () =
@@ -395,10 +287,10 @@ let test_detector_counters_jobs_invariant () =
   quiesce ();
   Metrics.enable ();
   let p = Pm_benchmarks.Cceh.program in
-  ignore (Runner.model_check ~jobs:1 p);
+  ignore (model_check ~jobs:1 p);
   let j1 = detector_counters () in
   Metrics.reset ();
-  ignore (Runner.model_check ~jobs:4 p);
+  ignore (model_check ~jobs:4 p);
   let j4 = detector_counters () in
   check "counters recorded" true
     (List.exists (fun (_, v) -> v > 0) j1);
@@ -429,15 +321,8 @@ let () =
         [ Alcotest.test_case "levels and aliases" `Quick test_log_levels ] );
       ( "trace",
         [
-          Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "spans free when off" `Quick
-            test_span_off_costs_nothing;
-          Alcotest.test_case "chrome/jsonl well-formed" `Quick
-            test_chrome_json_well_formed;
           Alcotest.test_case "json checker rejects malformed" `Quick
             test_check_json_rejects_malformed;
-          Alcotest.test_case "write + lint roundtrip" `Quick
-            test_write_and_lint_roundtrip;
           Alcotest.test_case "lint rejects empty/truncated files" `Quick
             test_trace_lint_rejects_empty_and_truncated;
         ] );

@@ -1,15 +1,13 @@
 (* Tests for the exploration telemetry subsystem: crash-space coverage
    accounting (jobs-invariance, ambient attribution, rendering), live
-   progress streams, trace profiles and telemetry sessions.  The
+   progress streams and telemetry sessions.  The
    determinism contract is asserted end to end: coverage
    snapshots are byte-identical across --jobs counts, and a race
    report is byte-identical with all telemetry on vs off. *)
 
 module Coverage = Observe.Coverage
 module Progress = Observe.Progress
-module Profile = Observe.Profile
 module Metrics = Observe.Metrics
-module Trace = Observe.Trace
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
@@ -43,9 +41,7 @@ let toy =
 let quiesce () =
   Metrics.disable ();
   Metrics.reset ();
-  ignore (Progress.stop ());
-  Trace.stop ();
-  Trace.clear ()
+  ignore (Progress.stop ())
 
 (* The coverage snapshot in its exported JSONL form: the byte string
    the jobs-invariance contract quantifies over. *)
@@ -216,7 +212,6 @@ let test_report_identical_with_telemetry_on () =
   let tmp = Filename.temp_file "yashme_progress" ".jsonl" in
   Metrics.enable ();
   Progress.start ~heartbeat:false ~jsonl:tmp ();
-  Trace.start ();
   let loud =
     Report.to_string (Runner.model_check_outcome ~jobs:2 toy).Runner.o_report
   in
@@ -243,8 +238,8 @@ let test_progress_jsonl_stream () =
   Progress.tick ~races:2 ~faulted:false ();
   let emitted = Progress.stop () in
   check "at least the final emission" true (emitted >= 1);
-  (match Trace.check_file tmp with
-  | Ok () -> ()
+  (match Json.load_lines ~what:"progress stream" tmp Json.parse with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("progress stream not well-formed JSONL: " ^ e));
   let ic = open_in tmp in
   let lines = ref [] in
@@ -293,104 +288,6 @@ let test_progress_engine_ticks () =
   quiesce ()
 
 (* ------------------------------------------------------------------ *)
-(* Profile                                                              *)
-
-let ev ?(cat = "") ?(pid = 0) ?(tid = 0) ~ts ~dur name =
-  { Trace.name; cat; ph = Trace.Complete; ts_us = ts; dur_us = dur; pid; tid;
-    args = [] }
-
-let test_profile_self_time () =
-  (* parent [0,120) with children [10,40) and [50,70): self = 70 *)
-  let events =
-    [ ev ~cat:"a" ~ts:0 ~dur:120 "parent";
-      ev ~cat:"b" ~ts:10 ~dur:30 "child";
-      ev ~cat:"b" ~ts:50 ~dur:20 "child" ]
-  in
-  let rows = Profile.by_name events in
-  let find k = List.find (fun r -> r.Profile.r_key = k) rows in
-  let parent = find "parent" and child = find "child" in
-  check_int "parent total inclusive" 120 parent.Profile.r_total_us;
-  check_int "parent self excludes children" 70 parent.Profile.r_self_us;
-  check_int "child count" 2 child.Profile.r_count;
-  check_int "leaf self = total" 50 child.Profile.r_self_us;
-  check_str "sorted by self descending" "parent"
-    (List.hd rows).Profile.r_key;
-  let cats = Profile.by_cat events in
-  check_int "category aggregation" 2 (List.length cats)
-
-let test_profile_lanes_isolated () =
-  (* identical intervals in different lanes must not nest *)
-  let events =
-    [ ev ~tid:0 ~ts:0 ~dur:100 "a"; ev ~tid:1 ~ts:10 ~dur:30 "b" ]
-  in
-  let rows = Profile.by_name events in
-  let find k = List.find (fun r -> r.Profile.r_key = k) rows in
-  check_int "no cross-lane nesting" 100 (find "a").Profile.r_self_us;
-  let lanes = Profile.lanes events in
-  check_int "two lanes" 2 (List.length lanes);
-  check_int "lane busy = top-level duration" 100
-    (List.hd lanes).Profile.l_busy_us
-
-let test_profile_parse_roundtrip () =
-  quiesce ();
-  Trace.start ();
-  Observe.Span.with_ ~cat:"t" "outer" (fun () ->
-      Observe.Span.with_ ~cat:"t" "inner" (fun () -> ());
-      Trace.instant ~cat:"t" "mark");
-  Trace.stop ();
-  let n_complete =
-    List.length
-      (List.filter (fun (e : Trace.event) -> e.Trace.ph = Trace.Complete)
-         (Trace.events ()))
-  in
-  List.iter
-    (fun suffix ->
-      let tmp = Filename.temp_file "yashme_profile" suffix in
-      Trace.write tmp;
-      (match Profile.parse_file tmp with
-      | Error e -> Alcotest.fail (suffix ^ ": " ^ e)
-      | Ok events ->
-          check_int (suffix ^ ": all events parsed") 3 (List.length events);
-          check_int
-            (suffix ^ ": complete spans preserved")
-            n_complete
-            (List.length
-               (List.filter
-                  (fun (e : Trace.event) -> e.Trace.ph = Trace.Complete)
-                  events)));
-      Sys.remove tmp)
-    [ ".json"; ".jsonl" ];
-  quiesce ()
-
-let test_profile_rejects_empty_and_garbage () =
-  let tmp = Filename.temp_file "yashme_profile" ".json" in
-  (match Profile.parse_file tmp with
-  | Error e -> check_str "empty file positioned error" (tmp ^ ":1: empty trace file") e
-  | Ok _ -> Alcotest.fail "empty file accepted");
-  let oc = open_out tmp in
-  output_string oc "{\"traceEvents\":[{\"name\":\"x\"";
-  close_out oc;
-  (match Profile.parse_file tmp with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated file accepted");
-  Sys.remove tmp
-
-(* A surrogate-pair escape decodes to the 4-byte UTF-8 character, not
-   to two 3-byte surrogate encodings. *)
-let test_profile_decodes_surrogate_pairs () =
-  let tmp = Filename.temp_file "yashme_profile" ".jsonl" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      output_string oc
-        "{\"name\":\"\\ud83d\\ude00\",\"cat\":\"\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\
-         \"pid\":0,\"tid\":0,\"args\":{}}\n");
-  let r = Profile.parse_file tmp in
-  Sys.remove tmp;
-  match r with
-  | Ok [ e ] -> check_str "name bytes" "\xf0\x9f\x98\x80" e.Trace.name
-  | Ok _ -> Alcotest.fail "expected one event"
-  | Error e -> Alcotest.fail e
-
-(* ------------------------------------------------------------------ *)
 (* Sessions (Pm_corpus.Telemetry)                                       *)
 
 module Telemetry = Pm_corpus.Telemetry
@@ -405,19 +302,21 @@ let remove_dir d =
   Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
   Sys.rmdir d
 
+let no_temporary d =
+  not
+    (Array.exists
+       (fun f -> Str.string_match (Str.regexp ".*\\.tmp\\.") f 0)
+       (Sys.readdir d))
+
 (* A run that raises out of the session still commits the progress
-   stream with its final line, writes the trace, leaves no temporary
-   behind and disarms what it armed; the exception reaches the caller
-   unchanged. *)
+   stream with its final line, leaves no temporary behind and disarms
+   what it armed; the exception reaches the caller unchanged. *)
 let test_session_closes_on_exception () =
   quiesce ();
   let d = temp_dir () in
-  let progress = Filename.concat d "progress.jsonl"
-  and trace = Filename.concat d "trace.json" in
+  let progress = Filename.concat d "progress.jsonl" in
   let cfg =
-    { Telemetry.off with
-      quiet = true; metrics = true; progress_out = Some progress;
-      trace_out = Some trace }
+    { Telemetry.off with quiet = true; metrics = true; progress_out = Some progress }
   in
   (match
      Telemetry.with_session cfg (fun () ->
@@ -427,13 +326,9 @@ let test_session_closes_on_exception () =
   | () -> Alcotest.fail "the body's exception was swallowed"
   | exception Exit -> ());
   check "progress committed" true (Sys.file_exists progress);
-  check "trace written" true (Sys.file_exists trace);
-  check "no temporary left" false
-    (Array.exists
-       (fun f -> Str.string_match (Str.regexp ".*\\.tmp\\.") f 0)
-       (Sys.readdir d));
-  check "progress lints" true (Trace.check_file progress = Ok ());
-  check "trace lints" true (Trace.check_file trace = Ok ());
+  check "no temporary left" true (no_temporary d);
+  check "progress lints" true
+    (Result.is_ok (Json.load_lines ~what:"progress stream" progress Json.parse));
   let lines =
     String.split_on_char '\n'
       (In_channel.with_open_bin progress In_channel.input_all)
@@ -443,41 +338,36 @@ let test_session_closes_on_exception () =
        (fun l -> Str.string_match (Str.regexp ".*\"per_domain\"") l 0)
        lines);
   check "metrics disarmed" false (Metrics.is_enabled ());
-  check "trace stopped" false (Trace.recording ());
   remove_dir d;
   quiesce ()
 
-(* A trace that cannot be written neither masks the body's exception
-   nor stops the rest of the close: progress is still committed and
-   everything disarmed.  When the body returned, the write error itself
-   reaches the caller. *)
-let test_session_unwritable_trace () =
+(* A progress stream that cannot be committed (the body removes its
+   directory) does not mask the body's exception, and the registry is
+   disarmed all the same.  When the body returned, the commit error
+   itself reaches the caller. *)
+let test_session_uncommittable_progress () =
   quiesce ();
   let d = temp_dir () in
-  let progress = Filename.concat d "progress.jsonl" in
   let cfg =
     { Telemetry.off with
-      quiet = true; metrics = true; progress_out = Some progress;
-      trace_out = Some (Filename.concat d "missing/trace.json") }
+      quiet = true; metrics = true;
+      progress_out = Some (Filename.concat d "progress.jsonl") }
   in
-  (match Telemetry.with_session cfg (fun () -> raise Exit) with
+  let vanish () = remove_dir d in
+  (match
+     Telemetry.with_session cfg (fun () ->
+         vanish ();
+         raise Exit)
+   with
   | () -> Alcotest.fail "the body's exception was swallowed"
   | exception Exit -> ()
   | exception e -> Alcotest.failf "body's Exit masked by %s" (Printexc.to_string e));
-  check "progress committed" true (Sys.file_exists progress);
   check "metrics disarmed" false (Metrics.is_enabled ());
-  check "trace stopped" false (Trace.recording ());
-  Sys.remove progress;
-  (match Telemetry.with_session cfg (fun () -> ()) with
-  | () -> Alcotest.fail "the trace write error was swallowed"
+  Sys.mkdir d 0o755;
+  (match Telemetry.with_session cfg vanish with
+  | () -> Alcotest.fail "the commit error was swallowed"
   | exception Sys_error _ -> ());
-  check "progress committed after a normal body" true (Sys.file_exists progress);
   check "metrics disarmed after a normal body" false (Metrics.is_enabled ());
-  check "no temporary left" false
-    (Array.exists
-       (fun f -> Str.string_match (Str.regexp ".*\\.tmp\\.") f 0)
-       (Sys.readdir d));
-  remove_dir d;
   quiesce ()
 
 (* Every flag that shows or collects metrics, coverage or attribution
@@ -573,23 +463,12 @@ let () =
           Alcotest.test_case "jsonl stream" `Quick test_progress_jsonl_stream;
           Alcotest.test_case "engine ticks" `Quick test_progress_engine_ticks;
         ] );
-      ( "profile",
-        [
-          Alcotest.test_case "self time" `Quick test_profile_self_time;
-          Alcotest.test_case "lanes isolated" `Quick test_profile_lanes_isolated;
-          Alcotest.test_case "parse roundtrip" `Quick
-            test_profile_parse_roundtrip;
-          Alcotest.test_case "rejects empty and garbage" `Quick
-            test_profile_rejects_empty_and_garbage;
-          Alcotest.test_case "decodes surrogate pairs" `Quick
-            test_profile_decodes_surrogate_pairs;
-        ] );
       ( "session",
         [
           Alcotest.test_case "closes on exception" `Quick
             test_session_closes_on_exception;
-          Alcotest.test_case "unwritable trace" `Quick
-            test_session_unwritable_trace;
+          Alcotest.test_case "uncommittable progress stream" `Quick
+            test_session_uncommittable_progress;
           Alcotest.test_case "show vs collect" `Quick test_session_show_vs_collect;
           Alcotest.test_case "window observes a run" `Quick
             test_window_observes_run;
