@@ -3,6 +3,7 @@
    yashme list                          enumerate benchmark programs
    yashme check BENCH [--mode ...]      run the detector on one program
    yashme check-all [--mode ...]        run it on the whole suite
+   yashme witness BENCH [--at N]        render a race with its E+ prefix
    yashme soak [STREAM...]              long-running randomized crash-testing service
    yashme replay CORPUS                 re-run recorded witnesses (regression gate)
    yashme minimize CORPUS               ddmin-shrink recorded witnesses
@@ -13,6 +14,7 @@
    yashme compare LEDGER A B            diff two ledger runs (counter deltas)
    yashme variants                      list persistency-model variants
    yashme litmus                        litmus suite x variant divergence matrix
+   yashme oracle infer|check BENCH      crash-consistency invariant oracle
    yashme tables                        print the reorder/compiler tables *)
 
 open Cmdliner
@@ -924,220 +926,116 @@ let soak_cmd =
                with soak_ok=false).  For tests and CI resume exercises." in
     Arg.(value & opt (some (int_at_least 1)) None & info [ "stop-after" ] ~doc ~docv:"ROUNDS")
   in
-  let stream_names streams =
-    List.map (fun s -> s.Pm_harness.Soak.os_name) streams
-  in
-  let resolve_streams names =
-    List.map
-      (fun n ->
-        match Pm_benchmarks.Registry.find_soak_stream n with
-        | Some s -> s
-        | None ->
-            Printf.eprintf
-              "unknown soak stream %S (try memcached, redis, cceh or demo-storm)\n"
-              n;
-            exit 1)
-      names
-  in
-  let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops
-      ~wall_s ~checkpoint_every ~manifest_path ~corpus_path ~resume_snapshot
-      ~preload ~stop_after ~oracle tel =
-    Telemetry.with_session { tel with Telemetry.coverage = true } @@ fun () ->
-    let sink = Pm_corpus.Soak_store.sink () in
-    Pm_corpus.Soak_store.preload sink preload;
-    let run_name =
-      Option.value tel.Telemetry.run_label
-        ~default:("soak:" ^ String.concat "," (stream_names streams))
-    in
-    let cfg =
-      {
-        (Pm_harness.Soak.default_config ~streams) with
-        Pm_harness.Soak.sk_options =
-          { Pm_harness.Scenario.default_options with seed; variant };
-        sk_jobs = jobs;
-        sk_ops_per_exec = ops_per_exec;
-        sk_fault_budget = fault_budget;
-        sk_max_ops = max_ops;
-        sk_wall_s = wall_s;
-        sk_checkpoint_every = checkpoint_every;
-        sk_oracle = oracle;
-      }
-    in
-    let manifest_of ~soak_ok ~stopped ~elapsed snap =
-      {
-        Pm_corpus.Soak_store.m_run = run_name;
-        m_streams = stream_names streams;
-        m_seed = seed;
-        m_variant = Px86.Variant.label variant;
-        m_jobs = jobs;
-        m_ops_per_exec = ops_per_exec;
-        m_fault_budget = fault_budget;
-        m_max_ops = max_ops;
-        m_wall_s = wall_s;
-        m_checkpoint_every = checkpoint_every;
-        m_corpus = Option.value corpus_path ~default:"";
-        m_snapshot = snap;
-        m_witnesses = List.length (Pm_corpus.Soak_store.witnesses sink);
-        m_raw = Pm_corpus.Soak_store.raw sink;
-        m_duplicates = Pm_corpus.Soak_store.duplicates sink;
-        m_coverage_digest = Telemetry.coverage_digest ();
-        m_soak_ok = soak_ok;
-        m_stopped = stopped;
-        m_ts = Unix.gettimeofday ();
-        m_elapsed_s = elapsed;
-      }
-    in
-    (* One checkpoint = corpus (only once non-empty) + manifest, each
-       atomic, corpus first so a manifest never references witnesses
-       that were not yet durable. *)
-    let flush ~soak_ok ~stopped ~elapsed snap =
-      (match corpus_path with
-      | Some file ->
-          let ws = Pm_corpus.Soak_store.witnesses sink in
-          if ws <> [] then Pm_corpus.Corpus.save file ws
-      | None -> ());
-      match manifest_path with
-      | Some file ->
-          Pm_corpus.Soak_store.save file
-            (manifest_of ~soak_ok ~stopped ~elapsed snap)
-      | None -> ()
-    in
-    let t_start = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    let on_batch triples =
-      Pm_corpus.Soak_store.absorb sink triples;
-      incr rounds;
-      match stop_after with
-      | Some n when !rounds >= n -> Pm_harness.Soak.request_stop ()
-      | _ -> ()
-    in
-    let on_checkpoint snap =
-      flush ~soak_ok:false ~stopped:"running"
-        ~elapsed:(Unix.gettimeofday () -. t_start)
-        snap
-    in
-    let prev =
-      Sys.signal Sys.sigint
-        (Sys.Signal_handle (fun _ -> Pm_harness.Soak.request_stop ()))
-    in
-    let result, obs =
-      Telemetry.observing (fun () ->
-          Fun.protect
-            ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
-            (fun () ->
-              Pm_harness.Soak.run ?resume:resume_snapshot ~on_batch
-                ~on_checkpoint cfg))
-    in
-    ignore (Observe.Progress.stop ());
-    let reason = Pm_harness.Soak.stop_reason_label result.Pm_harness.Soak.r_reason in
-    flush ~soak_ok:result.Pm_harness.Soak.r_ok ~stopped:reason
-      ~elapsed:result.Pm_harness.Soak.r_elapsed_s
-      result.Pm_harness.Soak.r_snapshot;
-    let snap = result.Pm_harness.Soak.r_snapshot in
-    let ws = Pm_corpus.Soak_store.witnesses sink in
-    let count k =
-      List.length (List.filter (fun w -> w.Pm_corpus.Witness.kind = k) ws)
-    in
-    let race_ws = count Pm_corpus.Witness.Race in
-    let rf_ws = count Pm_corpus.Witness.Recovery_failure in
-    let cv_ws = count Pm_corpus.Witness.Consistency_violation in
-    Printf.printf
-      "soak %s: stopped (%s) after %d round(s): %d scenario(s), %d client \
-       op(s), %d execution(s)\n"
-      run_name reason snap.Pm_harness.Soak.snap_next_round
-      snap.Pm_harness.Soak.snap_scenarios snap.Pm_harness.Soak.snap_client_ops
-      snap.Pm_harness.Soak.snap_executions;
-    (* The consistency-violation count is appended only when the oracle
-       found any, keeping oracle-off output byte-identical. *)
-    Printf.printf
-      "  %d raw race observation(s) -> %d witness(es) (%d race, %d \
-       recovery-failure%s); %d faulted, %d diverged\n"
-      snap.Pm_harness.Soak.snap_races (List.length ws) race_ws rf_ws
-      (if cv_ws > 0 then Printf.sprintf ", %d consistency-violation" cv_ws
-       else "")
-      snap.Pm_harness.Soak.snap_faulted snap.Pm_harness.Soak.snap_diverged;
-    List.iter
-      (fun b ->
-        if b.Pm_harness.Soak.bs_quarantined then
-          Printf.printf "  [quarantined] %s (%d fault(s))\n"
-            b.Pm_harness.Soak.bs_combo b.Pm_harness.Soak.bs_faults)
-      snap.Pm_harness.Soak.snap_buckets;
-    (match corpus_path with
-    | Some file when ws <> [] ->
-        Printf.printf "corpus: %d witness(es) written to %s\n" (List.length ws)
-          file
-    | _ -> ());
-    (match manifest_path with
-    | Some file -> Printf.printf "manifest: %s\n" file
-    | None -> ());
-    Printf.printf "soak_ok: %b\n" result.Pm_harness.Soak.r_ok;
-    Telemetry.write_outputs tel obs;
-    Option.iter
-      (fun file ->
-        Observe.Ledger.append file
-          (Telemetry.soak_entry tel ~run:run_name
-             ~variant:(Px86.Variant.label variant) ~seed ~jobs ~races:race_ws
-             ~recovery_failures:rf_ws ~witnesses:(List.length ws) result obs);
-        Printf.printf "ledger: run %S appended to %s\n" run_name file)
-      tel.Telemetry.ledger;
-    result.Pm_harness.Soak.r_ok
-  in
   let run streams_pos seed jobs variant max_ops wall_s fault_budget
-      ops_per_exec checkpoint_every manifest_path resume stop_after oracle
+      ops_per_exec checkpoint_every manifest resume stop_after oracle
       corpus_out tel =
-    let ok =
-      match resume with
-      | None ->
-          let names =
-            if streams_pos = [] then
-              stream_names Pm_benchmarks.Registry.soak_streams
-            else streams_pos
-          in
-          go ~streams:(resolve_streams names) ~seed ~variant ~jobs ~ops_per_exec
-            ~fault_budget ~max_ops ~wall_s ~checkpoint_every ~manifest_path
-            ~corpus_path:corpus_out ~resume_snapshot:None ~preload:[] ~stop_after
-            ~oracle tel
-      | Some mf_path -> (
-          match Pm_corpus.Soak_store.load mf_path with
+    let module Soak = Pm_harness.Soak in
+    let module Store = Pm_corpus.Soak_store in
+    (* A resumed run is the same run: its configuration, run label and
+       corpus come from the manifest, which it keeps updating. *)
+    let resume =
+      Option.map
+        (fun path ->
+          match
+            Store.resume ~find_stream:Pm_benchmarks.Registry.find_soak_stream path
+          with
+          | Ok r -> r
           | Error msg ->
-              Printf.eprintf "%s\n" msg;
-              exit 1
-          | Ok m ->
-              let variant =
-                match Px86.Variant.of_label m.Pm_corpus.Soak_store.m_variant with
-                | Some v -> v
-                | None ->
-                    Printf.eprintf "%s: unknown variant %S in manifest\n" mf_path
-                      m.Pm_corpus.Soak_store.m_variant;
-                    exit 1
-              in
-              (* Configuration comes from the manifest — a resumed run is
-                 the same run.  Its corpus is preloaded so the dedup sink
-                 suppresses re-observations, only when the manifest says
-                 witnesses were actually written. *)
-              let preload =
-                if
-                  m.Pm_corpus.Soak_store.m_witnesses > 0
-                  && m.Pm_corpus.Soak_store.m_corpus <> ""
-                then load_corpus_or_exit m.Pm_corpus.Soak_store.m_corpus
-                else []
-              in
-              go
-                ~streams:(resolve_streams m.Pm_corpus.Soak_store.m_streams)
-                ~seed:m.Pm_corpus.Soak_store.m_seed ~variant
-                ~jobs:m.Pm_corpus.Soak_store.m_jobs
-                ~ops_per_exec:m.Pm_corpus.Soak_store.m_ops_per_exec
-                ~fault_budget:m.Pm_corpus.Soak_store.m_fault_budget
-                ~max_ops:m.Pm_corpus.Soak_store.m_max_ops
-                ~wall_s:m.Pm_corpus.Soak_store.m_wall_s
-                ~checkpoint_every:m.Pm_corpus.Soak_store.m_checkpoint_every
-                ~manifest_path:(Some mf_path)
-                ~corpus_path:
-                  (if m.Pm_corpus.Soak_store.m_corpus = "" then corpus_out
-                   else Some m.Pm_corpus.Soak_store.m_corpus)
-                ~resume_snapshot:(Some m.Pm_corpus.Soak_store.m_snapshot)
-                ~preload ~stop_after ~oracle
-                { tel with Telemetry.run_label = Some m.Pm_corpus.Soak_store.m_run })
+              prerr_endline msg;
+              exit 1)
+        resume
+    in
+    let cfg, run_name, corpus, manifest =
+      match resume with
+      | Some r ->
+          let m = r.Store.rs_manifest in
+          ( { r.Store.rs_config with Soak.sk_oracle = oracle },
+            m.Store.m_run,
+            (if m.Store.m_corpus = "" then corpus_out else Some m.Store.m_corpus),
+            Some r.Store.rs_path )
+      | None ->
+          let streams =
+            if streams_pos = [] then Pm_benchmarks.Registry.soak_streams
+            else
+              List.map
+                (fun n ->
+                  match Pm_benchmarks.Registry.find_soak_stream n with
+                  | Some s -> s
+                  | None ->
+                      Printf.eprintf
+                        "unknown soak stream %S (try memcached, redis, cceh \
+                         or demo-storm)\n"
+                        n;
+                      exit 1)
+                streams_pos
+          in
+          ( {
+              (Soak.default_config ~streams) with
+              Soak.sk_options =
+                { Pm_harness.Scenario.default_options with seed; variant };
+              sk_jobs = jobs;
+              sk_ops_per_exec = ops_per_exec;
+              sk_fault_budget = fault_budget;
+              sk_max_ops = max_ops;
+              sk_wall_s = wall_s;
+              sk_checkpoint_every = checkpoint_every;
+              sk_oracle = oracle;
+            },
+            Option.value tel.Telemetry.run_label
+              ~default:
+                ("soak:"
+                ^ String.concat "," (List.map (fun s -> s.Soak.os_name) streams)),
+            corpus_out,
+            manifest )
+    in
+    let tel = { tel with Telemetry.coverage = true; run_label = Some run_name } in
+    let ok =
+      Telemetry.with_session tel @@ fun () ->
+      let (result, sink), obs =
+        Telemetry.observing (fun () ->
+            Store.serve ?resume ?stop_after ~run:run_name ~corpus ~manifest cfg)
+      in
+      ignore (Observe.Progress.stop ());
+      let snap = result.Soak.r_snapshot in
+      let ws = Store.witnesses sink in
+      let st = Pm_corpus.Corpus.stats ws in
+      Printf.printf
+        "soak %s: stopped (%s) after %d round(s): %d scenario(s), %d client \
+         op(s), %d execution(s)\n"
+        run_name
+        (Soak.stop_reason_label result.Soak.r_reason)
+        snap.Soak.snap_next_round snap.Soak.snap_scenarios
+        snap.Soak.snap_client_ops snap.Soak.snap_executions;
+      (* The consistency-violation count is appended only when the oracle
+         found any, keeping oracle-off output byte-identical. *)
+      Printf.printf
+        "  %d raw race observation(s) -> %d witness(es) (%d race, %d \
+         recovery-failure%s); %d faulted, %d diverged\n"
+        snap.Soak.snap_races st.total st.races st.recovery_failures
+        (if st.consistency_violations > 0 then
+           Printf.sprintf ", %d consistency-violation" st.consistency_violations
+         else "")
+        snap.Soak.snap_faulted snap.Soak.snap_diverged;
+      List.iter
+        (fun b ->
+          if b.Soak.bs_quarantined then
+            Printf.printf "  [quarantined] %s (%d fault(s))\n" b.Soak.bs_combo
+              b.Soak.bs_faults)
+        snap.Soak.snap_buckets;
+      (match corpus with
+      | Some file when ws <> [] ->
+          Printf.printf "corpus: %d witness(es) written to %s\n" st.total file
+      | _ -> ());
+      Option.iter (Printf.printf "manifest: %s\n") manifest;
+      Printf.printf "soak_ok: %b\n" result.Soak.r_ok;
+      Telemetry.write_outputs tel obs;
+      Option.iter
+        (fun file ->
+          Observe.Ledger.append file
+            (Telemetry.soak_entry tel ~run:run_name cfg st result obs);
+          Printf.printf "ledger: run %S appended to %s\n" run_name file)
+        tel.Telemetry.ledger;
+      result.Soak.r_ok
     in
     if not ok then exit 1
   in

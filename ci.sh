@@ -261,6 +261,18 @@ cmp "$soak_c1" "$soak_cr" || {
   echo "ci: resumed soak corpus differs from the uninterrupted run" >&2
   exit 1
 }
+# The resumed manifest counts the whole run: apart from its corpus path
+# and its per-invocation coverage digest it equals the uninterrupted
+# run's, raw and duplicate counts included.
+strip_resumed_manifest() {
+  strip_soak_manifest "$1" | sed -E 's/"coverage_digest":"[^"]*"//'
+}
+strip_resumed_manifest "$soak_m1" > "${soak_m1}.r"
+strip_resumed_manifest "$soak_mr" > "${soak_mr}.r"
+cmp "${soak_m1}.r" "${soak_mr}.r" || {
+  echo "ci: resumed soak manifest differs from the uninterrupted run's" >&2
+  exit 1
+}
 # A fault storm (demo-storm's crashing delete handler) must be
 # quarantined, not fatal: the run still reaches its budget.
 out=$(dune exec bin/yashme_cli.exe -- soak demo-storm --seed 7 \

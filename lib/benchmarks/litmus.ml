@@ -259,6 +259,7 @@ let run_matrix ?(jobs = 1) () =
         cases;
   }
 
+(* Compact cell form: "label:count[b] ...", "rf:n", or "-". *)
 let cell_label cell =
   let races =
     List.map

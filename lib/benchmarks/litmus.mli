@@ -40,12 +40,7 @@ type matrix = {
 (** Built-in variants, matrix column order (strict-tso first). *)
 val variants : Px86.Variant.t list
 
-val run_case : ?jobs:int -> variant:Px86.Variant.t -> case -> cell
-
 val run_matrix : ?jobs:int -> unit -> matrix
-
-(** Compact cell form: ["label:count[b] ..."], ["rf:n"], or ["-"]. *)
-val cell_label : cell -> string
 
 (** The divergence table: one row per case, one column per variant;
     cells differing from the strict-tso baseline carry a ['*']. *)

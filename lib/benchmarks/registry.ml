@@ -61,8 +61,3 @@ let find name =
   with
   | Some p -> p
   | None -> raise Not_found
-
-let names () =
-  List.map
-    (fun (p : Pm_harness.Program.t) -> p.Pm_harness.Program.name)
-    (all @ demos @ litmus)

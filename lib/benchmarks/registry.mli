@@ -23,12 +23,9 @@ val litmus : Pm_harness.Program.t list
     randomized-client surface: memcached, redis, cceh. *)
 val soak_streams : Pm_harness.Soak.op_stream list
 
-(** The fault-storm demo stream ({!Demo_faults.storm_stream});
-    findable by name, never soaked by default. *)
-val soak_demo_streams : Pm_harness.Soak.op_stream list
-
-(** Find a soak stream by (case-insensitive) name, demo streams
-    included. *)
+(** Find a soak stream by (case-insensitive) name, the fault-storm demo
+    stream ({!Demo_faults.storm_stream}) included: findable by name,
+    never soaked by default. *)
 val find_soak_stream : string -> Pm_harness.Soak.op_stream option
 
 (** Rebuild a soak program from its encoded
@@ -40,6 +37,3 @@ val find_soak_program : string -> Pm_harness.Program.t option
     [Not_found]. *)
 val find : string -> Pm_harness.Program.t
 
-(** Program names, demos and litmus included (what [yashme list]
-    prints). *)
-val names : unit -> string list

@@ -31,5 +31,4 @@ val dedup_key : t -> string
     regardless of the order scenarios actually finished in. *)
 val merge_ordered : t list list -> t list
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

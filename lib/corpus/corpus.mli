@@ -18,11 +18,9 @@ type stats = {
   duplicates_folded : int;  (** input lines dropped by dedup *)
 }
 
-(** First-occurrence dedup by {!Witness.identity}.  Returns the kept
-    witnesses (input order) and the number folded away. *)
-val dedup : Witness.t list -> Witness.t list * int
-
-(** Concatenate-then-{!dedup}. *)
+(** Concatenate, then keep the first occurrence of each
+    {!Witness.identity}.  Returns the kept witnesses (input order) and
+    the number folded away. *)
 val merge : Witness.t list list -> Witness.t list * int
 
 val stats : ?duplicates_folded:int -> Witness.t list -> stats

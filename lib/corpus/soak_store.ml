@@ -1,16 +1,17 @@
-(* Soak persistence: witness sink + versioned run manifest.
+(* Soak persistence: witness sink, versioned run manifest, and the
+   session that ties them to a running soak loop.
 
    The manifest is one flat Json line, like a witness or ledger entry,
    so the trace linter and the corpus codec cover it for free.  The
    per-combo quarantine state is flattened to [bucket:LABEL:faults] /
    [bucket:LABEL:quarantined] fields — labels contain ':' themselves,
-   so decoding strips the fixed prefix and suffixes rather than
-   splitting. *)
+   so decoding splits at the last one. *)
 
 module Soak = Pm_harness.Soak
 module Scenario = Pm_harness.Scenario
-module Engine = Pm_harness.Engine
 module Runner = Pm_harness.Runner
+
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Witness sink                                                         *)
@@ -79,8 +80,6 @@ type manifest = {
 }
 
 let bucket_prefix = "bucket:"
-let faults_suffix = ":faults"
-let quarantined_suffix = ":quarantined"
 
 let identity_fields m =
   let s = m.m_snapshot in
@@ -111,8 +110,8 @@ let identity_fields m =
   @ List.concat_map
       (fun b ->
         [
-          (bucket_prefix ^ b.Soak.bs_combo ^ faults_suffix, `I b.Soak.bs_faults);
-          ( bucket_prefix ^ b.Soak.bs_combo ^ quarantined_suffix,
+          (bucket_prefix ^ b.Soak.bs_combo ^ ":faults", `I b.Soak.bs_faults);
+          ( bucket_prefix ^ b.Soak.bs_combo ^ ":quarantined",
             `B b.Soak.bs_quarantined );
         ])
       s.Soak.snap_buckets
@@ -130,64 +129,33 @@ let fields m =
 
 let encode m = Json.encode_obj (fields m)
 
-let strip_affixes name =
-  (* "bucket:LABEL:faults" -> (LABEL, `Faults); labels contain ':'. *)
-  let plen = String.length bucket_prefix in
-  let body = String.sub name plen (String.length name - plen) in
-  let ends_with suffix =
-    let sl = String.length suffix and bl = String.length body in
-    bl > sl && String.sub body (bl - sl) sl = suffix
-  in
-  if ends_with faults_suffix then
-    Some
-      ( String.sub body 0 (String.length body - String.length faults_suffix),
-        `Faults )
-  else if ends_with quarantined_suffix then
-    Some
-      ( String.sub body 0
-          (String.length body - String.length quarantined_suffix),
-        `Quarantined )
-  else None
-
-(* Rebuild bucket states from the flattened fields, preserving field
-   (= snapshot) order. *)
+(* Rebuild bucket states from the flattened fields in one pass, in
+   field (= snapshot) order; a label missing one of its two fields
+   takes the default. *)
 let buckets_of fields =
-  let order = ref [] and faults = Hashtbl.create 8 and quar = Hashtbl.create 8 in
-  let note label = if not (List.mem label !order) then order := label :: !order in
-  let rec walk = function
-    | [] -> Ok ()
-    | (name, v) :: rest
-      when String.length name > String.length bucket_prefix
-           && String.sub name 0 (String.length bucket_prefix) = bucket_prefix
-      -> (
-        match (strip_affixes name, v) with
-        | Some (label, `Faults), `I n ->
-            note label;
-            Hashtbl.replace faults label n;
-            walk rest
-        | Some (label, `Quarantined), `B b ->
-            note label;
-            Hashtbl.replace quar label b;
-            walk rest
-        | _ -> Error (Printf.sprintf "malformed bucket field %s" name))
-    | _ :: rest -> walk rest
+  let plen = String.length bucket_prefix in
+  let set label f acc =
+    if List.exists (fun b -> b.Soak.bs_combo = label) acc then
+      List.map (fun b -> if b.Soak.bs_combo = label then f b else b) acc
+    else f { Soak.bs_combo = label; bs_faults = 0; bs_quarantined = false } :: acc
   in
-  match walk fields with
-  | Error e -> Error e
-  | Ok () ->
-      Ok
-        (List.rev_map
-           (fun label ->
-             {
-               Soak.bs_combo = label;
-               bs_faults = Option.value ~default:0 (Hashtbl.find_opt faults label);
-               bs_quarantined =
-                 Option.value ~default:false (Hashtbl.find_opt quar label);
-             })
-           !order)
+  let field acc (name, v) =
+    let* acc = acc in
+    if String.length name <= plen || not (String.starts_with ~prefix:bucket_prefix name)
+    then Ok acc
+    else
+      let i = String.rindex name ':' in
+      let label = String.sub name plen (max 0 (i - plen)) in
+      match (String.sub name (i + 1) (String.length name - i - 1), v) with
+      | "faults", `I n when label <> "" ->
+          Ok (set label (fun b -> { b with Soak.bs_faults = n }) acc)
+      | "quarantined", `B q when label <> "" ->
+          Ok (set label (fun b -> { b with Soak.bs_quarantined = q }) acc)
+      | _ -> Error (Printf.sprintf "malformed bucket field %s" name)
+  in
+  Result.map List.rev (List.fold_left field (Ok []) fields)
 
 let decode line =
-  let ( let* ) = Result.bind in
   let* fields = Json.decode_obj line in
   let* _ =
     Json.version ~key:"manifest_version" ~oldest:1 ~current:version fields
@@ -290,3 +258,117 @@ let save path m = Yashme_util.Atomic_file.write path (encode m ^ "\n")
 (* The manifest is the file's first non-blank line. *)
 let load path =
   Result.map List.hd (Json.load_lines ~what:"soak manifest" path decode)
+
+(* ------------------------------------------------------------------ *)
+(* Session                                                              *)
+
+type resume = {
+  rs_path : string;
+  rs_manifest : manifest;
+  rs_config : Soak.config;
+  rs_witnesses : Witness.t list;
+}
+
+let resume ~find_stream path =
+  let* m = load path in
+  let unknown what name =
+    Error (Printf.sprintf "%s: unknown %s %S in manifest" path what name)
+  in
+  match
+    (List.find_opt (fun n -> find_stream n = None) m.m_streams,
+     Px86.Variant.of_label m.m_variant)
+  with
+  | Some name, _ -> unknown "soak stream" name
+  | None, None -> unknown "variant" m.m_variant
+  | None, Some variant ->
+      (* The corpus is preloaded, so the sink suppresses re-observations,
+         only when the manifest says witnesses were written to it. *)
+      let* witnesses =
+        if m.m_witnesses > 0 && m.m_corpus <> "" then Corpus.load m.m_corpus
+        else Ok []
+      in
+      let streams = List.filter_map find_stream m.m_streams in
+      Ok
+        {
+          rs_path = path;
+          rs_manifest = m;
+          rs_config =
+            {
+              (Soak.default_config ~streams) with
+              Soak.sk_options =
+                { Scenario.default_options with seed = m.m_seed; variant };
+              sk_jobs = m.m_jobs;
+              sk_ops_per_exec = m.m_ops_per_exec;
+              sk_fault_budget = m.m_fault_budget;
+              sk_max_ops = m.m_max_ops;
+              sk_wall_s = m.m_wall_s;
+              sk_checkpoint_every = m.m_checkpoint_every;
+            };
+          rs_witnesses = witnesses;
+        }
+
+let serve ?resume ?stop_after ~run ~corpus ~manifest (cfg : Soak.config) =
+  let sink = sink () in
+  Option.iter
+    (fun r ->
+      preload sink r.rs_witnesses;
+      sink.sk_raw <- r.rs_manifest.m_raw;
+      sink.sk_dups <- r.rs_manifest.m_duplicates)
+    resume;
+  let options = cfg.Soak.sk_options in
+  let manifest_of ~soak_ok ~stopped ~elapsed snap =
+    {
+      m_run = run;
+      m_streams = List.map (fun s -> s.Soak.os_name) cfg.Soak.sk_streams;
+      m_seed = options.Scenario.seed;
+      m_variant = Px86.Variant.label options.Scenario.variant;
+      m_jobs = cfg.Soak.sk_jobs;
+      m_ops_per_exec = cfg.Soak.sk_ops_per_exec;
+      m_fault_budget = cfg.Soak.sk_fault_budget;
+      m_max_ops = cfg.Soak.sk_max_ops;
+      m_wall_s = cfg.Soak.sk_wall_s;
+      m_checkpoint_every = cfg.Soak.sk_checkpoint_every;
+      m_corpus = Option.value corpus ~default:"";
+      m_snapshot = snap;
+      m_witnesses = List.length sink.sk_rev;
+      m_raw = sink.sk_raw;
+      m_duplicates = sink.sk_dups;
+      m_coverage_digest = Telemetry.coverage_digest ();
+      m_soak_ok = soak_ok;
+      m_stopped = stopped;
+      m_ts = Unix.gettimeofday ();
+      m_elapsed_s = elapsed;
+    }
+  in
+  (* One checkpoint = corpus (only once non-empty) + manifest, each
+     atomic, corpus first so a manifest never references witnesses
+     that were not yet durable. *)
+  let flush ~soak_ok ~stopped ~elapsed snap =
+    (match corpus with
+    | Some file when sink.sk_rev <> [] -> Corpus.save file (witnesses sink)
+    | _ -> ());
+    Option.iter (fun file -> save file (manifest_of ~soak_ok ~stopped ~elapsed snap)) manifest
+  in
+  let t_start = Unix.gettimeofday () in
+  let rounds = ref 0 in
+  let on_batch triples =
+    absorb sink triples;
+    incr rounds;
+    match stop_after with Some n when !rounds >= n -> Soak.request_stop () | _ -> ()
+  in
+  let on_checkpoint snap =
+    flush ~soak_ok:false ~stopped:"running" ~elapsed:(Unix.gettimeofday () -. t_start) snap
+  in
+  let prev = Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Soak.request_stop ())) in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigint prev)
+      (fun () ->
+        Soak.run
+          ?resume:(Option.map (fun r -> r.rs_manifest.m_snapshot) resume)
+          ~on_batch ~on_checkpoint cfg)
+  in
+  flush ~soak_ok:result.Soak.r_ok
+    ~stopped:(Soak.stop_reason_label result.Soak.r_reason)
+    ~elapsed:result.Soak.r_elapsed_s result.Soak.r_snapshot;
+  (result, sink)

@@ -1,6 +1,7 @@
 (** Persistence for the soak service ({!Pm_harness.Soak}): the
-    deduplicating witness sink fed by [on_batch], and the versioned
-    run manifest that makes a soak run a durable, resumable artifact.
+    deduplicating witness sink fed by [on_batch], the versioned run
+    manifest that makes a soak run a durable, resumable artifact, and
+    the session ({!serve}) that runs the soak loop with both.
 
     A checkpoint is two files, both written crash-safely
     ({!Yashme_util.Atomic_file}): the witness corpus (ordinary
@@ -24,11 +25,6 @@ module Soak = Pm_harness.Soak
 type sink
 
 val sink : unit -> sink
-
-(** Seed the sink with a loaded checkpoint corpus (resume): the
-    witnesses keep their order and their identities suppress
-    re-observations in later rounds. *)
-val preload : sink -> Witness.t list -> unit
 
 (** Absorb one soak round's [(program_name, scenario, result)] triples
     (the {!Pm_harness.Soak.run} [on_batch] feed), extracting witnesses
@@ -64,6 +60,9 @@ type manifest = {
   m_raw : int;
   m_duplicates : int;
   m_coverage_digest : string;
+      (** {!Telemetry.coverage_digest} of this invocation: coverage is
+          not persisted, so a resumed run's digest covers only the
+          rounds it ran itself *)
   m_soak_ok : bool;  (** true iff the run ended by budget *)
   m_stopped : string;
       (** {!Soak.stop_reason_label} of the final stop, or ["running"]
@@ -94,3 +93,42 @@ val save : string -> manifest -> unit
     line is the manifest): empty, unreadable or malformed files are
     positioned [Error]s (["PATH:N: ..."]), never exceptions. *)
 val load : string -> (manifest, string) result
+
+(** {1 Session} *)
+
+(** Where a resumed run starts. *)
+type resume = {
+  rs_path : string;  (** the manifest file *)
+  rs_manifest : manifest;
+  rs_config : Soak.config;
+      (** streams, seed, variant, jobs, budgets and checkpoint period
+          from the manifest; default buckets, oracle off *)
+  rs_witnesses : Witness.t list;
+      (** the checkpoint corpus, loaded only when the manifest
+          recorded witnesses and names a corpus *)
+}
+
+(** Read a manifest for resuming; [find_stream] resolves stream names.
+    A manifest or corpus that will not load, an unknown stream or an
+    unknown variant is an [Error] naming the file, never an
+    exception. *)
+val resume :
+  find_stream:(string -> Soak.op_stream option) -> string -> (resume, string) result
+
+(** One soak session: {!Soak.run} over [cfg], every round absorbed into
+    a fresh sink, under a SIGINT handler that calls
+    {!Soak.request_stop} (the previous handler is restored on every
+    exit); [stop_after] requests the same stop after that many rounds
+    of this invocation.  Every [sk_checkpoint_every] rounds, and when
+    the loop stops, it writes the sink's witnesses to [corpus] (once
+    there are any), then the manifest (labelled [run]) to [manifest].
+    With [resume], the loop continues from the manifest's snapshot and
+    the sink from its witnesses, [raw] and [duplicates]. *)
+val serve :
+  ?resume:resume ->
+  ?stop_after:int ->
+  run:string ->
+  corpus:string option ->
+  manifest:string option ->
+  Soak.config ->
+  Soak.result * sink

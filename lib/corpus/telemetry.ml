@@ -169,15 +169,15 @@ let outcome_entry cfg ~mode ~seed ~program (o : Runner.outcome)
     e_witnesses = List.length ex.Witness.witnesses;
     e_elapsed_s = st.elapsed_s; e_cpu_s = st.cpu_s }
 
-let soak_entry cfg ~run ~variant ~seed ~jobs ~races ~recovery_failures
-    ~witnesses (r : Pm_harness.Soak.result) obs =
-  let s = r.Pm_harness.Soak.r_snapshot in
-  { (entry cfg ~program:run ~variant ~mode:"soak" ~seed
-       ~coverage_digest:(coverage_digest ()) obs)
+let soak_entry cfg ~run (soak : Pm_harness.Soak.config) (st : Corpus.stats)
+    (r : Pm_harness.Soak.result) obs =
+  let s = r.Pm_harness.Soak.r_snapshot and o = soak.sk_options in
+  { (entry cfg ~program:run ~variant:(Px86.Variant.label o.variant) ~mode:"soak"
+       ~seed:o.seed ~coverage_digest:(coverage_digest ()) obs)
     with
-    e_jobs = jobs; e_scenarios = s.snap_scenarios;
+    e_jobs = soak.sk_jobs; e_scenarios = s.snap_scenarios;
     e_completed = s.snap_completed; e_faulted = s.snap_faulted;
     e_diverged = s.snap_diverged; e_executions = s.snap_executions;
-    e_ops = s.snap_ops; e_races = races; e_raw_races = s.snap_races;
-    e_recovery_failures = recovery_failures; e_witnesses = witnesses;
+    e_ops = s.snap_ops; e_races = st.races; e_raw_races = s.snap_races;
+    e_recovery_failures = st.recovery_failures; e_witnesses = st.total;
     e_elapsed_s = r.r_elapsed_s }

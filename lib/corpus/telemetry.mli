@@ -76,18 +76,14 @@ val outcome_entry :
   observed ->
   Observe.Ledger.entry
 
-(** The ledger entry of a soak run named [run]: counts from its final
-    snapshot, the witness counts of its corpus, and the digest of all
-    coverage. *)
+(** The ledger entry of a soak run named [run] under [soak]'s seed,
+    variant and jobs: counts from its final snapshot, the witness counts
+    of its corpus, and the digest of all coverage. *)
 val soak_entry :
   config ->
   run:string ->
-  variant:string ->
-  seed:int ->
-  jobs:int ->
-  races:int ->
-  recovery_failures:int ->
-  witnesses:int ->
+  Pm_harness.Soak.config ->
+  Corpus.stats ->
   Pm_harness.Soak.result ->
   observed ->
   Observe.Ledger.entry

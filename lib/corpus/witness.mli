@@ -26,14 +26,12 @@ module Engine = Pm_harness.Engine
 module Runner = Pm_harness.Runner
 
 (** Format version written to every line.  Decoding accepts
-    [oldest_readable]..[version]: v1 predates the persistency-model
+    1..[version]: v1 predates the persistency-model
     variant field (such witnesses load with the strict-tso default),
     v2 predates the consistency-violation kind — both still decode
     because v3 changed only the [kind] vocabulary, not the line
     shape. *)
 val version : int
-
-val oldest_readable : int
 
 type kind =
   | Race  (** key = {!Yashme.Race.dedup_key} of the racing store *)

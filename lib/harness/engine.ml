@@ -713,89 +713,29 @@ type stats = {
   elapsed_s : float;
 }
 
-(* The timing-free projection: what determinism comparisons may look
-   at.  [cpu_s]/[elapsed_s] (and the wall times) vary run to run, so
+(* The timing-free projections: what determinism comparisons may look
+   at.  [cpu_s]/[elapsed_s] and the wall times vary run to run, so
    polymorphic equality over the full records is latently flaky —
-   compare these instead.  [cancelled] is also excluded: under
-   fail-fast with several domains, how many queue entries were already
-   claimed when the stop flag rose is scheduling-dependent. *)
-type structural_stats = {
-  s_jobs : int;
-  s_scenarios : int;
-  s_completed : int;
-  s_faulted : int;
-  s_diverged : int;
-  s_executions : int;
-  s_ops : int;
-}
+   compare these instead.  [cancelled] is zeroed too: under fail-fast
+   with several domains, how many queue entries were already claimed
+   when the stop flag rose is scheduling-dependent. *)
+let structural stats = { stats with cancelled = 0; cpu_s = 0.; elapsed_s = 0. }
 
-let structural stats =
-  {
-    s_jobs = stats.jobs;
-    s_scenarios = stats.scenarios;
-    s_completed = stats.completed;
-    s_faulted = stats.faulted;
-    s_diverged = stats.diverged;
-    s_executions = stats.executions;
-    s_ops = stats.ops;
-  }
-
-type completed_sig = {
-  sig_label : string;
-  sig_races : Yashme.Race.t list;
-  sig_chain_crashed : bool;
-  sig_diverged : bool;
-  sig_executions : int;
-  sig_ops : int;
-  sig_flush_points : int;
-  sig_post_flush_points : int option;
-  sig_observed : bool;
-  sig_violations : (string * string) list;
-}
-
-type fault_sig = {
-  sig_f_label : string;
-  sig_f_phase : Finding.phase;
-  sig_f_exn : string;
-  sig_f_plan : string;
-  sig_f_post_plan : string;
-  sig_f_seed : int;
-  sig_f_crash_fired : bool;
-  sig_f_races : Yashme.Race.t list;
-  sig_f_executions : int;
-  sig_f_ops : int;
-}
-
-type scenario_sig = Sig_completed of completed_sig | Sig_faulted of fault_sig
+(* A fault keeps its [exn_text]; its exception and raw backtrace become
+   fixed values, so [=] never meets a closure an exception carries, and
+   its rendered backtrace, which depends on the build, is emptied. *)
+let no_backtrace = Printexc.get_callstack 0
 
 let signature = function
-  | Completed r ->
-      Sig_completed
-        {
-          sig_label = r.label;
-          sig_races = r.races;
-          sig_chain_crashed = r.chain_crashed;
-          sig_diverged = r.diverged;
-          sig_executions = r.executions;
-          sig_ops = r.ops;
-          sig_flush_points = r.flush_points;
-          sig_post_flush_points = r.post_flush_points;
-          sig_observed = r.observed;
-          sig_violations = r.violations;
-        }
+  | Completed c -> Completed { c with wall_s = 0. }
   | Faulted f ->
-      Sig_faulted
+      Faulted
         {
-          sig_f_label = f.f_info.Finding.label;
-          sig_f_phase = f.f_info.Finding.phase;
-          sig_f_exn = f.f_info.Finding.exn_text;
-          sig_f_plan = f.f_info.Finding.plan;
-          sig_f_post_plan = f.f_info.Finding.post_plan;
-          sig_f_seed = f.f_info.Finding.seed;
-          sig_f_crash_fired = f.f_info.Finding.crash_fired;
-          sig_f_races = f.f_races;
-          sig_f_executions = f.f_executions;
-          sig_f_ops = f.f_ops;
+          f with
+          f_info = { f.f_info with Finding.backtrace = "" };
+          f_exn = Exit;
+          f_backtrace = no_backtrace;
+          f_wall_s = 0.;
         }
 
 type run_result = { results : scenario_result list; stats : stats }

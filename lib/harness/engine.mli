@@ -198,11 +198,6 @@ val run_recovery :
   (unit -> unit) ->
   Pm_runtime.Executor.result
 
-(** Coverage index of a crash plan: [Crash_before_flush n] is [Some n],
-    [Crash_at_end] is [Some (-1)] (the ["end"] pseudo-index of
-    {!Observe.Coverage}), untargeted plans are [None]. *)
-val plan_index : Pm_runtime.Executor.plan -> int option
-
 (** Did this run's crash plan actually fire?  ([Crash_at_end] completes
     and then crashes; a targeted plan that never fired leaves a cleanly
     shut-down state with no crash; a {!Pm_runtime.Executor.Diverged}
@@ -295,55 +290,19 @@ type stats = {
   elapsed_s : float;  (** end-to-end wall time of the batch *)
 }
 
-(** The timing-free projection of {!stats}: determinism comparisons
-    must use this (or {!signature}), never polymorphic equality over
-    the full records — [cpu_s]/[elapsed_s]/wall times vary run to run,
-    and [cancelled] is scheduling-dependent under fail-fast. *)
-type structural_stats = {
-  s_jobs : int;
-  s_scenarios : int;
-  s_completed : int;
-  s_faulted : int;
-  s_diverged : int;
-  s_executions : int;
-  s_ops : int;
-}
+(** The timing-free projection of {!stats}: [cancelled], [cpu_s] and
+    [elapsed_s] zeroed.  Determinism comparisons must use this (or
+    {!signature}), never polymorphic equality over the full records —
+    [cpu_s]/[elapsed_s]/wall times vary run to run, and [cancelled] is
+    scheduling-dependent under fail-fast. *)
+val structural : stats -> stats
 
-val structural : stats -> structural_stats
-
-(** The timing-free projection of a {!scenario_result} (everything but
-    the wall times and the fault's backtrace, whose rendering depends
-    on the build). *)
-
-type completed_sig = {
-  sig_label : string;
-  sig_races : Yashme.Race.t list;
-  sig_chain_crashed : bool;
-  sig_diverged : bool;
-  sig_executions : int;
-  sig_ops : int;
-  sig_flush_points : int;
-  sig_post_flush_points : int option;
-  sig_observed : bool;
-  sig_violations : (string * string) list;
-}
-
-type fault_sig = {
-  sig_f_label : string;
-  sig_f_phase : Finding.phase;
-  sig_f_exn : string;
-  sig_f_plan : string;
-  sig_f_post_plan : string;
-  sig_f_seed : int;
-  sig_f_crash_fired : bool;
-  sig_f_races : Yashme.Race.t list;
-  sig_f_executions : int;
-  sig_f_ops : int;
-}
-
-type scenario_sig = Sig_completed of completed_sig | Sig_faulted of fault_sig
-
-val signature : scenario_result -> scenario_sig
+(** The timing-free projection of a {!scenario_result}: the wall times
+    zeroed, a fault's rendered backtrace emptied, and its exception and
+    raw backtrace replaced by fixed values ([exn_text] keeps the
+    exception's text).  Signatures compare with [=], even when a
+    fault's exception carries a closure. *)
+val signature : scenario_result -> scenario_result
 
 type run_result = { results : scenario_result list; stats : stats }
 

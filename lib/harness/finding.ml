@@ -30,17 +30,11 @@ let is_recovery_failure f =
 (* The dedup key deliberately excludes the backtrace (whose rendering
    depends on the build) and the seed (reported separately as the repro
    handle): one recovery bug observed from several crash plans of the
-   same scenario label still folds per (label, plan, exception).  The
-   components form is shared with the corpus replayer, which recomputes
-   candidate keys without building a full fault record. *)
-let make_recovery_failure_key ~label ~plan ~post_plan ~exn_text =
-  Printf.sprintf "%s @ %s%s: %s" label plan
-    (if post_plan = "run_to_end" then "" else "+" ^ post_plan)
-    exn_text
-
+   same scenario label still folds per (label, plan, exception). *)
 let recovery_failure_key f =
-  make_recovery_failure_key ~label:f.label ~plan:f.plan ~post_plan:f.post_plan
-    ~exn_text:f.exn_text
+  Printf.sprintf "%s @ %s%s: %s" f.label f.plan
+    (if f.post_plan = "run_to_end" then "" else "+" ^ f.post_plan)
+    f.exn_text
 
 let pp ppf f =
   Format.fprintf ppf "fault in %s phase of %s @ %s%s: %s" (phase_label f.phase)

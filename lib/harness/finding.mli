@@ -30,8 +30,6 @@ type phase =
           fault here is contained instrumentation failure, never a
           recovery failure *)
 
-val phase_label : phase -> string
-
 type fault = {
   label : string;  (** scenario label (program name) *)
   phase : phase;
@@ -50,12 +48,6 @@ val is_recovery_failure : fault -> bool
     exception text — no backtrace, no seed. *)
 val recovery_failure_key : fault -> string
 
-(** {!recovery_failure_key} from its components — the corpus replayer
-    recomputes candidate keys without building a full fault record. *)
-val make_recovery_failure_key :
-  label:string -> plan:string -> post_plan:string -> exn_text:string -> string
-
-val pp : Format.formatter -> fault -> unit
 val to_string : fault -> string
 
 (** A crash-consistency violation from the invariant oracle
@@ -72,5 +64,4 @@ type consistency = {
 }
 
 val consistency_key : consistency -> string
-val pp_consistency : Format.formatter -> consistency -> unit
 val consistency_to_string : consistency -> string

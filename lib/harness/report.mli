@@ -57,7 +57,7 @@ type t = {
   oracle : string list option;
       (** inferred invariant labels ([None] unless attached with
           {!with_oracle}).  Never rendered by {!pp}/{!to_string} —
-          rendered by {!pp_oracle}. *)
+          rendered by {!oracle_to_string}. *)
 }
 
 (** Deduplicate raw races by field label and [faults] (submission
@@ -106,6 +106,4 @@ val to_string : t -> string
 (** Render the [\[oracle\]] block: inferred invariant set plus
     per-violation detail, byte-identical across [--jobs] counts; a
     ["(not run)"] placeholder when no oracle was attached. *)
-val pp_oracle : Format.formatter -> t -> unit
-
 val oracle_to_string : t -> string

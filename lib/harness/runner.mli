@@ -80,7 +80,7 @@ val run_once_traced :
     carries the resulting {!Scenario.oracle} context so the engine
     checks each crashed-and-recovered state.  Violations surface as
     {!Report.consistency_violations} and the inferred invariant labels
-    are attached for {!Report.pp_oracle}.  Programs without an
+    are attached for {!Report.oracle_to_string}.  Programs without an
     [observe] hook run exactly as with the oracle off. *)
 
 type oracle_prep = {

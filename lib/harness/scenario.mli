@@ -44,8 +44,6 @@ val default_options : options
     which reproduces the original draws because the seed fully
     determined them. *)
 
-val mode_label : Yashme.Detector.mode -> string
-val mode_of_label : string -> Yashme.Detector.mode option
 val options_fields : options -> (string * Yashme_util.Json.value) list
 val options_of_fields : (string * Yashme_util.Json.value) list -> (options, string) result
 

@@ -180,13 +180,6 @@ let stop_reason_label = function
   | Exhausted -> "exhausted"
   | Interrupted -> "interrupted"
 
-let stop_reason_of_label = function
-  | "op-budget" -> Some Op_budget
-  | "wall-budget" -> Some Wall_budget
-  | "exhausted" -> Some Exhausted
-  | "interrupted" -> Some Interrupted
-  | _ -> None
-
 type result = {
   r_snapshot : snapshot;
   r_reason : stop_reason;
@@ -245,19 +238,48 @@ let calibrate ~options combo ~setup =
   | Engine.Completed c -> max 1 c.Engine.flush_points
   | Engine.Faulted _ -> 1
 
-let snapshot_of ~next_round ~totals ~combos =
-  let t = totals in
+(* The running state: a snapshot's round counter and totals, updated in
+   place, so a round allocates nothing for them. *)
+type totals = {
+  mutable next_round : int;
+  mutable scenarios : int;
+  mutable completed : int;
+  mutable faulted : int;
+  mutable diverged : int;
+  mutable crashed : int;
+  mutable executions : int;
+  mutable ops : int;
+  mutable client_ops : int;
+  mutable races : int;
+}
+
+let start =
   {
-    snap_next_round = next_round;
-    snap_scenarios = t.(0);
-    snap_completed = t.(1);
-    snap_faulted = t.(2);
-    snap_diverged = t.(3);
-    snap_crashed = t.(4);
-    snap_executions = t.(5);
-    snap_ops = t.(6);
-    snap_client_ops = t.(7);
-    snap_races = t.(8);
+    snap_next_round = 0;
+    snap_scenarios = 0;
+    snap_completed = 0;
+    snap_faulted = 0;
+    snap_diverged = 0;
+    snap_crashed = 0;
+    snap_executions = 0;
+    snap_ops = 0;
+    snap_client_ops = 0;
+    snap_races = 0;
+    snap_buckets = [];
+  }
+
+let snapshot_of t ~combos =
+  {
+    snap_next_round = t.next_round;
+    snap_scenarios = t.scenarios;
+    snap_completed = t.completed;
+    snap_faulted = t.faulted;
+    snap_diverged = t.diverged;
+    snap_crashed = t.crashed;
+    snap_executions = t.executions;
+    snap_ops = t.ops;
+    snap_client_ops = t.client_ops;
+    snap_races = t.races;
     snap_buckets =
       List.map
         (fun c ->
@@ -314,30 +336,29 @@ let run ?resume ?(on_batch = fun _ -> ()) ?(on_checkpoint = fun _ -> ()) cfg =
           cfg.sk_buckets)
       cfg.sk_streams
   in
-  (* scenarios/completed/faulted/diverged/crashed/executions/ops/
-     client_ops/races *)
-  let totals = Array.make 9 0 in
-  (match resume with
-  | None -> ()
-  | Some s ->
-      totals.(0) <- s.snap_scenarios;
-      totals.(1) <- s.snap_completed;
-      totals.(2) <- s.snap_faulted;
-      totals.(3) <- s.snap_diverged;
-      totals.(4) <- s.snap_crashed;
-      totals.(5) <- s.snap_executions;
-      totals.(6) <- s.snap_ops;
-      totals.(7) <- s.snap_client_ops;
-      totals.(8) <- s.snap_races;
-      List.iter
-        (fun bs ->
-          match List.find_opt (fun c -> c.c_label = bs.bs_combo) combos with
-          | Some c ->
-              c.c_faults <- bs.bs_faults;
-              c.c_quarantined <- bs.bs_quarantined
-          | None -> ())
-        s.snap_buckets);
-  let round = ref (match resume with Some s -> s.snap_next_round | None -> 0) in
+  let s = Option.value resume ~default:start in
+  let t =
+    {
+      next_round = s.snap_next_round;
+      scenarios = s.snap_scenarios;
+      completed = s.snap_completed;
+      faulted = s.snap_faulted;
+      diverged = s.snap_diverged;
+      crashed = s.snap_crashed;
+      executions = s.snap_executions;
+      ops = s.snap_ops;
+      client_ops = s.snap_client_ops;
+      races = s.snap_races;
+    }
+  in
+  List.iter
+    (fun bs ->
+      match List.find_opt (fun c -> c.c_label = bs.bs_combo) combos with
+      | Some c ->
+          c.c_faults <- bs.bs_faults;
+          c.c_quarantined <- bs.bs_quarantined
+      | None -> ())
+    s.snap_buckets;
   let reason = ref None in
   while !reason = None do
     if Atomic.get stop_flag then reason := Some Interrupted
@@ -348,7 +369,7 @@ let run ?resume ?(on_batch = fun _ -> ()) ?(on_checkpoint = fun _ -> ()) cfg =
     then reason := Some Wall_budget
     else if
       match cfg.sk_max_ops with
-      | Some budget -> totals.(7) >= budget
+      | Some budget -> t.client_ops >= budget
       | None -> false
     then reason := Some Op_budget
     else begin
@@ -359,7 +380,7 @@ let run ?resume ?(on_batch = fun _ -> ()) ?(on_checkpoint = fun _ -> ()) cfg =
           List.map
             (fun c ->
               let seed =
-                iter_seed ~seed:options.Scenario.seed ~round:!round
+                iter_seed ~seed:options.Scenario.seed ~round:t.next_round
                   ~label:c.c_label
               in
               let stream = c.c_stream and bucket = c.c_bucket in
@@ -396,21 +417,21 @@ let run ?resume ?(on_batch = fun _ -> ()) ?(on_checkpoint = fun _ -> ()) cfg =
         in
         let rr = Engine.run ~jobs:cfg.sk_jobs (List.map (fun (_, _, sc) -> sc) batch) in
         let stats = rr.Engine.stats in
-        totals.(0) <- totals.(0) + stats.Engine.scenarios;
-        totals.(1) <- totals.(1) + stats.Engine.completed;
-        totals.(2) <- totals.(2) + stats.Engine.faulted;
-        totals.(3) <- totals.(3) + stats.Engine.diverged;
-        totals.(5) <- totals.(5) + stats.Engine.executions;
-        totals.(6) <- totals.(6) + stats.Engine.ops;
-        totals.(7) <- totals.(7) + (cfg.sk_ops_per_exec * List.length active);
+        t.scenarios <- t.scenarios + stats.Engine.scenarios;
+        t.completed <- t.completed + stats.Engine.completed;
+        t.faulted <- t.faulted + stats.Engine.faulted;
+        t.diverged <- t.diverged + stats.Engine.diverged;
+        t.executions <- t.executions + stats.Engine.executions;
+        t.ops <- t.ops + stats.Engine.ops;
+        t.client_ops <- t.client_ops + (cfg.sk_ops_per_exec * List.length active);
         List.iter2
           (fun (c, _, _) res ->
             match res with
             | Engine.Completed comp ->
-                if comp.Engine.chain_crashed then totals.(4) <- totals.(4) + 1;
-                totals.(8) <- totals.(8) + List.length comp.Engine.races
+                if comp.Engine.chain_crashed then t.crashed <- t.crashed + 1;
+                t.races <- t.races + List.length comp.Engine.races
             | Engine.Faulted f ->
-                totals.(8) <- totals.(8) + List.length f.Engine.f_races;
+                t.races <- t.races + List.length f.Engine.f_races;
                 c.c_faults <- c.c_faults + 1)
           batch rr.Engine.results;
         (* Quarantine decisions happen at the round boundary, after the
@@ -430,17 +451,17 @@ let run ?resume ?(on_batch = fun _ -> ()) ?(on_checkpoint = fun _ -> ()) cfg =
         on_batch
           (List.map2 (fun (_, name, sc) res -> (name, sc, res)) batch
              rr.Engine.results);
-        incr round;
+        t.next_round <- t.next_round + 1;
         if
           cfg.sk_checkpoint_every > 0
-          && !round mod cfg.sk_checkpoint_every = 0
-        then on_checkpoint (snapshot_of ~next_round:!round ~totals ~combos)
+          && t.next_round mod cfg.sk_checkpoint_every = 0
+        then on_checkpoint (snapshot_of t ~combos)
       end
     end
   done;
   let r_reason = Option.get !reason in
   {
-    r_snapshot = snapshot_of ~next_round:!round ~totals ~combos;
+    r_snapshot = snapshot_of t ~combos;
     r_reason;
     r_ok = (match r_reason with Op_budget | Wall_budget -> true | _ -> false);
     r_elapsed_s = Unix.gettimeofday () -. t0;

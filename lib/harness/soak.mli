@@ -31,20 +31,20 @@
     aborting.  A run whose combos are all quarantined stops with
     {!Exhausted}.
 
-    {b Checkpoint/resume.}  The driver's whole mutable state is the
+    {b Checkpoint/resume.}  The loop's whole resumable state is the
     {!snapshot}: round counter, cumulative totals and per-combo fault
-    and quarantine state.  [on_checkpoint] surfaces it periodically
-    (the store layer persists it crash-safely with the witness corpus
-    and a versioned manifest); [run ~resume:snapshot] restarts from
-    the next round with budgets, fault counts and quarantines intact.
-    Because iteration seeds are pure functions of (seed, round,
-    combo), the resumed run replays the identical scenario stream —
-    byte-identical witnesses — without serializing any RNG state.
+    and quarantine state.  [on_checkpoint] surfaces it periodically;
+    [run ~resume:snapshot] restarts from the next round with budgets,
+    fault counts and quarantines intact.  Because iteration seeds are
+    pure functions of (seed, round, combo), the resumed run replays the
+    identical scenario stream — byte-identical witnesses — without
+    serializing any RNG state.  The soak session
+    ([Pm_corpus.Soak_store.serve]) persists each checkpoint with the
+    witness corpus and a versioned manifest, and resumes from them.
 
     {b Cancellation.}  {!request_stop} (async-signal-safe: one atomic
-    store, the CLI's SIGINT handler calls it) stops the loop at the
-    next round boundary with {!Interrupted}; the caller then flushes a
-    final checkpoint and manifest. *)
+    store; the session's SIGINT handler calls it) stops the loop at the
+    next round boundary with {!Interrupted}. *)
 
 (** {1 Op streams} *)
 
@@ -82,11 +82,7 @@ type mix = {
 type dist = Uniform | Hotspot
     (** [Hotspot]: 80% of draws hit the first fifth of the keyspace. *)
 
-val dist_label : dist -> string
-
 type bucket = { b_mix : mix; b_dist : dist }
-
-val bucket_label : bucket -> string
 
 (** The four built-in mixes: [read-heavy] (8/2/0/0),
     [write-heavy] (2/6/1/1), [churn] (1/4/4/1), [rmw-heavy] (2/3/0/5). *)
@@ -100,9 +96,6 @@ val default_buckets : bucket list
     Each scenario's program name encodes everything needed to rebuild
     it — ["soak:STREAM:MIX:DIST:OPS:SEED"] — so soak witnesses replay
     through the ordinary corpus machinery via {!find_program}. *)
-
-val program_name :
-  stream:string -> bucket:bucket -> ops:int -> seed:int -> string
 
 (** The program behind one soak scenario: [pre] connects and applies
     [ops] randomized client ops drawn from the bucket with an RNG
@@ -171,7 +164,6 @@ type snapshot = {
 type stop_reason = Op_budget | Wall_budget | Exhausted | Interrupted
 
 val stop_reason_label : stop_reason -> string
-val stop_reason_of_label : string -> stop_reason option
 
 type result = {
   r_snapshot : snapshot;
@@ -186,8 +178,8 @@ type result = {
 (** {1 Running} *)
 
 (** Ask the running soak loop to stop at the next round boundary
-    (async-signal-safe; the CLI's SIGINT handler).  {!run} clears the
-    flag when it starts. *)
+    (async-signal-safe; the session's SIGINT handler).  {!run} clears
+    the flag when it starts. *)
 val request_stop : unit -> unit
 
 (** Drive the soak loop.

@@ -23,8 +23,6 @@ val rows : Metrics.reading list -> row list
     includes the wall column and volatile charged units; [~timing:false]
     is the jobs-invariant projection — byte-identical for every
     [--jobs] count over the same work. *)
-val pp : ?timing:bool -> Format.formatter -> row list -> unit
-
 val to_string : ?timing:bool -> row list -> string
 
 (** One flat, order-stable field list per row — the invariant

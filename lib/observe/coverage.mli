@@ -47,6 +47,4 @@ val indices_label : int list -> string
 val fields : stats -> (string * Yashme_util.Json.value) list
 
 (** The [\[coverage\]] block rendered under a report. *)
-val pp : Format.formatter -> stats -> unit
-
 val to_string : stats -> string

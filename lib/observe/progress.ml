@@ -12,7 +12,6 @@
    branch. *)
 
 let active = Atomic.make false
-let is_active () = Atomic.get active
 
 type state = {
   mutable total : int;

@@ -27,8 +27,6 @@
     path, unaffected by the log level. *)
 val start : ?interval_s:float -> ?heartbeat:bool -> ?jsonl:string -> unit -> unit
 
-val is_active : unit -> bool
-
 (** Announce [n] more scenarios to explore (grows the [total]). *)
 val batch : int -> unit
 

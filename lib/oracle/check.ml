@@ -6,6 +6,8 @@ type reference = {
 
 type violation = { v_key : string; v_detail : string }
 
+(* Classification of one tracked field in an observation: the init
+   value, the final value, neither (a value violation), or absent. *)
 type state = Old | New | Torn | Unknown
 
 (* Only fields that changed between the two crash-free observations are
@@ -18,16 +20,6 @@ let tracked r =
       | Some final when final <> init -> Some (f, (init, final))
       | _ -> None)
     r.r_init
-
-let classify r ~observed f =
-  match List.assoc_opt f (tracked r) with
-  | None -> Unknown
-  | Some (init, final) -> (
-      match List.assoc_opt f observed with
-      | None -> Unknown
-      | Some v when v = final -> New
-      | Some v when v = init -> Old
-      | Some _ -> Torn)
 
 let check r ~observed =
   let tracked = tracked r in

@@ -36,13 +36,4 @@ type violation = {
   v_detail : string;  (** human-readable exemplar *)
 }
 
-(** Classification of one tracked field in an observation. *)
-type state =
-  | Old  (** init value *)
-  | New  (** final value *)
-  | Torn  (** neither — a value violation *)
-  | Unknown  (** absent from the observation *)
-
-val classify : reference -> observed:(string * string) list -> string -> state
-
 val check : reference -> observed:(string * string) list -> violation list

@@ -51,5 +51,3 @@ val of_lines : string -> (t list, string) result
     newline, comma and [<] are [\xNN]-escaped so separators stay
     unambiguous. *)
 val escape : string -> string
-
-val unescape : string -> (string, string) result

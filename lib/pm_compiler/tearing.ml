@@ -3,12 +3,3 @@ open Pm_runtime
 let store_paired ?label addr v =
   Pmem.store ?label ~size:4 addr (Int64.logand v 0xFFFFFFFFL);
   Pmem.store ?label ~size:4 (addr + 4) (Int64.shift_right_logical v 32)
-
-let store_bytewise ?label addr v size =
-  for i = 0 to size - 1 do
-    Pmem.store ?label ~size:1 (addr + i)
-      (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)
-  done
-
-let paired_stores = 2
-let bytewise_stores size = size

@@ -13,8 +13,6 @@ val required : earlier:kind -> later:kind -> same_line:bool -> bool
 (** All kinds, in the row/column order of Table 1. *)
 val all_kinds : kind list
 
-val kind_to_string : kind -> string
-
 (** Renders the full Table 1 matrix as text (used by the benchmark
     harness to regenerate the table). *)
 val table : unit -> string

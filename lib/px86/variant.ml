@@ -53,7 +53,6 @@ let builtins =
        and unordered, without waiting for a fence" );
   ]
 
-let names () = List.map (fun (n, _, _) -> n) builtins
 let describe v = List.find_opt (fun (_, b, _) -> b = v) builtins
 
 (* ------------------------------------------------------------------ *)
@@ -143,4 +142,3 @@ let of_label s =
 let is_default v = v = strict_tso
 let default_label = label strict_tso
 
-let pp ppf v = Format.pp_print_string ppf (label v)

@@ -43,12 +43,6 @@ val relaxed : t
 (** Built-in variants: name, descriptor, one-line description. *)
 val builtins : (string * t * string) list
 
-(** Built-in names, in listing order. *)
-val names : unit -> string list
-
-(** The built-in entry for a descriptor, if it is one. *)
-val describe : t -> (string * t * string) option
-
 (** Stable textual form: a built-in name, or ["custom:sb=...,..."]. *)
 val label : t -> string
 
@@ -63,4 +57,3 @@ val is_default : t -> bool
 (** [label strict_tso]. *)
 val default_label : string
 
-val pp : Format.formatter -> t -> unit

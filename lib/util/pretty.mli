@@ -6,9 +6,6 @@ val hex64 : int64 -> string
 (** [pad width s] right-pads [s] with spaces to at least [width]. *)
 val pad : int -> string -> string
 
-(** [rule width] is a horizontal rule of dashes. *)
-val rule : int -> string
-
 (** [table ~header rows] renders an aligned plain-text table. *)
 val table : header:string list -> string list list -> string
 

@@ -33,7 +33,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let bool t = Int64.logand (next t) 1L = 1L
 
 let[@inline] float t =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in

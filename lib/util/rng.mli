@@ -19,9 +19,6 @@ val split : t -> t
 (** [int t bound] is uniform in [0, bound); requires [bound > 0]. *)
 val int : t -> int -> int
 
-(** [bool t] is a uniform boolean draw. *)
-val bool : t -> bool
-
 (** [float t] is uniform in [0, 1). *)
 val float : t -> float
 

@@ -229,7 +229,7 @@ let test_scenario_results_in_submission_order () =
   in
   let a = Engine.run ~jobs:1 scenarios in
   let b = Engine.run ~jobs:3 scenarios in
-  (* [Engine.signature] drops wall_s, the only field allowed to vary;
+  (* [Engine.signature] zeroes wall_s, the only field allowed to vary;
      everything else must match field for field, in submission order. *)
   let sig_of run = List.map Engine.signature run.Engine.results in
   check "same per-scenario results in same order" true (sig_of a = sig_of b)
@@ -317,6 +317,26 @@ let test_setup_phase_fault () =
         (f.Engine.f_info.Finding.phase = Finding.Setup);
       check "not a recovery failure" false
         (Finding.is_recovery_failure f.Engine.f_info)
+
+(* A signature never holds a value [=] cannot compare: two runs of a
+   scenario whose exception carries a closure (a fresh one each time)
+   have equal signatures. *)
+exception Carries of (unit -> unit)
+
+let test_signature_of_closure_fault () =
+  let fault () =
+    Engine.run_scenario
+      (Scenario.make ~label:"closure-fault" ~setup:Scenario.No_setup
+         ~pre:(fun () ->
+           let n = ref 0 in
+           raise (Carries (fun () -> incr n)))
+         ~post:ignore ~plan:Executor.Crash_at_end ~options:Runner.default_options ())
+  in
+  let a = fault () and b = fault () in
+  check "the raising scenario faults" true
+    (match a with Engine.Faulted _ -> true | Engine.Completed _ -> false);
+  check "signatures of closure-carrying faults are equal" true
+    (Engine.signature a = Engine.signature b)
 
 let test_fuel_exhaustion_diverges () =
   let options = { Runner.default_options with max_ops = Some 50 } in
@@ -478,6 +498,8 @@ let () =
             test_fault_isolation_batch;
           Alcotest.test_case "setup-phase fault captured" `Quick
             test_setup_phase_fault;
+          Alcotest.test_case "signature of a closure-carrying fault" `Quick
+            test_signature_of_closure_fault;
           Alcotest.test_case "fuel budget diverges" `Quick
             test_fuel_exhaustion_diverges;
           Alcotest.test_case "recovery-failure witness" `Quick

@@ -428,16 +428,12 @@ let test_registry_waves () =
           (List.map2
              (fun plan probe ->
                match probe with
-               | Engine.Sig_completed
-                   {
-                     Engine.sig_chain_crashed = true;
-                     sig_post_flush_points = Some k;
-                     _;
-                   } ->
+               | Engine.Completed
+                   { Engine.chain_crashed = true; post_flush_points = Some k; _ } ->
                    List.init k (fun n ->
                        Scenario.of_program ~setup ~plan
                          ~post_plan:(Executor.Crash_before_flush n) ~options p)
-               | Engine.Sig_completed _ | Engine.Sig_faulted _ -> [])
+               | Engine.Completed _ | Engine.Faulted _ -> [])
              plans probes)
       in
       grids := !grids + List.length grid;
@@ -540,16 +536,16 @@ let test_fault_batches () =
   in
   let sigs, _, _ = check_batch "fault batch" batch in
   let faulted =
-    List.filter (function Engine.Sig_faulted _ -> true | _ -> false) sigs
+    List.filter (function Engine.Faulted _ -> true | _ -> false) sigs
   in
   let diverged =
     List.filter
-      (function Engine.Sig_completed c -> c.Engine.sig_diverged | _ -> false)
+      (function Engine.Completed c -> c.Engine.diverged | _ -> false)
       sigs
   in
   let observed =
     List.filter
-      (function Engine.Sig_completed c -> c.Engine.sig_observed | _ -> false)
+      (function Engine.Completed c -> c.Engine.observed | _ -> false)
       sigs
   in
   check "faults present" true (List.length faulted >= 6);
@@ -635,15 +631,15 @@ let test_recovery_rows () =
   let count p = List.length (List.filter p sigs) in
   check_int "scenarios" 54 (List.length sigs);
   check_int "faulted" 18
-    (count (function Engine.Sig_faulted _ -> true | Engine.Sig_completed _ -> false));
+    (count (function Engine.Faulted _ -> true | Engine.Completed _ -> false));
   check_int "diverged" 18
     (count (function
-      | Engine.Sig_completed c -> c.Engine.sig_diverged
-      | Engine.Sig_faulted _ -> false));
+      | Engine.Completed c -> c.Engine.diverged
+      | Engine.Faulted _ -> false));
   check "some second crash fired" true
     (count (function
-       | Engine.Sig_completed c -> c.Engine.sig_chain_crashed
-       | Engine.Sig_faulted _ -> false)
+       | Engine.Completed c -> c.Engine.chain_crashed
+       | Engine.Faulted _ -> false)
     > 0)
 
 (* Fail-fast cancels the members a fault leaves unserved: at jobs=1

@@ -30,21 +30,9 @@ let small_config ?(streams = [ Pm_benchmarks.Memcached.soak_stream ])
     sk_checkpoint_every = 0;
   }
 
-(* Drive a run collecting witnesses through a store sink, like the
-   CLI does. *)
-let run_with_sink ?resume ?preload ?stop_after_rounds cfg =
-  let sink = Soak_store.sink () in
-  Option.iter (Soak_store.preload sink) preload;
-  let rounds = ref 0 in
-  let on_batch triples =
-    Soak_store.absorb sink triples;
-    incr rounds;
-    match stop_after_rounds with
-    | Some n when !rounds >= n -> Soak.request_stop ()
-    | _ -> ()
-  in
-  let r = Soak.run ?resume ~on_batch cfg in
-  (r, sink)
+(* One soak session, writing a checkpoint only where a path is given. *)
+let run_with_sink ?resume ?stop_after ?corpus ?manifest cfg =
+  Soak_store.serve ?resume ?stop_after ~run:"soak-test" ~corpus ~manifest cfg
 
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                          *)
@@ -83,58 +71,55 @@ let test_seed_matters () =
 (* ------------------------------------------------------------------ *)
 (* Cancellation and resume                                              *)
 
+let find_stream = Pm_benchmarks.Registry.find_soak_stream
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A scratch directory for one test's checkpoint files. *)
+let temp_dir () =
+  let d = Filename.temp_file "yashme_soak" ".d" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let remove_dir d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Sys.rmdir d
+
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+let resume_or_fail path = ok (Soak_store.resume ~find_stream path)
+let load_manifest path = ok (Soak_store.load path)
+
 let test_interrupt_then_resume_reaches_same_bytes () =
-  let cfg = small_config ~max_ops:200 () in
+  let dir = temp_dir () in
+  let file name = Some (Filename.concat dir name) in
+  let cfg = { (small_config ~max_ops:200 ()) with Soak.sk_checkpoint_every = 1 } in
   (* The uninterrupted reference run. *)
-  let full, full_sink = run_with_sink cfg in
+  let full, full_sink = run_with_sink ?corpus:(file "c1") ?manifest:(file "m1") cfg in
   check "reference run stops on budget" true
     (full.Soak.r_reason = Soak.Op_budget);
   (* The same run, cooperatively stopped mid-soak (the SIGINT path:
      the handler calls request_stop, the loop stops at the round
-     boundary). *)
-  let cut, cut_sink = run_with_sink ~stop_after_rounds:2 cfg in
+     boundary).  The session checkpoints as it stops. *)
+  let cut, cut_sink =
+    run_with_sink ~stop_after:2 ?corpus:(file "cr") ?manifest:(file "mr") cfg
+  in
   check "cooperative stop reports Interrupted" true
     (cut.Soak.r_reason = Soak.Interrupted);
   check "interrupted run is not ok" true (not cut.Soak.r_ok);
   check "interrupted earlier than the reference" true
     (cut.Soak.r_snapshot.Soak.snap_next_round
     < full.Soak.r_snapshot.Soak.snap_next_round);
-  (* Checkpoint round-trip through the manifest codec, as the service
-     does, then resume from it with the checkpoint corpus preloaded. *)
-  let manifest =
-    {
-      Soak_store.m_run = "soak-test";
-      m_streams = [ "memcached" ];
-      m_seed = 11;
-      m_variant = Px86.Variant.default_label;
-      m_jobs = 1;
-      m_ops_per_exec = 8;
-      m_fault_budget = 3;
-      m_max_ops = Some 200;
-      m_wall_s = None;
-      m_checkpoint_every = 0;
-      m_corpus = "soak-test.corpus.jsonl";
-      m_snapshot = cut.Soak.r_snapshot;
-      m_witnesses = List.length (Soak_store.witnesses cut_sink);
-      m_raw = Soak_store.raw cut_sink;
-      m_duplicates = Soak_store.duplicates cut_sink;
-      m_coverage_digest = "";
-      m_soak_ok = false;
-      m_stopped = Soak.stop_reason_label cut.Soak.r_reason;
-      m_ts = 0.;
-      m_elapsed_s = 0.;
-    }
-  in
-  let decoded =
-    match Soak_store.decode (Soak_store.encode manifest) with
-    | Ok m -> m
-    | Error e -> Alcotest.fail ("manifest round-trip: " ^ e)
-  in
-  check "manifest snapshot survives the codec" true
-    (decoded.Soak_store.m_snapshot = cut.Soak.r_snapshot);
+  (* Resume from the files the session wrote. *)
+  let r = resume_or_fail (Filename.concat dir "mr") in
+  check "checkpoint snapshot read back" true
+    (r.Soak_store.rs_manifest.Soak_store.m_snapshot = cut.Soak.r_snapshot);
+  check "checkpoint corpus preloaded" true
+    (r.Soak_store.rs_witnesses = Soak_store.witnesses cut_sink
+    && r.Soak_store.rs_witnesses <> []);
   let resumed, resumed_sink =
-    run_with_sink ~resume:decoded.Soak_store.m_snapshot
-      ~preload:(Soak_store.witnesses cut_sink) cfg
+    run_with_sink ~resume:r ?corpus:(file "cr") ~manifest:r.Soak_store.rs_path
+      r.Soak_store.rs_config
   in
   check "resumed run stops on budget" true
     (resumed.Soak.r_reason = Soak.Op_budget);
@@ -142,7 +127,40 @@ let test_interrupt_then_resume_reaches_same_bytes () =
     (resumed.Soak.r_snapshot = full.Soak.r_snapshot);
   check_str "resumed corpus byte-identical to the uninterrupted one"
     (Corpus.to_jsonl (Soak_store.witnesses full_sink))
-    (Corpus.to_jsonl (Soak_store.witnesses resumed_sink))
+    (Corpus.to_jsonl (Soak_store.witnesses resumed_sink));
+  check_str "resumed corpus file byte-identical"
+    (read_file (Filename.concat dir "c1"))
+    (read_file (Filename.concat dir "cr"));
+  (* The resumed manifest counts the whole run, as the uninterrupted
+     one does; only the corpus path and the per-invocation coverage
+     digest may differ. *)
+  let identity path =
+    Json.encode_obj
+      (List.filter
+         (fun (k, _) -> k <> "corpus" && k <> "coverage_digest")
+         (Soak_store.identity_fields (load_manifest path)))
+  in
+  check_str "resumed manifest equals the uninterrupted one"
+    (identity (Filename.concat dir "m1"))
+    (identity (Filename.concat dir "mr"));
+  remove_dir dir
+
+(* A manifest that recorded no witnesses preloads nothing, and does not
+   even read the corpus it names. *)
+let test_resume_without_witnesses () =
+  let dir = temp_dir () in
+  let manifest = Filename.concat dir "m" in
+  let cfg = small_config ~max_ops:200 () in
+  let _ = run_with_sink ~stop_after:1 ~manifest cfg in
+  let m = load_manifest manifest in
+  Soak_store.save manifest
+    { m with Soak_store.m_witnesses = 0; m_corpus = Filename.concat dir "missing" };
+  let r = resume_or_fail manifest in
+  check "nothing preloaded" true (r.Soak_store.rs_witnesses = []);
+  let resumed, _ = run_with_sink ~resume:r ~manifest r.Soak_store.rs_config in
+  check "resumed run stops on budget" true
+    (resumed.Soak.r_reason = Soak.Op_budget);
+  remove_dir dir
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine                                                           *)
@@ -331,7 +349,36 @@ let test_manifest_file_guards () =
   check_load_rejects ~before:"\"wall_s\":3600" ~after:"\"wall_s\":-1.5"
     "field \"wall_s\": -1.5 is not above 0";
   check_load_rejects ~before:"\"checkpoint_every\":10" ~after:"\"checkpoint_every\":-1"
-    "field \"checkpoint_every\": -1 is below the minimum 0"
+    "field \"checkpoint_every\": -1 is below the minimum 0";
+  (* Bucket fields split at the last ':', since combo labels hold ':'
+     themselves: an unknown suffix or a mistyped value is malformed. *)
+  check_load_rejects ~before:"uniform:faults\":1" ~after:"uniform:fault\":1"
+    "malformed bucket field bucket:soak:memcached:churn:uniform:fault";
+  check_load_rejects ~before:"uniform:faults\":1" ~after:"uniform:faults\":true"
+    "malformed bucket field bucket:soak:memcached:churn:uniform:faults";
+  check_load_rejects ~before:"\"bucket:soak:memcached:churn:uniform:faults\""
+    ~after:"\"bucket::faults\"" "malformed bucket field bucket::faults"
+
+(* A manifest naming a stream, variant or corpus the resume cannot use
+   is an [Error] that names the file, never an exception. *)
+let test_resume_rejects_unknown_names () =
+  let path = Filename.temp_file "yashme_soak_manifest" ".jsonl" in
+  let error m =
+    Soak_store.save path m;
+    match Soak_store.resume ~find_stream path with
+    | Ok _ -> Alcotest.fail "the manifest must not resume"
+    | Error e -> e
+  in
+  check_str "unknown stream"
+    (Printf.sprintf "%s: unknown soak stream \"nope\" in manifest" path)
+    (error { manifest_fixture with Soak_store.m_streams = [ "memcached"; "nope" ] });
+  check_str "unknown variant"
+    (Printf.sprintf "%s: unknown variant \"bogus\" in manifest" path)
+    (error { manifest_fixture with Soak_store.m_variant = "bogus" });
+  check "a corpus that will not load is named" true
+    (String.starts_with ~prefix:"/nonexistent/corpus.jsonl"
+       (error { manifest_fixture with Soak_store.m_corpus = "/nonexistent/corpus.jsonl" }));
+  Sys.remove path
 
 (* ------------------------------------------------------------------ *)
 (* Crash-safety guards on loaded formats                                *)
@@ -519,6 +566,10 @@ let () =
         [
           Alcotest.test_case "interrupt, checkpoint, resume, same bytes" `Slow
             test_interrupt_then_resume_reaches_same_bytes;
+          Alcotest.test_case "no recorded witnesses, nothing preloaded" `Slow
+            test_resume_without_witnesses;
+          Alcotest.test_case "unknown stream, variant or corpus" `Quick
+            test_resume_rejects_unknown_names;
         ] );
       ( "quarantine",
         [
