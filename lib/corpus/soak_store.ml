@@ -280,13 +280,15 @@ let resume ~find_stream path =
   with
   | Some name, _ -> unknown "soak stream" name
   | None, None -> unknown "variant" m.m_variant
+  | None, Some _ when m.m_witnesses > 0 && m.m_corpus = "" ->
+      (* The counters would carry over without the witnesses they count. *)
+      Error
+        (Printf.sprintf "%s: manifest records %d witness(es) but names no corpus to resume from"
+           path m.m_witnesses)
   | None, Some variant ->
       (* The corpus is preloaded, so the sink suppresses re-observations,
          only when the manifest says witnesses were written to it. *)
-      let* witnesses =
-        if m.m_witnesses > 0 && m.m_corpus <> "" then Corpus.load m.m_corpus
-        else Ok []
-      in
+      let* witnesses = if m.m_witnesses > 0 then Corpus.load m.m_corpus else Ok [] in
       let streams = List.filter_map find_stream m.m_streams in
       Ok
         {

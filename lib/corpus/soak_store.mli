@@ -105,13 +105,16 @@ type resume = {
           from the manifest; default buckets, oracle off *)
   rs_witnesses : Witness.t list;
       (** the checkpoint corpus, loaded only when the manifest
-          recorded witnesses and names a corpus *)
+          recorded witnesses *)
 }
 
 (** Read a manifest for resuming; [find_stream] resolves stream names.
-    A manifest or corpus that will not load, an unknown stream or an
-    unknown variant is an [Error] naming the file, never an
-    exception. *)
+    A manifest or corpus that will not load, an unknown stream, an
+    unknown variant, or a manifest that records witnesses but names no
+    corpus (its run had no corpus output, so the witnesses are lost and
+    a resume would carry over counts without them) is an [Error] naming
+    the file, never an exception.  A manifest with no witnesses resumes
+    with or without a corpus. *)
 val resume :
   find_stream:(string -> Soak.op_stream option) -> string -> (resume, string) result
 

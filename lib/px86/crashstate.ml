@@ -107,60 +107,75 @@ let find_candidates t ~addr ~size =
       done;
       List.sort oldest_first !acc
 
-let derive parent ~exec_id pers ~persisted =
-  let image = Memimage.copy parent.image in
-  let ix = parent.index in
-  (* The line arrays this crash writes: copies of the parent's, made at
-     the first write to each line. *)
-  let owned = ref Imap.empty and written = ref ix.written in
-  let own line =
-    match Imap.find line !owned with
-    | w -> w
-    | exception Not_found ->
-        let w = Array.copy (line_writers parent line) in
-        owned := Imap.add line w !owned;
-        w
-  in
-  let fresh = ref Imap.empty in
-  Persistence.iter_committed pers (fun (s : Event.store) ->
-      let addr = s.Event.addr and size = s.Event.size in
-      if persisted s then begin
-        Memimage.write image ~addr ~size ~value:s.Event.value;
-        let o = { store = s; exec_id } in
-        let w = ref (own (Addr.line addr)) in
-        for b = addr to addr + size - 1 do
-          let i = b land (Addr.line_size - 1) in
-          if i = 0 && b > addr then w := own (Addr.line b);
-          if !w.(i) == none then incr written;
-          !w.(i) <- o
-        done
-      end;
-      let k = key addr size in
-      if not (Imap.mem k !fresh) then begin
-        let this_exec =
-          List.map (fun s -> { store = s; exec_id }) (Persistence.candidates pers ~addr ~size)
-        in
-        let lb = Persistence.cut_lb pers (Addr.line addr) in
-        let merged =
-          if Persistence.latest_at_or_below pers ~addr ~size ~cut:lb <> None then this_exec
-          else find_candidates parent ~addr ~size @ this_exec
-        in
-        fresh := Imap.add k merged !fresh
-      end);
-  let added = Imap.fold (fun k _ n -> if Imap.mem k ix.cands then n else n + 1) !fresh 0 in
-  let take_new _ x _ = Some x in
-  {
-    exec_id;
-    image;
-    index =
-      {
-        lines = Imap.union take_new !owned ix.lines;
-        cands = Imap.union take_new !fresh ix.cands;
-        written = !written;
-        keys = ix.keys + added;
-      };
-    heap_break = parent.heap_break;
-  }
+let derive base ~inherited ~exec_id pers ~from ~lines ~persisted =
+  if base != inherited && lines = [] && from = Persistence.committed pers then
+    (* Nothing changed since [base] was cut. *)
+    { base with heap_break = inherited.heap_break }
+  else begin
+    let image = Memimage.copy base.image in
+    let ix = base.index in
+    (* The line arrays this crash writes: copies of [base]'s, made at
+       the first write to each line. *)
+    let owned = ref Imap.empty and written = ref ix.written in
+    let own line =
+      match Imap.find line !owned with
+      | w -> w
+      | exception Not_found ->
+          let w = Array.copy (line_writers base line) in
+          owned := Imap.add line w !owned;
+          w
+    in
+    Persistence.iter_committed pers ~from (fun (s : Event.store) ->
+        if persisted s then begin
+          let addr = s.Event.addr and size = s.Event.size in
+          Memimage.write image ~addr ~size ~value:s.Event.value;
+          let o = { store = s; exec_id } in
+          let w = ref (own (Addr.line addr)) in
+          for b = addr to addr + size - 1 do
+            let i = b land (Addr.line_size - 1) in
+            if i = 0 && b > addr then w := own (Addr.line b);
+            if !w.(i) == none then incr written;
+            !w.(i) <- o
+          done
+        end);
+    (* A key's candidates depend only on its line's history, lower bound
+       and durable stores: recompute the keys of the changed lines, each
+       found in its line's history as a store starting on that line. *)
+    let fresh = ref Imap.empty in
+    List.iter
+      (fun line ->
+        List.iter
+          (fun (s : Event.store) ->
+            let addr = s.Event.addr and size = s.Event.size in
+            let k = key addr size in
+            if Addr.line addr = line && not (Imap.mem k !fresh) then begin
+              let this_exec =
+                List.map (fun s -> { store = s; exec_id }) (Persistence.candidates pers ~addr ~size)
+              in
+              let lb = Persistence.cut_lb pers line in
+              let merged =
+                if Persistence.latest_at_or_below pers ~addr ~size ~cut:lb <> None then this_exec
+                else find_candidates inherited ~addr ~size @ this_exec
+              in
+              fresh := Imap.add k merged !fresh
+            end)
+          (Persistence.history pers line))
+      lines;
+    let added = Imap.fold (fun k _ n -> if Imap.mem k ix.cands then n else n + 1) !fresh 0 in
+    let take_new _ x _ = Some x in
+    {
+      exec_id;
+      image;
+      index =
+        {
+          lines = Imap.union take_new !owned ix.lines;
+          cands = Imap.union take_new !fresh ix.cands;
+          written = !written;
+          keys = ix.keys + added;
+        };
+      heap_break = inherited.heap_break;
+    }
+  end
 
 let fold_origins f t acc =
   Imap.fold

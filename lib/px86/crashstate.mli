@@ -22,9 +22,11 @@
 
     A state derived by a crash ({!derive}) shares its parent's index:
     it copies only the line arrays its run persisted into and adds only
-    the keys its run stored to.  A line array is never written after
-    the state that owns it is returned, so states are shared read-only
-    across domains.  A load probes one map entry per line it touches. *)
+    the keys its run stored to.  A later crash of the same run extends
+    the earlier crash's state the same way, by what changed since.  A
+    line array is never written after the state that owns it is
+    returned, so states are shared read-only across domains.  A load
+    probes one map entry per line it touches. *)
 
 type origin = { store : Event.store; exec_id : int }
 
@@ -42,16 +44,35 @@ type t = private {
 (** The pristine pre-boot state: zero image, no origins. *)
 val boot : unit -> t
 
-(** [derive parent ~exec_id pers ~persisted] is the state a crash of
-    execution [exec_id], seeded from [parent], leaves behind: [parent]'s
-    image and index with every committed store of [pers] for which
-    [persisted] holds written over them in commit order, and one
-    candidate list per [(addr, size)] the execution stored to.  A
-    location whose line holds a durable covering store lists only this
-    execution's candidates; otherwise [parent]'s candidates come first.
-    [parent] is left unchanged.  The heap break is [parent]'s. *)
+(** [derive base ~inherited ~exec_id pers ~from ~lines ~persisted] is the
+    state a crash of execution [exec_id], seeded from [inherited], leaves
+    behind, built on [base]: [base]'s image and index with every store
+    committed at log position [from] or later for which [persisted]
+    holds written over them in commit order, and the candidate list of
+    every [(addr, size)] the execution stored to on [lines] recomputed.
+    A location whose line holds a durable covering store lists only this
+    execution's candidates; otherwise [inherited]'s candidates come
+    first.  The heap break is [inherited]'s.  [base] and [inherited] are
+    left unchanged, and the result shares with [base] only immutable
+    index parts (line arrays and map subtrees).
+
+    With [base] = [inherited], [from] = 0 and every line, that is the
+    whole-run materialization.  Otherwise [base] is a state derived
+    earlier in the same run, when the commit log held [from] stores;
+    the result is exact when the stores committed before [from] persist
+    now as they did in [base] (as when every store persists) and
+    [lines] holds every line whose candidates changed since
+    ({!Persistence.take_changed}).  When nothing changed since (no line,
+    no store) the result shares [base]'s image and index. *)
 val derive :
-  t -> exec_id:int -> Persistence.t -> persisted:(Event.store -> bool) -> t
+  t ->
+  inherited:t ->
+  exec_id:int ->
+  Persistence.t ->
+  from:int ->
+  lines:int list ->
+  persisted:(Event.store -> bool) ->
+  t
 
 val set_heap_break : t -> int -> unit
 

@@ -63,6 +63,9 @@ type t = {
   cache : Memimage.t;  (* committed state: inherited image + committed stores *)
   pers : Persistence.t;
   mutable seq : int;  (* global cache-commit order counter *)
+  mutable base : Crashstate.t;
+      (* the last [Cut_all] crash state, [inherited] before the first *)
+  mutable base_at : int;  (* [Persistence.committed] at [base] *)
 }
 
 type read_source =
@@ -85,6 +88,8 @@ let create ?inherited ~exec_id cfg =
     cache = Memimage.copy inherited.Crashstate.image;
     pers = Persistence.create ();
     seq = 0;
+    base = inherited;
+    base_at = 0;
   }
 
 let exec_id t = t.exec_id
@@ -388,16 +393,14 @@ let buffered_stores t =
              (Store_buffer.entries th.sb)))
     t.threads 0
 
-let line_cut t ~strategy line =
+(* The cut of [line] under [Cut_lowerbound] ([draw] = None) or
+   [Cut_random]: its lower bound, or a draw among it and the later
+   stores' seqs. *)
+let line_cut t ~draw line =
   let lb = Persistence.cut_lb t.pers line in
-  match strategy with
-  | Cut_lowerbound -> lb
-  | Cut_all -> (
-      (* The history is newest first, so its head has the highest seq. *)
-      match Persistence.history t.pers line with
-      | (s : Event.store) :: _ -> max lb s.Event.seq
-      | [] -> lb)
-  | Cut_random rng ->
+  match draw with
+  | None -> lb
+  | Some rng ->
       let later =
         List.fold_left
           (fun acc (s : Event.store) -> if s.Event.seq > lb then s.Event.seq :: acc else acc)
@@ -425,22 +428,46 @@ let rec drain_everything t =
         ths;
       drain_everything t
 
+let persist_all (_ : Event.store) = true
+
 let crash t ~strategy =
   let observing = Metrics.is_enabled () in
   let t0 = if observing then Metrics.now_us () else 0 in
-  let lines = Persistence.lines t.pers in
-  Metrics.observe h_crash_lines (List.length lines);
-  if observing then List.iter (fun l -> Metrics.mark s_lines l) lines;
+  if observing then begin
+    let lines = Persistence.lines t.pers in
+    Metrics.observe h_crash_lines (List.length lines);
+    List.iter (fun l -> Metrics.mark s_lines l) lines
+  end;
   (* Store-buffer contents are volatile and vanish: do NOT drain.  The
      machine never writes the inherited state (stores go to [cache]), so
-     it is still the pristine pre-run state.  A store straddling two
-     lines persists with the cut of its first byte's line. *)
-  let cuts = Hashtbl.create 16 in
-  List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line)) lines;
+     it is still the pristine pre-run state. *)
   let cs =
-    Crashstate.derive t.inherited ~exec_id:t.exec_id t.pers ~persisted:(fun s ->
-        s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
-        || Persistence.is_durable_nt t.pers s)
+    match strategy with
+    | Cut_all ->
+        (* Every committed store persists, and goes on persisting: the
+           last [Cut_all] crash state plus the stores committed since,
+           with the candidates of the lines changed since, is this
+           crash's.  Before the first, every line holding a store has
+           changed. *)
+        let cs =
+          Crashstate.derive t.base ~inherited:t.inherited ~exec_id:t.exec_id t.pers
+            ~from:t.base_at ~lines:(Persistence.take_changed t.pers) ~persisted:persist_all
+        in
+        t.base <- cs;
+        t.base_at <- Persistence.committed t.pers;
+        cs
+    | Cut_lowerbound | Cut_random _ ->
+        (* A later flush can persist an older store under these cuts, so
+           they start from the inherited state.  A store straddling two
+           lines persists with the cut of its first byte's line. *)
+        let draw = match strategy with Cut_random rng -> Some rng | _ -> None in
+        let lines = Persistence.lines t.pers in
+        let cuts = Hashtbl.create 16 in
+        List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~draw line)) lines;
+        Crashstate.derive t.inherited ~inherited:t.inherited ~exec_id:t.exec_id t.pers ~from:0
+          ~lines ~persisted:(fun s ->
+            s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
+            || Persistence.is_durable_nt t.pers s)
   in
   if observing then
     Metrics.charge m_crashes ~units:0 ~wall_us:(Metrics.now_us () - t0);

@@ -102,7 +102,16 @@ val cut_of_label : seed:int -> string -> cut_strategy option
 
 (** Crash now: store-buffer contents are lost; each line persists a cut
     chosen by [strategy].  Returns the durable state for the next
-    execution. *)
+    execution, which is never written afterwards.
+
+    Crashes chain under [Cut_all]: the machine keeps its last [Cut_all]
+    crash state, and its next [Cut_all] crash extends that state by the
+    stores committed since and the candidates of the lines changed since
+    ({!Crashstate.derive}); with nothing changed, the two states share
+    their image and index.  [Cut_lowerbound] and [Cut_random] crashes
+    start from the inherited state and leave the kept state alone.  The
+    kept state is not observable: a crash changes nothing else of the
+    machine, so a run can go on after it. *)
 val crash : t -> strategy:cut_strategy -> Crashstate.t
 
 (** Clean shutdown: drain every buffer and persist every line, so the
@@ -117,7 +126,8 @@ val buffered_stores : t -> int
 val persistence : t -> Persistence.t
 
 (** {!Persistence.generation} of the machine's persistence domain.
-    {!crash} reads only the inherited state, the persistence domain and
-    the cut, so two crashes of one machine at the same generation, with
-    the same strategy (not [Cut_random]), materialize equal states. *)
+    What {!crash} returns depends only on the inherited state, the
+    persistence domain and the cut, so two crashes of one machine at the
+    same generation, with the same strategy (not [Cut_random]),
+    materialize equal states. *)
 val generation : t -> int

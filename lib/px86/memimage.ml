@@ -67,19 +67,6 @@ let write t ~addr ~size ~value =
       done);
   if addr + size > t.extent then t.extent <- addr + size
 
-let blit_line ~src ~dst line =
-  let base = line * Addr.line_size in
-  ensure dst (base + Addr.line_size);
-  let copy_byte i =
-    let a = base + i in
-    let b = if a < Bytes.length src.data then Bytes.get src.data a else '\000' in
-    Bytes.set dst.data a b
-  in
-  for i = 0 to Addr.line_size - 1 do
-    copy_byte i
-  done;
-  if base + Addr.line_size > dst.extent then dst.extent <- base + Addr.line_size
-
 let extent t = t.extent
 
 let footprint t = t.capacity

@@ -19,9 +19,6 @@ val read : t -> addr:Addr.t -> size:int -> int64
 (** [write t ~addr ~size ~value] writes the low [size] bytes of [value]. *)
 val write : t -> addr:Addr.t -> size:int -> value:int64 -> unit
 
-(** [blit_line ~src ~dst line] copies one whole cache line. *)
-val blit_line : src:t -> dst:t -> int -> unit
-
 (** Highest written address + 1 (0 for a fresh image). *)
 val extent : t -> int
 

@@ -1,6 +1,7 @@
 type line_state = {
   mutable stores : Event.store list; (* newest first *)
   mutable cut_lb : int;
+  mutable listed : bool;  (* in [t.changed] *)
 }
 
 (* Line states are kept by line: in [by_line], an array grown by
@@ -17,28 +18,46 @@ type t = {
   mutable log : Event.store array;  (* [log.(0 .. committed - 1)]: commit order *)
   mutable committed : int;
   mutable generation : int;  (* bumped by every change a crash can show *)
+  mutable changed : int list;  (* lines whose candidates may differ since [take_changed] *)
 }
 
 (* Stands for every line without a state; never mutated. *)
-let absent = { stores = []; cut_lb = 0 }
+let absent = { stores = []; cut_lb = 0; listed = false }
 
 let create () =
   { by_line = [||]; far = Hashtbl.create 1; durable_nt = Hashtbl.create 16; log = [||];
-    committed = 0; generation = 0 }
+    committed = 0; generation = 0; changed = [] }
 
 let generation t = t.generation
 let bump t = t.generation <- t.generation + 1
-
-let mark_durable t (s : Event.store) =
-  Hashtbl.replace t.durable_nt s.Event.seq ();
-  bump t
-
-let is_durable_nt t (s : Event.store) = Hashtbl.mem t.durable_nt s.Event.seq
+let committed t = t.committed
 
 let find t line =
   if line >= 0 && line < Array.length t.by_line then Array.unsafe_get t.by_line line
   else if Hashtbl.length t.far > 0 && Hashtbl.mem t.far line then Hashtbl.find t.far line
   else absent
+
+let touch t line ls =
+  if not ls.listed && ls != absent then begin
+    ls.listed <- true;
+    t.changed <- line :: t.changed
+  end
+
+let take_changed t =
+  let lines = t.changed in
+  List.iter (fun line -> (find t line).listed <- false) lines;
+  t.changed <- [];
+  lines
+
+let mark_durable t (s : Event.store) =
+  Hashtbl.replace t.durable_nt s.Event.seq ();
+  (* [s] is in the history of every line it touches. *)
+  for line = Addr.line s.addr to Addr.line (s.addr + s.size - 1) do
+    touch t line (find t line)
+  done;
+  bump t
+
+let is_durable_nt t (s : Event.store) = Hashtbl.mem t.durable_nt s.Event.seq
 
 (* [by_line] grown to hold [line], taking over the [far] lines it now
    covers. *)
@@ -63,7 +82,7 @@ let get_line t ~grow line =
   match find t line with
   | ls when ls != absent -> ls
   | _ ->
-      let ls = { stores = []; cut_lb = 0 } in
+      let ls = { stores = []; cut_lb = 0; listed = false } in
       if line >= 0 && line < Array.length t.by_line then t.by_line.(line) <- ls
       else Hashtbl.replace t.far line ls;
       bump t;
@@ -85,11 +104,12 @@ let commit_store t (s : Event.store) =
      touches so flushes of either line cover it. *)
   for line = Addr.line s.addr to Addr.line (s.addr + s.size - 1) do
     let ls = get_line t ~grow:true line in
-    ls.stores <- s :: ls.stores
+    ls.stores <- s :: ls.stores;
+    touch t line ls
   done
 
-let iter_committed t f =
-  for i = 0 to t.committed - 1 do
+let iter_committed t ~from f =
+  for i = from to t.committed - 1 do
     f t.log.(i)
   done
 
@@ -97,6 +117,7 @@ let flush_line t ~line ~seq =
   let ls = get_line t ~grow:false line in
   if seq > ls.cut_lb then begin
     ls.cut_lb <- seq;
+    touch t line ls;
     bump t
   end
 
@@ -112,11 +133,6 @@ let lines t =
     else collect (line - 1) (if t.by_line.(line) != absent then line :: acc else acc)
   in
   collect (Array.length t.by_line - 1) far
-
-(* Every store covering [addr] lives on the line of [addr] (covering
-   stores touch that line by definition). *)
-let covering_stores t ~addr ~size =
-  List.filter (fun s -> Event.store_covers s addr size) (history t (Addr.line addr))
 
 (* The newest covering store, scanning the history in place. *)
 let rec first_covering addr size = function
@@ -135,15 +151,18 @@ let rec first_durable t addr size cut = function
 let latest_at_or_below t ~addr ~size ~cut =
   first_durable t addr size cut (history t (Addr.line addr))
 
+(* Every store covering [addr] lives on the line of [addr] (covering
+   stores touch that line by definition).  The history is scanned newest
+   first up to the first durable covering store, so the list built holds
+   only the candidates. *)
 let candidates t ~addr ~size =
-  let newest_first = covering_stores t ~addr ~size in
   let lb = cut_lb t (Addr.line addr) in
-  let durable (s : Event.store) = s.seq <= lb || is_durable_nt t s in
-  let rec split acc = function
+  let rec scan acc = function
     | [] -> acc (* no definitely-durable base *)
     | (s : Event.store) :: rest ->
-        if durable s then s :: acc
+        if not (Event.store_covers s addr size) then scan acc rest
+        else if s.seq <= lb || is_durable_nt t s then s :: acc
           (* s is the base; older stores are overwritten durably *)
-        else split (s :: acc) rest
+        else scan (s :: acc) rest
   in
-  split [] newest_first
+  scan [] (history t (Addr.line addr))

@@ -27,9 +27,20 @@ val line_stores : t -> int -> Event.store list
     the order the machine keeps it in. *)
 val history : t -> int -> Event.store list
 
-(** [iter_committed t f] applies [f] to every committed store once, in
-    commit (seq) order; a store straddling two lines is visited once. *)
-val iter_committed : t -> (Event.store -> unit) -> unit
+(** [iter_committed t ~from f] applies [f] once to every store committed
+    at log position [from] or later, in commit (seq) order; a store
+    straddling two lines is visited once. *)
+val iter_committed : t -> from:int -> (Event.store -> unit) -> unit
+
+(** Length of the commit log: the number of committed stores. *)
+val committed : t -> int
+
+(** The lines whose {!candidates} may have changed since the previous
+    call (since {!create} for the first): a store committed to the line
+    (a straddling store changes both its lines), its lower bound raised,
+    or a store on it marked durable.  Each line is listed once, in no
+    particular order; the next call starts a new set. *)
+val take_changed : t -> int list
 
 (** Durable lower bound for [line]: stores with [seq] below this are
     guaranteed persisted.  0 when the line was never flushed. *)

@@ -402,8 +402,10 @@ let rec teardown_threads st =
       abort st tid;
       teardown_threads st
 
-(* The durable state a crash here leaves behind.  [Machine.crash] only
-   reads the machine, so the run can also go on afterwards. *)
+(* The durable state a crash here leaves behind.  [Machine.crash]
+   changes nothing the run can observe (it only keeps the state to
+   extend at the machine's next crash), so the run can go on
+   afterwards. *)
 let crash_here st =
   Metrics.incr m_crashes;
   let cs = Machine.crash st.machine ~strategy:st.cut in

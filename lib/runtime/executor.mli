@@ -119,7 +119,8 @@ type result = {
       {!Px86.Machine.crash} and the run's cut) the result a
       [Crash_before_flush n] run of the same program and seed would
       return — [ops] and [n] are its [ops] and [flush_points] — and the
-      run then goes on unchanged: materializing only reads the machine.
+      run then goes on unchanged: materializing changes nothing the run
+      can observe.
       [key] is [(Px86.Machine.generation, heap break)]: both only grow
       along a run, and two flush points of one run with equal keys
       materialize equal crash states (with a cut other than

@@ -4,9 +4,9 @@
    Each allocation-free structure of the px86 layer (the array-backed
    store buffer, the [Bytes]-accessor memory image, the in-place
    persistence history, the commit-log crash materialization into a
-   shared, line-indexed crash state and the lazily materialized thread
-   clocks) is compared on random inputs with a list-, byte-loop or
-   hash-table model written the obvious way, and the executor's direct
+   shared, line-indexed crash state, chained along a run, and the
+   lazily materialized thread clocks) is compared on random inputs with
+   a list-, byte-loop or hash-table model written the obvious way, and the executor's direct
    dispatch of a one-thread run's operations with its effect dispatch,
    on random programs.  The allocation tests then bound the minor words
    of the hottest operations and of a run's fixed cost, so that a
@@ -221,6 +221,18 @@ let prop_memimage_matches_bytes =
 (* ------------------------------------------------------------------ *)
 (* Persistence history vs. filters over line_stores                     *)
 
+(* A location's candidates written the obvious way: its line's
+   covering stores, oldest first, from the newest durable one on. *)
+let ref_candidates p ~addr ~size =
+  let line = Addr.line addr in
+  let cut = Persistence.cut_lb p line in
+  List.filter (fun s -> Event.store_covers s addr size) (Persistence.line_stores p line)
+  |> List.fold_left
+       (fun newest_first (s : Event.store) ->
+         if s.Event.seq <= cut || Persistence.is_durable_nt p s then [ s ] else s :: newest_first)
+       []
+  |> List.rev
+
 let prop_persistence_history =
   QCheck.Test.make ~name:"persistence queries = filters over line_stores" ~count:300
     (QCheck.make
@@ -241,7 +253,7 @@ let prop_persistence_history =
           if flush = 0 then Persistence.flush_line p ~line:(Addr.line addr) ~seq:(!seq - at))
         ops;
       let visited = ref [] in
-      Persistence.iter_committed p (fun s -> visited := s :: !visited);
+      Persistence.iter_committed p ~from:0 (fun s -> visited := s :: !visited);
       let newest_first line = List.rev (Persistence.line_stores p line) in
       List.length !visited = List.length !committed
       && List.for_all2 ( == ) !visited !committed
@@ -261,15 +273,16 @@ let prop_persistence_history =
                     = List.find_opt
                         (fun (s : Event.store) -> s.Event.seq <= cut || Persistence.is_durable_nt p s)
                         covering
+                 && Persistence.candidates p ~addr ~size = ref_candidates p ~addr ~size
                  && Persistence.history p (Addr.line addr) = newest_first (Addr.line addr))
                [ 1; 2; 4; 8 ])
            (List.init 260 Fun.id))
 
 (* Line states kept by line in an array, with far flushed lines aside,
-   against a line-keyed table: histories, cuts, the line list and the
-   generation, with flushes of lines before, after and far past any
-   store to them. *)
-type pers_op = Commit of int * int | Flush_line of int * int | Durable
+   against a line-keyed table: histories, cuts, the line list, the
+   generation and the changed lines, with flushes of lines before, after
+   and far past any store to them. *)
+type pers_op = Commit of int * int | Flush_line of int * int | Durable | Take
 
 let prop_persistence_lines =
   QCheck.Test.make ~name:"persistence line states = line-keyed table" ~count:300
@@ -285,10 +298,21 @@ let prop_persistence_lines =
                     (frequency [ (4, int_bound 30); (1, int_range 1_000 1_003) ])
                     (int_bound 5) );
                 (1, return Durable);
+                (1, return Take);
               ])))
     (fun ops ->
       let p = Persistence.create () in
       let model = Hashtbl.create 16 and bumps = ref 0 and seq = ref 0 and last = ref None in
+      let changed = Hashtbl.create 16 and takes_match = ref true in
+      let store_lines (s : Event.store) =
+        List.init (Addr.line (s.Event.addr + s.Event.size - 1) - Addr.line s.Event.addr + 1)
+          (fun i -> Addr.line s.Event.addr + i)
+      in
+      let take () =
+        let expected = List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) changed []) in
+        Hashtbl.reset changed;
+        List.sort compare (Persistence.take_changed p) = expected
+      in
       let state line =
         match Hashtbl.find_opt model line with
         | Some st -> st
@@ -307,27 +331,33 @@ let prop_persistence_lines =
               Persistence.commit_store p s;
               incr bumps;
               last := Some s;
-              for line = Addr.line addr to Addr.line (addr + size - 1) do
-                let stores, _ = state line in
-                stores := s :: !stores
-              done
+              List.iter
+                (fun line ->
+                  let stores, _ = state line in
+                  stores := s :: !stores;
+                  Hashtbl.replace changed line ())
+                (store_lines s)
           | Flush_line (line, back) ->
               Persistence.flush_line p ~line ~seq:(!seq - back);
               let _, cut = state line in
               if !seq - back > !cut then begin
                 cut := !seq - back;
-                incr bumps
+                incr bumps;
+                Hashtbl.replace changed line ()
               end
           | Durable ->
               Option.iter
                 (fun s ->
                   Persistence.mark_durable p s;
-                  incr bumps)
-                !last)
+                  incr bumps;
+                  List.iter (fun line -> Hashtbl.replace changed line ()) (store_lines s))
+                !last
+          | Take -> takes_match := take () && !takes_match)
         ops;
       let lines = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) model []) in
       Persistence.lines p = lines
       && Persistence.generation p = !bumps
+      && !takes_match && take ()
       && List.for_all
            (fun line ->
              let stores, cut =
@@ -379,9 +409,11 @@ let ref_find_candidates r ~addr ~size =
         [] (ref_writers r ~addr ~size)
       |> List.sort (fun a b -> compare (origin_key a) (origin_key b))
 
-(* The materialization written per line: each line's cut, every store
-   persisted by its first byte's line, replayed after a sort by seq, and
-   one candidate set per (addr, size) stored to. *)
+(* The materialization written per line, from the inherited state and
+   the whole run, however many times the machine crashed before: each
+   line's cut, every store persisted by its first byte's line, replayed
+   after a sort by seq, and one candidate set per (addr, size) stored
+   to. *)
 let ref_crash m ~(inherited : ref_state) ~exec_id ~strategy =
   let pers = Machine.persistence m in
   let lines = Persistence.lines pers in
@@ -423,7 +455,7 @@ let ref_crash m ~(inherited : ref_state) ~exec_id ~strategy =
         (fun (s : Event.store) ->
           let addr = s.Event.addr and size = s.Event.size in
           let this_exec =
-            List.map (fun s -> { Crashstate.store = s; exec_id }) (Persistence.candidates pers ~addr ~size)
+            List.map (fun s -> { Crashstate.store = s; exec_id }) (ref_candidates pers ~addr ~size)
           in
           let base =
             Persistence.latest_at_or_below pers ~addr ~size ~cut:(Persistence.cut_lb pers line)
@@ -497,31 +529,28 @@ let mop_gen =
         (1, map2 (fun t s -> Cas (t, s)) tid slot);
       ])
 
-let run_mops m mops =
-  List.iteri
-    (fun i op ->
-      (match op with
-      | St (tid, slot, size, release) ->
-          Machine.store m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
-            ~access:(if release then Access.Atomic Access.Release else Access.Plain)
-            ~label:None
-      | Nt (tid, slot, size) ->
-          Machine.store ~nt:true m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
-            ~access:Access.Plain ~label:None
-      | Ld (tid, slot, acquire) ->
-          ignore
-            (Machine.load m ~tid ~addr:(slot_addr slot) ~size:8
-               ~access:(if acquire then Access.Atomic Access.Acquire else Access.Plain))
-      | Clwb (tid, slot) -> Machine.clwb m ~tid ~addr:(slot_addr slot)
-      | Clflush (tid, slot) -> Machine.clflush m ~tid ~addr:(slot_addr slot)
-      | Sfence tid -> Machine.sfence m ~tid
-      | Mfence tid -> Machine.mfence m ~tid
-      | Cas (tid, slot) ->
-          ignore
-            (Machine.cas m ~tid ~addr:(slot_addr slot) ~size:8 ~expected:0L
-               ~desired:(Int64.of_int (i + 1)) ~label:None));
-      Machine.background m)
-    mops
+let run_mop m i op =
+  (match op with
+  | St (tid, slot, size, release) ->
+      Machine.store m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
+        ~access:(if release then Access.Atomic Access.Release else Access.Plain)
+        ~label:None
+  | Nt (tid, slot, size) ->
+      Machine.store ~nt:true m ~tid ~addr:(slot_addr slot) ~size ~value:(Int64.of_int (i + 1))
+        ~access:Access.Plain ~label:None
+  | Ld (tid, slot, acquire) ->
+      ignore
+        (Machine.load m ~tid ~addr:(slot_addr slot) ~size:8
+           ~access:(if acquire then Access.Atomic Access.Acquire else Access.Plain))
+  | Clwb (tid, slot) -> Machine.clwb m ~tid ~addr:(slot_addr slot)
+  | Clflush (tid, slot) -> Machine.clflush m ~tid ~addr:(slot_addr slot)
+  | Sfence tid -> Machine.sfence m ~tid
+  | Mfence tid -> Machine.mfence m ~tid
+  | Cas (tid, slot) ->
+      ignore
+        (Machine.cas m ~tid ~addr:(slot_addr slot) ~size:8 ~expected:0L
+           ~desired:(Int64.of_int (i + 1)) ~label:None));
+  Machine.background m
 
 let strategy_of k seed =
   match k with
@@ -550,49 +579,73 @@ let chain_machine ~seed ~v ?inherited exec_id =
     { Machine.sb_policy = Machine.Random_drain 0.4; variant; rng = Rng.create (seed + exec_id);
       observer = Observer.nop }
 
-(* Each link runs its program from the previous link's state, then
-   crashes with a strategy that rotates along the chain. *)
-let link_strategy ~seed ~k exec_id = strategy_of ((k + exec_id) mod 3) (seed + exec_id)
+(* Each link runs its program from the previous link's state and
+   crashes its machine before every [step]-th op and after the last,
+   [step] 4..11.  Every other link crashes under its own strategy each
+   time; the rest rotate through all three, so [Cut_lowerbound] and
+   [Cut_random] crashes fall between the [Cut_all] crashes of one
+   machine.  [crash j] makes the [j]-th crash. *)
+let run_crashing ~seed ~k exec_id m mops crash =
+  let step = 4 + ((seed + exec_id) mod 8) and j = ref 0 in
+  let crash_next () =
+    let turn = if (seed + exec_id) land 1 = 0 then 0 else !j in
+    crash (strategy_of ((k + exec_id + turn) mod 3) (seed + exec_id + !j));
+    incr j
+  in
+  List.iteri
+    (fun i op ->
+      if i > 0 && i mod step = 0 then crash_next ();
+      run_mop m i op)
+    mops;
+  crash_next ()
 
 let prop_crash_matches_reference =
-  QCheck.Test.make ~name:"crash materialization = per-line replay, 3-state chains" ~count:150
-    chain_arb
+  QCheck.Test.make
+    ~name:"crash materialization = per-line replay, several crashes per link of 3-state chains"
+    ~count:150 chain_arb
     (fun ((p1, p2, p3), (seed, k, v)) ->
       let link (ok, cs, r) (exec_id, mops) =
         let m = chain_machine ~seed ~v ~inherited:cs exec_id in
-        run_mops m mops;
-        let strategy = link_strategy ~seed ~k exec_id in
-        let expected = ref_crash m ~inherited:r ~exec_id ~strategy:(copy_strategy strategy) in
-        let crashed = Machine.crash m ~strategy in
-        let ok = ok && same_state expected crashed in
+        let ok = ref ok and last = ref (cs, r) in
+        run_crashing ~seed ~k exec_id m mops (fun strategy ->
+            let expected = ref_crash m ~inherited:r ~exec_id ~strategy:(copy_strategy strategy) in
+            let crashed = Machine.crash m ~strategy in
+            ok := !ok && same_state expected crashed;
+            last := (crashed, expected));
         (* a clean shutdown drains and flushes, then persists every line *)
         let shut = Machine.shutdown m in
-        ( ok && same_state (ref_crash m ~inherited:r ~exec_id ~strategy:Machine.Cut_all) shut,
-          crashed,
-          expected )
+        let crashed, expected = !last in
+        (!ok && same_state (ref_crash m ~inherited:r ~exec_id ~strategy:Machine.Cut_all) shut,
+         crashed, expected)
       in
       let ok, _, _ =
         List.fold_left link (true, Crashstate.boot (), ref_boot ()) [ (1, p1); (2, p2); (3, p3) ]
       in
       ok)
 
-(* A derived state shares its parent's index, so deriving must never
-   write what an ancestor can still read. *)
+(* A derived state shares its parent's index, and a later crash of one
+   machine extends its earlier crash's state, so no crash may write
+   what an earlier state, of its own machine or an ancestor, can still
+   read. *)
 let prop_derive_leaves_ancestors =
   QCheck.Test.make ~name:"deriving a state leaves its ancestors' answers unchanged" ~count:150
     chain_arb
     (fun ((p1, p2, p3), (seed, k, v)) ->
-      let crash_from inherited exec_id mops =
+      (* every state returned so far, with its view when returned *)
+      let states = ref [] in
+      let keep cs = states := (cs, view cs) :: !states in
+      let link inherited (exec_id, mops) =
         let m = chain_machine ~seed ~v ~inherited exec_id in
-        run_mops m mops;
-        (m, Machine.crash m ~strategy:(link_strategy ~seed ~k exec_id))
+        let last = ref inherited in
+        run_crashing ~seed ~k exec_id m mops (fun strategy ->
+            let cs = Machine.crash m ~strategy in
+            keep cs;
+            last := cs);
+        keep (Machine.shutdown m);
+        !last
       in
-      let _, grandparent = crash_from (Crashstate.boot ()) 1 p1 in
-      let _, parent = crash_from grandparent 2 p2 in
-      let before = (view grandparent, view parent) in
-      let m, _ = crash_from parent 3 p3 in
-      ignore (Machine.shutdown m);
-      before = (view grandparent, view parent))
+      ignore (List.fold_left link (Crashstate.boot ()) [ (1, p1); (2, p2); (3, p3) ]);
+      List.for_all (fun (cs, seen) -> view cs = seen) !states)
 
 (* ------------------------------------------------------------------ *)
 (* Lazy thread clocks vs. eager ticking                                 *)
@@ -1035,21 +1088,49 @@ let test_inherited_load_independent_of_state () =
   check_budget "inherited load, 100 written bytes" ~max:14. small;
   check_budget "inherited load, 10,000 written bytes" ~max:small large
 
-(* A crash copies the line arrays its run persisted into and adds the
-   keys its run stored to; what it inherited is shared.  Only the index
-   maps' logarithmic path copies grow with the inherited state. *)
+(* A machine's first crash copies the line arrays its run persisted
+   into and adds the keys its run stored to; what it inherited is
+   shared.  Only the index maps' logarithmic path copies grow with the
+   inherited state.  Each crash is a fresh machine's first: a later one
+   would extend the earlier crash's state instead. *)
 let test_crash_independent_of_inherited () =
   let crash_words bytes =
-    let m = from_inherited (inherited_with bytes) in
-    for i = 0 to 7 do
-      Machine.store m ~tid:0 ~addr:(64 + (8 * i)) ~size:8 ~value:7L ~access:Access.Plain
-        ~label:None;
-      Machine.background m
-    done;
-    words_per ~n:2_000 (fun _ -> ignore (Sys.opaque_identity (Machine.crash m ~strategy:Machine.Cut_all)))
+    let cs = inherited_with bytes in
+    let machines =
+      Array.init 200 (fun _ ->
+          let m = from_inherited cs in
+          for i = 0 to 7 do
+            Machine.store m ~tid:0 ~addr:(64 + (8 * i)) ~size:8 ~value:7L ~access:Access.Plain
+              ~label:None;
+            Machine.background m
+          done;
+          m)
+    in
+    words_per ~n:199 (fun i ->
+        ignore (Sys.opaque_identity (Machine.crash machines.(i) ~strategy:Machine.Cut_all)))
   in
   let small = crash_words 100 in
   check_budget "crash, 10,000 inherited written bytes" ~max:(1.5 *. small) (crash_words 10_000)
+
+(* A crash extends its machine's previous crash state by what changed
+   since, so the crash after the 2,000th store and flush of one line
+   costs what the crash after the 20th does. *)
+let test_crash_independent_of_run_length () =
+  let last_crash_words flushes =
+    let m = eager () and words = ref 0. in
+    for i = 1 to flushes do
+      Machine.store m ~tid:0 ~addr:(64 + (8 * (i land 7))) ~size:8 ~value:(Int64.of_int i)
+        ~access:Access.Plain ~label:None;
+      Machine.clflush m ~tid:0 ~addr:64;
+      Machine.background m;
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Machine.crash m ~strategy:Machine.Cut_all));
+      words := Gc.minor_words () -. w0
+    done;
+    !words
+  in
+  let short = last_crash_words 20 in
+  check_budget "crash after 2,000 flushes" ~max:(1.5 *. short) (last_crash_words 2_000)
 
 (* [n] [Pmem.my_tid] calls in thread 0, after [prefix ()], under a fuel
    budget of [max_ops]: the minor words per call, and whether the loop
@@ -1238,6 +1319,7 @@ let () =
           Alcotest.test_case "origin miss" `Quick test_origin_miss_allocates_nothing;
           Alcotest.test_case "inherited load vs state" `Quick test_inherited_load_independent_of_state;
           Alcotest.test_case "crash vs inherited state" `Quick test_crash_independent_of_inherited;
+          Alcotest.test_case "crash vs run length" `Quick test_crash_independent_of_run_length;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;
           Alcotest.test_case "direct dispatch" `Quick test_direct_dispatch_budget;
           Alcotest.test_case "run fixed cost" `Quick test_run_fixed_cost;

@@ -98,12 +98,6 @@ let test_memimage_copy_isolated () =
   Memimage.write m ~addr:8 ~size:8 ~value:2L;
   check_i64 "copy unaffected" 1L (Memimage.read c ~addr:8 ~size:8)
 
-let test_memimage_blit_line () =
-  let src = Memimage.create () and dst = Memimage.create () in
-  Memimage.write src ~addr:64 ~size:8 ~value:99L;
-  Memimage.blit_line ~src ~dst 1;
-  check_i64 "line copied" 99L (Memimage.read dst ~addr:64 ~size:8)
-
 let test_memimage_bad_size () =
   let m = Memimage.create () in
   Alcotest.check_raises "size 0" (Invalid_argument "Memimage: size must be in 1..8")
@@ -704,7 +698,6 @@ let () =
           Alcotest.test_case "byte overwrite" `Quick test_memimage_byte_overwrite;
           Alcotest.test_case "grow" `Quick test_memimage_grow;
           Alcotest.test_case "copy isolation" `Quick test_memimage_copy_isolated;
-          Alcotest.test_case "blit line" `Quick test_memimage_blit_line;
           Alcotest.test_case "bad size" `Quick test_memimage_bad_size;
         ] );
       ( "store-buffer",

@@ -146,13 +146,16 @@ let test_interrupt_then_resume_reaches_same_bytes () =
   remove_dir dir
 
 (* A manifest that recorded no witnesses preloads nothing, and does not
-   even read the corpus it names. *)
+   even read the corpus it names; it resumes when it names none too. *)
 let test_resume_without_witnesses () =
   let dir = temp_dir () in
   let manifest = Filename.concat dir "m" in
   let cfg = small_config ~max_ops:200 () in
   let _ = run_with_sink ~stop_after:1 ~manifest cfg in
   let m = load_manifest manifest in
+  Soak_store.save manifest { m with Soak_store.m_witnesses = 0; m_corpus = "" };
+  check "no corpus named, nothing preloaded" true
+    ((resume_or_fail manifest).Soak_store.rs_witnesses = []);
   Soak_store.save manifest
     { m with Soak_store.m_witnesses = 0; m_corpus = Filename.concat dir "missing" };
   let r = resume_or_fail manifest in
@@ -359,8 +362,9 @@ let test_manifest_file_guards () =
   check_load_rejects ~before:"\"bucket:soak:memcached:churn:uniform:faults\""
     ~after:"\"bucket::faults\"" "malformed bucket field bucket::faults"
 
-(* A manifest naming a stream, variant or corpus the resume cannot use
-   is an [Error] that names the file, never an exception. *)
+(* A manifest naming a stream, variant or corpus the resume cannot use,
+   or recording witnesses without naming a corpus, is an [Error] that
+   names the file, never an exception. *)
 let test_resume_rejects_unknown_names () =
   let path = Filename.temp_file "yashme_soak_manifest" ".jsonl" in
   let error m =
@@ -378,6 +382,11 @@ let test_resume_rejects_unknown_names () =
   check "a corpus that will not load is named" true
     (String.starts_with ~prefix:"/nonexistent/corpus.jsonl"
        (error { manifest_fixture with Soak_store.m_corpus = "/nonexistent/corpus.jsonl" }));
+  check_str "recorded witnesses without a corpus"
+    (Printf.sprintf
+       "%s: manifest records %d witness(es) but names no corpus to resume from" path
+       manifest_fixture.Soak_store.m_witnesses)
+    (error { manifest_fixture with Soak_store.m_corpus = "" });
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
