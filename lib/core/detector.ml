@@ -105,6 +105,8 @@ let begin_exec t ~id =
 let record t ~id = List.find_opt (fun r -> Exec_record.id r = id) t.records
 let adopt = register
 
+let checks_upto t ~exec = t.logging || List.exists (fun r -> Exec_record.id r <= exec) t.records
+
 (* Figure 8, Evict_SB(clflush) / Evict_FB: record a flush for the latest
    store to every address on the flushed cache line, provided the store
    happens-before the flush and no happens-before-earlier flush is

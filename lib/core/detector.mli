@@ -53,6 +53,16 @@ val record : t -> id:int -> Exec_record.t option
     undoes. *)
 val adopt : t -> Exec_record.t -> unit
 
+(** Whether a {!load_atomic} or {!load_non_atomic} call naming an
+    execution at or below [exec] can do anything: the detector logs its
+    calls ({!log_calls}), or holds a record of such an execution.  When
+    false, every such call is a no-op: it counts, reports and joins
+    nothing.  A run whose detector answers false for its inherited
+    state's execution skips looking up its post-crash loads' origins
+    (every writer of a crash state ranks at or below the state's
+    execution, {!Px86.Machine.create}). *)
+val checks_upto : t -> exec:int -> bool
+
 (** Machine observer feeding the *current* execution's record; pass it
     in the machine config. *)
 val observer : t -> Px86.Observer.t

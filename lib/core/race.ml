@@ -21,13 +21,21 @@ let dedup_key t = label t
    parallel exploration byte-identical to the sequential one. *)
 let merge_ordered groups = List.concat groups
 
-let pp ppf t =
-  Format.fprintf ppf
-    "persistency race on %s: non-atomic %a races with crash (exec %d); observed by \
-     load of %a..+%d in exec %d%s%s"
-    (label t) Px86.Event.pp_store t.store t.store_exec Px86.Addr.pp t.load_addr
-    t.load_size t.load_exec
-    (if t.committed then "" else " [candidate]")
-    (if t.benign then " [benign: checksum-validated]" else "")
-
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  String.concat ""
+    [
+      "persistency race on ";
+      label t;
+      ": non-atomic ";
+      Px86.Event.store_to_string t.store;
+      " races with crash (exec ";
+      string_of_int t.store_exec;
+      "); observed by load of ";
+      Px86.Addr.to_string t.load_addr;
+      "..+";
+      string_of_int t.load_size;
+      " in exec ";
+      string_of_int t.load_exec;
+      (if t.committed then "" else " [candidate]");
+      (if t.benign then " [benign: checksum-validated]" else "");
+    ]

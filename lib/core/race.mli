@@ -31,4 +31,8 @@ val dedup_key : t -> string
     regardless of the order scenarios actually finished in. *)
 val merge_ordered : t list list -> t list
 
+(** One line naming the field, the racing store
+    ({!Px86.Event.store_to_string}), its execution and the observing
+    load, marked [[candidate]] when the load did not read the store and
+    [[benign: checksum-validated]] when it validates a checksum. *)
 val to_string : t -> string

@@ -59,7 +59,7 @@ let explain ?(variant = Px86.Variant.default_label) ~trace ~detector
         prefix;
       Buffer.add_string buf
         (Printf.sprintf "    the racing store itself: %s\n"
-           (Format.asprintf "%a" Px86.Event.pp_store r.Yashme.Race.store));
+           (Px86.Event.store_to_string r.Yashme.Race.store));
       Buffer.add_string buf
         "    every pre-crash prefix extending E+ without flushing this store\n\
         \    crashes with the store only partially persistent.\n");

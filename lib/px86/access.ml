@@ -19,5 +19,3 @@ let to_string = function
   | Atomic Release -> "atomic(release)"
   | Atomic Acq_rel -> "atomic(acq_rel)"
   | Atomic Seq_cst -> "atomic(seq_cst)"
-
-let pp ppf a = Format.pp_print_string ppf (to_string a)

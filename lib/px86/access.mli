@@ -21,5 +21,4 @@ val is_release : t -> bool
     release store it reads from. *)
 val is_acquire : t -> bool
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -19,4 +19,6 @@ val same_line : t -> t -> bool
     [[a, a+n)]; [n >= 1]. *)
 val lines_covering : t -> int -> int list
 
-val pp : Format.formatter -> t -> unit
+(** [0x] and the address in lowercase hexadecimal, as [Printf]'s
+    ["0x%x"] prints it. *)
+val to_string : t -> string

@@ -34,10 +34,27 @@ type fence = {
 let store_covers s a n = s.addr <= a && a + n <= s.addr + s.size
 let store_overlaps s a n = s.addr < a + n && a < s.addr + s.size
 
-let pp_store ppf s =
-  Format.fprintf ppf "store[%s tid=%d lclk=%d seq=%d %a..+%d = %Ld %a]"
-    (match s.label with Some l -> l | None -> "?")
-    s.tid s.lclk s.seq Addr.pp s.addr s.size s.value Access.pp s.access
+let store_to_string s =
+  String.concat ""
+    [
+      "store[";
+      (match s.label with Some l -> l | None -> "?");
+      " tid=";
+      string_of_int s.tid;
+      " lclk=";
+      string_of_int s.lclk;
+      " seq=";
+      string_of_int s.seq;
+      " ";
+      Addr.to_string s.addr;
+      "..+";
+      string_of_int s.size;
+      " = ";
+      Int64.to_string s.value;
+      " ";
+      Access.to_string s.access;
+      "]";
+    ]
 
 let pp_flush ppf f =
   Format.fprintf ppf "%s[tid=%d lclk=%d seq=%d line=%d]"

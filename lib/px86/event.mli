@@ -50,5 +50,9 @@ val store_covers : store -> Addr.t -> int -> bool
     [[a, a+n)]. *)
 val store_overlaps : store -> Addr.t -> int -> bool
 
-val pp_store : Format.formatter -> store -> unit
+(** One line naming a store's label (["?"] without one), thread, local
+    clock, commit order, address range, value and access, e.g.
+    [store[k tid=0 lclk=3 seq=2 0x40..+8 = 7 plain]]. *)
+val store_to_string : store -> string
+
 val pp_flush : Format.formatter -> flush -> unit

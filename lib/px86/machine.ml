@@ -68,11 +68,7 @@ type t = {
   mutable base_at : int;  (* [Persistence.committed] at [base] *)
 }
 
-type read_source =
-  | From_buffer of Event.store
-  | From_cache of Event.store
-  | From_crash of Crashstate.origin * Crashstate.origin list
-  | From_init
+type read_source = From_buffer of Event.store | From_cache of Event.store | From_inherited
 
 let create ?inherited ~exec_id cfg =
   let inherited = match inherited with Some c -> c | None -> Crashstate.boot () in
@@ -279,19 +275,14 @@ let cache_read t th ~addr ~size ~access =
   let source =
     match Persistence.newest_covering t.pers ~addr ~size with
     | Some s -> From_cache s
-    | None -> (
-        match Crashstate.find_origin t.inherited ~addr ~size with
-        | Some (origin, _torn) ->
-            let cands = Crashstate.find_candidates t.inherited ~addr ~size in
-            From_crash (origin, cands)
-        | None -> From_init)
+    | None -> From_inherited
   in
   (* Acquire loads synchronize-with the release store they read from. *)
   (if Access.is_acquire access then
      match source with
      | From_cache s when Access.is_release s.Event.access ->
          th.cv <- Clockvec.join (cv th) s.Event.cv
-     | From_cache _ | From_buffer _ | From_crash _ | From_init -> ());
+     | From_cache _ | From_buffer _ | From_inherited -> ());
   (value, source)
 
 let load t ~tid ~addr ~size ~access =

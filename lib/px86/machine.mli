@@ -37,10 +37,13 @@ type t
 type read_source =
   | From_buffer of Event.store  (** store-buffer bypass (own thread) *)
   | From_cache of Event.store  (** committed store of this execution *)
-  | From_crash of Crashstate.origin * Crashstate.origin list
-      (** pre-crash store: committed origin plus every candidate the load
-          could have read (the detector checks all of them) *)
-  | From_init  (** never-written memory (reads as zero) *)
+  | From_inherited
+      (** memory no committed store of this execution covers: the
+          {!inherited} state's.  The machine looks nothing up for it:
+          {!Crashstate.find_origin} and {!Crashstate.find_candidates} on
+          {!inherited} name the pre-crash store read (none for
+          never-written memory) and every candidate the load could have
+          read. *)
 
 (** [exec_id] must exceed [inherited]'s ([Invalid_argument] otherwise):
     a crash state ranks its byte writers by execution id, so ids rise

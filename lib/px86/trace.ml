@@ -40,7 +40,7 @@ let prefix t ~cvpre =
     (entries t)
 
 let pp_entry ppf = function
-  | Store s -> Event.pp_store ppf s
+  | Store s -> Format.pp_print_string ppf (Event.store_to_string s)
   | Clflush f -> Event.pp_flush ppf f
   | Clwb_queued f -> Format.fprintf ppf "%a (queued)" Event.pp_flush f
   | Clwb_applied (f, k) ->
@@ -48,7 +48,8 @@ let pp_entry ppf = function
         (match k.Event.kkind with Event.Sfence -> "sfence" | Event.Mfence -> "mfence")
         k.Event.ktid k.Event.klclk
   | Nt_persisted (s, k) ->
-      Format.fprintf ppf "%a (movnt) persisted by %s[tid=%d lclk=%d]" Event.pp_store s
+      Format.fprintf ppf "%s (movnt) persisted by %s[tid=%d lclk=%d]"
+        (Event.store_to_string s)
         (match k.Event.kkind with Event.Sfence -> "sfence" | Event.Mfence -> "mfence")
         k.Event.ktid k.Event.klclk
   | Fence k ->

@@ -134,7 +134,9 @@ type slot = {
 let new_slot _ = { tstate = Done; validating = 0 }
 
 type state = {
-  detector : Yashme.Detector.t option;
+  checker : Yashme.Detector.t option;
+      (** the run's detector, when it can use a post-crash load's
+          origin ({!Yashme.Detector.checks_upto}) *)
   check_candidates : bool;
   machine : Machine.t;
   cut : Machine.cut_strategy;
@@ -205,13 +207,18 @@ let rec check_candidates st d ~tid ~addr ~size ~benign origin = function
       check_candidates st d ~tid ~addr ~size ~benign origin rest
 
 let check_crash_read st ~tid ~addr ~size source =
-  match st.detector, source with
-  | None, _ -> ()
-  | Some d, Machine.From_crash (origin, cands) ->
-      let benign = st.slots.(tid).validating > 0 in
-      if st.check_candidates then check_candidates st d ~tid ~addr ~size ~benign origin cands;
-      check_origin st d ~tid ~addr ~size ~benign ~commit:true origin
-  | Some _, (Machine.From_buffer _ | Machine.From_cache _ | Machine.From_init) -> ()
+  match st.checker, source with
+  | Some d, Machine.From_inherited -> (
+      let inherited = Machine.inherited st.machine in
+      match Px86.Crashstate.find_origin inherited ~addr ~size with
+      | None -> ()
+      | Some (origin, _torn) ->
+          let benign = st.slots.(tid).validating > 0 in
+          if st.check_candidates then
+            check_candidates st d ~tid ~addr ~size ~benign origin
+              (Px86.Crashstate.find_candidates inherited ~addr ~size);
+          check_origin st d ~tid ~addr ~size ~benign ~commit:true origin)
+  | None, _ | Some _, (Machine.From_buffer _ | Machine.From_cache _) -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Operation execution                                                  *)
@@ -575,9 +582,19 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
     | Some c -> c.Px86.Crashstate.heap_break
     | None -> Px86.Addr.line_size
   in
+  (* Decided once: nothing registers a record with a running run's
+     detector or starts its log. *)
+  let checker =
+    match detector with
+    | Some d
+      when Yashme.Detector.checks_upto d
+             ~exec:(Machine.inherited machine).Px86.Crashstate.exec_id ->
+        detector
+    | Some _ | None -> None
+  in
   let st =
     {
-      detector;
+      checker;
       check_candidates;
       machine;
       cut;

@@ -88,7 +88,14 @@ type result = {
 
 (** [run ~exec_id fn] executes [fn] as thread 0.
 
-    @param detector attach a Yashme detector ([None] = bare Jaaru run)
+    @param detector attach a Yashme detector ([None] = bare Jaaru run).
+      A post-crash load's origin and candidates are looked up in the
+      inherited state only when the detector can use them
+      ({!Yashme.Detector.checks_upto} the inherited state's execution,
+      decided once, after {!Yashme.Detector.begin_exec}): loads of data
+      whose writers the detector trusts look nothing up.  So neither a
+      record adopted into the detector nor a log started while the run
+      is going on reaches the run's loads
     @param inherited durable state from the previous execution of the
       failure scenario
     @param plan crash plan; default [Run_to_end]

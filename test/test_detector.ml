@@ -651,6 +651,43 @@ let test_race_rendering () =
      has 0 "[candidate]" && has 0 "[benign");
   Alcotest.(check string) "unlabelled label" "<unlabelled>" (Race.label race)
 
+(* Races of any label (or none), access, size, value and addresses,
+   negative ones and ones past 2^32 among them, in each committed/benign
+   combination: rendered directly as the Format reference renders them. *)
+let race_gen =
+  QCheck.Gen.(
+    let wide =
+      oneof
+        [ int; map (fun n -> (1 lsl 32) + n) nat; oneofl [ 0; -1; min_int; max_int ] ]
+    and value = oneof [ int64; oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ] ] in
+    let store =
+      map3
+        (fun (label, access, size) (tid, lclk, seq) (addr, value) ->
+          { (mk_store ~addr ()) with
+            Px86.Event.label; access; size; tid; lclk; seq; value })
+        (triple (opt string_printable)
+           (oneofl
+              Px86.Access.
+                [ Plain; Atomic Relaxed; Atomic Acquire; Atomic Release; Atomic Acq_rel;
+                  Atomic Seq_cst ])
+           (int_range 1 8))
+        (triple small_nat small_nat (oneofl [ -1; 0; 7; max_int ]))
+        (pair wide value)
+    in
+    map3
+      (fun store (store_exec, load_exec, load_tid) (load_addr, load_size, (committed, benign)) ->
+        { Race.store; store_exec; load_addr; load_size; load_tid; load_exec; committed; benign })
+      store
+      (triple (int_range (-1) 3) (int_range 1 4) small_nat)
+      (triple wide (int_range 1 8) (pair bool bool)))
+
+let prop_rendering_matches_format =
+  QCheck.Test.make ~name:"race rendering = Format reference" ~count:1000
+    (QCheck.make ~print:Race_reference.to_string race_gen) (fun r ->
+      Race.to_string r = Race_reference.to_string r
+      && Px86.Event.store_to_string r.Race.store
+         = Race_reference.store_to_string r.Race.store)
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive op-level crash injection                                  *)
 
@@ -845,6 +882,7 @@ let () =
           Alcotest.test_case "flushmap" `Quick test_exec_record_flushmap;
           Alcotest.test_case "clocks" `Quick test_exec_record_clocks;
           Alcotest.test_case "race rendering" `Quick test_race_rendering;
+          QCheck_alcotest.to_alcotest prop_rendering_matches_format;
           Alcotest.test_case "snapshots survive joins" `Quick test_snapshot_survives_joins;
           Alcotest.test_case "a log is frozen" `Quick test_log_frozen;
         ] );

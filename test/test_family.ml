@@ -321,6 +321,39 @@ let test_key_stands_for_state () =
   check "some equal-key recovery states hold origins of both executions" true
     (!two_execs > 0)
 
+(* (e) A pre-crash run reads setup data, whose execution its detector
+   holds no record of, so a run that does not log looks no origin up
+   (Executor.run).  Logging forces the lookups: every call logged names
+   an execution the detector holds no record of, so replayed against the
+   run's own record the calls check, count and report nothing. *)
+let test_logged_calls_name_no_record () =
+  let calls = ref 0 in
+  List.iter
+    (fun (p : Program.t) ->
+      let d = Yashme.Detector.create () in
+      Yashme.Detector.log_calls d;
+      ignore
+        (Engine.run_phase ~detector:d
+           ?inherited:(Option.map Px86.Crashstate.copy (setup_state p))
+           ~options ~plan:Executor.Run_to_end ~seed:options.Scenario.seed
+           ~exec_id:Engine.pre_exec p.Program.pre);
+      let log = Yashme.Detector.logged d in
+      calls := !calls + Yashme.Detector.log_length log;
+      let probe = Yashme.Detector.create () in
+      Yashme.Detector.adopt probe (pre_record d);
+      Observe.Metrics.reset ();
+      Observe.Metrics.enable ();
+      Fun.protect ~finally:Observe.Metrics.disable (fun () ->
+          Yashme.Detector.replay probe log);
+      List.iter
+        (fun (name, v) ->
+          if String.starts_with ~prefix:"detector/" name && v <> 0 then
+            Alcotest.failf "%s: the logged calls moved %s" p.Program.name name)
+        (Observe.Metrics.snapshot ());
+      check (p.Program.name ^ ": no race") true (Yashme.Detector.races probe = []))
+    Registry.all;
+  check "some pre-crash run reads setup data" true (!calls > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: Engine.run = Engine.run_scenario one at a time         *)
 
@@ -414,6 +447,21 @@ let check_batch name scenarios =
 let test_registry_waves () =
   let grids = ref 0 and reused = ref 0 in
   let grid_reused = ref 0 and grid_post_runs = ref 0 in
+  let rendered = ref 0 in
+  (* Every race of the waves renders as the Format reference does. *)
+  let check_rendering results =
+    List.iter
+      (function
+        | Engine.Completed c ->
+            List.iter
+              (fun r ->
+                incr rendered;
+                check_str "race rendering" (Race_reference.to_string r)
+                  (Yashme.Race.to_string r))
+              c.Engine.races
+        | Engine.Faulted _ -> ())
+      results
+  in
   List.iter
     (fun (p : Program.t) ->
       let setup = Engine.materialize_setup ~options p in
@@ -423,6 +471,7 @@ let test_registry_waves () =
       in
       let probes, r, _ = check_batch (p.Program.name ^ " probe wave") wave1 in
       reused := !reused + r;
+      check_rendering probes;
       let grid =
         List.concat
           (List.map2
@@ -437,10 +486,12 @@ let test_registry_waves () =
              plans probes)
       in
       grids := !grids + List.length grid;
-      let _, r, post_runs = check_batch (p.Program.name ^ " grid wave") grid in
+      let rows, r, post_runs = check_batch (p.Program.name ^ " grid wave") grid in
+      check_rendering rows;
       grid_reused := !grid_reused + r;
       grid_post_runs := !grid_post_runs + post_runs)
     Registry.all;
+  check "some race rendered" true (!rendered > 0);
   check "some recovery has flush points to crash" true (!grids > 0);
   check "some probe replayed a recorded recovery" true (!reused > 0);
   check "some grid member replayed a recorded second recovery" true (!grid_reused > 0);
@@ -695,6 +746,8 @@ let () =
             test_row_member_leaves_records;
           Alcotest.test_case "equal keys, equal crash states" `Quick
             test_key_stands_for_state;
+          Alcotest.test_case "logged pre-crash calls name no record" `Quick
+            test_logged_calls_name_no_record;
         ] );
       ( "differential",
         [

@@ -981,6 +981,8 @@ let prop_direct_dispatch =
 (* ------------------------------------------------------------------ *)
 (* Allocation budgets                                                   *)
 
+module Detector = Yashme.Detector
+
 (* Minor words per call of [f], after one warm-up call. *)
 let words_per ?(n = 20_000) f =
   f 0;
@@ -1076,17 +1078,53 @@ let test_origin_miss_allocates_nothing () =
     (words_per (fun _ -> ignore (Sys.opaque_identity (Crashstate.find_origin cs ~addr:168 ~size:8))))
 
 (* A load of inherited memory costs the same however much the state
-   holds: a line probe and a key probe, no table walk and no tuple key.
-   14 words: the origin answer, the read source and the result. *)
+   holds.  The machine looks nothing up for it: 6 words, the result.
+   Looked up, as a run that can check the answer does, a line probe and
+   a key probe, no table walk and no tuple key: 14 words, the origin
+   answer too. *)
 let test_inherited_load_independent_of_state () =
-  let load_words bytes =
-    let m = from_inherited (inherited_with bytes) in
+  let load_words ~lookup bytes =
+    let cs = inherited_with bytes in
+    let m = from_inherited cs in
     words_per (fun _ ->
-        ignore (Sys.opaque_identity (Machine.load m ~tid:0 ~addr:68 ~size:4 ~access:Access.Plain)))
+        ignore (Sys.opaque_identity (Machine.load m ~tid:0 ~addr:68 ~size:4 ~access:Access.Plain));
+        if lookup then begin
+          ignore (Sys.opaque_identity (Crashstate.find_origin cs ~addr:68 ~size:4));
+          ignore (Sys.opaque_identity (Crashstate.find_candidates cs ~addr:68 ~size:4))
+        end)
   in
-  let small = load_words 100 and large = load_words 10_000 in
+  check_budget "inherited load, no lookup" ~max:6. (load_words ~lookup:false 100);
+  let small = load_words ~lookup:true 100 and large = load_words ~lookup:true 10_000 in
   check_budget "inherited load, 100 written bytes" ~max:14. small;
   check_budget "inherited load, 10,000 written bytes" ~max:small large
+
+(* Minor words per [Pmem.load] of [addr] in a run on [cs]. *)
+let run_load_words ?detector cs ~addr =
+  let n = 20_000 and words = ref 0. in
+  ignore
+    (Executor.run ?detector ~inherited:cs ~exec_id:(cs.Crashstate.exec_id + 1) (fun () ->
+         ignore (Pmem.load ~size:4 addr);
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           ignore (Sys.opaque_identity (Pmem.load ~size:4 addr))
+         done;
+         words := (Gc.minor_words () -. w0) /. float n));
+  !words
+
+(* A run whose detector holds no record of the inherited state's
+   writers, and does not log, cannot use a load's origin: its load of
+   inherited memory costs what a detector-free run's does, which looks
+   nothing up.  Logging, the run looks every origin up. *)
+let test_unchecked_inherited_load () =
+  let cs = inherited_with 100 in
+  let d = Detector.create () in
+  check_budget "inherited load, run that cannot check it"
+    ~max:(run_load_words cs ~addr:68 +. 0.01)
+    (run_load_words ~detector:d cs ~addr:68);
+  Detector.log_calls d;
+  ignore (run_load_words ~detector:d cs ~addr:68);
+  check "a logging run looks every load up" true
+    (Detector.log_length (Detector.logged d) = 20_001)
 
 (* A machine's first crash copies the line arrays its run persisted
    into and adds the keys its run stored to; what it inherited is
@@ -1244,7 +1282,6 @@ let test_telemetry_hooks_allocate_nothing () =
 (* Post-crash checks.  A check reads single clock components and the
    store's flush list in place and joins [CVpre] and [lastflush] in
    place. *)
-module Detector = Yashme.Detector
 
 (* A detector whose record 1 holds a flushed plain store at 64, an
    atomic release store at 72 and an unflushed plain store at 128. *)
@@ -1318,6 +1355,7 @@ let () =
           Alcotest.test_case "store" `Quick test_store_budget;
           Alcotest.test_case "origin miss" `Quick test_origin_miss_allocates_nothing;
           Alcotest.test_case "inherited load vs state" `Quick test_inherited_load_independent_of_state;
+          Alcotest.test_case "inherited load, unchecked run" `Quick test_unchecked_inherited_load;
           Alcotest.test_case "crash vs inherited state" `Quick test_crash_independent_of_inherited;
           Alcotest.test_case "crash vs run length" `Quick test_crash_independent_of_run_length;
           Alcotest.test_case "effect round trip" `Quick test_effect_round_trip_budget;

@@ -430,9 +430,10 @@ let test_machine_inherited_chain () =
   in
   let v, src = Machine.load m2 ~tid:0 ~addr:0 ~size:8 ~access:Access.Plain in
   check_i64 "reads inherited value" 5L v;
-  (match src with
-  | Machine.From_crash (o, _) -> check_int "origin from exec 0" 0 o.Crashstate.exec_id
-  | _ -> Alcotest.fail "expected From_crash");
+  (match (src, Crashstate.find_origin (Machine.inherited m2) ~addr:0 ~size:8) with
+  | Machine.From_inherited, Some (o, _) ->
+      check_int "origin from exec 0" 0 o.Crashstate.exec_id
+  | _ -> Alcotest.fail "expected an inherited read with an origin");
   (* Overwrite in exec 1, then crash: origin moves to exec 1. *)
   Machine.store m2 ~tid:0 ~addr:0 ~size:8 ~value:6L ~access:Access.Plain ~label:None;
   Machine.background m2;
