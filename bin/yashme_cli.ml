@@ -73,8 +73,9 @@ let execs =
 let jobs =
   let doc = "Worker domains for the exploration engine.  Each crash plan is an \
              independent failure scenario; $(docv) > 1 spreads them over OCaml \
-             domains.  The race report is identical for every job count." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~doc ~docv:"N")
+             domains.  The race report is identical for every job count \
+             (at least 1)." in
+  Arg.(value & opt (int_at_least 1) 1 & info [ "jobs"; "j" ] ~doc ~docv:"N")
 
 let seed =
   let doc = "Random seed (schedules, crash points, cache cuts)." in
@@ -125,8 +126,8 @@ let metrics_flag =
   Arg.(value & flag & info [ "metrics" ] ~doc)
 
 let quiet_flag =
-  let doc = "Suppress warnings (e.g. the Cut_random fallback to --jobs 1).  \
-             Alias for $(b,--log-level off)." in
+  let doc = "Suppress warnings and the progress heartbeat (e.g. soak's \
+             quarantine warning).  Alias for $(b,--log-level off)." in
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
 
 let log_level_conv =

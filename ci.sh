@@ -205,6 +205,7 @@ soak_m1="$work/soak-m1.jsonl"
 soak_m2="$work/soak-m2.jsonl"
 soak_c1="$work/soak-c1.jsonl"
 soak_c2="$work/soak-c2.jsonl"
+soak_min="$work/soak-min.jsonl"
 soak_mr="$work/soak-mr.jsonl"
 soak_cr="$work/soak-cr.jsonl"
 soak_prog="$work/soak-prog.jsonl"
@@ -240,8 +241,12 @@ cmp "${soak_m1}.s" "${soak_m2}.s" || {
   echo "ci: same-seed soak manifests differ beyond timing fields" >&2
   exit 1
 }
-# Soak witnesses replay through the ordinary corpus machinery.
+# Soak witnesses replay through the ordinary corpus machinery, and so
+# do their minimized forms (minimize rebuilds soak programs by name).
 dune exec bin/yashme_cli.exe -- replay "$soak_c1" --quiet
+dune exec bin/yashme_cli.exe -- minimize "$soak_c1" -o "$soak_min" --quiet \
+  2>/dev/null >/dev/null
+dune exec bin/yashme_cli.exe -- replay "$soak_min" --quiet
 # Interrupt mid-soak (the SIGINT-equivalent cooperative stop), then
 # resume from the checkpoint: the run must reach the exact witness
 # bytes of the uninterrupted run.

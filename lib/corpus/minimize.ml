@@ -1,8 +1,6 @@
 module Executor = Pm_runtime.Executor
 module Scenario = Pm_harness.Scenario
 module Engine = Pm_harness.Engine
-module Finding = Pm_harness.Finding
-module Runner = Pm_harness.Runner
 
 type shrink = {
   original : Witness.t;
@@ -12,240 +10,166 @@ type shrink = {
   runs : int;
 }
 
-(* The candidate state a greedy step mutates: options (with their
-   materialized setup, reused across probes of the same options) and
-   the two plans. *)
-type cand = {
-  options : Scenario.options;
-  setup : Scenario.setup;
-  plan : Executor.plan;
-  post_plan : Executor.plan;
-}
-
 let ops_of = function
   | Engine.Completed c -> c.Engine.ops
   | Engine.Faulted f -> f.Engine.f_ops
 
-let races_of = function
-  | Engine.Completed c -> c.Engine.races
-  | Engine.Faulted f -> f.Engine.f_races
-
 let minimize ~lookup (w : Witness.t) =
-  let unchanged ~reproduced =
-    { original = w; minimized = w; reproduced; derandomized = false; runs = 0 }
-  in
-  match lookup w.Witness.program with
-  | None -> unchanged ~reproduced:false
-  | Some p -> (
-      let runs = ref 0 in
-      (* Run one candidate; [Some result] iff the witness key is
-         observed again.  A consistency witness needs the oracle context
-         rebuilt per candidate (the reference runs under the candidate's
-         options — so e.g. a fuel-tightening step whose budget starves
-         the reference simply fails to reproduce and is rejected). *)
-      let probe (c : cand) =
-        incr runs;
-        let oracle =
-          match w.Witness.kind with
-          | Witness.Race | Witness.Recovery_failure -> None
-          | Witness.Consistency_violation -> (
-              match Runner.prepare_oracle ~options:c.options p with
-              | Some prep -> Some prep.Runner.op_ctx
-              | None -> None
-              | exception _ -> None)
-        in
-        let s =
-          Scenario.of_program ?oracle ~post_plan:c.post_plan ~setup:c.setup
-            ~plan:c.plan ~options:c.options p
-        in
+  let runs = ref 0 in
+  (* A candidate is [w] with other plans or options.  Run it and
+     re-observe [w]'s identity: [Some (seen, result)] iff its key shows
+     up again, [seen] carrying the fresh summary.  Each step that
+     changes the options first checks that their setup materializes
+     ([clean]), so here [scenario_of] fails only when a consistency
+     witness's oracle cannot be rebuilt under the candidate's options
+     (a fuel step whose budget starves the reference): that run counts
+     and misses. *)
+  let probe (c : Witness.t) =
+    incr runs;
+    match Witness.scenario_of ~lookup c with
+    | Error _ -> None
+    | Ok s -> (
         let result = Engine.run_scenario s in
-        let race_keys, rf_key, consistency_keys = Replay.observed_keys result in
-        let hit =
-          match w.Witness.kind with
-          | Witness.Race -> List.mem w.Witness.key race_keys
-          | Witness.Recovery_failure -> rf_key = Some w.Witness.key
-          | Witness.Consistency_violation ->
-              List.mem w.Witness.key consistency_keys
-        in
-        if hit then Some result else None
-      in
-      (* Pre-crash flush points under [options] (clean run, no crash). *)
-      let flush_points ~options ~setup =
+        match Witness.reobserve c s result with
+        | Ok seen -> Some (seen, result)
+        | Error _ -> None)
+  in
+  (* [c]'s clean run, without crash or oracle (a clean run consults no
+     oracle, and a race witness rebuilds none): [Error] only when the
+     setup raises under [c]'s options. *)
+  let clean (c : Witness.t) =
+    Witness.scenario_of ~lookup
+      {
+        c with
+        Witness.kind = Witness.Race;
+        plan = Executor.Run_to_end;
+        post_plan = Executor.Run_to_end;
+      }
+  in
+  (* Pre-crash flush points under [c]'s options; [None] when the setup
+     raises, which costs no run. *)
+  let flush_points c =
+    match clean c with
+    | Error _ -> None
+    | Ok s -> (
         incr runs;
-        let s =
-          Scenario.of_program ~setup ~plan:Executor.Run_to_end ~options p
-        in
         match Engine.run_scenario s with
-        | Engine.Completed c -> c.Engine.flush_points
-        | Engine.Faulted _ -> 0
-      in
-      let cand_of options plan post_plan =
-        { options; setup = Engine.materialize_setup ~options p; plan; post_plan }
-      in
-      (* First reproducing plan of [plans] against [base]'s options. *)
-      let first_hit base plans =
-        List.find_map
-          (fun plan ->
-            let c = { base with plan } in
-            Option.map (fun _ -> c) (probe c))
-          plans
-      in
-      match cand_of w.Witness.options w.Witness.plan w.Witness.post_plan with
-      | exception _ -> unchanged ~reproduced:false
-      | original_cand -> (
-          match probe original_cand with
-          | None -> unchanged ~reproduced:false
-          | Some _ -> (
-              (* Step 1: derandomize.  The deterministic search space is
-                 the model checker's: every Crash_before_flush index plus
-                 Crash_at_end, single-crash, round-robin, eager drain. *)
-              let cand, derandomized =
-                if not (Scenario.options_randomized w.Witness.options) then
-                  (original_cand, false)
-                else
-                  let det_options =
-                    {
-                      w.Witness.options with
-                      Scenario.sched = Executor.Round_robin;
-                      sb_policy = Px86.Machine.Eager;
-                      cut = Px86.Machine.Cut_all;
-                    }
-                  in
-                  match cand_of det_options Executor.Run_to_end Executor.Run_to_end with
-                  | exception _ -> (original_cand, false)
-                  | det_base -> (
-                      let points =
-                        flush_points ~options:det_options ~setup:det_base.setup
-                      in
-                      let plans =
-                        List.init points (fun n -> Executor.Crash_before_flush n)
-                        @ [ Executor.Crash_at_end ]
-                      in
-                      match first_hit det_base plans with
-                      | Some c -> (c, true)
-                      | None -> (original_cand, false))
-              in
-              (* Step 2: drop the double crash. *)
-              let cand =
-                if cand.post_plan = Executor.Run_to_end then cand
-                else
-                  let c = { cand with post_plan = Executor.Run_to_end } in
-                  if probe c <> None then c else cand
-              in
-              (* Step 3: shrink the crash-plan index.  Ascending scan, so
-                 the first hit is the minimum. *)
-              let cand =
-                let shrunk =
-                  match cand.plan with
-                  | Executor.Crash_before_flush n ->
-                      first_hit cand
-                        (List.init n (fun k -> Executor.Crash_before_flush k))
-                  | Executor.Crash_at_end ->
-                      let points =
-                        flush_points ~options:cand.options ~setup:cand.setup
-                      in
-                      first_hit cand
-                        (List.init points (fun k -> Executor.Crash_before_flush k))
-                  | Executor.Crash_before_op n -> (
-                      let points =
-                        flush_points ~options:cand.options ~setup:cand.setup
-                      in
-                      match
-                        first_hit cand
-                          (List.init points (fun k -> Executor.Crash_before_flush k))
-                      with
-                      | Some _ as c -> c
-                      | None ->
-                          first_hit cand
-                            (List.init n (fun k -> Executor.Crash_before_op k)))
-                  | Executor.Run_to_end -> None
-                in
-                Option.value shrunk ~default:cand
-              in
-              (* Step 4: tighten fuel to the observed chain cost (an upper
-                 bound on any single phase, so the budget never trips a
-                 healthy replay). *)
-              let final_result = probe cand in
-              let cand, summary =
-                match final_result with
-                | None -> (cand, w.Witness.summary)  (* unreachable: cand reproduced *)
-                | Some result ->
-                    let summary =
-                      match w.Witness.kind with
-                      | Witness.Race ->
-                          races_of result
-                          |> List.find_opt (fun r ->
-                                 Yashme.Race.dedup_key r = w.Witness.key)
-                          |> Option.fold ~none:w.Witness.summary
-                               ~some:Yashme.Race.to_string
-                      | Witness.Recovery_failure -> (
-                          match result with
-                          | Engine.Faulted f -> Finding.to_string f.Engine.f_info
-                          | Engine.Completed _ -> w.Witness.summary)
-                      | Witness.Consistency_violation -> (
-                          match result with
-                          | Engine.Completed cres -> (
-                              match
-                                List.assoc_opt w.Witness.key
-                                  cres.Engine.violations
-                              with
-                              | Some detail ->
-                                  Finding.consistency_to_string
-                                    {
-                                      Finding.c_label = w.Witness.program;
-                                      c_key = w.Witness.key;
-                                      c_detail = detail;
-                                      c_plan = Executor.plan_label cand.plan;
-                                      c_post_plan =
-                                        Executor.plan_label cand.post_plan;
-                                      c_seed = cand.options.Scenario.seed;
-                                    }
-                              | None -> w.Witness.summary)
-                          | Engine.Faulted _ -> w.Witness.summary)
-                    in
-                    let fuel =
-                      match cand.options.Scenario.max_ops with
-                      | Some m -> min m (ops_of result)
-                      | None -> ops_of result
-                    in
-                    let fueled =
-                      {
-                        cand.options with
-                        Scenario.max_ops = Some fuel;
-                      }
-                    in
-                    (match cand_of fueled cand.plan cand.post_plan with
-                    | exception _ -> (cand, summary)
-                    | c -> if probe c <> None then (c, summary) else (cand, summary))
-              in
-              let minimized =
+        | Engine.Completed r -> Some r.Engine.flush_points
+        | Engine.Faulted _ -> Some 0)
+  in
+  (* First reproducing plan of [plans] against [base]'s options. *)
+  let first_hit (base : Witness.t) plans =
+    List.find_map
+      (fun plan ->
+        let c = { base with Witness.plan } in
+        Option.map (fun _ -> c) (probe c))
+      plans
+  in
+  let flush_plans points =
+    List.init points (fun n -> Executor.Crash_before_flush n)
+  in
+  match probe w with
+  | None ->
+      {
+        original = w;
+        minimized = w;
+        reproduced = false;
+        derandomized = false;
+        runs = 0;
+      }
+  | Some _ -> (
+      (* Step 1: derandomize.  The deterministic search space is the
+         model checker's: every Crash_before_flush index plus
+         Crash_at_end, single-crash, round-robin, eager drain. *)
+      let cand, derandomized =
+        if not (Scenario.options_randomized w.Witness.options) then (w, false)
+        else
+          let det =
+            {
+              w with
+              Witness.options =
                 {
-                  w with
-                  Witness.plan = cand.plan;
-                  post_plan = cand.post_plan;
-                  options = cand.options;
-                  summary;
-                }
-              in
-              (* The contract: a minimized corpus always replays clean.
-                 Verify through the same path replay uses (fresh setup
-                 materialization from the witness options). *)
-              match Replay.replay_one ~lookup minimized with
-              | Ok () ->
-                  {
-                    original = w;
-                    minimized;
-                    reproduced = true;
-                    derandomized;
-                    runs = !runs;
-                  }
-              | Error _ ->
-                  {
-                    original = w;
-                    minimized = w;
-                    reproduced = true;
-                    derandomized = false;
-                    runs = !runs;
-                  })))
+                  w.Witness.options with
+                  Scenario.sched = Executor.Round_robin;
+                  sb_policy = Px86.Machine.Eager;
+                  cut = Px86.Machine.Cut_all;
+                };
+              plan = Executor.Run_to_end;
+              post_plan = Executor.Run_to_end;
+            }
+          in
+          match flush_points det with
+          | None -> (w, false)
+          | Some points -> (
+              match
+                first_hit det (flush_plans points @ [ Executor.Crash_at_end ])
+              with
+              | Some c -> (c, true)
+              | None -> (w, false))
+      in
+      (* Step 2: drop the double crash. *)
+      let cand =
+        if cand.Witness.post_plan = Executor.Run_to_end then cand
+        else
+          let c = { cand with Witness.post_plan = Executor.Run_to_end } in
+          if Option.is_some (probe c) then c else cand
+      in
+      (* Step 3: shrink the crash-plan index.  Ascending scan, so the
+         first hit is the minimum. *)
+      let cand =
+        let at_flush_points () =
+          first_hit cand
+            (flush_plans (Option.value (flush_points cand) ~default:0))
+        in
+        let shrunk =
+          match cand.Witness.plan with
+          | Executor.Crash_before_flush n -> first_hit cand (flush_plans n)
+          | Executor.Crash_at_end -> at_flush_points ()
+          | Executor.Crash_before_op n -> (
+              match at_flush_points () with
+              | Some _ as c -> c
+              | None ->
+                  first_hit cand
+                    (List.init n (fun k -> Executor.Crash_before_op k)))
+          | Executor.Run_to_end -> None
+        in
+        Option.value shrunk ~default:cand
+      in
+      (* Step 4: tighten fuel to the observed chain cost (an upper bound
+         on any single phase, so the budget never trips a healthy
+         replay).  The minimized summary is the re-observed one. *)
+      let minimized =
+        match probe cand with
+        | None -> cand (* unreachable: cand reproduced *)
+        | Some (seen, result) ->
+            let fuel =
+              match cand.Witness.options.Scenario.max_ops with
+              | Some m -> min m (ops_of result)
+              | None -> ops_of result
+            in
+            let fueled =
+              {
+                seen with
+                Witness.options =
+                  { seen.Witness.options with Scenario.max_ops = Some fuel };
+              }
+            in
+            if Result.is_ok (clean fueled) && Option.is_some (probe fueled)
+            then fueled
+            else seen
+      in
+      (* The contract: a minimized corpus always replays clean.  Verify
+         through replay itself. *)
+      match Replay.replay_one ~lookup minimized with
+      | Ok () ->
+          { original = w; minimized; reproduced = true; derandomized; runs = !runs }
+      | Error _ ->
+          {
+            original = w;
+            minimized = w;
+            reproduced = true;
+            derandomized = false;
+            runs = !runs;
+          })
 
 let minimize_all ~lookup ws = List.map (minimize ~lookup) ws

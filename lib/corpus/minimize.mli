@@ -19,6 +19,12 @@
       observed operation count, so a future regression that makes the
       scenario run away trips the budget instead of hanging replay.
 
+    A candidate is the witness with other plans or options.  Each probe
+    rebuilds it with {!Witness.scenario_of}, runs it and judges the
+    result with {!Witness.reobserve}, the path replay takes; the
+    minimized witness's summary is the re-observed one.  A candidate
+    whose setup raises is skipped without a run.
+
     A [recovery_failure] witness embeds its crash plans in its identity
     key, so only the fuel step can apply to it.  A witness whose key no
     longer reproduces at all is returned unchanged with
@@ -33,7 +39,9 @@ type shrink = {
   minimized : Witness.t;
   reproduced : bool;  (** the original witness reproduced at all *)
   derandomized : bool;  (** step 1 replaced randomized options *)
-  runs : int;  (** scenario executions spent searching *)
+  runs : int;
+      (** scenario executions spent searching (0 for a witness that did
+          not reproduce) *)
 }
 
 val minimize :

@@ -1,53 +1,24 @@
 module Engine = Pm_harness.Engine
-module Finding = Pm_harness.Finding
-
-let observed_keys (result : Engine.scenario_result) =
-  match result with
-  | Engine.Completed c ->
-      ( List.map Yashme.Race.dedup_key c.Engine.races,
-        None,
-        List.map fst c.Engine.violations )
-  | Engine.Faulted f ->
-      ( List.map Yashme.Race.dedup_key f.Engine.f_races,
-        (if Finding.is_recovery_failure f.Engine.f_info then
-           Some (Finding.recovery_failure_key f.Engine.f_info)
-         else None),
-        [] )
 
 let replay_one ~lookup (w : Witness.t) =
   match Witness.scenario_of ~lookup w with
   | Error msg -> Error msg
-  | Ok scenario -> (
-      let result = Engine.run_scenario scenario in
-      let race_keys, rf_key, consistency_keys = observed_keys result in
-      let seen_summary () =
-        let keys =
-          List.sort_uniq compare
-            (race_keys @ Option.to_list rf_key @ consistency_keys)
-        in
-        if keys = [] then "no race, recovery failure or violation observed"
-        else "observed instead: " ^ String.concat ", " keys
-      in
-      match w.Witness.kind with
-      | Witness.Race ->
-          if List.mem w.Witness.key race_keys then Ok ()
-          else
-            Error
-              (Printf.sprintf "race key %S did not reproduce (%s)"
-                 w.Witness.key (seen_summary ()))
-      | Witness.Recovery_failure ->
-          if rf_key = Some w.Witness.key then Ok ()
-          else
-            Error
-              (Printf.sprintf "recovery-failure key %S did not reproduce (%s)"
-                 w.Witness.key (seen_summary ()))
-      | Witness.Consistency_violation ->
-          if List.mem w.Witness.key consistency_keys then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "consistency-violation key %S did not reproduce (%s)"
-                 w.Witness.key (seen_summary ())))
+  | Ok s -> (
+      match Witness.reobserve w s (Engine.run_scenario s) with
+      | Ok _ -> Ok ()
+      | Error keys ->
+          let kind =
+            match w.Witness.kind with
+            | Witness.Race -> "race"
+            | Witness.Recovery_failure -> "recovery-failure"
+            | Witness.Consistency_violation -> "consistency-violation"
+          in
+          Error
+            (Printf.sprintf "%s key %S did not reproduce (%s)" kind
+               w.Witness.key
+               (if keys = [] then
+                  "no race, recovery failure or violation observed"
+                else "observed instead: " ^ String.concat ", " keys)))
 
 type failure = { witness : Witness.t; reason : string }
 type result = { total : int; reproduced : int; failures : failure list }

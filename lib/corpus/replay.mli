@@ -3,7 +3,7 @@
     Each witness is rebuilt into its failure scenario
     ({!Witness.scenario_of}) and re-run through the sandboxed
     {!Pm_harness.Engine.run_scenario}; the witness {e reproduces} when
-    its identity key is observed again:
+    {!Witness.reobserve} finds its identity in the result again:
 
     - a [race] witness reproduces when some detected race (of the
       completed scenario, or gathered before a fault) has the same
@@ -18,15 +18,6 @@
     that replays clean means every recorded bug still exists; a replay
     failure is either a fixed bug or a determinism regression — both
     worth failing CI over. *)
-
-(** Keys observed when re-running one scenario: every race key in
-    report order, the recovery-failure key if the scenario faulted in
-    recovery on a real crash image, and every oracle
-    consistency-violation key (sorted; empty without an attached oracle
-    context). *)
-val observed_keys :
-  Pm_harness.Engine.scenario_result ->
-  string list * string option * string list
 
 (** Replay one witness.  [Error] carries a human-readable diff: why it
     did not reproduce and which keys were seen instead. *)

@@ -165,8 +165,9 @@ let decode line =
   and flt = Json.float fields in
   (* A resume runs what the manifest says: no stream would crash it, no
      op per scenario would hang it, a zero fault budget would quarantine
-     every combo, and a budget below one op or second would end it at
-     once; the CLI rejects the same values. *)
+     every combo, a budget below one op or second would end it at once,
+     and a jobs count below one names no domain; the CLI rejects the
+     same values. *)
   let below key n min =
     Error (Printf.sprintf "field %S: %d is below the minimum %d" key n min)
   in
@@ -181,7 +182,7 @@ let decode line =
   in
   let* m_seed = int "seed" in
   let* m_variant = str "variant" in
-  let* m_jobs = int "jobs" in
+  let* m_jobs = at_least 1 "jobs" in
   let* m_ops_per_exec = at_least 1 "ops_per_exec" in
   let* m_fault_budget = at_least 1 "fault_budget" in
   let* m_max_ops =

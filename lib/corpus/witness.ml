@@ -3,6 +3,7 @@ module Scenario = Pm_harness.Scenario
 module Engine = Pm_harness.Engine
 module Runner = Pm_harness.Runner
 module Finding = Pm_harness.Finding
+module Soak = Pm_harness.Soak
 
 (* v3 added the "consistency_violation" kind (invariant-oracle
    findings); the line shape is unchanged, so v2 and v1 lines still
@@ -106,9 +107,11 @@ let scenario_of ~lookup w =
       | Ok oracle -> (
           match Engine.materialize_setup ~options:w.options p with
           | setup ->
-              Ok
-                (Scenario.of_program ?oracle ~post_plan:w.post_plan ~setup
-                   ~plan:w.plan ~options:w.options p)
+              let s =
+                Scenario.of_program ?oracle ~post_plan:w.post_plan ~setup
+                  ~plan:w.plan ~options:w.options p
+              in
+              Ok { s with Scenario.label = Soak.scenario_label s.Scenario.label }
           | exception e ->
               Error
                 (Printf.sprintf "setup of %S raised %s" w.program
@@ -149,20 +152,15 @@ let of_pairs ?(seen = Hashtbl.create 32) ~program pairs =
         emit s Race (Yashme.Race.dedup_key r) (fun () -> Yashme.Race.to_string r))
       rs
   in
-  let consistencies (s : Scenario.t) (c : Engine.completed) =
-    List.iter
-      (fun (k, d) ->
-        emit s Consistency_violation k (fun () ->
-            Finding.consistency_to_string
-              {
-                Finding.c_label = c.Engine.label;
-                c_key = k;
-                c_detail = d;
-                c_plan = Executor.plan_label s.Scenario.plan;
-                c_post_plan = Executor.plan_label s.Scenario.post_plan;
-                c_seed = s.Scenario.options.Scenario.seed;
-              }))
-      c.Engine.violations
+  (* Soak extracts every round: without violations (no oracle), this
+     allocates nothing. *)
+  let consistencies s (c : Engine.completed) =
+    if c.Engine.violations <> [] then
+      List.iter
+        (fun (f : Finding.consistency) ->
+          emit s Consistency_violation f.Finding.c_key (fun () ->
+              Finding.consistency_to_string f))
+        (Runner.consistencies s c)
   in
   List.iter
     (fun ((s : Scenario.t), (result : Engine.scenario_result), evidence) ->
@@ -186,3 +184,12 @@ let of_pairs ?(seen = Hashtbl.create 32) ~program pairs =
   { witnesses = List.rev !acc; raw = !raw; duplicates = !dups }
 
 let of_outcome ~program (o : Runner.outcome) = of_pairs ~program o.Runner.o_pairs
+
+let reobserve w s result =
+  let e = of_pairs ~program:w.program [ (s, result, Runner.Full) ] in
+  match
+    List.find_opt (fun o -> o.kind = w.kind && o.key = w.key) e.witnesses
+  with
+  | Some o -> Ok o
+  | None ->
+      Error (List.sort_uniq compare (List.map (fun o -> o.key) e.witnesses))

@@ -72,7 +72,10 @@ val decode : string -> (t, string) result
     context is rebuilt from the program's observe hook via
     {!Pm_harness.Runner.prepare_oracle} under the witness's options
     (the context holds closures and is never serialized); a program
-    without an observe hook is an [Error]. *)
+    without an observe hook is an [Error].  The scenario carries the
+    label it had when the witness was recorded
+    ({!Pm_harness.Soak.scenario_label}): a soak program's name holds its
+    round's ops and seed, its scenario's label does not. *)
 val scenario_of :
   lookup:(string -> Pm_harness.Program.t option) ->
   t ->
@@ -102,3 +105,12 @@ val of_pairs :
 
 (** {!of_pairs} over a whole {!Pm_harness.Runner.outcome}. *)
 val of_outcome : program:string -> Runner.outcome -> extraction
+
+(** Re-observe a witness: extract [s]'s [result] as {!of_pairs} does
+    ([Full] evidence, program [w.program]) and return the witness with
+    [w]'s identity — [s]'s plans and options and a freshly rendered
+    summary.  Replay and minimization both judge a re-run by it, so a
+    corpus agrees with its own replay by construction.  [Error] holds
+    the sorted, distinct keys the result observed instead. *)
+val reobserve :
+  t -> Scenario.t -> Engine.scenario_result -> (t, string list) result

@@ -131,7 +131,7 @@ let m_oracle_violations =
    jobs-invariant (one queue-wait charge per claimed scenario, one work
    charge per scenario with the scenario's execution count as units);
    wall clocks are scheduling-dependent and the GC words are volatile:
-   they are the worker domain's own allocation ([Gc.counters]), which
+   they are the worker domain's own allocation ([gc_words]), which
    depends on the scenarios the worker ran and on when the collector
    ran. *)
 let ct_queue_wait = Observe.Metrics.center "engine/queue_wait"
@@ -142,6 +142,16 @@ let ct_gc_minor =
 
 let ct_gc_major =
   Observe.Metrics.center ~units:"words" ~volatile_units:true "gc/major"
+
+(* This domain's minor and major words allocated so far.  [Gc.counters]
+   (OCaml 5.1.1) returns floats that a minor collection during the call
+   can leave unrooted: kept past the next collection, one sends the
+   collector into freed memory (a segmentation fault, or "allocation
+   failure during minor GC").  So read them at once, before anything
+   allocates, into ints. *)
+let gc_words () =
+  let minor, _, major = Gc.counters () in
+  (int_of_float minor, int_of_float major)
 
 (* One charge per oracle observe phase, units = its operation count —
    both jobs-invariant; the count is also the program's oracle-check
@@ -787,13 +797,13 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
         in
         Observe.Metrics.charge ct_work ~units:execs
           ~wall_us:(int_of_float (wall *. 1e6));
-        let ((minor1, _, major1) as g1) = Gc.counters () in
+        let ((minor1, major1) as g1) = gc_words () in
         (match !gc_mark with
-        | Some (minor0, _, major0) ->
-            Observe.Metrics.charge ct_gc_minor
-              ~units:(int_of_float (minor1 -. minor0)) ~wall_us:0;
-            Observe.Metrics.charge ct_gc_major
-              ~units:(int_of_float (major1 -. major0)) ~wall_us:0
+        | Some (minor0, major0) ->
+            Observe.Metrics.charge ct_gc_minor ~units:(minor1 - minor0)
+              ~wall_us:0;
+            Observe.Metrics.charge ct_gc_major ~units:(major1 - major0)
+              ~wall_us:0
         | None -> ());
         gc_mark := Some g1
       end;
@@ -816,7 +826,7 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
           if att then begin
             Observe.Metrics.charge ct_queue_wait ~units:0
               ~wall_us:(Observe.Metrics.now_us () - !idle_since);
-            gc_mark := Some (Gc.counters ())
+            gc_mark := Some (gc_words ())
           end;
           (match items.(k) with
           | Single i -> emit i (run_scenario arr.(i))

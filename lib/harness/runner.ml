@@ -256,24 +256,26 @@ let probe_outcome ~program ~(options : options) ~jobs fault =
 let full_pairs scenarios (run : Engine.run_result) =
   List.map2 (fun s r -> (s, r, Full)) scenarios run.Engine.results
 
+let consistencies (s : Scenario.t) (c : Engine.completed) =
+  List.map
+    (fun (key, detail) ->
+      {
+        Finding.c_label = s.Scenario.label;
+        c_key = key;
+        c_detail = detail;
+        c_plan = Executor.plan_label s.Scenario.plan;
+        c_post_plan = Executor.plan_label s.Scenario.post_plan;
+        c_seed = s.Scenario.options.Scenario.seed;
+      })
+    c.Engine.violations
+
 (* Consistency findings of a run's [Full] pairs, in submission order —
    mirrors exactly which violations the corpus extractor will emit. *)
 let consistencies_of_pairs pairs =
   List.concat_map
     (fun ((s : Scenario.t), (r : Engine.scenario_result), ev) ->
       match (r, ev) with
-      | Engine.Completed c, Full ->
-          List.map
-            (fun (key, detail) ->
-              {
-                Finding.c_label = s.Scenario.label;
-                c_key = key;
-                c_detail = detail;
-                c_plan = Executor.plan_label s.Scenario.plan;
-                c_post_plan = Executor.plan_label s.Scenario.post_plan;
-                c_seed = s.Scenario.options.Scenario.seed;
-              })
-            c.Engine.violations
+      | Engine.Completed c, Full -> consistencies s c
       | (Engine.Completed _ | Engine.Faulted _), _ -> [])
     pairs
 

@@ -123,6 +123,11 @@ type outcome = {
       (** submission order: probe wave first for the recovery driver *)
 }
 
+(** The consistency findings of a completed scenario, one per oracle
+    violation, in the result's order.  The report and the corpus
+    extractor both build them here. *)
+val consistencies : Scenario.t -> Engine.completed -> Finding.consistency list
+
 val model_check_outcome :
   ?options:options ->
   ?jobs:int ->

@@ -84,6 +84,14 @@ let program_name ~stream ~bucket ~ops ~seed =
   Printf.sprintf "soak:%s:%s:%s:%d:%d" stream bucket.b_mix.mix_label
     (dist_label bucket.b_dist) ops seed
 
+(* [run] labels a round's scenario with its combo, the program name
+   without the round's ops and seed. *)
+let scenario_label name =
+  match String.split_on_char ':' name with
+  | [ "soak"; stream; mix; dist; _; _ ] ->
+      String.concat ":" [ "soak"; stream; mix; dist ]
+  | _ -> name
+
 let pre_of ~stream ~bucket ~ops ~seed () =
   let rng = Rng.create seed in
   let apply = stream.os_connect () in

@@ -103,6 +103,13 @@ val default_buckets : bucket list
 val program :
   stream:op_stream -> bucket:bucket -> ops:int -> seed:int -> Program.t
 
+(** The label {!run} gives the scenarios of the program named [name]:
+    the seed-free combo label ["soak:STREAM:MIX:DIST"] for a soak
+    program name, [name] itself for any other program.  A scenario's
+    recovery-failure key begins with its label, so a rebuilt soak
+    scenario must carry this one to observe the same key. *)
+val scenario_label : string -> string
+
 (** Rebuild a soak program from its encoded name ([None] if the name
     is not a soak program, names an unknown stream, mix or
     distribution, or is otherwise malformed).  Pass the registry's

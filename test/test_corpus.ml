@@ -14,6 +14,8 @@ module Witness = Pm_corpus.Witness
 module Corpus = Pm_corpus.Corpus
 module Replay = Pm_corpus.Replay
 module Minimize = Pm_corpus.Minimize
+module Soak = Pm_harness.Soak
+module Soak_store = Pm_corpus.Soak_store
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -38,14 +40,55 @@ let toy =
       ignore (Pmem.load ~atomic:Px86.Access.Acquire (a + 8)))
     ()
 
-(* Replay lookup: the local toy plus every registry program (demos
-   included), like the CLI's. *)
+(* A soak op stream whose recovery fails: each client op leaves an
+   unflushed store in one of four slots, and the audit rejects a crash
+   image in which slot 0 was written. *)
+let audit_fail_stream =
+  let slot a key = a + (8 * ((key - 1) land 3)) in
+  {
+    Soak.os_name = "auditfail";
+    os_keyspace = 4;
+    os_setup =
+      Some
+        (fun () ->
+          let a = Pmem.alloc ~align:64 64 in
+          Pmem.set_root 0 a;
+          Pmem.persist a 64);
+    os_connect =
+      (fun () ->
+        let a = Pmem.get_root 0 in
+        fun _ ~key ~payload -> Pmem.store_int ~label:"slot" (slot a key) (payload + 1));
+    os_audit =
+      (fun () ->
+        if Pmem.load_int (Pmem.get_root 0) <> 0 then
+          failwith "audit: slot 0 written");
+    os_observe = None;
+  }
+
+(* Replay lookup, like the CLI's: the local toy, every registry program
+   (demos included), and the soak programs of the registry's streams
+   and of [audit_fail_stream]. *)
 let lookup name =
   if name = "toy" then Some toy
   else
     match Pm_benchmarks.Registry.find name with
-    | exception Not_found -> None
+    | exception Not_found ->
+        Soak.find_program
+          ~streams:(audit_fail_stream :: Pm_benchmarks.Registry.soak_streams)
+          name
     | p -> Some p
+
+(* The witnesses of a soak run over [streams] to [max_ops] client ops. *)
+let soak_witnesses ~max_ops streams =
+  let sink = Soak_store.sink () in
+  ignore
+    (Soak.run ~on_batch:(Soak_store.absorb sink)
+       {
+         (Soak.default_config ~streams) with
+         Soak.sk_max_ops = Some max_ops;
+         sk_checkpoint_every = 0;
+       });
+  Soak_store.witnesses sink
 
 let sorted_keys kind (ws : Witness.t list) =
   ws
@@ -342,6 +385,70 @@ let test_replay_detects_regression () =
   | Ok () -> Alcotest.fail "unknown program must fail"
   | Error _ -> ()
 
+(* Soak names a round's program by its combo, ops and seed, and labels
+   its scenario by the combo alone; a recovery-failure key begins with
+   that label, so a rebuilt scenario must carry it to replay. *)
+let test_soak_recovery_failures_replay () =
+  let ws = soak_witnesses ~max_ops:400 [ audit_fail_stream ] in
+  check "the audit fails some recoveries" true
+    (List.exists (fun (w : Witness.t) -> w.Witness.kind = Witness.Recovery_failure) ws);
+  let r = Replay.replay_all ~lookup ws in
+  List.iter
+    (fun (f : Replay.failure) -> Alcotest.fail f.Replay.reason)
+    r.Replay.failures;
+  check_int "every witness replays" r.Replay.total r.Replay.reproduced;
+  List.iter
+    (fun (s : Minimize.shrink) ->
+      check "minimize reproduces" true s.Minimize.reproduced)
+    (Minimize.minimize_all ~lookup ws)
+
+(* Re-running a witness's own scenario observes the witness again,
+   byte for byte, and nothing under an edited key. *)
+let test_witness_reobserves_itself () =
+  let of_run name run =
+    let ws =
+      (Witness.of_outcome ~program:name (run (Option.get (lookup name))))
+        .Witness.witnesses
+    in
+    check (name ^ " yields witnesses") true (ws <> []);
+    ws
+  in
+  let ws =
+    List.concat
+      [
+        of_run "CCEH" (fun p -> Runner.model_check_outcome p);
+        of_run "hashmap-atomic" (fun p -> Runner.model_check_recovery_outcome p);
+        of_run "hashmap-atomic" (fun p -> Runner.random_mode_outcome ~execs:20 p);
+        of_run "demo-faulty-recovery" (fun p -> Runner.model_check_outcome p);
+        of_run "demo-inconsistency" (fun p ->
+            Runner.model_check_outcome ~oracle:true p);
+        soak_witnesses ~max_ops:200 [ Pm_benchmarks.Cceh.soak_stream ];
+        soak_witnesses ~max_ops:400 [ audit_fail_stream ];
+      ]
+  in
+  List.iter
+    (fun (w : Witness.t) ->
+      match Witness.scenario_of ~lookup w with
+      | Error msg -> Alcotest.fail msg
+      | Ok s -> (
+          let result = Pm_harness.Engine.run_scenario s in
+          (match Witness.reobserve w s result with
+          | Ok seen ->
+              check_str "re-observed witness" (Witness.encode w)
+                (Witness.encode seen)
+          | Error keys ->
+              Alcotest.failf "%s not re-observed (saw %s)" (Witness.identity w)
+                (String.concat ", " keys));
+          match
+            Witness.reobserve { w with Witness.key = "edited " ^ w.Witness.key } s
+              result
+          with
+          | Ok _ -> Alcotest.fail "an edited key must re-observe nothing"
+          | Error keys ->
+              check "the observed keys hold the original" true
+                (List.mem w.Witness.key keys)))
+    ws
+
 (* ------------------------------------------------------------------ *)
 (* Minimization                                                         *)
 
@@ -520,6 +627,10 @@ let () =
           Alcotest.test_case "corpus reproduces" `Quick test_replay_reproduces;
           Alcotest.test_case "regression detected" `Quick
             test_replay_detects_regression;
+          Alcotest.test_case "soak recovery failures replay" `Quick
+            test_soak_recovery_failures_replay;
+          Alcotest.test_case "a witness re-observes itself" `Quick
+            test_witness_reobserves_itself;
         ] );
       ( "minimize",
         [

@@ -275,6 +275,42 @@ let entry =
       ];
   }
 
+(* Armed telemetry reads the worker's GC counters before and after each
+   scenario and keeps the first reading across the scenario's run.  A
+   reading whose floats a minor collection left unrooted crashed the
+   collector once the scenario collected; tiny minor heaps make
+   collections land inside the reading. *)
+let test_gc_reading_survives_collections () =
+  quiesce ();
+  let flushes =
+    Program.make ~name:"flushes"
+      ~setup:(fun () -> Pmem.set_root 0 (Pmem.alloc ~align:64 8))
+      ~pre:(fun () ->
+        let a = Pmem.get_root 0 in
+        for i = 1 to 20 do
+          Pmem.store ~label:"x" a (Int64.of_int i);
+          Pmem.clflush a;
+          Pmem.mfence ()
+        done)
+      ~post:(fun () -> ignore (Pmem.load (Pmem.get_root 0)))
+      ()
+  in
+  let saved = Gc.get () in
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      List.iter
+        (fun words ->
+          Gc.set { saved with Gc.minor_heap_size = words };
+          for _ = 1 to 20 do
+            ignore (Runner.model_check_outcome ~jobs:1 flushes)
+          done)
+        (List.init 16 (fun k -> 256 + (k * 97))));
+  check "gc/minor charged" true
+    (List.exists (fun (r : Attribution.row) -> r.name = "gc/minor") (attribution ()));
+  quiesce ()
+
 let test_ledger_roundtrip () =
   (* entry -> fields -> JSONL -> fields -> entry, through the same
      codec the store uses *)
@@ -576,6 +612,8 @@ let () =
             test_report_identical_with_attribution_on;
           Alcotest.test_case "gc charge is the domain's own" `Quick
             test_gc_charge_is_per_domain;
+          Alcotest.test_case "gc reading survives collections" `Quick
+            test_gc_reading_survives_collections;
         ] );
       ( "engine",
         [

@@ -331,8 +331,9 @@ let test_manifest_file_guards () =
   | Error e -> Alcotest.fail e);
   Sys.remove tmp;
   (* A configuration a resume cannot run: no stream raised out of
-     [Soak.run], no op per scenario hung it, and a zero fault budget
-     quarantined every combo. *)
+     [Soak.run], no op per scenario hung it, a zero fault budget
+     quarantined every combo, and a jobs count below one was recorded
+     as given. *)
   check_load_rejects ~before:"\"streams\":\"memcached,redis,cceh\""
     ~after:"\"streams\":\"\"" "field \"streams\": no op stream";
   check_load_rejects ~before:"\"ops_per_exec\":24" ~after:"\"ops_per_exec\":0"
@@ -341,6 +342,8 @@ let test_manifest_file_guards () =
     "field \"ops_per_exec\": -2 is below the minimum 1";
   check_load_rejects ~before:"\"fault_budget\":3" ~after:"\"fault_budget\":0"
     "field \"fault_budget\": 0 is below the minimum 1";
+  check_load_rejects ~before:"\"jobs\":4" ~after:"\"jobs\":-2"
+    "field \"jobs\": -2 is below the minimum 1";
   (* Budgets that would end the resumed run at once, and a negative
      checkpoint period. *)
   check_load_rejects ~before:"\"max_ops\":null" ~after:"\"max_ops\":0"
